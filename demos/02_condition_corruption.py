@@ -45,9 +45,10 @@ print("\nRMS distance of corrupted condition from clean frame (5000 draws):")
 for t in (0.05, 0.5, 0.95):
     sq, levels = 0.0, []
     for _ in range(5000):
-        cond = corrupt(params, y0, t, rng)
-        sq += np.mean((cond.y - y0) ** 2)
-        levels.append(cond.noise_level_used)
+        level = sample_beta(params, t, rng)
+        y = corrupt(y0, level, rng, params.variant)
+        sq += np.mean((y - y0) ** 2)
+        levels.append(level)
     print(f"  t = {t:4.2f}: rms {np.sqrt(sq / 5000):5.3f}, "
           f"mean level {np.mean(levels):5.3f} (ceiling {params.beta_m:.1f})")
 print("\nearly in the reverse chain (t near 1) the model trains against a")

@@ -15,7 +15,6 @@ from .schedule import (
     sigma_to_t,
 )
 from .timenoise import (
-    Condition,
     TimeNoiseParams,
     constant_beta,
     corrupt,
@@ -36,8 +35,6 @@ from .world import (
     marginal_moments_at,
     prior_frame_cov,
     prior_moments,
-    sample_conditional_videos,
-    sample_video,
     sample_videos,
     x0_from_eps,
 )

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .diagnostics import (
     motion_scores,
     motion_sweep,
     write_csv,
+    write_json,
     write_manifest,
     OracleEps,
 )
@@ -97,15 +98,6 @@ class DiagnosticsConfig:
         object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
         object.__setattr__(self, "targets", tuple(float(x) for x in self.targets))
 
-    def to_dict(self) -> dict:
-        return {
-            "eval_videos": self.eval_videos,
-            "t_grid": list(self.t_grid),
-            "m_grid": list(self.m_grid),
-            "n_chains": self.n_chains,
-            "targets": list(self.targets),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
@@ -119,55 +111,43 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
-_TOP_KEYS = {
-    "world", "schedule", "timenoise", "train", "sampler", "diagnostics",
-    "seed", "output_dir",
-}
-_WORLD_KEYS = {"n_frames", "frame_dim", "m0", "s0", "drift", "s_w"}
-_SCHEDULE_KEYS = {"kind", "beta_min", "beta_max", "sigma_min", "sigma_max"}
-_TIMENOISE_KEYS = {"beta_m", "a", "variant"}
-_TRAIN_KEYS = {
-    "mode", "steps", "batch_size", "lr", "seed", "hidden", "t_sampler",
-    "p_mean", "p_std", "t_floor", "timenoise", "cdm_beta", "motion_feature",
-    "s_w_choices", "cond_frame",
-}
-_SAMPLER_KEYS = {"start_time", "steps", "init", "inference_beta"}
-_DIAG_KEYS = {"eval_videos", "t_grid", "m_grid", "n_chains", "targets"}
-
-
-def _strict(payload: dict, allowed: set, where: str) -> dict:
+def _strict(payload: dict, cls, where: str) -> dict:
+    """Reject a section that is not an object or names a field cls lacks."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{where} section must be a JSON object")
-    unknown = set(payload) - allowed
+    unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     return payload
 
 
 def config_from_payload(payload: dict) -> ExperimentConfig:
-    _strict(payload, _TOP_KEYS, "config")
+    _strict(payload, ExperimentConfig, "config")
     try:
         world = GaussianWorld(
-            **_strict(payload.get("world", {}), _WORLD_KEYS, "world")
+            **_strict(payload.get("world", {}), GaussianWorld, "world")
         )
         schedule = NoiseSchedule(
-            **{"kind": VP, **_strict(payload.get("schedule", {}), _SCHEDULE_KEYS,
+            **{"kind": VP, **_strict(payload.get("schedule", {}), NoiseSchedule,
                                      "schedule")}
         )
         timenoise = TimeNoiseParams(
             **{"beta_m": 2.0, "a": 5.0,
-               **_strict(payload.get("timenoise", {}), _TIMENOISE_KEYS, "timenoise")}
+               **_strict(payload.get("timenoise", {}), TimeNoiseParams, "timenoise")}
         )
+        train_section = _strict(payload.get("train", {}), TrainConfig, "train")
+        if train_section.get("timenoise") is not None:
+            _strict(train_section["timenoise"], TimeNoiseParams, "train.timenoise")
         train_cfg = TrainConfig.from_dict(
-            {**TrainConfig().to_dict(),
-             **_strict(payload.get("train", {}), _TRAIN_KEYS, "train")}
+            {**TrainConfig().to_dict(), **train_section}
         )
         sampler_cfg = SamplerConfig.from_dict(
-            {"start_time": 1.0, "steps": 50, "init": None, "inference_beta": None,
-             **_strict(payload.get("sampler", {}), _SAMPLER_KEYS, "sampler")}
+            {**SamplerConfig().to_dict(),
+             **_strict(payload.get("sampler", {}), SamplerConfig, "sampler")}
         )
         diag = DiagnosticsConfig(
-            **_strict(payload.get("diagnostics", {}), _DIAG_KEYS, "diagnostics")
+            **_strict(payload.get("diagnostics", {}), DiagnosticsConfig,
+                      "diagnostics")
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -198,30 +178,18 @@ def config_payload(cfg: ExperimentConfig) -> dict:
     """Fully resolved, JSON-ready view of the config (round-trips exactly)."""
     return {
         "world": cfg.world.to_dict(),
-        "schedule": {
-            "kind": cfg.schedule.kind,
-            "beta_min": cfg.schedule.beta_min,
-            "beta_max": cfg.schedule.beta_max,
-            "sigma_min": cfg.schedule.sigma_min,
-            "sigma_max": cfg.schedule.sigma_max,
-        },
-        "timenoise": {
-            "beta_m": cfg.timenoise.beta_m,
-            "a": cfg.timenoise.a,
-            "variant": cfg.timenoise.variant,
-        },
+        "schedule": asdict(cfg.schedule),
+        "timenoise": asdict(cfg.timenoise),
         "train": cfg.train.to_dict(),
         "sampler": cfg.sampler.to_dict(),
-        "diagnostics": cfg.diagnostics.to_dict(),
+        "diagnostics": asdict(cfg.diagnostics),
         "seed": cfg.seed,
         "output_dir": cfg.output_dir,
     }
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_payload(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config_payload(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +295,17 @@ def _cmd_estimate_init(args) -> int:
     moments = estimate_moments(videos)
     init = optimal_init(moments, cfg.schedule, args.M)
     out = _out_path(args, "init.json", cfg)
-    with open(out, "w") as fh:
-        json.dump(
-            {
-                "moments": {
-                    "mean": moments.mean.tolist(),
-                    "avg_var": moments.avg_var,
-                    "n_samples": moments.n_samples,
-                },
-                "init": init.to_dict(),
+    write_json(
+        out,
+        {
+            "moments": {
+                "mean": moments.mean.tolist(),
+                "avg_var": moments.avg_var,
+                "n_samples": moments.n_samples,
             },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+            "init": init.to_dict(),
+        },
+    )
     _manifest(out, "estimate-init", cfg, args)
     return 0
 
@@ -355,10 +321,7 @@ def _cmd_prop1_check(args) -> int:
         reports.append(verify_optimality(mu_q, sigma_q, init))
     passed = all(rep["passed"] for rep in reports)
     out = _out_path(args, "prop1_report.json", cfg)
-    with open(out, "w") as fh:
-        json.dump({"passed": passed, "reports": reports}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    write_json(out, {"passed": passed, "reports": reports})
     _manifest(out, "prop1-check", cfg, args)
     if not passed:
         _emit_error("acceptance", "optimality grid check failed; see " + out)
@@ -411,17 +374,15 @@ def _cmd_sample(args) -> int:
     out = _out_path(args, "samples.csv", cfg)
     _write_videos_csv(out, videos)
     ms = motion_scores(videos)
-    with open(out + ".summary.json", "w") as fh:
-        json.dump(
-            {
-                "n": args.n,
-                "mean_motion": float(np.mean(ms)),
-                "motion_std": float(np.std(ms)),
-                "config": run_cfg.to_dict(),
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        out + ".summary.json",
+        {
+            "n": args.n,
+            "mean_motion": float(np.mean(ms)),
+            "motion_std": float(np.std(ms)),
+            "config": run_cfg.to_dict(),
+        },
+    )
     _manifest(out, "sample", cfg, args)
     return 0
 

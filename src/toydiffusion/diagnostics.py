@@ -239,6 +239,13 @@ def write_csv(path, fieldnames, rows) -> None:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
 
 
+def write_json(path, payload) -> None:
+    """Write indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def config_digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -257,6 +264,4 @@ def write_manifest(path, experiment: str, config_payload, seed) -> None:
         "version": f"toydiffusion-{__version__}",
         "config": config_payload,
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)

@@ -3,9 +3,9 @@
 The corruption level beta_s is drawn from a logit-normal distribution on
 (0, beta_m) whose center mu(t) = 2 t**a - 1 moves with diffusion time, so
 late (noisy) times see strongly corrupted conditioning while early times see
-it nearly clean.  Two corruption operators are provided: additive
-(y_s = y0 + beta_s * eps) and interpolating (y_s = (1 - beta_s) y0 +
-beta_s * eps, which requires beta_m = 1).
+it nearly clean.  One corruption operator applies a level in one of two
+variants: additive (y_s = y0 + beta_s * eps) and interpolating
+(y_s = (1 - beta_s) y0 + beta_s * eps, which requires beta_m = 1).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logit
+
+from .schedule import _per_item
 
 ADDITIVE = "additive"
 INTERPOLATION = "interpolation"
@@ -41,14 +43,6 @@ class TimeNoiseParams:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == INTERPOLATION and self.beta_m != 1.0:
             raise ValueError("interpolation variant requires beta_m = 1")
-
-
-@dataclass
-class Condition:
-    """A conditioning frame together with the noise level applied to it."""
-
-    y: np.ndarray
-    noise_level_used: float
 
 
 def mu_of_t(params: TimeNoiseParams, t):
@@ -93,26 +87,18 @@ def constant_beta(params: TimeNoiseParams, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def corrupt(
-    params: TimeNoiseParams,
-    y0: np.ndarray,
-    t: float,
-    rng: np.random.Generator,
-    beta_s: float | None = None,
-) -> Condition:
-    """Corrupt a conditioning frame at time t.
+def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
+    """Corrupt conditioning frames at level beta_s.
 
-    beta_s overrides the sampled level when given (test hook); an override
-    of exactly 0 applies no noise and consumes no randomness.
+    Additive: y0 + beta_s * eps; interpolation: (1 - beta_s) y0 + beta_s * eps.
+    beta_s is a scalar or one level per row of y0.  An all-zero level
+    applies no noise, consumes no randomness and returns a copy of y0.
     """
     y0 = np.asarray(y0, dtype=np.float64)
-    if beta_s is None:
-        beta_s = sample_beta(params, t, rng)
-    if beta_s == 0.0:
-        return Condition(y=y0.copy(), noise_level_used=0.0)
+    beta_s = _per_item(beta_s, y0)
+    if np.all(beta_s == 0.0):
+        return y0.copy()
     eps = rng.standard_normal(y0.shape)
-    if params.variant == ADDITIVE:
-        y_s = y0 + beta_s * eps
-    else:
-        y_s = (1.0 - beta_s) * y0 + beta_s * eps
-    return Condition(y=y_s, noise_level_used=float(beta_s))
+    if variant == INTERPOLATION:
+        return (1.0 - beta_s) * y0 + beta_s * eps
+    return y0 + beta_s * eps

@@ -17,15 +17,16 @@ Four condition-corruption modes are supported during training:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .schedule import NoiseSchedule, VP, perturb, sigma_to_t
 from .timenoise import (
-    INTERPOLATION,
+    ADDITIVE,
     TimeNoiseParams,
     constant_beta,
+    corrupt,
     sample_beta,
 )
 from .world import GaussianWorld, expected_motion_score, sample_videos, x0_from_eps
@@ -99,29 +100,8 @@ class TrainConfig:
             )
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "seed": self.seed,
-            "hidden": self.hidden,
-            "t_sampler": self.t_sampler,
-            "p_mean": self.p_mean,
-            "p_std": self.p_std,
-            "t_floor": self.t_floor,
-            "timenoise": None,
-            "cdm_beta": self.cdm_beta,
-            "motion_feature": self.motion_feature,
-            "s_w_choices": list(self.s_w_choices) if self.s_w_choices else None,
-            "cond_frame": self.cond_frame,
-        }
-        if self.timenoise is not None:
-            out["timenoise"] = {
-                "beta_m": self.timenoise.beta_m,
-                "a": self.timenoise.a,
-                "variant": self.timenoise.variant,
-            }
+        out = asdict(self)
+        out["s_w_choices"] = list(self.s_w_choices) if self.s_w_choices else None
         return out
 
     @classmethod
@@ -296,16 +276,15 @@ def sample_training_times(schedule, config: TrainConfig, n, rng):
 
 
 def _sample_clean_batch(world, config, rng):
-    """Clean videos plus the per-item motion feature (None when disabled)."""
+    """Clean videos plus the per-item motion feature (None when disabled).
+
+    With s_w_choices, each video's innovation scale is picked before any
+    video is drawn."""
     b = config.batch_size
     if config.motion_feature and config.s_w_choices:
         choices = np.asarray(config.s_w_choices, dtype=np.float64)
-        pick = rng.integers(0, len(choices), size=b)
-        s_w_item = choices[pick]
-        first = world.m0 + world.s0 * rng.standard_normal((b, 1, world.frame_dim))
-        z = rng.standard_normal((b, world.n_frames - 1, world.frame_dim))
-        inc = world.drift + s_w_item[:, None, None] * z
-        x0 = np.concatenate([first, first + np.cumsum(inc, axis=1)], axis=1)
+        s_w_item = choices[rng.integers(0, len(choices), size=b)]
+        x0 = sample_videos(world, b, rng, s_w=s_w_item)
         per_choice = {
             float(s): expected_motion_score(replace(world, s_w=float(s)))
             for s in choices
@@ -320,25 +299,20 @@ def _sample_clean_batch(world, config, rng):
 
 
 def _corrupt_condition(config, y0, t, rng, beta_override=None):
-    """Apply the mode's condition corruption; a zero level consumes no draws."""
+    """Choose the mode's corruption level and apply it; a zero level consumes
+    no draws.  The level-curve modes take their variant from the timenoise
+    parameters; cdm's fixed level is additive."""
     if config.mode == NAIVE:
         return y0
-    if config.mode == TIMENOISE:
-        if beta_override is not None:
-            betas = np.full(y0.shape[0], float(beta_override))
-        else:
-            betas = sample_beta(config.timenoise, t, rng)
-    elif config.mode == CDM_FIXED:
-        betas = np.full(y0.shape[0], float(config.cdm_beta))
-    else:  # constant
-        betas = np.atleast_1d(constant_beta(config.timenoise, t))
-    if np.all(betas == 0.0):
-        return y0
-    eps_y = rng.standard_normal(y0.shape)
-    betas = betas[:, None]
-    if config.mode == TIMENOISE and config.timenoise.variant == INTERPOLATION:
-        return (1.0 - betas) * y0 + betas * eps_y
-    return y0 + betas * eps_y
+    if config.mode == CDM_FIXED:
+        return corrupt(y0, config.cdm_beta, rng, ADDITIVE)
+    if config.mode == CONSTANT_BETA:
+        betas = constant_beta(config.timenoise, t)
+    elif beta_override is not None:
+        betas = beta_override
+    else:
+        betas = sample_beta(config.timenoise, t, rng)
+    return corrupt(y0, betas, rng, config.timenoise.variant)
 
 
 def make_training_batch(world, schedule, config, rng, beta_override=None):
@@ -418,13 +392,7 @@ def train(world, schedule, config: TrainConfig, return_history=False):
         "config": {
             "train": config.to_dict(),
             "world": world.to_dict(),
-            "schedule": {
-                "kind": schedule.kind,
-                "beta_min": schedule.beta_min,
-                "beta_max": schedule.beta_max,
-                "sigma_min": schedule.sigma_min,
-                "sigma_max": schedule.sigma_max,
-            },
+            "schedule": asdict(schedule),
         },
         "seed": config.seed,
         "layer_shapes": [list(s) for s in model.shapes],

@@ -85,29 +85,23 @@ class GaussianWorld:
 # Sampling
 
 
-def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator):
-    """Draw n videos, shape (n, N, d)."""
-    first = world.m0 + world.s0 * rng.standard_normal((n, 1, world.frame_dim))
+def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
+                  first=None, s_w=None):
+    """Draw n videos, shape (n, N, d).
+
+    first pins frame 1 to a given (d,) frame and draws nothing for it.
+    s_w overrides the world's innovation scale, either as a scalar or as
+    one value per video.  Draw order: first frames, then increments.
+    """
+    shape = (n, 1, world.frame_dim)
+    if first is None:
+        first = world.m0 + world.s0 * rng.standard_normal(shape)
+    else:
+        first = np.broadcast_to(np.asarray(first, dtype=np.float64), shape).copy()
     if world.n_frames == 1:
         return first
-    inc = world.drift + world.s_w * rng.standard_normal(
-        (n, world.n_frames - 1, world.frame_dim)
-    )
-    return np.concatenate([first, first + np.cumsum(inc, axis=1)], axis=1)
-
-
-def sample_video(world: GaussianWorld, rng: np.random.Generator):
-    """Draw a single video, shape (N, d)."""
-    return sample_videos(world, 1, rng)[0]
-
-
-def sample_conditional_videos(world, y0, n: int, rng: np.random.Generator):
-    """Draw n videos whose first frame is pinned to y0."""
-    y0 = np.asarray(y0, dtype=np.float64)
-    first = np.broadcast_to(y0, (n, 1, world.frame_dim)).copy()
-    if world.n_frames == 1:
-        return first
-    inc = world.drift + world.s_w * rng.standard_normal(
+    scale = np.reshape(world.s_w if s_w is None else s_w, (-1, 1, 1))
+    inc = world.drift + scale * rng.standard_normal(
         (n, world.n_frames - 1, world.frame_dim)
     )
     return np.concatenate([first, first + np.cumsum(inc, axis=1)], axis=1)

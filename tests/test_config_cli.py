@@ -62,6 +62,10 @@ def test_unknown_keys_rejected():
         config_from_payload({"schedule": {"kind": "cosine"}})
     with pytest.raises(ConfigError):
         config_from_payload({"train": {"mode": "sgd"}})
+    with pytest.raises(ConfigError):
+        config_from_payload(
+            {"train": {"timenoise": {"beta_m": 2, "a": 5, "bogus": 1}}}
+        )
 
 
 def test_invalid_json_reported(tmp_path):

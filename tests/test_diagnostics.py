@@ -19,7 +19,7 @@ from toydiffusion.diagnostics import (
     write_csv,
     write_manifest,
 )
-from toydiffusion.world import ExactDenoiser, LeakyDenoiser, sample_conditional_videos
+from toydiffusion.world import ExactDenoiser, LeakyDenoiser
 
 
 def test_motion_score_hand_example():
@@ -78,7 +78,7 @@ def test_leaky_denoiser_suppresses_late_motion(world, vp):
 
 def test_conditional_moment_errors_behaviour(world):
     y0 = np.array([0.5, 0.0, -0.5, 1.0])
-    vids = sample_conditional_videos(world, y0, 100_000, np.random.default_rng(5))
+    vids = td.sample_videos(world, 100_000, np.random.default_rng(5), first=y0)
     mean_err, cov_err = conditional_moment_errors(vids, world, y0)
     assert mean_err < 0.02 and cov_err < 0.02
     shifted_mean_err, _ = conditional_moment_errors(vids + 0.5, world, y0)

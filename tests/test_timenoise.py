@@ -9,7 +9,6 @@ import toydiffusion as td
 from toydiffusion.timenoise import (
     ADDITIVE,
     INTERPOLATION,
-    Condition,
     constant_beta,
     corrupt,
     mu_of_t,
@@ -92,33 +91,35 @@ def test_constant_baseline_tracks_center():
 
 
 def test_corrupt_additive():
-    p = td.TimeNoiseParams(beta_m=2.0, a=5.0)
     y0 = np.arange(4.0)
-    cond = corrupt(p, y0, 0.8, np.random.default_rng(0), beta_s=0.5)
-    assert isinstance(cond, Condition)
-    assert cond.noise_level_used == 0.5
+    y = corrupt(y0, 0.5, np.random.default_rng(0))
     # reconstruct the noise draw with the same generator state
     eps = np.random.default_rng(0).standard_normal(4)
-    np.testing.assert_allclose(cond.y, y0 + 0.5 * eps, atol=1e-15)
+    np.testing.assert_allclose(y, y0 + 0.5 * eps, atol=1e-15)
+    # one level per row scales each row's noise by its own level
+    rows = np.stack([y0, -y0, 2 * y0])
+    levels = np.array([0.5, 0.0, 2.0])
+    y = corrupt(rows, levels, np.random.default_rng(0), ADDITIVE)
+    eps = np.random.default_rng(0).standard_normal((3, 4))
+    np.testing.assert_allclose(y, rows + levels[:, None] * eps, atol=1e-15)
 
 
 def test_corrupt_interpolation_variant():
-    p = td.TimeNoiseParams(beta_m=1.0, a=1.0, variant=INTERPOLATION)
     y0 = np.full(3, 2.0)
-    cond = corrupt(p, y0, 0.5, np.random.default_rng(1), beta_s=0.25)
+    y = corrupt(y0, 0.25, np.random.default_rng(1), INTERPOLATION)
     eps = np.random.default_rng(1).standard_normal(3)
-    np.testing.assert_allclose(cond.y, 0.75 * y0 + 0.25 * eps, atol=1e-15)
+    np.testing.assert_allclose(y, 0.75 * y0 + 0.25 * eps, atol=1e-15)
 
 
 def test_zero_override_is_noise_free_and_stream_neutral():
-    p = td.TimeNoiseParams(beta_m=2.0, a=5.0)
-    y0 = np.ones(4)
+    y0 = np.ones((3, 4))
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    cond = corrupt(p, y0, 0.9, rng, beta_s=0.0)
-    assert rng.bit_generator.state == before  # no randomness consumed
-    np.testing.assert_array_equal(cond.y, y0)
-    assert cond.y is not y0  # defensive copy
+    for level in (0.0, np.zeros(3)):
+        y = corrupt(y0, level, rng)
+        assert rng.bit_generator.state == before  # no randomness consumed
+        np.testing.assert_array_equal(y, y0)
+        assert y is not y0  # defensive copy
 
 
 def test_corruption_grows_with_time_on_average():
@@ -127,7 +128,7 @@ def test_corruption_grows_with_time_on_average():
     rng = np.random.default_rng(6)
     rms = []
     for t in (0.1, 0.5, 0.95):
-        draws = [corrupt(p, y0, t, rng).y for _ in range(2_000)]
+        draws = [corrupt(y0, sample_beta(p, t, rng), rng) for _ in range(2_000)]
         rms.append(float(np.sqrt(np.mean(np.square(draws)))))
     assert rms[0] < rms[1] < rms[2]
 

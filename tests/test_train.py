@@ -166,6 +166,52 @@ def test_constant_mode_tracks_center_curve(world, vp):
     np.testing.assert_allclose(got.y, x0[:, 0, :] + level * eps_y, atol=1e-15)
 
 
+def test_constant_mode_uses_interpolation_variant(world, vp):
+    tn = td.TimeNoiseParams(beta_m=1.0, a=5.0, variant="interpolation")
+    cfg = TrainConfig(mode=CONSTANT_BETA, batch_size=16, timenoise=tn)
+    got = make_training_batch(world, vp, cfg, np.random.default_rng(10))
+    rng = np.random.default_rng(10)
+    x0 = td.sample_videos(world, 16, rng)
+    t = rng.uniform(cfg.t_floor, 1.0, 16)
+    eps_y = rng.standard_normal((16, 4))
+    level = constant_beta(tn, t)[:, None]
+    np.testing.assert_allclose(
+        got.y, (1.0 - level) * x0[:, 0, :] + level * eps_y, atol=1e-15
+    )
+
+
+def test_per_item_s_w_batch_replay(world, vp):
+    # replay the documented draw order by hand: scale pick, first frames,
+    # increments, frame choice, times, forward noise
+    cfg = TrainConfig(
+        mode=NAIVE, batch_size=16, motion_feature=True, s_w_choices=(0.25, 1.0),
+        cond_frame="random", t_sampler=EDM_LOGNORMAL,
+    )
+    got = make_training_batch(world, vp, cfg, np.random.default_rng(16))
+    rng = np.random.default_rng(16)
+    s_w = np.array([0.25, 1.0])[rng.integers(0, 2, size=16)]
+    first = world.m0 + world.s0 * rng.standard_normal((16, 1, 4))
+    z = rng.standard_normal((16, 7, 4))
+    inc = world.drift + s_w[:, None, None] * z
+    x0 = np.concatenate([first, first + np.cumsum(inc, axis=1)], axis=1)
+    idx = rng.integers(0, 8, size=16)
+    t = np.clip(
+        td.sigma_to_t(vp, np.exp(rng.normal(cfg.p_mean, cfg.p_std, 16))),
+        cfg.t_floor, 1.0,
+    )
+    from toydiffusion.schedule import perturb
+
+    xt, eps = perturb(vp, x0, t, rng)
+    np.testing.assert_array_equal(got.y, x0[np.arange(16), idx, :])
+    np.testing.assert_array_equal(got.t, t)
+    np.testing.assert_array_equal(got.xt, xt)
+    np.testing.assert_array_equal(got.target, eps)
+    motion = {
+        s: td.expected_motion_score(td.GaussianWorld(s_w=s)) for s in (0.25, 1.0)
+    }
+    np.testing.assert_array_equal(got.motion, [motion[s] for s in s_w])
+
+
 def test_motion_feature_plumbing(world, vp):
     cfg = TrainConfig(
         mode=NAIVE, batch_size=8, motion_feature=True, s_w_choices=(0.25, 1.0)

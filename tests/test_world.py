@@ -19,8 +19,6 @@ from toydiffusion.world import (
     marginal_moments_at,
     prior_frame_cov,
     prior_moments,
-    sample_conditional_videos,
-    sample_video,
     sample_videos,
     x0_from_eps,
 )
@@ -59,7 +57,7 @@ def test_conditional_cov_is_schur_complement(world):
 def test_conditional_sampling_matches_closed_form(world):
     rng = np.random.default_rng(1)
     y0 = np.array([0.5, -1.0, 2.0, 0.0])
-    vids = sample_conditional_videos(world, y0, 200_000, rng)
+    vids = sample_videos(world, 200_000, rng, first=y0)
     mean_flat, cov = conditional_moments(world, y0)
     np.testing.assert_allclose(
         vids.reshape(-1, world.flat_dim).mean(axis=0), mean_flat, atol=0.02
@@ -190,7 +188,7 @@ def test_exact_denoiser_is_mse_optimal(world, vp):
     rng = np.random.default_rng(6)
     t = 0.5
     y0 = np.zeros(4)
-    x0 = sample_conditional_videos(world, y0, 20_000, rng)
+    x0 = sample_videos(world, 20_000, rng, first=y0)
     from toydiffusion.schedule import perturb
 
     xt, _ = perturb(vp, x0, t, rng)
@@ -284,5 +282,12 @@ def test_world_validation():
 
 
 def test_sample_video_shape(world):
-    v = sample_video(world, np.random.default_rng(9))
-    assert v.shape == (8, 4)
+    v = sample_videos(world, 1, np.random.default_rng(9))
+    assert v.shape == (1, 8, 4)
+    # a per-video innovation scale: zero scale leaves pure drift
+    v = sample_videos(world, 2, np.random.default_rng(9), s_w=[0.0, 1.0])
+    assert v.shape == (2, 8, 4)
+    np.testing.assert_allclose(
+        np.diff(v[0], axis=0), np.broadcast_to(world.drift, (7, 4)), atol=1e-12
+    )
+    assert not np.allclose(np.diff(v[1], axis=0), world.drift)
