@@ -251,11 +251,17 @@ def _build_denoiser(spec: str, cfg: ExperimentConfig, lam_max: float, p: float):
     if spec == "oracle":
         return OracleEps()
     if spec.startswith("ckpt:"):
-        model, params, ck_world, _, _ = load_checkpoint(spec[len("ckpt:"):])
-        if (ck_world.n_frames, ck_world.frame_dim) != (
-            cfg.world.n_frames, cfg.world.frame_dim,
-        ):
-            raise ConfigError("checkpoint world shape does not match the config")
+        model, params, ck_world, ck_schedule, _ = load_checkpoint(spec[len("ckpt:"):])
+        if ck_schedule != cfg.schedule:
+            raise ConfigError(
+                f"checkpoint schedule {asdict(ck_schedule)} does not match "
+                f"the config schedule {asdict(cfg.schedule)}"
+            )
+        if ck_world.to_dict() != cfg.world.to_dict():
+            raise ConfigError(
+                f"checkpoint world {ck_world.to_dict()} does not match "
+                f"the config world {cfg.world.to_dict()}"
+            )
         return TrainedDenoiser(model, params, cfg.schedule)
     raise ConfigError(f"unknown denoiser {spec!r}")
 

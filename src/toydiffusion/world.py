@@ -4,13 +4,19 @@ A video is an (N, d) array of N frames in R^d.  Frame 1 is drawn from
 N(m0, s0^2 I) and each subsequent frame adds a deterministic drift plus
 N(0, s_w^2 I) innovation.  All coordinate dimensions are independent, so
 the full prior covariance is C (x) I_d with an N x N frame factor C,
-and every posterior computation reduces to an N x N linear solve.
+and every posterior computation reduces to N x N algebra.
 
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), which is the Bayes-optimal clean-video prediction under the
-forward kernel x_t = alpha_t x0 + sigma_t eps.  A "leaky" denoiser blends
-the exact conditional prediction with a static broadcast of the
-conditioning frame, turning conditioning over-reliance into a dial.
+forward kernel x_t = alpha_t x0 + sigma_t eps.  With C = U diag(lam) U^T
+decomposed once, that prediction is mean + G(t) (x_t - alpha_t mean) with
+the gain G(t) = U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T.  The
+conditional C is singular (frame 1 is pinned); its zero eigenvalue gets
+zero gain, which is exact, so frame 1 of the prediction is the condition.
+
+A "leaky" denoiser blends the exact conditional prediction with a static
+broadcast of the conditioning frame, turning conditioning over-reliance
+into a dial.
 """
 
 from __future__ import annotations
@@ -18,12 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from .schedule import NoiseSchedule, alpha_sigma
-
-CHOL_JITTER = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,51 +226,39 @@ def broadcast_condition(y, n_frames: int):
 # Denoisers
 
 
-def _chol(mat):
-    """Cholesky factor with a tiny-jitter retry for borderline-singular input."""
-    try:
-        return cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError:
-        return cho_factor(mat + CHOL_JITTER * np.eye(mat.shape[0]), lower=True)
-
-
 class ExactDenoiser:
     """Posterior-mean denoiser E[X_0 | X_t (, frame_1 = y0)].
 
     With prior N(mean, C (x) I_d) and kernel x_t = alpha x0 + sigma eps,
     the posterior mean per coordinate column is
-        mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean),
-    one N x N Cholesky solve per call shared across batch and coordinates.
+        mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean)
+      = mean + U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T (xt - alpha mean)
+    for C = U diag(lam) U^T, decomposed once here with lam clipped at 0.
+    A zero eigenvalue (the pinned first frame of the conditional C) gets
+    zero gain, which is exact, so the singular case needs no jitter.
     """
 
     def __init__(self, world: GaussianWorld, schedule: NoiseSchedule, conditional=True):
         self.world = world
         self.schedule = schedule
         self.conditional = bool(conditional)
+        cov = (conditional_frame_cov if self.conditional else prior_frame_cov)(world)
+        lam, self._basis = np.linalg.eigh(cov)
+        self._lam = np.clip(lam, 0.0, None)
 
     def predict_x0(self, xt, y, t):
         if not 0.0 < t <= 1.0:
             raise ValueError("exact prediction requires t in (0, 1]")
-        xt = np.asarray(xt, dtype=np.float64)
-        single = xt.ndim == 2
-        x = xt[None] if single else xt
-        n, d = self.world.n_frames, self.world.frame_dim
         if self.conditional:
             if y is None:
                 raise ValueError("conditional denoiser needs a conditioning frame")
             mean = _cond_frame_means(self.world, y)
-            cov = conditional_frame_cov(self.world)
         else:
             mean = _frame_means(self.world)
-            cov = prior_frame_cov(self.world)
         alpha, sigma = alpha_sigma(self.schedule, t)
-        factor = _chol(alpha**2 * cov + sigma**2 * np.eye(n))
-        resid = x - alpha * mean
-        cols = resid.transpose(1, 0, 2).reshape(n, -1)
-        w = cho_solve(factor, cols)
-        pull = (cov @ w).reshape(n, x.shape[0], d).transpose(1, 0, 2)
-        post = mean + alpha * pull
-        return post[0] if single else post
+        shrink = alpha * self._lam / (alpha**2 * self._lam + sigma**2)
+        gain = (self._basis * shrink) @ self._basis.T
+        return mean + gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
 
     def predict_eps(self, xt, y, t):
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)

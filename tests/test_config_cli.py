@@ -218,3 +218,29 @@ def test_error_paths_exit_codes(tmp_path, capsys):
     assert main(["diagnose", "leakage", "--config", cfgp,
                  "--denoiser", "ckpt:" + str(tmp_path / "no_ck.json"),
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("section, override, named", [
+    ("schedule", {"kind": "ve"}, "'kind': 've'"),
+    ("world", {"s_w": 2.0}, "'s_w': 2.0"),
+], ids=["schedule", "world"])
+def test_checkpoint_must_match_config(tmp_path, capsys, section, override, named):
+    # a checkpoint trained under another schedule or world must not be run
+    # under the config's: that silently samples from the wrong process
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload[section].update(override)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(payload))
+    ck = tmp_path / "ck.json"
+    assert main(["train", "--config", str(other), "--mode", "naive",
+                 "--steps", "5", "--out", str(ck)]) == 0
+    for argv in (["sample", "--n", "4", "--steps", "3"], ["diagnose", "leakage"]):
+        capsys.readouterr()
+        assert main(argv + ["--config", cfgp, "--denoiser", f"ckpt:{ck}",
+                            "--out", str(tmp_path / "x.csv")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        message = err["error"]["message"]
+        assert f"checkpoint {section}" in message and named in message
+        assert f"config {section}" in message

@@ -9,7 +9,6 @@ from toydiffusion.world import (
     ExactDenoiser,
     GaussianWorld,
     LeakyDenoiser,
-    _chol,
     as_eps_prediction,
     broadcast_condition,
     conditional_frame_cov,
@@ -140,7 +139,7 @@ def _dense_posterior(world, schedule, xt_flat, t, y0=None):
     return mean + a * sig0 @ np.linalg.solve(sig_t, xt_flat - a * mean)
 
 
-@pytest.mark.parametrize("t", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.5, 0.95, 1.0])
 @pytest.mark.parametrize("conditional", [True, False])
 def test_exact_denoiser_matches_dense_solve(world, vp, t, conditional):
     rng = np.random.default_rng(3)
@@ -248,13 +247,20 @@ def test_broadcast_condition_shapes():
     np.testing.assert_array_equal(out[1], np.tile(yb[1], (3, 1)))
 
 
-def test_chol_jitter_handles_singular_psd():
-    from scipy.linalg import cho_solve
-
-    mat = np.ones((3, 3))  # rank one, exactly singular
-    factor = _chol(mat)
-    x = cho_solve(factor, np.ones(3))
-    assert np.all(np.isfinite(x))
+@pytest.mark.parametrize("t", [1e-6, 0.5, 1.0])
+def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
+    # frame 1 is pinned, so the conditional frame covariance has a zero
+    # eigenvalue; the posterior must stay finite and keep frame 1 = y0
+    assert np.abs(np.linalg.eigvalsh(conditional_frame_cov(world))).min() < 1e-12
+    rng = np.random.default_rng(10)
+    y0 = np.array([0.7, -0.4, 1.5, 0.0])
+    xt = rng.standard_normal((5, 8, 4))
+    got = ExactDenoiser(world, vp).predict_x0(xt, y0, t)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got[:, 0, :], np.broadcast_to(y0, (5, 4)), atol=1e-12)
+    for i in range(5):
+        want = _dense_posterior(world, vp, xt[i].ravel(), t, y0)
+        np.testing.assert_allclose(got[i].ravel(), want, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
