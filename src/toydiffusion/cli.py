@@ -3,12 +3,14 @@
 One JSON config document describes the world, schedules, corruption
 parameters, training, sampling, and diagnostics settings; subcommands
 override the few fields that vary per run (mode, start time, step count).
-Unknown config keys are rejected.  All outputs are CSV/JSON with a
-manifest written beside each one, and every command is byte-deterministic
-under a fixed seed.
+Unknown keys and mistyped values are rejected.  All outputs are CSV/JSON
+with a manifest written beside each one, and every command is
+byte-deterministic under a fixed seed on one machine, numpy/BLAS build and
+thread count.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 acceptance-check failure.
+Exit codes: 0 success, 2 config or input error, 3 numerical failure,
+4 acceptance-check failure.  Any other exception is a bug: it propagates
+with its traceback and the interpreter exits 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -45,7 +48,6 @@ from .train import (
     CDM_FIXED,
     CONSTANT_BETA,
     MODES,
-    NAIVE,
     TIMENOISE,
     TrainConfig,
     TrainedDenoiser,
@@ -111,44 +113,61 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
-def _strict(payload: dict, cls, where: str) -> dict:
-    """Reject a section that is not an object or names a field cls lacks."""
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits one member of a field annotation; a nested
+    dataclass section is checked by its own _strict call."""
+    if is_dataclass(kind):
+        return True
+    if kind in (tuple, np.ndarray):
+        return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _strict(payload, cls, where: str, defaults=None) -> dict:
+    """Check a JSON object against cls's fields and return it over defaults:
+    no unknown key, no missing field that lacks a default, and every value
+    of its annotated type (ints take no float, numbers no bool or string)."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{where} section must be a JSON object")
     unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    payload, hints = {**(defaults or {}), **payload}, get_type_hints(cls)
+    missing = [f.name for f in fields(cls) if f.name not in payload
+               and f.default is MISSING and not is_dataclass(hints[f.name])]
+    if missing:
+        raise ConfigError(f"missing keys in {where}: {missing}")
+    for f in fields(cls):
+        kinds = get_args(hints[f.name]) or (hints[f.name],)
+        if f.name in payload and not any(_fits(payload[f.name], k) for k in kinds):
+            raise ConfigError(f"{f.name} in {where} must be {f.type}, "
+                              f"got {payload[f.name]!r}")
     return payload
 
 
 def config_from_payload(payload: dict) -> ExperimentConfig:
     _strict(payload, ExperimentConfig, "config")
+
+    def section(name, cls, defaults=None):
+        return _strict(payload.get(name, {}), cls, name, defaults)
+
     try:
-        world = GaussianWorld(
-            **_strict(payload.get("world", {}), GaussianWorld, "world")
-        )
-        schedule = NoiseSchedule(
-            **{"kind": VP, **_strict(payload.get("schedule", {}), NoiseSchedule,
-                                     "schedule")}
-        )
+        world = GaussianWorld(**section("world", GaussianWorld))
+        schedule = NoiseSchedule(**section("schedule", NoiseSchedule, {"kind": VP}))
         timenoise = TimeNoiseParams(
-            **{"beta_m": 2.0, "a": 5.0,
-               **_strict(payload.get("timenoise", {}), TimeNoiseParams, "timenoise")}
+            **section("timenoise", TimeNoiseParams, {"beta_m": 2.0, "a": 5.0})
         )
-        train_section = _strict(payload.get("train", {}), TrainConfig, "train")
-        if train_section.get("timenoise") is not None:
+        train_section = section("train", TrainConfig, TrainConfig().to_dict())
+        if train_section["timenoise"] is not None:
             _strict(train_section["timenoise"], TimeNoiseParams, "train.timenoise")
-        train_cfg = TrainConfig.from_dict(
-            {**TrainConfig().to_dict(), **train_section}
-        )
-        sampler_cfg = SamplerConfig.from_dict(
-            {**SamplerConfig().to_dict(),
-             **_strict(payload.get("sampler", {}), SamplerConfig, "sampler")}
-        )
-        diag = DiagnosticsConfig(
-            **_strict(payload.get("diagnostics", {}), DiagnosticsConfig,
-                      "diagnostics")
-        )
+        train_cfg = TrainConfig.from_dict(train_section)
+        sampler_section = section("sampler", SamplerConfig, SamplerConfig().to_dict())
+        if sampler_section["init"] is not None:
+            _strict(sampler_section["init"], InitDistribution, "sampler.init")
+        sampler_cfg = SamplerConfig.from_dict(sampler_section)
+        diag = DiagnosticsConfig(**section("diagnostics", DiagnosticsConfig))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
@@ -158,8 +177,8 @@ def config_from_payload(payload: dict) -> ExperimentConfig:
         train=train_cfg,
         sampler=sampler_cfg,
         diagnostics=diag,
-        seed=int(payload.get("seed", 0)),
-        output_dir=str(payload.get("output_dir", "out")),
+        seed=payload.get("seed", 0),
+        output_dir=payload.get("output_dir", "out"),
     )
 
 
@@ -196,62 +215,33 @@ def save_config(path, cfg: ExperimentConfig) -> None:
 # Shared command plumbing
 
 
-def _out_path(args, default_name: str, cfg: ExperimentConfig) -> str:
-    if args.out is not None:
-        return args.out
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, default_name)
+def _video_rows(videos):
+    """CSV columns x0, x1, ... and one row per flattened video."""
+    flat = np.asarray(videos).reshape(len(videos), -1)
+    names = [f"x{i}" for i in range(flat.shape[1])]
+    return names, [dict(zip(names, row)) for row in flat]
 
 
-def _clean_args(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        if value is None or isinstance(value, (str, int, float, bool)):
-            out[key] = value
-    return out
-
-
-def _manifest(out: str, experiment: str, cfg: ExperimentConfig, args) -> None:
-    write_manifest(
-        out + ".manifest.json",
-        experiment,
-        {"experiment_config": config_payload(cfg), "args": _clean_args(args)},
-        cfg.seed,
-    )
-
-
-def _write_videos_csv(path, videos) -> None:
-    videos = np.asarray(videos, dtype=np.float64)
-    flat = videos.reshape(videos.shape[0], -1)
-    header = ",".join(f"x{i}" for i in range(flat.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in flat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_videos_csv(path, world: GaussianWorld):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != world.flat_dim:
-        raise ConfigError(
-            f"data has {data.shape[1]} columns, world needs {world.flat_dim}"
-        )
-    return data.reshape(-1, world.n_frames, world.frame_dim)
-
-
-def _build_denoiser(spec: str, cfg: ExperimentConfig, lam_max: float, p: float):
-    """Resolve a --denoiser flag: exact | leaky | oracle | ckpt:PATH."""
+def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
+    """Resolve a --denoiser flag: exact | leaky | oracle | ckpt:PATH.  The
+    oracle stub returns the probe's own noise, so it cannot drive a sampler."""
+    spec = args.denoiser
     if spec == "exact":
         return ExactDenoiser(cfg.world, cfg.schedule, conditional=True)
     if spec == "leaky":
-        return LeakyDenoiser(cfg.world, cfg.schedule, lam_max, p)
+        return LeakyDenoiser(cfg.world, cfg.schedule, args.lam_max, args.p)
     if spec == "oracle":
+        if sampler:
+            raise ConfigError("the oracle stub cannot drive a sampler")
         return OracleEps()
     if spec.startswith("ckpt:"):
-        model, params, ck_world, ck_schedule, _ = load_checkpoint(spec[len("ckpt:"):])
+        path = spec[len("ckpt:"):]
+        try:
+            model, params, ck_world, ck_schedule, _ = load_checkpoint(path)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"checkpoint {path} lacks or mistypes an entry: {exc}"
+            ) from exc
         if ck_schedule != cfg.schedule:
             raise ConfigError(
                 f"checkpoint schedule {asdict(ck_schedule)} does not match "
@@ -273,34 +263,38 @@ def _load_init(spec: str, m_start: float, cfg: ExperimentConfig):
     if spec == "analytic":
         return optimal_init(exact_moments(cfg.world), cfg.schedule, m_start)
     if spec.startswith("analytic:"):
-        with open(spec[len("analytic:"):]) as fh:
+        path = spec[len("analytic:"):]
+        with open(path) as fh:
             payload = json.load(fh)
-        if "init" in payload:
-            payload = payload["init"]
-        return InitDistribution.from_dict(payload)
+        if isinstance(payload, dict):
+            payload = payload.get("init", payload)
+        return InitDistribution.from_dict(
+            _strict(payload, InitDistribution, f"init file {path}")
+        )
     raise ConfigError(f"unknown init {spec!r}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each computes and writes its primary output to `out`; main
+# loads the config, writes the manifest and chooses the exit code.
 
 
-def _cmd_world_sample(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_world_sample(cfg, args, out):
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng([cfg.seed, 0, 0])
-    videos = sample_videos(cfg.world, args.n, rng)
-    out = _out_path(args, "videos.csv", cfg)
-    _write_videos_csv(out, videos)
-    _manifest(out, "world-sample", cfg, args)
-    return 0
+    write_csv(out, *_video_rows(sample_videos(cfg.world, args.n, rng)))
 
 
-def _cmd_estimate_init(args) -> int:
-    cfg = load_config(args.config)
-    videos = _read_videos_csv(args.data, cfg.world)
-    moments = estimate_moments(videos)
+def _cmd_estimate_init(cfg, args, out):
+    world = cfg.world
+    data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != world.flat_dim:
+        raise ConfigError(
+            f"data has {data.shape[1]} columns, world needs {world.flat_dim}"
+        )
+    moments = estimate_moments(data.reshape(-1, world.n_frames, world.frame_dim))
     init = optimal_init(moments, cfg.schedule, args.M)
-    out = _out_path(args, "init.json", cfg)
     write_json(
         out,
         {
@@ -312,12 +306,9 @@ def _cmd_estimate_init(args) -> int:
             "init": init.to_dict(),
         },
     )
-    _manifest(out, "estimate-init", cfg, args)
-    return 0
 
 
-def _cmd_prop1_check(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_prop1_check(cfg, args, out):
     moments = exact_moments(cfg.world)
     reports = []
     for m_start in cfg.diagnostics.m_grid:
@@ -326,17 +317,13 @@ def _cmd_prop1_check(args) -> int:
         init = optimal_init(moments, cfg.schedule, m_start)
         reports.append(verify_optimality(mu_q, sigma_q, init))
     passed = all(rep["passed"] for rep in reports)
-    out = _out_path(args, "prop1_report.json", cfg)
     write_json(out, {"passed": passed, "reports": reports})
-    _manifest(out, "prop1-check", cfg, args)
     if not passed:
         _emit_error("acceptance", "optimality grid check failed; see " + out)
         return 4
-    return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_train(cfg, args, out):
     mods = {"mode": args.mode}
     if args.mode in (TIMENOISE, CONSTANT_BETA):
         mods["timenoise"] = cfg.timenoise
@@ -346,39 +333,26 @@ def _cmd_train(args) -> int:
         mods["steps"] = args.steps
     if args.seed is not None:
         mods["seed"] = args.seed
-    try:
-        train_cfg = replace(cfg.train, **mods)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    checkpoint = train(cfg.world, cfg.schedule, train_cfg)
-    out = _out_path(args, f"ckpt_{args.mode}.json", cfg)
-    save_checkpoint(out, checkpoint)
-    _manifest(out, "train", cfg, args)
-    return 0
+    save_checkpoint(out, train(cfg.world, cfg.schedule, replace(cfg.train, **mods)))
 
 
-def _cmd_sample(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_sample(cfg, args, out):
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     m_start = cfg.sampler.start_time if args.M is None else args.M
     steps = cfg.sampler.steps if args.steps is None else args.steps
-    if args.denoiser == "oracle":
-        raise ConfigError("the oracle stub cannot drive a sampler")
-    denoiser = _build_denoiser(args.denoiser, cfg, args.lam_max, args.p)
+    denoiser = _build_denoiser(args, cfg)
     init = _load_init(args.init, m_start, cfg)
-    try:
-        run_cfg = SamplerConfig(
-            start_time=m_start, steps=steps, init=init,
-            inference_beta=cfg.sampler.inference_beta,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    run_cfg = SamplerConfig(
+        start_time=m_start, steps=steps, init=init,
+        inference_beta=cfg.sampler.inference_beta,
+    )
     y0 = cfg.world.m0 + cfg.world.s0 * np.random.default_rng(
         [cfg.seed, 0, 1]
     ).standard_normal((args.n, cfg.world.frame_dim))
     rng = np.random.default_rng([cfg.seed, 0, 2])
     videos = sample_batch(denoiser, y0, run_cfg, cfg.schedule, args.n, rng)
-    out = _out_path(args, "samples.csv", cfg)
-    _write_videos_csv(out, videos)
+    write_csv(out, *_video_rows(videos))
     ms = motion_scores(videos)
     write_json(
         out + ".summary.json",
@@ -389,13 +363,10 @@ def _cmd_sample(args) -> int:
             "config": run_cfg.to_dict(),
         },
     )
-    _manifest(out, "sample", cfg, args)
-    return 0
 
 
-def _cmd_diagnose_leakage(args) -> int:
-    cfg = load_config(args.config)
-    denoiser = _build_denoiser(args.denoiser, cfg, args.lam_max, args.p)
+def _cmd_diagnose_leakage(cfg, args, out):
+    denoiser = _build_denoiser(args, cfg, sampler=False)
     eval_videos = sample_videos(
         cfg.world, cfg.diagnostics.eval_videos,
         np.random.default_rng([cfg.seed, 0, 3]),
@@ -403,50 +374,43 @@ def _cmd_diagnose_leakage(args) -> int:
     curve = leakage_curve(
         denoiser, eval_videos, cfg.schedule, cfg.diagnostics.t_grid, cfg.seed
     )
-    out = _out_path(args, "leakage.csv", cfg)
     write_csv(out, ["t", "ratio"], curve.rows())
-    _manifest(out, "diagnose-leakage", cfg, args)
-    return 0
 
 
-def _cmd_diagnose_motion_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.denoiser == "oracle":
-        raise ConfigError("the oracle stub cannot drive a sampler")
-    denoiser = _build_denoiser(args.denoiser, cfg, args.lam_max, args.p)
+def _cmd_diagnose_motion_sweep(cfg, args, out):
+    denoiser = _build_denoiser(args, cfg)
     targets = cfg.diagnostics.targets or (expected_motion_score(cfg.world),)
-    try:
-        rows = motion_sweep(
-            denoiser, targets, cfg.world, cfg.schedule, cfg.sampler,
-            cfg.diagnostics.n_chains, cfg.seed, conditioned=args.conditioned,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = _out_path(args, "motion_sweep.csv", cfg)
+    rows = motion_sweep(
+        denoiser, targets, cfg.world, cfg.schedule, cfg.sampler,
+        cfg.diagnostics.n_chains, cfg.seed, conditioned=args.conditioned,
+    )
     write_csv(out, ["input_ms", "output_ms_mean", "error"], rows)
-    _manifest(out, "diagnose-motion-sweep", cfg, args)
-    return 0
 
 
-def _cmd_diagnose_init_ablation(args) -> int:
-    cfg = load_config(args.config)
-    if args.denoiser == "oracle":
-        raise ConfigError("the oracle stub cannot drive a sampler")
-    denoiser = _build_denoiser(args.denoiser, cfg, args.lam_max, args.p)
+def _cmd_diagnose_init_ablation(cfg, args, out):
+    denoiser = _build_denoiser(args, cfg)
     rows = init_ablation(
         cfg.world, cfg.schedule, cfg.diagnostics.m_grid, (STANDARD, ANALYTIC),
         denoiser, cfg.diagnostics.n_chains, cfg.seed, steps=cfg.sampler.steps,
     )
-    out = _out_path(args, "init_ablation.csv", cfg)
     write_csv(
         out, ["M", "init", "kl", "mean_output_ms", "mean_err", "cov_err"], rows
     )
-    _manifest(out, "diagnose-init-ablation", cfg, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
+
+
+def _command(sub, name: str, func, default_out: str, help: str):
+    """Add a subcommand with the --config and --out flags every command
+    takes; without --out it writes default_out under the output_dir."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--config", help="JSON config (defaults if omitted)")
+    parser.add_argument("--out",
+                        help=f"output file (default: <output_dir>/{default_out})")
+    parser.set_defaults(func=func, default_out=default_out)
+    return parser
 
 
 def _add_denoiser_flags(parser, default="exact") -> None:
@@ -465,67 +429,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ws = sub.add_parser("world-sample", help="sample clean videos to CSV")
-    ws.add_argument("--config")
+    ws = _command(sub, "world-sample", _cmd_world_sample, "videos.csv",
+                  "sample clean videos to CSV")
     ws.add_argument("--n", type=int, default=100)
-    ws.add_argument("--out")
-    ws.set_defaults(func=_cmd_world_sample)
 
-    ei = sub.add_parser("estimate-init",
-                        help="method-of-moments fit of the start distribution")
+    ei = _command(sub, "estimate-init", _cmd_estimate_init, "init.json",
+                  "method-of-moments fit of the start distribution")
     ei.add_argument("--data", required=True)
-    ei.add_argument("--config")
     ei.add_argument("--M", type=float, required=True)
-    ei.add_argument("--out")
-    ei.set_defaults(func=_cmd_estimate_init)
 
-    pc = sub.add_parser("prop1-check",
-                        help="verify the optimal-init claim on a KL grid")
-    pc.add_argument("--config")
-    pc.add_argument("--out")
-    pc.set_defaults(func=_cmd_prop1_check)
+    _command(sub, "prop1-check", _cmd_prop1_check, "prop1_report.json",
+             "verify the optimal-init claim on a KL grid")
 
-    tr = sub.add_parser("train", help="train a denoiser checkpoint")
-    tr.add_argument("--config")
+    tr = _command(sub, "train", _cmd_train, "ckpt_{mode}.json",
+                  "train a denoiser checkpoint")
     tr.add_argument("--mode", required=True, choices=list(MODES))
     tr.add_argument("--steps", type=int)
     tr.add_argument("--seed", type=int)
-    tr.add_argument("--out")
-    tr.set_defaults(func=_cmd_train)
 
-    sa = sub.add_parser("sample", help="run reverse chains and save videos")
-    sa.add_argument("--config")
+    sa = _command(sub, "sample", _cmd_sample, "samples.csv",
+                  "run reverse chains and save videos")
     _add_denoiser_flags(sa)
     sa.add_argument("--init", default="standard",
                     help="standard | analytic | analytic:PATH")
     sa.add_argument("--M", type=float)
     sa.add_argument("--steps", type=int)
     sa.add_argument("--n", type=int, default=100)
-    sa.add_argument("--out")
-    sa.set_defaults(func=_cmd_sample)
 
     di = sub.add_parser("diagnose", help="run a diagnostic experiment")
     dsub = di.add_subparsers(dest="experiment", required=True)
 
-    dl = dsub.add_parser("leakage", help="one-step prediction motion ratios")
-    dl.add_argument("--config")
+    dl = _command(dsub, "leakage", _cmd_diagnose_leakage, "leakage.csv",
+                  "one-step prediction motion ratios")
     _add_denoiser_flags(dl)
-    dl.add_argument("--out")
-    dl.set_defaults(func=_cmd_diagnose_leakage)
 
-    dm = dsub.add_parser("motion-sweep", help="output motion vs expectation")
-    dm.add_argument("--config")
+    dm = _command(dsub, "motion-sweep", _cmd_diagnose_motion_sweep,
+                  "motion_sweep.csv", "output motion vs expectation")
     _add_denoiser_flags(dm)
     dm.add_argument("--conditioned", action="store_true")
-    dm.add_argument("--out")
-    dm.set_defaults(func=_cmd_diagnose_motion_sweep)
 
-    da = dsub.add_parser("init-ablation",
-                         help="start-time x init-mode comparison table")
-    da.add_argument("--config")
+    da = _command(dsub, "init-ablation", _cmd_diagnose_init_ablation,
+                  "init_ablation.csv", "start-time x init-mode comparison table")
     _add_denoiser_flags(da, default="leaky")
-    da.add_argument("--out")
-    da.set_defaults(func=_cmd_diagnose_init_ablation)
 
     return parser
 
@@ -536,18 +481,32 @@ def _emit_error(kind: str, exc) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, load the config, resolve --out, run the command, write the
+    manifest; map config and numerical failures to exit codes 2 and 3.
+    Any other exception is a bug and propagates."""
+    args = build_parser().parse_args(argv)
+    experiment = args.command + (
+        "-" + args.experiment if args.command == "diagnose" else "")
+    # the manifest records exactly the parsed flags
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("func", "default_out")}
     try:
-        return args.func(args)
-    except (ConfigError, FileNotFoundError, KeyError, TypeError) as exc:
-        _emit_error("config", exc)
-        return 2
+        cfg = load_config(args.config)
+        out = args.out
+        if out is None:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            out = os.path.join(cfg.output_dir, args.default_out.format(**flags))
+        code = args.func(cfg, args, out) or 0
+        write_manifest(
+            out + ".manifest.json", experiment,
+            {"experiment_config": config_payload(cfg), "args": flags}, cfg.seed,
+        )
+        return code
     except (TrainingDiverged, SamplerDiverged, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+            FloatingPointError, OverflowError) as exc:
         _emit_error("numerical", exc)
         return 3
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         _emit_error("config", exc)
         return 2
 

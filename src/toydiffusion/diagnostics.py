@@ -223,9 +223,9 @@ def init_ablation(
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    # repr of a numpy float is "np.float64(...)" under numpy 2; repr of the
+    # builtin float is the shortest round-trip decimal
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 

@@ -424,6 +424,10 @@ def test_criterion_09_lognormal_time_sampler_shift(ve):
 
 @criterion(10, budget_s=120.0)
 def test_criterion_10_reproducibility(tmp_path):
+    # Byte-determinism is claimed per machine, numpy/BLAS build and thread
+    # count: reruns in one environment must match byte for byte, while
+    # another BLAS build may round differently.  The BLAS thread count is
+    # checked separately in test_config_cli.
     from toydiffusion.cli import load_config, main, save_config
 
     # config round trip is bit-exact
@@ -490,6 +494,7 @@ def test_criterion_10_reproducibility(tmp_path):
         "byte-identical reruns for "
         + ", ".join(checks)
         + "; checkpoint/config round trips bit-exact"
+        + " (on this machine, numpy/BLAS build and thread count)"
         if ok
         else f"failed: {bad}"
     )

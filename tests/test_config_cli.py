@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import toydiffusion as td
 from toydiffusion.analytic_init import estimate_moments, optimal_init
@@ -66,6 +73,27 @@ def test_unknown_keys_rejected():
         config_from_payload(
             {"train": {"timenoise": {"beta_m": 2, "a": 5, "bogus": 1}}}
         )
+    # values must have the JSON type of the dataclass field annotation:
+    # each of these used to run (truncated, coerced) or fail inside numpy
+    for section, key, value in [
+        ("sampler", "steps", 2.5), (None, "seed", 1.9), ("train", "hidden", 8.7),
+        ("train", "motion_feature", "no"), ("world", "n_frames", 2.5),
+        ("train", "batch_size", 4.5), ("diagnostics", "n_chains", 3.5),
+        ("world", "frame_dim", True), ("world", "s0", True), ("world", "s_w", "0.5"),
+        ("world", "m0", ["a"]), ("diagnostics", "t_grid", [0.5, None]),
+        ("train", "timenoise", 3), ("sampler", "init", []),
+    ]:
+        payload = {key: value} if section is None else {section: {key: value}}
+        with pytest.raises(ConfigError, match=key):
+            config_from_payload(payload)
+    # nested sections must name every field that has no default
+    with pytest.raises(ConfigError, match=r"missing keys in train.timenoise: \['a'\]"):
+        config_from_payload({"train": {"timenoise": {"beta_m": 2.0}}})
+    with pytest.raises(ConfigError, match=r"missing keys in sampler.init: \['M'\]"):
+        config_from_payload({"sampler": {"init": {"mu_p": [0.0], "sigma_p2": 1.0}}})
+    # ints are accepted for float fields, and null where the field allows it
+    cfg = config_from_payload({"world": {"s0": 2}, "train": {"cdm_beta": None}})
+    assert cfg.world.s0 == 2 and cfg.train.cdm_beta is None
 
 
 def test_invalid_json_reported(tmp_path):
@@ -192,6 +220,10 @@ def test_diagnose_init_ablation(tmp_path):
         lines = fh.read().strip().splitlines()
     assert lines[0] == "M,init,kl,mean_output_ms,mean_err,cov_err"
     assert len(lines) == 1 + 4  # 2 start times x 2 init modes
+    for line in lines[1:]:
+        m_start, init, *numbers = line.split(",")
+        assert init in ("standard", "analytic")
+        assert all(np.isfinite(float(x)) for x in [m_start, *numbers])
 
 
 def test_diagnose_motion_sweep(tmp_path):
@@ -219,6 +251,87 @@ def test_error_paths_exit_codes(tmp_path, capsys):
                  "--denoiser", "ckpt:" + str(tmp_path / "no_ck.json"),
                  "--out", str(tmp_path / "x.csv")]) == 2
 
+    # --n below 1 is named, not surfaced as a numpy reshape error
+    for argv in (["world-sample"], ["sample", "--steps", "2"]):
+        capsys.readouterr()
+        assert main(argv + ["--config", cfgp, "--n", "0",
+                            "--out", str(tmp_path / "x.csv")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["message"] == "--n must be at least 1, got 0"
+
+    # a float where the schema wants an int is a config error, not truncated
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["sampler"]["steps"] = 2.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["sample", "--config", str(bad), "--n", "2",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == {"type": "config",
+                            "message": "steps in sampler must be int, got 2.5"}
+
+
+@pytest.mark.parametrize("kind, content, key", [
+    ("init", {"mu_p": [0.0] * 32, "M": 0.9}, "sigma_p2"),
+    ("ckpt", {"format_version": 1}, "config"),
+], ids=["init-without-sigma_p2", "checkpoint-without-config"])
+def test_malformed_input_file_names_path_and_key(tmp_path, capsys, kind, content,
+                                                 key):
+    cfgp = small_config(tmp_path)
+    path = tmp_path / f"malformed_{kind}.json"
+    path.write_text(json.dumps(content))
+    flag = (["--init", f"analytic:{path}", "--M", "0.9"] if kind == "init"
+            else ["--denoiser", f"ckpt:{path}"])
+    assert main(["sample", "--config", cfgp, "--n", "2", *flag,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "config"
+    assert str(path) in err["error"]["message"]
+    assert f"'{key}'" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("exc_type", [TypeError, KeyError])
+def test_bug_in_a_command_is_not_a_config_error(tmp_path, monkeypatch, exc_type):
+    # only malformed input maps to exit 2; a TypeError or KeyError raised by
+    # package code inside a command is a bug and must surface as one
+    def broken(*args, **kwargs):
+        raise exc_type("injected")
+
+    monkeypatch.setattr("toydiffusion.cli.sample_videos", broken)
+    with pytest.raises(exc_type, match="injected"):
+        main(["world-sample", "--config", small_config(tmp_path),
+              "--out", str(tmp_path / "x.csv")])
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    # byte-determinism holds per machine, numpy/BLAS build and thread count;
+    # on one machine, train and sample outputs must not depend on how many
+    # threads BLAS uses
+    cfgp = small_config(tmp_path)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    written = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        run_dir = tmp_path / f"threads_{threads}"
+        run_dir.mkdir()
+        for argv in (
+            ["train", "--mode", "timenoise", "--steps", "300", "--out", "ck.json"],
+            ["sample", "--denoiser", "exact", "--n", "3000", "--steps", "50",
+             "--out", "samples.csv"],
+        ):
+            subprocess.run(
+                [sys.executable, "-c", "from toydiffusion.cli import entry; entry()",
+                 *argv, "--config", cfgp],
+                cwd=run_dir, env=env, check=True, capture_output=True,
+            )
+        written[threads] = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert len(written["1"]) == 5  # checkpoint, samples, summary, 2 manifests
+    assert written["1"] == written["2"]
+
 
 @pytest.mark.parametrize("section, override, named", [
     ("schedule", {"kind": "ve"}, "'kind': 've'"),
@@ -244,3 +357,64 @@ def test_checkpoint_must_match_config(tmp_path, capsys, section, override, named
         message = err["error"]["message"]
         assert f"checkpoint {section}" in message and named in message
         assert f"config {section}" in message
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs and flags for the cheap commands
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# ints stay at 16 or below so that no world or --n allocates much
+_VALUE = st.one_of(
+    st.integers(-2, 16), st.floats(), st.lists(st.floats(-2, 2), max_size=5), _JUNK
+)
+
+
+@st.composite
+def _payloads(draw):
+    """The default config with up to three keys (a field, a section or an
+    unknown key, at the top level or in a section) set to a drawn value."""
+    payload = config_payload(load_config(None))
+    for _ in range(draw(st.integers(0, 3))):
+        section = draw(st.sampled_from([None, *payload]))
+        target = payload if section is None else payload[section]
+        if isinstance(target, dict):
+            target[draw(st.sampled_from([*target, "bogus"]))] = draw(_VALUE)
+    return payload
+
+
+_FLAGS = st.one_of(
+    st.tuples(st.just("world-sample"), st.integers(-2, 16).map("--n={}".format)),
+    st.tuples(st.just("prop1-check")),
+    st.tuples(st.just("estimate-init"),
+              st.one_of(st.floats(0, 1), st.floats()).map("--M={!r}".format)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    assert main(["world-sample", "--n", "8", "--out", str(path / "data.csv")]) == 0
+    return path
+
+
+@given(payload=_payloads(), flags=_FLAGS)
+def test_fuzzed_config_and_flags_exit_cleanly(fuzz_dir, payload, flags):
+    # any config and flag values end in a documented exit code, with exactly
+    # one JSON error line on failure; an exception escaping main fails this
+    config = fuzz_dir / "config.json"
+    config.write_text(json.dumps(payload))
+    argv = [*flags, "--config", str(config), "--out", str(fuzz_dir / "out")]
+    if flags[0] == "estimate-init":
+        argv += ["--data", str(fuzz_dir / "data.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    errors = [json.loads(line)["error"] for line in err.getvalue().splitlines()
+              if line.startswith('{"error"')]
+    assert len(errors) == (code != 0)
+    assert all(e["type"] in ("config", "numerical", "acceptance") for e in errors)

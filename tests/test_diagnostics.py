@@ -163,7 +163,8 @@ def test_init_ablation_deterministic(world, vp):
 
 def test_write_csv_floats_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
-    rows = [{"t": 0.1 + 0.2, "ratio": 1 / 3}, {"t": 1e-17, "ratio": -2.5}]
+    rows = [{"t": 0.1 + 0.2, "ratio": 1 / 3}, {"t": 1e-17, "ratio": -2.5},
+            {"t": np.float64(4.8e-4), "ratio": np.float64(1 / 7)}]
     write_csv(path, ["t", "ratio"], rows)
     with open(path, newline="") as fh:
         got = list(csv.DictReader(fh))
