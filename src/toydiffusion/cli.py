@@ -506,7 +506,8 @@ def main(argv=None) -> int:
             FloatingPointError, OverflowError) as exc:
         _emit_error("numerical", exc)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         _emit_error("config", exc)
         return 2
 

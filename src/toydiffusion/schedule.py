@@ -43,6 +43,9 @@ class NoiseSchedule:
     def __post_init__(self) -> None:
         if self.kind not in (VP, VE):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("beta_min", "beta_max", "sigma_min", "sigma_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kind == VP and not 0.0 < self.beta_min < self.beta_max:
             raise ValueError("vp schedule requires 0 < beta_min < beta_max")
         if self.kind == VE and not 0.0 < self.sigma_min < self.sigma_max:
@@ -59,7 +62,7 @@ class NoiseSchedule:
 
 def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > T_FINAL):
+    if (t < 0.0).any() or (t > T_FINAL).any():
         raise ValueError(f"time must lie in [0, {T_FINAL}], got {t!r}")
     return t
 
@@ -115,7 +118,9 @@ def perturb(schedule: NoiseSchedule, x0: np.ndarray, t, rng: np.random.Generator
     x0 = np.asarray(x0, dtype=np.float64)
     alpha, sigma = _per_item(alpha, x0), _per_item(sigma, x0)
     eps = rng.standard_normal(x0.shape)
-    return alpha * x0 + sigma * eps, eps
+    xt = alpha * x0
+    xt += sigma * eps
+    return xt, eps
 
 
 def _per_item(coef, x: np.ndarray):

@@ -48,7 +48,7 @@ class TimeNoiseParams:
 def mu_of_t(params: TimeNoiseParams, t):
     """Center of the logit-normal at time t: 2 t**a - 1, from -1 up to 1."""
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if (t < 0.0).any() or (t > 1.0).any():
         raise ValueError("time must lie in [0, 1]")
     out = 2.0 * t**params.a - 1.0
     return float(out) if out.ndim == 0 else out
@@ -96,7 +96,7 @@ def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
     """
     y0 = np.asarray(y0, dtype=np.float64)
     beta_s = _per_item(beta_s, y0)
-    if np.all(beta_s == 0.0):
+    if (beta_s == 0.0).all():
         return y0.copy()
     eps = rng.standard_normal(y0.shape)
     if variant == INTERPOLATION:

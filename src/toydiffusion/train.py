@@ -17,6 +17,7 @@ Four condition-corruption modes are supported during training:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -119,12 +120,23 @@ class TrainConfig:
 # Backbone
 
 
+_HARMONICS = np.arange(1, TIME_HARMONICS + 1, dtype=np.float64)
+
+
 def time_features(t):
     """Fourier time encoding [t, sin(2 pi k t), cos(2 pi k t)], k = 1..4."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    k = np.arange(1, TIME_HARMONICS + 1, dtype=np.float64)
-    angles = 2.0 * np.pi * t[:, None] * k
-    return np.concatenate([t[:, None], np.sin(angles), np.cos(angles)], axis=1)
+    out = np.empty((t.shape[0], F_TIME))
+    _write_time_features(t, out)
+    return out
+
+
+def _write_time_features(t, out):
+    """Write the encoding of the time vector t into the (len(t), F_TIME) array out."""
+    angles = 2.0 * np.pi * t[:, None] * _HARMONICS
+    out[:, 0] = t
+    np.sin(angles, out=out[:, 1 : 1 + TIME_HARMONICS])
+    np.cos(angles, out=out[:, 1 + TIME_HARMONICS :])
 
 
 class MLPDenoiser:
@@ -150,16 +162,16 @@ class MLPDenoiser:
             (h, h), (h,),
             (h, self.out_dim), (self.out_dim,),
         ]
-        self.n_params = sum(int(np.prod(s)) for s in self.shapes)
+        self._spans, start = [], 0
+        for shape in self.shapes:
+            stop = start + math.prod(shape)
+            self._spans.append((start, stop, shape))
+            start = stop
+        self.n_params = start
 
     def unpack(self, params):
         params = np.asarray(params)
-        views, start = [], 0
-        for shape in self.shapes:
-            size = int(np.prod(shape))
-            views.append(params[start : start + size].reshape(shape))
-            start += size
-        return views
+        return [params[start:stop].reshape(shape) for start, stop, shape in self._spans]
 
     def init_params(self, rng: np.random.Generator):
         """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per layer."""
@@ -171,61 +183,101 @@ class MLPDenoiser:
         return np.concatenate(chunks)
 
     def build_inputs(self, xt, y, t, motion=None):
+        """Input rows [flattened xt, y, time features, motion], written
+        block by block into one (B, in_dim) array; returns (x, single)."""
         xt = np.asarray(xt, dtype=np.float64)
         single = xt.ndim == 2
         if single:
             xt = xt[None]
         b = xt.shape[0]
         y = np.asarray(y, dtype=np.float64)
-        if y.ndim == 1:
-            y = np.broadcast_to(y, (b, y.shape[0]))
-        tf = time_features(t)
-        if tf.shape[0] == 1 and b > 1:
-            tf = np.broadcast_to(tf, (b, tf.shape[1]))
-        parts = [xt.reshape(b, -1), y, tf]
-        if self.motion_feature:
-            if motion is None:
-                raise ValueError("this model expects a motion-target feature")
-            motion = np.broadcast_to(
-                np.atleast_1d(np.asarray(motion, dtype=np.float64)), (b,)
-            )
-            parts.append(motion[:, None])
-        x = np.concatenate(parts, axis=1)
-        if x.shape[1] != self.in_dim:
+        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        if self.motion_feature and motion is None:
+            raise ValueError("this model expects a motion-target feature")
+        width = (
+            math.prod(xt.shape[1:]) + (y.shape[-1] if y.ndim else 0) + F_TIME
+            + (1 if self.motion_feature else 0)
+        )
+        if width != self.in_dim:
             raise ValueError(
-                f"input width {x.shape[1]} does not match model width {self.in_dim}"
+                f"input width {width} does not match model width {self.in_dim}"
             )
+        x = np.empty((b, self.in_dim))
+        o, c = self.out_dim, self.out_dim + self.frame_dim
+        x[:, :o] = xt.reshape(b, -1)
+        x[:, o:c] = y
+        if t.shape[0] == b:
+            _write_time_features(t, x[:, c : c + F_TIME])
+        else:
+            x[:, c : c + F_TIME] = time_features(t)
+        if self.motion_feature:
+            x[:, -1] = motion
         return x, single
 
     def forward(self, params, xt, y, t, motion=None):
         """Predicted noise, shaped like xt."""
         x, single = self.build_inputs(xt, y, t, motion)
-        out, _ = self._forward(params, x)
+        out = self._forward(_Workspace(self, params, x.shape[0]), x)
         out = out.reshape(-1, self.n_frames, self.frame_dim)
         return out[0] if single else out
 
-    def _forward(self, params, x):
-        w1, b1, w2, b2, w3, b3 = self.unpack(params)
-        h1 = np.tanh(x @ w1 + b1)
-        h2 = np.tanh(h1 @ w2 + b2)
-        out = h2 @ w3 + b3
-        return out, (x, h1, h2)
+    def _forward(self, work, x):
+        """Output for inputs x (B, in_dim); writes h1, h2 and out into work."""
+        w1, b1, w2, b2, w3, b3 = work.layers
+        np.matmul(x, w1, out=work.h1)
+        work.h1 += b1
+        np.tanh(work.h1, out=work.h1)
+        np.matmul(work.h1, w2, out=work.h2)
+        work.h2 += b2
+        np.tanh(work.h2, out=work.h2)
+        np.matmul(work.h2, w3, out=work.out)
+        work.out += b3
+        return work.out
 
-    def _backward(self, params, cache, dout):
-        """Reverse-mode pass; dout is dLoss/d(output), shape (B, out_dim)."""
-        x, h1, h2 = cache
-        _, _, w2, _, w3, _ = self.unpack(params)
-        dw3 = h2.T @ dout
-        db3 = dout.sum(axis=0)
-        dz2 = (dout @ w3.T) * (1.0 - h2 * h2)
-        dw2 = h1.T @ dz2
-        db2 = dz2.sum(axis=0)
-        dz1 = (dz2 @ w2.T) * (1.0 - h1 * h1)
-        dw1 = x.T @ dz1
-        db1 = dz1.sum(axis=0)
-        return np.concatenate(
-            [g.ravel() for g in (dw1, db1, dw2, db2, dw3, db3)]
-        )
+    def _backward(self, work, x, dout):
+        """Reverse-mode pass after _forward(work, x); dout is dLoss/d(output),
+        shape (B, out_dim).  Writes the six gradient blocks into work.grad
+        and returns it.  Once a layer's weight gradient is formed, its tanh
+        activations h are overwritten by the derivative 1 - h * h.
+        """
+        _, _, w2, _, w3, _ = work.layers
+        dw1, db1, dw2, db2, dw3, db3 = work.grads
+        h1, h2, dz1, dz2 = work.h1, work.h2, work.dz1, work.dz2
+        np.matmul(h2.T, dout, out=dw3)
+        dout.sum(axis=0, out=db3)
+        np.multiply(h2, h2, out=h2)
+        np.subtract(1.0, h2, out=h2)
+        np.matmul(dout, w3.T, out=dz2)
+        dz2 *= h2
+        np.matmul(h1.T, dz2, out=dw2)
+        dz2.sum(axis=0, out=db2)
+        np.multiply(h1, h1, out=h1)
+        np.subtract(1.0, h1, out=h1)
+        np.matmul(dz2, w2.T, out=dz1)
+        dz1 *= h1
+        np.matmul(x.T, dz1, out=dw1)
+        dz1.sum(axis=0, out=db1)
+        return work.grad
+
+
+class _Workspace:
+    """Views of one parameter vector plus every array a forward and backward
+    pass over b items writes.
+
+    train() builds one before its loop and updates the parameters in place,
+    so the views stay valid and a step allocates no activation or gradient
+    array; every other caller builds one per call, so the arrays it gets
+    back are its own.  A forward-only caller never writes the backward
+    buffers, so they cost it the allocation calls but no page touches.
+    """
+
+    def __init__(self, model, params, b):
+        h = model.hidden
+        self.layers = model.unpack(params)
+        self.h1, self.h2, self.dz1, self.dz2 = (np.empty((b, h)) for _ in range(4))
+        self.out = np.empty((b, model.out_dim))
+        self.grad = np.empty(model.n_params)
+        self.grads = model.unpack(self.grad)
 
 
 class TrainedDenoiser:
@@ -338,18 +390,28 @@ def make_training_batch(world, schedule, config, rng, beta_override=None):
 def batch_loss(model, params, batch):
     """Mean squared noise-prediction error over the batch."""
     x, _ = model.build_inputs(batch.xt, batch.y, batch.t, batch.motion)
-    out, _ = model._forward(params, x)
-    diff = out - batch.target.reshape(out.shape)
-    return float(np.mean(diff * diff))
+    return _residual(model, _Workspace(model, params, x.shape[0]), x, batch)[0]
 
 
-def batch_loss_and_gradient(model, params, batch):
+def batch_loss_and_gradient(model, params, batch, work=None):
+    """Loss and its gradient with respect to params.
+
+    work is a _Workspace built over params; train() passes the one it
+    reuses for every step.  Without it the gradient is a fresh array.
+    """
     x, _ = model.build_inputs(batch.xt, batch.y, batch.t, batch.motion)
-    out, cache = model._forward(params, x)
-    diff = out - batch.target.reshape(out.shape)
-    loss = float(np.mean(diff * diff))
-    dout = (2.0 / diff.size) * diff
-    return loss, model._backward(params, cache, dout)
+    if work is None:
+        work = _Workspace(model, params, x.shape[0])
+    loss, diff = _residual(model, work, x, batch)
+    diff *= 2.0 / diff.size
+    return loss, model._backward(work, x, diff)
+
+
+def _residual(model, work, x, batch):
+    """Mean squared error and the residual output - target, held in work.out."""
+    diff = model._forward(work, x)
+    diff -= batch.target.reshape(diff.shape)
+    return float(np.mean(diff * diff)), diff
 
 
 def train(world, schedule, config: TrainConfig, return_history=False):
@@ -372,17 +434,31 @@ def train(world, schedule, config: TrainConfig, return_history=False):
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    m_hat = np.empty_like(params)
+    v_hat = np.empty_like(params)
+    work = _Workspace(model, params, config.batch_size)
     history = []
     for step in range(config.steps):
         batch = make_training_batch(world, schedule, config, data_rng)
-        loss, grad = batch_loss_and_gradient(model, params, batch)
-        if not np.isfinite(loss):
+        loss, grad = batch_loss_and_gradient(model, params, batch, work)
+        if not math.isfinite(loss):
             raise TrainingDiverged(step, loss)
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1 ** (step + 1))
-        v_hat = v / (1.0 - beta2 ** (step + 1))
-        params = params - config.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+        # m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
+        # params -= (lr m_hat) / (sqrt(v_hat) + eps), evaluated in this
+        # order in place; m_hat and v_hat double as scratch for the terms.
+        m *= beta1
+        m += np.multiply(grad, 1.0 - beta1, out=m_hat)
+        np.multiply(grad, 1.0 - beta2, out=v_hat)
+        v_hat *= grad
+        v *= beta2
+        v += v_hat
+        np.divide(m, 1.0 - beta1 ** (step + 1), out=m_hat)
+        np.divide(v, 1.0 - beta2 ** (step + 1), out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += adam_eps
+        m_hat *= config.lr
+        m_hat /= v_hat
+        params -= m_hat
         if return_history and (step % 500 == 0 or step == config.steps - 1):
             history.append((step, loss))
 

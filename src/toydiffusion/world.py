@@ -21,6 +21,7 @@ into a dial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,25 @@ class GaussianWorld:
     def __post_init__(self) -> None:
         if self.n_frames < 1 or self.frame_dim < 1:
             raise ValueError("n_frames and frame_dim must be at least 1")
+        for name in ("s0", "s_w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.s0 < 0.0:
             raise ValueError("s0 must be nonnegative")
         if not self.s_w > 0.0:
             raise ValueError("s_w must be positive")
+        n, s0, s_w = self.n_frames, float(self.s0), float(self.s_w)
+        if not math.isfinite(n * s0 * s0 + s_w * s_w * n * (n - 1) / 2):
+            raise ValueError(
+                f"s0 = {s0!r} and s_w = {s_w!r} overflow the trace of the prior "
+                "frame covariance"
+            )
         for name in ("m0", "drift"):
             vec = np.broadcast_to(
                 np.asarray(getattr(self, name), dtype=np.float64), (self.frame_dim,)
             ).copy()
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} must be finite, got {vec.tolist()!r}")
             object.__setattr__(self, name, vec)
 
     @property
@@ -95,19 +107,25 @@ def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
     first pins frame 1 to a given (d,) frame and draws nothing for it.
     s_w overrides the world's innovation scale, either as a scalar or as
     one value per video.  Draw order: first frames, then increments.
+    Frames are first = m0 + s0 z and first + cumsum(drift + s_w z'), each
+    operation written in place into the one output array.
     """
-    shape = (n, 1, world.frame_dim)
+    out = np.empty((n, world.n_frames, world.frame_dim))
+    first_out = out[:, :1]
     if first is None:
-        first = world.m0 + world.s0 * rng.standard_normal(shape)
+        z = rng.standard_normal(first_out.shape)
+        z *= world.s0
+        np.add(world.m0, z, out=first_out)
     else:
-        first = np.broadcast_to(np.asarray(first, dtype=np.float64), shape).copy()
+        first_out[...] = first
     if world.n_frames == 1:
-        return first
-    scale = np.reshape(world.s_w if s_w is None else s_w, (-1, 1, 1))
-    inc = world.drift + scale * rng.standard_normal(
-        (n, world.n_frames - 1, world.frame_dim)
-    )
-    return np.concatenate([first, first + np.cumsum(inc, axis=1)], axis=1)
+        return out
+    inc = rng.standard_normal((n, world.n_frames - 1, world.frame_dim))
+    inc *= world.s_w if s_w is None else np.reshape(s_w, (-1, 1, 1))
+    inc += world.drift
+    np.cumsum(inc, axis=1, out=inc)
+    np.add(first_out, inc, out=out[:, 1:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,18 @@ def test_error_paths_exit_codes(tmp_path, capsys):
     assert err["error"] == {"type": "config",
                             "message": "steps in sampler must be int, got 2.5"}
 
+    # an --out that names a directory, or passes through a file, is the
+    # caller's input at fault, not a bug
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    for out in (tmp_path / "adir", tmp_path / "afile" / "x.csv"):
+        capsys.readouterr()
+        assert main(["world-sample", "--config", cfgp, "--n", "2",
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "config"
+
 
 @pytest.mark.parametrize("kind, content, key", [
     ("init", {"mu_p": [0.0] * 32, "M": 0.9}, "sigma_p2"),

@@ -128,3 +128,11 @@ def test_bad_schedule_params_rejected():
         td.NoiseSchedule.vp(beta_min=2.0, beta_max=1.0)
     with pytest.raises(ValueError):
         td.NoiseSchedule.ve(sigma_min=0.0)
+
+
+@pytest.mark.parametrize("field", ["beta_min", "beta_max", "sigma_min", "sigma_max"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_schedule_params_rejected(field, value):
+    for kind in ("vp", "ve"):
+        with pytest.raises(ValueError, match=field):
+            td.NoiseSchedule(kind=kind, **{field: value})

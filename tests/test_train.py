@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -316,3 +318,137 @@ def test_batch_container_fields(world, vp):
     assert batch.t.shape == (4,)
     assert batch.target.shape == (4, 8, 4)
     assert batch.motion is None
+
+
+def _reference_train(world, schedule, cfg):
+    """The allocating loop the in-place one must reproduce bit for bit:
+    layer views unpacked on every call, inputs and gradient concatenated,
+    Adam on fresh arrays.  Only the batch draws are shared with td.train."""
+    model = MLPDenoiser(world.n_frames, world.frame_dim, hidden=cfg.hidden,
+                        motion_feature=cfg.motion_feature)
+    init_rng, heldout_rng, data_rng = np.random.default_rng(cfg.seed).spawn(3)
+    params = model.init_params(init_rng)
+    heldout = make_training_batch(world, schedule, cfg, heldout_rng)
+
+    def unpack(p):
+        views, start = [], 0
+        for shape in model.shapes:
+            size = int(np.prod(shape))
+            views.append(p[start : start + size].reshape(shape))
+            start += size
+        return views
+
+    def loss_and_gradient(p, batch):
+        b = batch.t.shape[0]
+        angles = 2.0 * np.pi * batch.t[:, None] * np.arange(1.0, 5.0)
+        parts = [batch.xt.reshape(b, -1), batch.y, batch.t[:, None],
+                 np.sin(angles), np.cos(angles)]
+        if cfg.motion_feature:
+            parts.append(batch.motion[:, None])
+        x = np.concatenate(parts, axis=1)
+        w1, b1, w2, b2, w3, b3 = unpack(p)
+        h1 = np.tanh(x @ w1 + b1)
+        h2 = np.tanh(h1 @ w2 + b2)
+        out = h2 @ w3 + b3
+        diff = out - batch.target.reshape(out.shape)
+        dout = (2.0 / diff.size) * diff
+        dz2 = (dout @ w3.T) * (1.0 - h2 * h2)
+        dz1 = (dz2 @ w2.T) * (1.0 - h1 * h1)
+        grads = (x.T @ dz1, dz1.sum(axis=0), h1.T @ dz2, dz2.sum(axis=0),
+                 h2.T @ dout, dout.sum(axis=0))
+        return float(np.mean(diff * diff)), np.concatenate([g.ravel() for g in grads])
+
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for step in range(cfg.steps):
+        _, grad = loss_and_gradient(params, make_training_batch(world, schedule, cfg, data_rng))
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1 ** (step + 1))
+        v_hat = v / (1.0 - beta2 ** (step + 1))
+        params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+    return params, loss_and_gradient(params, heldout)[0]
+
+
+REFERENCE_CASES = {
+    "naive": dict(mode=NAIVE),
+    "timenoise-additive": dict(mode=TIMENOISE, timenoise=TN),
+    "timenoise-interpolation": dict(
+        mode=TIMENOISE,
+        timenoise=td.TimeNoiseParams(beta_m=1.0, a=5.0, variant="interpolation"),
+    ),
+    "cdm": dict(mode=CDM_FIXED, cdm_beta=0.3),
+    "constant": dict(mode=CONSTANT_BETA, timenoise=TN),
+    "motion-random-frame-edm": dict(
+        mode=TIMENOISE, timenoise=TN, motion_feature=True, s_w_choices=(0.25, 1.0),
+        cond_frame="random", t_sampler=EDM_LOGNORMAL,
+    ),
+}
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_train_matches_reference_loop(world, request, schedule_name, case):
+    schedule = request.getfixturevalue(schedule_name)
+    cfg = TrainConfig(steps=40, seed=3, **REFERENCE_CASES[case])
+    ckpt = train(world, schedule, cfg)
+    params, final_loss = _reference_train(world, schedule, cfg)
+    assert np.array_equal(np.asarray(ckpt["parameters"]), params)
+    assert ckpt["final_loss"] == final_loss
+
+
+def test_gradients_are_owned_by_the_caller(world, vp):
+    cfg = TrainConfig(mode=TIMENOISE, batch_size=8, timenoise=TN)
+    model = MLPDenoiser(world.n_frames, world.frame_dim, hidden=12)
+    rng = np.random.default_rng(17)
+    params = model.init_params(rng)
+    batch = make_training_batch(world, vp, cfg, rng)
+    _, first = batch_loss_and_gradient(model, params, batch)
+    kept = first.copy()
+    _, second = batch_loss_and_gradient(model, params, batch)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, params)
+    np.testing.assert_array_equal(first, kept)
+
+
+@pytest.mark.parametrize("b", [1, 7, 2000])
+def test_forward_matches_plain_numpy_at_any_batch_size(world, b):
+    model = MLPDenoiser(world.n_frames, world.frame_dim)
+    rng = np.random.default_rng(18)
+    params = model.init_params(rng)
+    w1, b1, w2, b2, w3, b3 = model.unpack(params)
+    xt = rng.standard_normal((b, 8, 4))
+    y = rng.standard_normal((b, 4))
+    t = rng.uniform(0.01, 1.0, b)
+
+    def plain(y_rows, t_feats):
+        x = np.concatenate([xt.reshape(b, -1), y_rows, t_feats], axis=1)
+        out = np.tanh(np.tanh(x @ w1 + b1) @ w2 + b2) @ w3 + b3
+        return out.reshape(b, 8, 4)
+
+    per_item = model.forward(params, xt, y, t)
+    assert np.array_equal(per_item, plain(y, time_features(t)))
+    # the inference form: one condition and one time for the whole batch
+    shared = model.forward(params, xt, y[0], 0.3)
+    expected = plain(np.broadcast_to(y[0], (b, 4)), np.repeat(time_features(0.3), b, 0))
+    assert np.array_equal(shared, expected)
+    assert not np.shares_memory(shared, model.forward(params, xt, y[0], 0.3))
+
+
+def test_train_calls_each_traced_stage_once_per_step(world, vp, monkeypatch):
+    # the benchmark's train.* layer metrics are spans around these two
+    # module functions; train() must keep calling them through the module
+    module = importlib.import_module("toydiffusion.train")
+    calls = {"make_training_batch": 0, "batch_loss_and_gradient": 0}
+    for name in calls:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    td.train(world, vp, TrainConfig(mode=NAIVE, steps=25))
+    # one extra batch: the held-out batch drawn before training
+    assert calls == {"make_training_batch": 26, "batch_loss_and_gradient": 25}

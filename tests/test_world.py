@@ -285,6 +285,16 @@ def test_world_validation():
         GaussianWorld(s0=-1.0)
     with pytest.raises(ValueError):
         GaussianWorld(m0=np.zeros(3), frame_dim=4)
+    # non-finite fields, and magnitudes whose prior covariance trace
+    # N s0^2 + s_w^2 N (N - 1) / 2 overflows, are rejected by name
+    for kwargs, name in [
+        (dict(s0=np.nan), "s0"), (dict(s0=1e308), "s0"), (dict(s0=6.4e153), "s0"),
+        (dict(s_w=np.inf), "s_w"), (dict(s_w=1e200), "s_w"),
+        (dict(drift=np.inf), "drift"), (dict(m0=[0.0, np.nan, 0.0, 0.0]), "m0"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            GaussianWorld(**kwargs)
+    GaussianWorld(s0=1e150)
 
 
 def test_sample_video_shape(world):
