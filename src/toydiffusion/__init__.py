@@ -66,7 +66,6 @@ from .sampler import (
     SamplerDiverged,
     ddim_step,
     draw_initial,
-    sample,
     sample_batch,
     time_grid,
 )
@@ -84,4 +83,5 @@ from .diagnostics import (
     write_csv,
     write_manifest,
 )
-from .cli import ConfigError, ExperimentConfig, config_payload, load_config
+from .codec import ConfigError, from_payload, to_payload
+from .cli import ExperimentConfig, load_config

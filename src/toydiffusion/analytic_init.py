@@ -41,21 +41,6 @@ class InitDistribution:
             raise ValueError("M must lie in (0, 1]")
         object.__setattr__(self, "mu_p", mu)
 
-    def to_dict(self) -> dict:
-        return {
-            "mu_p": self.mu_p.tolist(),
-            "sigma_p2": float(self.sigma_p2),
-            "M": float(self.M),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "InitDistribution":
-        return cls(
-            mu_p=np.asarray(payload["mu_p"], dtype=np.float64),
-            sigma_p2=float(payload["sigma_p2"]),
-            M=float(payload["M"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class DataMoments:

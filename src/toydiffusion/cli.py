@@ -3,8 +3,10 @@
 One JSON config document describes the world, schedules, corruption
 parameters, training, sampling, and diagnostics settings; subcommands
 override the few fields that vary per run (mode, start time, step count).
-Unknown keys and mistyped values are rejected.  All outputs are CSV/JSON
-with a manifest written beside each one, and every command is
+The config, a checkpoint's stored config and an init file are all read by
+codec.from_payload, which rejects unknown keys and mistyped values and
+names the key (and the file, for checkpoints and init files).  All outputs
+are CSV/JSON with a manifest written beside each one, and every command is
 byte-deterministic under a fixed seed on one machine, numpy/BLAS build and
 thread count.
 
@@ -19,8 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
-from typing import get_args, get_type_hints
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .analytic_init import (
     optimal_init,
     verify_optimality,
 )
+from .codec import ConfigError, from_payload, read_json, to_payload
 from .diagnostics import (
     init_ablation,
     leakage_curve,
@@ -65,10 +67,6 @@ from .world import (
     marginal_moments_at,
     sample_videos,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent experiment configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,102 +111,24 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits one member of a field annotation; a nested
-    dataclass section is checked by its own _strict call."""
-    if is_dataclass(kind):
-        return True
-    if kind in (tuple, np.ndarray):
-        return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
-    if isinstance(value, bool) or kind is bool:
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _strict(payload, cls, where: str, defaults=None) -> dict:
-    """Check a JSON object against cls's fields and return it over defaults:
-    no unknown key, no missing field that lacks a default, and every value
-    of its annotated type (ints take no float, numbers no bool or string)."""
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where} section must be a JSON object")
-    unknown = set(payload) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    payload, hints = {**(defaults or {}), **payload}, get_type_hints(cls)
-    missing = [f.name for f in fields(cls) if f.name not in payload
-               and f.default is MISSING and not is_dataclass(hints[f.name])]
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {missing}")
-    for f in fields(cls):
-        kinds = get_args(hints[f.name]) or (hints[f.name],)
-        if f.name in payload and not any(_fits(payload[f.name], k) for k in kinds):
-            raise ConfigError(f"{f.name} in {where} must be {f.type}, "
-                              f"got {payload[f.name]!r}")
-    return payload
+# A config may leave out any section, and the schedule kind and the
+# timenoise levels, which have no dataclass default.
+_SECTION_DEFAULTS = {"world": {}, "schedule": {"kind": VP}, "train": {}, "sampler": {},
+                     "timenoise": {"beta_m": 2.0, "a": 5.0}, "diagnostics": {}}
 
 
 def config_from_payload(payload: dict) -> ExperimentConfig:
-    _strict(payload, ExperimentConfig, "config")
-
-    def section(name, cls, defaults=None):
-        return _strict(payload.get(name, {}), cls, name, defaults)
-
-    try:
-        world = GaussianWorld(**section("world", GaussianWorld))
-        schedule = NoiseSchedule(**section("schedule", NoiseSchedule, {"kind": VP}))
-        timenoise = TimeNoiseParams(
-            **section("timenoise", TimeNoiseParams, {"beta_m": 2.0, "a": 5.0})
-        )
-        train_section = section("train", TrainConfig, TrainConfig().to_dict())
-        if train_section["timenoise"] is not None:
-            _strict(train_section["timenoise"], TimeNoiseParams, "train.timenoise")
-        train_cfg = TrainConfig.from_dict(train_section)
-        sampler_section = section("sampler", SamplerConfig, SamplerConfig().to_dict())
-        if sampler_section["init"] is not None:
-            _strict(sampler_section["init"], InitDistribution, "sampler.init")
-        sampler_cfg = SamplerConfig.from_dict(sampler_section)
-        diag = DiagnosticsConfig(**section("diagnostics", DiagnosticsConfig))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        world=world,
-        schedule=schedule,
-        timenoise=timenoise,
-        train=train_cfg,
-        sampler=sampler_cfg,
-        diagnostics=diag,
-        seed=payload.get("seed", 0),
-        output_dir=payload.get("output_dir", "out"),
-    )
+    return from_payload(ExperimentConfig, payload, defaults=_SECTION_DEFAULTS)
 
 
 def load_config(path=None) -> ExperimentConfig:
     if path is None:
         return config_from_payload({})
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_payload(payload)
-
-
-def config_payload(cfg: ExperimentConfig) -> dict:
-    """Fully resolved, JSON-ready view of the config (round-trips exactly)."""
-    return {
-        "world": cfg.world.to_dict(),
-        "schedule": asdict(cfg.schedule),
-        "timenoise": asdict(cfg.timenoise),
-        "train": cfg.train.to_dict(),
-        "sampler": cfg.sampler.to_dict(),
-        "diagnostics": asdict(cfg.diagnostics),
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
+    return config_from_payload(read_json(path, "config"))
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
-    write_json(path, config_payload(cfg))
+    write_json(path, to_payload(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +155,14 @@ def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
             raise ConfigError("the oracle stub cannot drive a sampler")
         return OracleEps()
     if spec.startswith("ckpt:"):
-        path = spec[len("ckpt:"):]
-        try:
-            model, params, ck_world, ck_schedule, _ = load_checkpoint(path)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ConfigError(
-                f"checkpoint {path} lacks or mistypes an entry: {exc}"
-            ) from exc
-        if ck_schedule != cfg.schedule:
-            raise ConfigError(
-                f"checkpoint schedule {asdict(ck_schedule)} does not match "
-                f"the config schedule {asdict(cfg.schedule)}"
-            )
-        if ck_world.to_dict() != cfg.world.to_dict():
-            raise ConfigError(
-                f"checkpoint world {ck_world.to_dict()} does not match "
-                f"the config world {cfg.world.to_dict()}"
-            )
+        model, params, *stored, _ = load_checkpoint(spec[len("ckpt:"):])
+        for name, theirs, ours in zip(("world", "schedule"), stored,
+                                      (cfg.world, cfg.schedule)):
+            if to_payload(theirs) != to_payload(ours):
+                raise ConfigError(
+                    f"checkpoint {name} {to_payload(theirs)} does not match "
+                    f"the config {name} {to_payload(ours)}"
+                )
         return TrainedDenoiser(model, params, cfg.schedule)
     raise ConfigError(f"unknown denoiser {spec!r}")
 
@@ -264,13 +175,10 @@ def _load_init(spec: str, m_start: float, cfg: ExperimentConfig):
         return optimal_init(exact_moments(cfg.world), cfg.schedule, m_start)
     if spec.startswith("analytic:"):
         path = spec[len("analytic:"):]
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_json(path, "init file")
         if isinstance(payload, dict):
             payload = payload.get("init", payload)
-        return InitDistribution.from_dict(
-            _strict(payload, InitDistribution, f"init file {path}")
-        )
+        return from_payload(InitDistribution, payload, f"init file {path}")
     raise ConfigError(f"unknown init {spec!r}")
 
 
@@ -295,17 +203,7 @@ def _cmd_estimate_init(cfg, args, out):
         )
     moments = estimate_moments(data.reshape(-1, world.n_frames, world.frame_dim))
     init = optimal_init(moments, cfg.schedule, args.M)
-    write_json(
-        out,
-        {
-            "moments": {
-                "mean": moments.mean.tolist(),
-                "avg_var": moments.avg_var,
-                "n_samples": moments.n_samples,
-            },
-            "init": init.to_dict(),
-        },
-    )
+    write_json(out, {"moments": to_payload(moments), "init": to_payload(init)})
 
 
 def _cmd_prop1_check(cfg, args, out):
@@ -360,7 +258,7 @@ def _cmd_sample(cfg, args, out):
             "n": args.n,
             "mean_motion": float(np.mean(ms)),
             "motion_std": float(np.std(ms)),
-            "config": run_cfg.to_dict(),
+            "config": to_payload(run_cfg),
         },
     )
 
@@ -499,7 +397,7 @@ def main(argv=None) -> int:
         code = args.func(cfg, args, out) or 0
         write_manifest(
             out + ".manifest.json", experiment,
-            {"experiment_config": config_payload(cfg), "args": flags}, cfg.seed,
+            {"experiment_config": to_payload(cfg), "args": flags}, cfg.seed,
         )
         return code
     except (TrainingDiverged, SamplerDiverged, np.linalg.LinAlgError,

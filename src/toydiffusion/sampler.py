@@ -59,30 +59,6 @@ class SamplerConfig:
         if self.inference_beta is not None and self.inference_beta < 0.0:
             raise ValueError("inference_beta must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "start_time": float(self.start_time),
-            "steps": int(self.steps),
-            "init": None if self.init is None else self.init.to_dict(),
-            "inference_beta": (
-                None if self.inference_beta is None else float(self.inference_beta)
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SamplerConfig":
-        init = payload.get("init")
-        return cls(
-            start_time=float(payload["start_time"]),
-            steps=int(payload["steps"]),
-            init=None if init is None else InitDistribution.from_dict(init),
-            inference_beta=(
-                None
-                if payload.get("inference_beta") is None
-                else float(payload["inference_beta"])
-            ),
-        )
-
 
 def time_grid(start_time: float, steps: int):
     """Uniform grid from M down to exactly 0, steps+1 points."""
@@ -149,7 +125,3 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
             raise SamplerDiverged(step, float(t_to))
     return x
 
-
-def sample(denoiser, y0, config: SamplerConfig, schedule, rng):
-    """Single reverse chain; returns one (N, d) video."""
-    return sample_batch(denoiser, y0, config, schedule, 1, rng)[0]

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schedule import NoiseSchedule, VP, perturb, sigma_to_t
+from .codec import ConfigError, from_payload, read_json, to_payload
+from .schedule import NoiseSchedule, perturb, sigma_to_t
 from .timenoise import (
     ADDITIVE,
     TimeNoiseParams,
@@ -95,25 +96,10 @@ class TrainConfig:
             raise ValueError("cdm mode requires cdm_beta")
         if self.cond_frame not in (FIRST_FRAME, RANDOM_FRAME):
             raise ValueError(f"unknown cond_frame {self.cond_frame!r}")
-        if self.s_w_choices is not None:
+        if self.s_w_choices is not None:  # empty means no choice
             object.__setattr__(
-                self, "s_w_choices", tuple(float(s) for s in self.s_w_choices)
+                self, "s_w_choices", tuple(float(s) for s in self.s_w_choices) or None
             )
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["s_w_choices"] = list(self.s_w_choices) if self.s_w_choices else None
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrainConfig":
-        payload = dict(payload)
-        tn = payload.get("timenoise")
-        if tn is not None:
-            payload["timenoise"] = TimeNoiseParams(**tn)
-        if payload.get("s_w_choices") is not None:
-            payload["s_w_choices"] = tuple(payload["s_w_choices"])
-        return cls(**payload)
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +109,17 @@ class TrainConfig:
 _HARMONICS = np.arange(1, TIME_HARMONICS + 1, dtype=np.float64)
 
 
-def time_features(t):
-    """Fourier time encoding [t, sin(2 pi k t), cos(2 pi k t)], k = 1..4."""
+def time_features(t, out=None):
+    """Fourier time encoding [t, sin(2 pi k t), cos(2 pi k t)], k = 1..4, one
+    row per time; written into the (len(t), F_TIME) array out when given."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.empty((t.shape[0], F_TIME))
-    _write_time_features(t, out)
-    return out
-
-
-def _write_time_features(t, out):
-    """Write the encoding of the time vector t into the (len(t), F_TIME) array out."""
+    if out is None:
+        out = np.empty((t.shape[0], F_TIME))
     angles = 2.0 * np.pi * t[:, None] * _HARMONICS
     out[:, 0] = t
     np.sin(angles, out=out[:, 1 : 1 + TIME_HARMONICS])
     np.cos(angles, out=out[:, 1 + TIME_HARMONICS :])
+    return out
 
 
 class MLPDenoiser:
@@ -207,7 +190,7 @@ class MLPDenoiser:
         x[:, :o] = xt.reshape(b, -1)
         x[:, o:c] = y
         if t.shape[0] == b:
-            _write_time_features(t, x[:, c : c + F_TIME])
+            time_features(t, x[:, c : c + F_TIME])
         else:
             x[:, c : c + F_TIME] = time_features(t)
         if self.motion_feature:
@@ -335,14 +318,11 @@ def _sample_clean_batch(world, config, rng):
     b = config.batch_size
     if config.motion_feature and config.s_w_choices:
         choices = np.asarray(config.s_w_choices, dtype=np.float64)
-        s_w_item = choices[rng.integers(0, len(choices), size=b)]
-        x0 = sample_videos(world, b, rng, s_w=s_w_item)
-        per_choice = {
-            float(s): expected_motion_score(replace(world, s_w=float(s)))
-            for s in choices
-        }
-        motion = np.array([per_choice[float(s)] for s in s_w_item])
-        return x0, motion
+        pick = rng.integers(0, len(choices), size=b)
+        x0 = sample_videos(world, b, rng, s_w=choices[pick])
+        scores = np.array([expected_motion_score(replace(world, s_w=s))
+                           for s in config.s_w_choices])
+        return x0, scores[pick]
     x0 = sample_videos(world, b, rng)
     motion = (
         np.full(b, expected_motion_score(world)) if config.motion_feature else None
@@ -414,6 +394,25 @@ def _residual(model, work, x, batch):
     return float(np.mean(diff * diff)), diff
 
 
+@dataclass(frozen=True, eq=False)
+class _CheckpointConfig:
+    train: TrainConfig
+    world: GaussianWorld
+    schedule: NoiseSchedule
+
+
+@dataclass(frozen=True, eq=False)
+class _Checkpoint:
+    """A checkpoint file; its keys are written in field order."""
+
+    format_version: int
+    config: _CheckpointConfig
+    seed: int
+    layer_shapes: list
+    parameters: np.ndarray
+    final_loss: float
+
+
 def train(world, schedule, config: TrainConfig, return_history=False):
     """Run the full training loop; returns a JSON-ready checkpoint dict.
 
@@ -463,18 +462,10 @@ def train(world, schedule, config: TrainConfig, return_history=False):
             history.append((step, loss))
 
     final_heldout = batch_loss(model, params, heldout)
-    checkpoint = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": {
-            "train": config.to_dict(),
-            "world": world.to_dict(),
-            "schedule": asdict(schedule),
-        },
-        "seed": config.seed,
-        "layer_shapes": [list(s) for s in model.shapes],
-        "parameters": params.tolist(),
-        "final_loss": final_heldout,
-    }
+    checkpoint = to_payload(_Checkpoint(
+        CHECKPOINT_VERSION, _CheckpointConfig(config, world, schedule), config.seed,
+        [list(s) for s in model.shapes], params, final_heldout,
+    ))
     if return_history:
         return checkpoint, {
             "initial_heldout": initial_heldout,
@@ -491,26 +482,25 @@ def save_checkpoint(path, checkpoint: dict) -> None:
 
 
 def load_checkpoint(source):
-    """Rebuild (model, params, config dicts) from a checkpoint dict or path."""
+    """Rebuild (model, params, world, schedule, train config) from a
+    checkpoint dict or path.  A malformed checkpoint raises ConfigError
+    naming the path and the key."""
+    where = "checkpoint"
     if not isinstance(source, dict):
-        with open(source) as fh:
-            source = json.load(fh)
-    if source.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format_version {source.get('format_version')!r}"
-        )
-    cfg = source["config"]
-    train_cfg = TrainConfig.from_dict(cfg["train"])
-    world = GaussianWorld.from_dict(cfg["world"])
-    schedule = NoiseSchedule(**cfg["schedule"])
-    model = MLPDenoiser(
-        world.n_frames, world.frame_dim, hidden=train_cfg.hidden,
-        motion_feature=train_cfg.motion_feature,
-    )
-    expected = [list(s) for s in model.shapes]
-    if source["layer_shapes"] != expected:
-        raise ValueError("checkpoint layer shapes do not match its config")
-    params = np.asarray(source["parameters"], dtype=np.float64)
+        where = f"checkpoint {source}"
+        source = read_json(source, "checkpoint")
+    version = source.get("format_version") if isinstance(source, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"{where} has unsupported format_version {version!r}")
+    try:
+        ck = from_payload(_Checkpoint, source)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    world, cfg = ck.config.world, ck.config.train
+    model = MLPDenoiser(world.n_frames, world.frame_dim, cfg.hidden, cfg.motion_feature)
+    if ck.layer_shapes != [list(s) for s in model.shapes]:
+        raise ConfigError(f"{where} layer shapes do not match its config")
+    params = np.asarray(ck.parameters, dtype=np.float64)
     if params.size != model.n_params:
-        raise ValueError("checkpoint parameter count does not match its shapes")
-    return model, params, world, schedule, train_cfg
+        raise ConfigError(f"{where} parameter count does not match its shapes")
+    return model, params, world, ck.config.schedule, cfg

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .schedule import NoiseSchedule, alpha_sigma
 
@@ -74,27 +74,6 @@ class GaussianWorld:
         """Flattened dimension N * d."""
         return self.n_frames * self.frame_dim
 
-    def to_dict(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "frame_dim": self.frame_dim,
-            "m0": self.m0.tolist(),
-            "s0": float(self.s0),
-            "drift": self.drift.tolist(),
-            "s_w": float(self.s_w),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GaussianWorld":
-        return cls(
-            n_frames=int(payload["n_frames"]),
-            frame_dim=int(payload["frame_dim"]),
-            m0=np.asarray(payload["m0"], dtype=np.float64),
-            s0=float(payload["s0"]),
-            drift=np.asarray(payload["drift"], dtype=np.float64),
-            s_w=float(payload["s_w"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -132,14 +111,9 @@ def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
 # Moments
 
 
-def _frame_means(world: GaussianWorld):
-    """Prior per-frame means, shape (N, d): m0 + (i-1) * drift."""
-    steps = np.arange(world.n_frames, dtype=np.float64)[:, None]
-    return world.m0 + steps * world.drift
-
-
-def _cond_frame_means(world: GaussianWorld, y0):
-    """Per-frame means given frame 1 = y0: y0 + (i-1) * drift.
+def _frame_means(world: GaussianWorld, y0):
+    """Per-frame means with frame 1 at y0: y0 + (i-1) * drift; y0 = m0
+    gives the prior means.
 
     y0 may be a single (d,) frame or a batch (B, d); the batch axis, if
     present, leads the output.
@@ -168,7 +142,7 @@ def prior_moments(world: GaussianWorld):
 
     Full covariance of the flattened video is kron(C, I_d).
     """
-    return _frame_means(world).ravel(), prior_frame_cov(world)
+    return _frame_means(world, world.m0).ravel(), prior_frame_cov(world)
 
 
 def conditional_moments(world: GaussianWorld, y0):
@@ -176,7 +150,7 @@ def conditional_moments(world: GaussianWorld, y0):
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (world.frame_dim,):
         raise ValueError("y0 must be a single frame of shape (frame_dim,)")
-    return _cond_frame_means(world, y0).ravel(), conditional_frame_cov(world)
+    return _frame_means(world, y0).ravel(), conditional_frame_cov(world)
 
 
 def marginal_moments_at(world, schedule: NoiseSchedule, t, y0=None):
@@ -209,7 +183,7 @@ def expected_motion_score(world: GaussianWorld) -> float:
     mu = world.drift
     s = world.s_w
     e_abs = s * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * s * s)) + mu * (
-        1.0 - 2.0 * norm.cdf(-mu / s)
+        1.0 - 2.0 * ndtr(-mu / s)
     )
     return float((world.n_frames - 1) * np.mean(e_abs))
 
@@ -270,9 +244,9 @@ class ExactDenoiser:
         if self.conditional:
             if y is None:
                 raise ValueError("conditional denoiser needs a conditioning frame")
-            mean = _cond_frame_means(self.world, y)
+            mean = _frame_means(self.world, y)
         else:
-            mean = _frame_means(self.world)
+            mean = _frame_means(self.world, self.world.m0)
         alpha, sigma = alpha_sigma(self.schedule, t)
         shrink = alpha * self._lam / (alpha**2 * self._lam + sigma**2)
         gain = (self._basis * shrink) @ self._basis.T
@@ -282,7 +256,7 @@ class ExactDenoiser:
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
 
 
-class LeakyDenoiser:
+class LeakyDenoiser(ExactDenoiser):
     """Exact conditional denoiser blended toward a static copy of y0.
 
     x0_hat = (1 - lam(t)) * exact + lam(t) * broadcast(y0) with
@@ -294,9 +268,7 @@ class LeakyDenoiser:
             raise ValueError("lam_max must lie in [0, 1]")
         if not p > 0.0:
             raise ValueError("p must be positive")
-        self.exact = ExactDenoiser(world, schedule, conditional=True)
-        self.world = world
-        self.schedule = schedule
+        super().__init__(world, schedule, conditional=True)
         self.lam_max = float(lam_max)
         self.p = float(p)
 
@@ -305,9 +277,6 @@ class LeakyDenoiser:
 
     def predict_x0(self, xt, y, t):
         lam = self.leak(t)
-        exact = self.exact.predict_x0(xt, y, t)
+        exact = super().predict_x0(xt, y, t)
         static = broadcast_condition(y, self.world.n_frames)
         return (1.0 - lam) * exact + lam * static
-
-    def predict_eps(self, xt, y, t):
-        return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)

@@ -161,10 +161,7 @@ def test_verify_optimality_rejects_perturbed_inits(world, vp):
 
 
 def test_init_distribution_round_trip_and_validation():
-    init = InitDistribution(mu_p=np.array([1.0, 2.0]), sigma_p2=0.5, M=0.9)
-    back = InitDistribution.from_dict(init.to_dict())
-    np.testing.assert_array_equal(back.mu_p, init.mu_p)
-    assert back.sigma_p2 == init.sigma_p2 and back.M == init.M
+    # the payload round trip of every dataclass is in test_codec.py
     with pytest.raises(ValueError):
         InitDistribution(mu_p=np.zeros(2), sigma_p2=0.0, M=1.0)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,16 +16,16 @@ from toydiffusion.analytic_init import estimate_moments, optimal_init
 from toydiffusion.cli import (
     ConfigError,
     config_from_payload,
-    config_payload,
     load_config,
     main,
     save_config,
 )
+from toydiffusion.codec import to_payload
 
 
 def small_config(tmp_path):
     """A full config with sizes turned down for fast end-to-end runs."""
-    payload = config_payload(load_config(None))
+    payload = to_payload(load_config(None))
     payload["diagnostics"].update(
         {"eval_videos": 24, "n_chains": 12, "t_grid": [0.3, 0.9],
          "m_grid": [1.0, 0.9]}
@@ -42,8 +43,8 @@ def small_config(tmp_path):
 
 def test_default_config_round_trip():
     cfg = load_config(None)
-    payload = config_payload(cfg)
-    again = config_payload(config_from_payload(payload))
+    payload = to_payload(cfg)
+    again = to_payload(config_from_payload(payload))
     assert again == payload
     assert cfg.schedule.kind == "vp"
     assert cfg.timenoise.beta_m == 2.0 and cfg.timenoise.a == 5.0
@@ -55,7 +56,16 @@ def test_save_config_is_byte_deterministic(tmp_path):
     save_config(a, cfg)
     save_config(b, cfg)
     assert a.read_bytes() == b.read_bytes()
-    assert config_payload(load_config(a)) == config_payload(cfg)
+    assert to_payload(load_config(a)) == to_payload(cfg)
+
+
+def test_save_config_bytes_are_pinned(tmp_path):
+    # the defaults have been saved as these bytes by every release so far;
+    # a change of number format in the codec shows here
+    path = tmp_path / "defaults.json"
+    save_config(path, load_config(None))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "fbe72ecbb3571606e019a05d141d179c198d1639e539ca27570b01a7ac5c5f4b")
 
 
 def test_unknown_keys_rejected():
@@ -303,6 +313,42 @@ def test_malformed_input_file_names_path_and_key(tmp_path, capsys, kind, content
     assert f"'{key}'" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("flag", ["--denoiser=ckpt:{}", "--init=analytic:{}"])
+def test_input_file_that_is_not_json_is_named(tmp_path, capsys, flag):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    assert main(["sample", "--n", "2", "--M", "0.9", flag.format(path),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "config"
+    assert f"{path} is not valid JSON" in err["message"]
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("world", "s0", True), ("world", "s0", "1.0"), ("world", "m0", "0"),
+    ("train", "hidden", 64.0), ("world", "bogus", 1.0),
+], ids=["world.s0-bool", "world.s0-string", "world.m0-string",
+        "train.hidden-float", "world-unknown-key"])
+def test_mistyped_checkpoint_names_path_and_key(tmp_path, capsys, block, key,
+                                                value):
+    # a checkpoint's stored config goes through the config's own type checks
+    cfgp = small_config(tmp_path)
+    ck = tmp_path / "ck.json"
+    assert main(["train", "--config", cfgp, "--mode", "naive", "--steps", "2",
+                 "--out", str(ck)]) == 0
+    payload = json.loads(ck.read_text())
+    payload["config"][block][key] = value
+    ck.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["diagnose", "leakage", "--config", cfgp,
+                 "--denoiser", f"ckpt:{ck}", "--out", str(tmp_path / "x.csv")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "config"
+    assert str(ck) in err["message"] and key in err["message"]
+
+
 @pytest.mark.parametrize("exc_type", [TypeError, KeyError])
 def test_bug_in_a_command_is_not_a_config_error(tmp_path, monkeypatch, exc_type):
     # only malformed input maps to exit 2; a TypeError or KeyError raised by
@@ -389,7 +435,7 @@ _VALUE = st.one_of(
 def _payloads(draw):
     """The default config with up to three keys (a field, a section or an
     unknown key, at the top level or in a section) set to a drawn value."""
-    payload = config_payload(load_config(None))
+    payload = to_payload(load_config(None))
     for _ in range(draw(st.integers(0, 3))):
         section = draw(st.sampled_from([None, *payload]))
         target = payload if section is None else payload[section]

@@ -270,11 +270,7 @@ def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
 def test_world_round_trip_and_broadcast():
     w = GaussianWorld(n_frames=5, frame_dim=3, m0=1.0, drift=-0.2)
     assert w.m0.shape == (3,) and w.drift.shape == (3,)
-    back = GaussianWorld.from_dict(w.to_dict())
-    assert back.n_frames == 5 and back.frame_dim == 3
-    np.testing.assert_array_equal(back.m0, w.m0)
-    np.testing.assert_array_equal(back.drift, w.drift)
-    assert back.s0 == w.s0 and back.s_w == w.s_w
+    # the payload round trip of every dataclass is in test_codec.py
     assert w.flat_dim == 15
 
 
