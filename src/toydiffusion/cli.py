@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,7 +197,12 @@ def _cmd_world_sample(cfg, args, out):
 
 def _cmd_estimate_init(cfg, args, out):
     world = cfg.world
-    data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file is reported below as the one config error line
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ConfigError(f"data file {args.data} has no data rows")
     if data.shape[1] != world.flat_dim:
         raise ConfigError(
             f"data has {data.shape[1]} columns, world needs {world.flat_dim}"

@@ -5,7 +5,9 @@ repeatedly applies
 
     x_next = alpha_next x0_hat + (sigma_next / sigma_cur) (x_cur - alpha_cur x0_hat)
 
-with x0_hat supplied by any denoiser exposing predict_x0.  The initial
+with x0_hat supplied by any denoiser exposing predict_x0.  Each step is
+written in place into the array predict_x0 returns, so predict_x0 must
+return a new writable array that its caller owns.  The initial
 state is either the conventional prior (N(0, I) for vp, N(0, sigma_M^2 I)
 for ve) or an explicit isotropic Gaussian fitted to the time-M marginal.
 Initial draws are formed by affine-mapping one shared standard-normal
@@ -82,7 +84,11 @@ def draw_initial(config: SamplerConfig, schedule: NoiseSchedule, shape, rng):
 
 
 def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
-    """One deterministic update from t_from down to t_to."""
+    """One deterministic update from t_from down to t_to.
+
+    The update overwrites predict_x0's fresh result and returns it, so the
+    caller owns what it gets back; xt is never written.
+    """
     if not 0.0 <= t_to <= t_from <= 1.0:
         raise ValueError("need 0 <= t_to <= t_from <= 1")
     x0_hat = denoiser.predict_x0(xt, y, t_from)
@@ -90,7 +96,14 @@ def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
         return x0_hat
     a_from, s_from = alpha_sigma(schedule, t_from)
     a_to, s_to = alpha_sigma(schedule, t_to)
-    return a_to * x0_hat + (s_to / s_from) * (np.asarray(xt) - a_from * x0_hat)
+    # a_to x0_hat + (s_to / s_from) (xt - a_from x0_hat), operation by
+    # operation in that order, with one temporary
+    rest = a_from * x0_hat
+    np.subtract(xt, rest, out=rest)
+    rest *= s_to / s_from
+    x0_hat *= a_to
+    x0_hat += rest
+    return x0_hat
 
 
 def _video_shape(denoiser):

@@ -250,7 +250,9 @@ class ExactDenoiser:
         alpha, sigma = alpha_sigma(self.schedule, t)
         shrink = alpha * self._lam / (alpha**2 * self._lam + sigma**2)
         gain = (self._basis * shrink) @ self._basis.T
-        return mean + gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
+        out = gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
+        out += mean
+        return out
 
     def predict_eps(self, xt, y, t):
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
@@ -277,6 +279,7 @@ class LeakyDenoiser(ExactDenoiser):
 
     def predict_x0(self, xt, y, t):
         lam = self.leak(t)
-        exact = super().predict_x0(xt, y, t)
-        static = broadcast_condition(y, self.world.n_frames)
-        return (1.0 - lam) * exact + lam * static
+        out = super().predict_x0(xt, y, t)
+        out *= 1.0 - lam
+        out += lam * np.asarray(y, dtype=np.float64)[..., None, :]
+        return out

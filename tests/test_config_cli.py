@@ -324,6 +324,30 @@ def test_input_file_that_is_not_json_is_named(tmp_path, capsys, flag):
     assert f"{path} is not valid JSON" in err["message"]
 
 
+@pytest.mark.parametrize("content", ["{bad\n", "f1,f2\n", ""],
+                         ids=["not-csv", "header-only", "empty"])
+def test_estimate_init_without_data_rows_is_one_json_line(tmp_path, content):
+    # a real process, so a warning numpy prints on stderr is seen too
+    data = tmp_path / "data.csv"
+    data.write_text(content)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "from toydiffusion.cli import entry; entry()",
+         "estimate-init", "--data", str(data), "--M", "0.9",
+         "--out", str(tmp_path / "init.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {"error": {
+        "type": "config", "message": f"data file {data} has no data rows"}}
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("world", "s0", True), ("world", "s0", "1.0"), ("world", "m0", "0"),
     ("train", "hidden", 64.0), ("world", "bogus", 1.0),

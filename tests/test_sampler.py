@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,12 @@ from toydiffusion.sampler import (
     time_grid,
 )
 from toydiffusion.schedule import alpha_sigma
+from toydiffusion.train import TrainedDenoiser
 from toydiffusion.world import (
     ExactDenoiser,
+    LeakyDenoiser,
+    broadcast_condition,
+    conditional_frame_cov,
     conditional_moments,
     kron_cov,
 )
@@ -53,7 +59,7 @@ def test_ddim_step_terminal_is_prediction(world, vp):
     xt = rng.standard_normal((8, 4))
     y0 = np.zeros(4)
     out = ddim_step(den, xt, y0, 0.02, 0.0, vp)
-    np.testing.assert_allclose(out, den.predict_x0(xt, y0, 0.02), atol=1e-14)
+    np.testing.assert_array_equal(out, den.predict_x0(xt, y0, 0.02))
 
 
 def test_ddim_step_zero_width_is_identity(world, vp):
@@ -177,3 +183,133 @@ def test_draw_initial_dimension_guard(world, vp):
     with pytest.raises(ValueError):
         draw_initial(SamplerConfig(0.9, 5, init=bad), vp, (2, 8, 4),
                      np.random.default_rng(10))
+
+
+# ---------------------------------------------------------------------------
+# The in-place step against the plain expressions it replaced
+
+
+def _reference_x0(den, xt, y, t):
+    """Independent copy of the exact and leaky predict_x0 expressions,
+    each operation allocating its result; the trained denoiser's
+    predict_x0 already allocates and is used as it is."""
+    if isinstance(den, TrainedDenoiser):
+        return den.predict_x0(xt, y, t)
+    world = den.world
+    lam, basis = np.linalg.eigh(conditional_frame_cov(world))
+    lam = np.clip(lam, 0.0, None)
+    y = np.asarray(y, dtype=np.float64)
+    steps = np.arange(world.n_frames, dtype=np.float64)[:, None]
+    mean = (y if y.ndim == 1 else y[:, None, :]) + steps * world.drift
+    alpha, sigma = alpha_sigma(den.schedule, t)
+    shrink = alpha * lam / (alpha**2 * lam + sigma**2)
+    gain = (basis * shrink) @ basis.T
+    exact = mean + gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
+    if not isinstance(den, LeakyDenoiser):
+        return exact
+    leak = den.leak(t)
+    return (1.0 - leak) * exact + leak * broadcast_condition(y, world.n_frames)
+
+
+def _reference_sample(den, y0, cfg, schedule, n, rng):
+    """sample_batch written out with the allocating DDIM expression."""
+    x = draw_initial(cfg, schedule, (n, 8, 4), rng)
+    y = np.asarray(y0, dtype=np.float64)
+    if cfg.inference_beta is not None:
+        eps_shape = y.shape if y.ndim == 2 else (n,) + y.shape
+        y = y + cfg.inference_beta * rng.standard_normal(eps_shape)
+    grid = time_grid(cfg.start_time, cfg.steps)
+    for t_from, t_to in zip(grid[:-1], grid[1:]):
+        x0_hat = _reference_x0(den, x, y, float(t_from))
+        if t_to == 0.0:
+            x = x0_hat
+            continue
+        a_from, s_from = alpha_sigma(schedule, float(t_from))
+        a_to, s_to = alpha_sigma(schedule, float(t_to))
+        x = a_to * x0_hat + (s_to / s_from) * (np.asarray(x) - a_from * x0_hat)
+    return x
+
+
+@pytest.fixture(scope="module")
+def denoisers(world, vp, ve):
+    """{(name, schedule kind): denoiser} for exact, leaky and a short-trained
+    checkpoint under each schedule."""
+    out = {}
+    for schedule in (vp, ve):
+        ckpt = td.train(world, schedule, td.TrainConfig(steps=40, seed=5))
+        model, params, *_ = td.load_checkpoint(ckpt)
+        out[("exact", schedule.kind)] = ExactDenoiser(world, schedule)
+        out[("leaky", schedule.kind)] = LeakyDenoiser(world, schedule, 0.6, 1.5)
+        out[("trained", schedule.kind)] = TrainedDenoiser(model, params, schedule)
+    return out
+
+
+@pytest.mark.parametrize("beta", [None, 0.3])
+@pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", ["exact", "leaky", "trained"])
+def test_sample_batch_matches_reference_loop(request, denoisers, name,
+                                             schedule_name, per_chain, beta):
+    schedule = request.getfixturevalue(schedule_name)
+    den = denoisers[(name, schedule.kind)]
+    n = 16
+    rng = np.random.default_rng(11)
+    y0 = rng.standard_normal((n, 4) if per_chain else 4)
+    cfg = SamplerConfig(0.9, 12, inference_beta=beta)
+    got = sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(12))
+    want = _reference_sample(den, y0, cfg, schedule, n, np.random.default_rng(12))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
+def test_sampler_leaves_caller_arrays_unchanged(world, vp, per_chain):
+    den = LeakyDenoiser(world, vp, 0.6, 1.5)
+    rng = np.random.default_rng(13)
+    xt = rng.standard_normal((6, 8, 4))
+    y = rng.standard_normal((6, 4) if per_chain else 4)
+    xt_kept, y_kept = xt.copy(), y.copy()
+    out = ddim_step(den, xt, y, 0.6, 0.4, vp)
+    assert not np.shares_memory(out, xt)
+    np.testing.assert_array_equal(xt, xt_kept)
+    np.testing.assert_array_equal(y, y_kept)
+    for beta in (None, 0.3):
+        sample_batch(den, y, SamplerConfig(1.0, 5, inference_beta=beta), vp, 6,
+                     np.random.default_rng(14))
+        np.testing.assert_array_equal(y, y_kept)
+
+
+def _traced_peak_bytes(run):
+    """Peak of numpy's traced allocations during a warmed call of run,
+    above what was held before it."""
+    run()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, per_chain, bound", [
+    ("exact", False, 3.5),
+    ("leaky", True, 4.5),
+], ids=["exact-shared", "leaky-per-chain"])
+def test_sample_batch_peak_memory(world, vp, name, per_chain, bound):
+    # each step holds the state, the denoiser's input temporary and its
+    # output (plus the (n, N, d) conditional mean with per-chain y0), and
+    # writes the DDIM update into that output
+    n = 2000
+    if name == "exact":
+        den = ExactDenoiser(world, vp)
+    else:
+        den = LeakyDenoiser(world, vp, 0.6, 1.5)
+    y0 = np.full((n, 4) if per_chain else 4, 2.0)
+    peak = _traced_peak_bytes(lambda: sample_batch(
+        den, y0, SamplerConfig(1.0, 20), vp, n, np.random.default_rng(15)))
+    state_bytes = n * world.n_frames * world.frame_dim * 8
+    assert peak <= bound * state_bytes, peak / state_bytes
