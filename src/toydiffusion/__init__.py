@@ -27,7 +27,6 @@ from .world import (
     GaussianWorld,
     LeakyDenoiser,
     as_eps_prediction,
-    broadcast_condition,
     conditional_frame_cov,
     conditional_moments,
     expected_motion_score,
@@ -76,7 +75,6 @@ from .diagnostics import (
     config_digest,
     init_ablation,
     leakage_curve,
-    motion_score,
     motion_scores,
     motion_sweep,
     one_step_prediction,

@@ -128,35 +128,21 @@ def gaussian_kl(mu_q, sigma_q, init: InitDistribution) -> float:
     )
 
 
-def verify_optimality(
-    mu_q,
-    sigma_q,
-    init: InitDistribution,
-    kappas=None,
-    delta_scales=None,
-    direction=None,
-    margin_floor: float = 1e-9,
-    sigma_tol: float = 1e-10,
-) -> dict:
-    """Brute-force check that `init` minimizes the KL over a perturbation grid.
+def verify_optimality(mu_q, sigma_q, init: InitDistribution) -> dict:
+    """Brute-force check that `init` minimizes the KL over a fixed grid.
 
-    Every grid cell rescales the variance by kappa and shifts the mean by
-    delta_scale along a fixed unit direction; the cell (kappa=1, delta=0)
-    is the candidate optimum.  Also cross-checks the stationarity formula
-    sigma_p2 = (tr(Sigma_q) + ||mu_p - mu_q||^2) / d.
+    The 9 x 9 cells rescale the variance by kappa in geomspace(0.5, 2, 9)
+    and shift the mean by linspace(-1, 1, 9) along 1/sqrt(d); the cell
+    (kappa=1, shift=0) is the candidate optimum, and every other cell must
+    exceed its KL by more than 1e-9.  Also cross-checks the stationarity
+    formula sigma_p2 = (tr(Sigma_q) + ||mu_p - mu_q||^2) / d to 1e-10.
     """
     mu_q = np.asarray(mu_q, dtype=np.float64).ravel()
     sigma_q = np.asarray(sigma_q, dtype=np.float64)
     d = mu_q.size
-    if kappas is None:
-        kappas = np.geomspace(0.5, 2.0, 9)  # symmetric in log, includes 1
-    if delta_scales is None:
-        delta_scales = np.linspace(-1.0, 1.0, 9)
-    if direction is None:
-        direction = np.ones(d) / np.sqrt(d)
-    else:
-        direction = np.asarray(direction, dtype=np.float64).ravel()
-        direction = direction / np.linalg.norm(direction)
+    kappas = np.geomspace(0.5, 2.0, 9)  # symmetric in log, includes 1
+    delta_scales = np.linspace(-1.0, 1.0, 9)
+    direction = np.ones(d) / np.sqrt(d)
 
     diff = init.mu_p - mu_q
     sigma_formula = (float(np.trace(sigma_q)) + float(diff @ diff)) / d
@@ -185,7 +171,7 @@ def verify_optimality(
             if not at_optimum:
                 worst_margin = min(worst_margin, kl - kl_opt)
 
-    passed = bool(worst_margin > margin_floor and sigma_gap <= sigma_tol)
+    passed = bool(worst_margin > 1e-9 and sigma_gap <= 1e-10)
     return {
         "M": float(init.M),
         "sigma_p2": float(init.sigma_p2),

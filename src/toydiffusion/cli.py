@@ -97,6 +97,8 @@ class DiagnosticsConfig:
                 raise ConfigError("m_grid entries must lie in (0, 1]")
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
+        if any(not x > 0.0 for x in self.targets):
+            raise ConfigError("targets must be positive motion scores")
         object.__setattr__(self, "targets", tuple(float(x) for x in self.targets))
 
 
@@ -110,6 +112,10 @@ class ExperimentConfig:
     diagnostics: DiagnosticsConfig
     seed: int = 0
     output_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        if self.train.timenoise is not None:
+            raise ConfigError("train.timenoise must be null; set the timenoise section")
 
 
 # A config may leave out any section, and the schedule kind and the
@@ -417,8 +423,4 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())

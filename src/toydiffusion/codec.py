@@ -3,12 +3,14 @@
 to_payload writes a dataclass as a JSON-ready dict, its fields in order;
 from_payload reads one back through the same field annotations, so the
 config, the checkpoint and the init file share one schema check: no
-unknown key, no missing required key and no value of the wrong JSON type.
+unknown key, no missing required key, no value of the wrong JSON type and
+no NaN or infinity where a number goes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_type_hints
@@ -36,15 +38,17 @@ def _kinds(cls) -> dict:
 
 
 def _fits(value, kind) -> bool:
-    """Whether a JSON value fits one member of a field annotation."""
+    """Whether a JSON value fits one member of a field annotation; a number
+    is an int or a finite float, never a bool."""
     if is_dataclass(kind):
         return isinstance(value, dict)
     if kind in (tuple, np.ndarray):
-        return isinstance(value, (list, tuple)) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
     if isinstance(value, bool) or kind is bool:
         return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float and isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int if kind is float else kind)
 
 
 def _in(where: str) -> str:

@@ -45,10 +45,6 @@ def motion_scores(videos):
     return diffs.mean(axis=-1).sum(axis=-1)
 
 
-def motion_score(video) -> float:
-    return float(motion_scores(video))
-
-
 # Per-experiment tags keep the seeded substreams of different diagnostics
 # (and of CLI-level draws, which use tag 0) disjoint for the same root seed.
 _LEAKAGE_TAG = 1
@@ -172,20 +168,19 @@ def conditional_moment_errors(samples, world, y0):
 
 
 def init_ablation(
-    world, schedule, m_grid, init_modes, denoiser, n: int, seed: int,
-    steps: int = 50, y0=None,
+    world, schedule, m_grid, init_modes, denoiser, n: int, seed: int, steps: int = 50,
 ):
     """Start-time x init-mode table: KL to the true time-M marginal, mean
-    output motion, and conditional-moment errors of the generated samples.
+    output motion, and conditional-moment errors of the generated samples,
+    conditioned on one frame y0 drawn from the seed.  Each row's chains
+    start from the InitDistribution whose KL it reports.
 
     The chain generator is re-created per start time, so init modes at the
     same M share their standard-normal draws (paired comparison).
     """
-    if y0 is None:
-        y0 = world.m0 + world.s0 * np.random.default_rng(
-            [seed, _ABLATION_TAG, 1, 0]
-        ).standard_normal(world.frame_dim)
-    y0 = np.asarray(y0, dtype=np.float64)
+    y0 = world.m0 + world.s0 * np.random.default_rng(
+        [seed, _ABLATION_TAG, 1, 0]
+    ).standard_normal(world.frame_dim)
     moments = exact_moments(world)
     rows = []
     for i, m_start in enumerate(m_grid):
@@ -195,13 +190,12 @@ def init_ablation(
         for mode in init_modes:
             if mode == STANDARD:
                 init_obj = standard_init(schedule, m_start, world.flat_dim)
-                config = SamplerConfig(start_time=m_start, steps=steps)
             elif mode == ANALYTIC:
                 init_obj = optimal_init(moments, schedule, m_start)
-                config = SamplerConfig(start_time=m_start, steps=steps, init=init_obj)
             else:
                 raise ValueError(f"unknown init mode {mode!r}")
             kl = gaussian_kl(mu_q, sigma_q, init_obj)
+            config = SamplerConfig(start_time=m_start, steps=steps, init=init_obj)
             rng = np.random.default_rng([seed, _ABLATION_TAG, 0, i])
             out = sample_batch(denoiser, y0, config, schedule, n, rng)
             mean_err, cov_err = conditional_moment_errors(out, world, y0)

@@ -8,8 +8,8 @@ repeatedly applies
 with x0_hat supplied by any denoiser exposing predict_x0.  Each step is
 written in place into the array predict_x0 returns, so predict_x0 must
 return a new writable array that its caller owns.  The initial
-state is either the conventional prior (N(0, I) for vp, N(0, sigma_M^2 I)
-for ve) or an explicit isotropic Gaussian fitted to the time-M marginal.
+state is drawn from the config's init, a Gaussian fitted to the time-M
+marginal, or else from standard_init, the conventional prior.
 Initial draws are formed by affine-mapping one shared standard-normal
 tensor, so runs that differ only in the init distribution are paired
 sample-by-sample under a shared seed.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_init import InitDistribution
-from .schedule import NoiseSchedule, VP, alpha_sigma
+from .analytic_init import InitDistribution, standard_init
+from .schedule import NoiseSchedule, alpha_sigma
 
 STANDARD = "standard"
 ANALYTIC = "analytic"
@@ -40,10 +40,10 @@ class SamplerDiverged(RuntimeError):
 class SamplerConfig:
     """Reverse-run settings: start time M, step count K, init, condition mode.
 
-    init=None selects the conventional start; an InitDistribution selects
-    the fitted Gaussian (its M must match start_time).  inference_beta=None
-    passes the conditioning frame through clean; a float adds that fixed
-    noise level once per chain.
+    init=None selects standard_init, the conventional start; an
+    InitDistribution selects the fitted Gaussian (its M must match
+    start_time).  inference_beta=None passes the conditioning frame through
+    clean; a float adds that fixed noise level once per chain.
     """
 
     start_time: float = 1.0
@@ -68,19 +68,16 @@ def time_grid(start_time: float, steps: int):
 
 
 def draw_initial(config: SamplerConfig, schedule: NoiseSchedule, shape, rng):
-    """Draw the start state by affine-mapping one standard-normal tensor."""
+    """Draw z sqrt(sigma_p2) + mu_p, z standard normal, from config.init or
+    else standard_init."""
     z = rng.standard_normal(shape)
-    if config.init is None:
-        if schedule.kind == VP:
-            return z
-        _, sigma = alpha_sigma(schedule, config.start_time)
-        return sigma * z
-    init = config.init
-    n_frames_times_d = int(np.prod(shape[-2:]))
-    if init.mu_p.size != n_frames_times_d:
+    flat_dim = int(np.prod(shape[-2:]))
+    init = config.init or standard_init(schedule, config.start_time, flat_dim)
+    if init.mu_p.size != flat_dim:
         raise ValueError("init distribution dimension does not match video shape")
-    mu = init.mu_p.reshape(shape[-2:])
-    return mu + np.sqrt(init.sigma_p2) * z
+    z *= np.sqrt(init.sigma_p2)
+    z += init.mu_p.reshape(shape[-2:])
+    return z
 
 
 def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):

@@ -330,7 +330,7 @@ def _sample_clean_batch(world, config, rng):
     return x0, motion
 
 
-def _corrupt_condition(config, y0, t, rng, beta_override=None):
+def _corrupt_condition(config, y0, t, rng):
     """Choose the mode's corruption level and apply it; a zero level consumes
     no draws.  The level-curve modes take their variant from the timenoise
     parameters; cdm's fixed level is additive."""
@@ -340,14 +340,12 @@ def _corrupt_condition(config, y0, t, rng, beta_override=None):
         return corrupt(y0, config.cdm_beta, rng, ADDITIVE)
     if config.mode == CONSTANT_BETA:
         betas = constant_beta(config.timenoise, t)
-    elif beta_override is not None:
-        betas = beta_override
     else:
         betas = sample_beta(config.timenoise, t, rng)
     return corrupt(y0, betas, rng, config.timenoise.variant)
 
 
-def make_training_batch(world, schedule, config, rng, beta_override=None):
+def make_training_batch(world, schedule, config, rng):
     """Draw one batch.  Draw order is fixed (videos, frame choice, times,
     condition corruption, forward noise) so that modes which skip a stage
     leave the remaining stream identical."""
@@ -358,7 +356,7 @@ def make_training_batch(world, schedule, config, rng, beta_override=None):
     else:
         y0 = x0[:, 0, :]
     t = sample_training_times(schedule, config, x0.shape[0], rng)
-    y = _corrupt_condition(config, y0, t, rng, beta_override)
+    y = _corrupt_condition(config, y0, t, rng)
     xt, eps = perturb(schedule, x0, t, rng)
     return Batch(xt=xt, y=y, t=t, target=eps, motion=motion)
 

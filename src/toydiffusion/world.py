@@ -153,17 +153,11 @@ def conditional_moments(world: GaussianWorld, y0):
     return _frame_means(world, y0).ravel(), conditional_frame_cov(world)
 
 
-def marginal_moments_at(world, schedule: NoiseSchedule, t, y0=None):
-    """Moments of X_t = alpha_t X_0 + sigma_t eps.
-
-    Returns (flattened mean, frame covariance factor); conditions on
-    frame 1 = y0 when y0 is given.  Full covariance is kron(C_t, I_d).
-    """
+def marginal_moments_at(world, schedule: NoiseSchedule, t):
+    """Moments of X_t = alpha_t X_0 + sigma_t eps: the flattened mean and the
+    frame covariance factor C_t of the full covariance kron(C_t, I_d)."""
     alpha, sigma = alpha_sigma(schedule, t)
-    if y0 is None:
-        mean, cov = prior_moments(world)
-    else:
-        mean, cov = conditional_moments(world, y0)
+    mean, cov = prior_moments(world)
     cov_t = alpha**2 * cov + sigma**2 * np.eye(world.n_frames)
     return alpha * mean, cov_t
 
@@ -204,14 +198,6 @@ def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
     """Convert a noise prediction to clean-video space: (xt - sigma eps) / alpha."""
     alpha, sigma = alpha_sigma(schedule, t)
     return (np.asarray(xt, dtype=np.float64) - sigma * eps_hat) / alpha
-
-
-def broadcast_condition(y, n_frames: int):
-    """Repeat a conditioning frame across all N frames (static video)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        return np.broadcast_to(y, (n_frames, y.shape[0])).copy()
-    return np.broadcast_to(y[:, None, :], (y.shape[0], n_frames, y.shape[1])).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import toydiffusion as td
 from toydiffusion.cli import DiagnosticsConfig, config_from_payload
-from toydiffusion.codec import from_payload, to_payload
+from toydiffusion.codec import ConfigError, from_payload, to_payload
 
 TN = td.TimeNoiseParams(beta_m=2.0, a=5.0)
 INIT = td.InitDistribution(mu_p=np.array([1.0, 2.0]), sigma_p2=0.5, M=0.9)
@@ -70,3 +70,13 @@ def test_checkpoint_keys_in_written_order():
                           "parameters", "final_loss"]
     assert list(ckpt["config"]) == ["train", "world", "schedule"]
     assert list(ckpt["config"]["train"]) == [f.name for f in fields(td.TrainConfig)]
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"lr": float("inf")}, "lr"),
+    ({"s_w_choices": [0.5, float("nan")]}, "s_w_choices"),
+    ({"s_w_choices": [0.5, True]}, "s_w_choices"),
+], ids=["float-inf", "list-nan", "list-bool"])
+def test_numbers_must_be_finite_and_not_bool(payload, key):
+    with pytest.raises(ConfigError, match=f"^{key} at the top level must be"):
+        from_payload(td.TrainConfig, payload)

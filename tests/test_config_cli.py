@@ -441,6 +441,87 @@ def test_checkpoint_must_match_config(tmp_path, capsys, section, override, named
         assert f"config {section}" in message
 
 
+def _one_config_error(capsys):
+    """The single JSON error line on stderr, which must be a config error."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "config"
+    return err["message"]
+
+
+def test_train_timenoise_in_config_is_rejected(tmp_path, capsys):
+    # the top-level timenoise section sets the training levels; a second
+    # copy under train was silently overwritten by it
+    payload = {"train": {"timenoise": {"beta_m": 1.0, "a": 3.0,
+                                       "variant": "interpolation"}}}
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(payload))
+    assert main(["train", "--config", str(cfgp), "--mode", "timenoise",
+                 "--steps", "2", "--out", str(tmp_path / "ck.json")]) == 2
+    assert "train.timenoise" in _one_config_error(capsys)
+    assert not (tmp_path / "ck.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value, argv", [
+    ("sampler", "inference_beta", float("nan"), ["sample", "--n", "4"]),
+    ("train", "lr", float("inf"), ["train", "--mode", "naive"]),
+    ("train", "p_std", float("nan"), ["train", "--mode", "naive"]),
+    ("train", "cdm_beta", float("inf"), ["train", "--mode", "cdm"]),
+    ("timenoise", "beta_m", float("inf"), ["train", "--mode", "timenoise"]),
+], ids=["inference_beta-nan", "lr-inf", "p_std-nan", "cdm_beta-inf", "beta_m-inf"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value,
+                                             argv):
+    # NaN and Infinity are JSON numbers to Python's reader, but no field
+    # takes one: the key is named and the run exits 2, not 3
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload[section][key] = value
+    payload["train"]["t_sampler"] = "edm"  # the sampler that reads p_std
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([*argv, "--config", cfgp, "--steps", "3",
+                 "--out", str(tmp_path / "x.out")]) == 2
+    assert f"{key} in {section} must be" in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0])
+def test_non_positive_motion_target_is_rejected(tmp_path, capsys, target):
+    # a target is a motion score, which is positive; 0 divided the sweep's
+    # relative error by zero and a negative one ran
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["train"]["motion_feature"] = True
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    ck = tmp_path / "ck.json"
+    assert main(["train", "--config", cfgp, "--mode", "naive", "--steps", "2",
+                 "--out", str(ck)]) == 0
+    payload["diagnostics"]["targets"] = [1.0, target]
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["diagnose", "motion-sweep", "--config", cfgp, "--conditioned",
+                 "--denoiser", f"ckpt:{ck}", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "targets" in _one_config_error(capsys)
+
+
+def test_python_m_toydiffusion_is_the_cli(tmp_path):
+    # the package runs as a module, and its error is the one JSON line
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "toydiffusion", "world-sample", "--n", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {"error": {
+        "type": "config", "message": "--n must be at least 1, got 0"}}
+
+
 # ---------------------------------------------------------------------------
 # fuzzed configs and flags for the cheap commands
 

@@ -12,7 +12,6 @@ from toydiffusion.diagnostics import (
     config_digest,
     init_ablation,
     leakage_curve,
-    motion_score,
     motion_scores,
     motion_sweep,
     one_step_prediction,
@@ -25,11 +24,11 @@ from toydiffusion.world import ExactDenoiser, LeakyDenoiser
 def test_motion_score_hand_example():
     video = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
     # per-pair coordinate-mean |diff|: 1 then 2
-    assert motion_score(video) == pytest.approx(3.0)
+    assert float(motion_scores(video)) == pytest.approx(3.0)
     batch = np.stack([video, 2 * video])
     np.testing.assert_allclose(motion_scores(batch), [3.0, 6.0])
     with pytest.raises(ValueError):
-        motion_score(video[:1])
+        float(motion_scores(video[:1]))
 
 
 def test_one_step_prediction_replays_corruption(world, vp):
@@ -152,6 +151,34 @@ def test_init_ablation_table(world, vp):
         assert by[(m, "analytic")]["kl"] <= by[(m, "standard")]["kl"]
     with pytest.raises(ValueError):
         init_ablation(world, vp, [1.0], ["bogus"], leaky, 8, 0)
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+def test_standard_row_replays_from_its_init(request, world, schedule_name):
+    # the standard row's KL and its chains read one standard_init object;
+    # sampling from that object, or from init=None, gives the row again
+    from toydiffusion.analytic_init import gaussian_kl, standard_init
+    from toydiffusion.diagnostics import _ABLATION_TAG
+    from toydiffusion.world import kron_cov, marginal_moments_at
+
+    schedule = request.getfixturevalue(schedule_name)
+    leaky = LeakyDenoiser(world, schedule, lam_max=0.8, p=4.0)
+    m_grid, seed, n, steps = [1.0, 0.9], 4, 32, 6
+    rows = init_ablation(world, schedule, m_grid, ["standard"], leaky, n, seed,
+                         steps=steps)
+    y0 = world.m0 + world.s0 * np.random.default_rng(
+        [seed, _ABLATION_TAG, 1, 0]).standard_normal(world.frame_dim)
+    for i, (m_start, row) in enumerate(zip(m_grid, rows)):
+        init = standard_init(schedule, m_start, world.flat_dim)
+        mu_q, cov_f = marginal_moments_at(world, schedule, m_start)
+        assert row["kl"] == gaussian_kl(mu_q, kron_cov(cov_f, world.frame_dim), init)
+        for cfg in (td.SamplerConfig(m_start, steps, init=init),
+                    td.SamplerConfig(m_start, steps)):
+            rng = np.random.default_rng([seed, _ABLATION_TAG, 0, i])
+            out = td.sample_batch(leaky, y0, cfg, schedule, n, rng)
+            assert row["mean_output_ms"] == float(np.mean(motion_scores(out)))
+            assert (row["mean_err"], row["cov_err"]) == conditional_moment_errors(
+                out, world, y0)
 
 
 def test_init_ablation_deterministic(world, vp):

@@ -5,6 +5,7 @@ import pytest
 
 import toydiffusion as td
 from toydiffusion.analytic_init import InitDistribution, exact_moments, optimal_init
+from toydiffusion.cli import DiagnosticsConfig
 from toydiffusion.sampler import (
     SamplerConfig,
     SamplerDiverged,
@@ -18,7 +19,6 @@ from toydiffusion.train import TrainedDenoiser
 from toydiffusion.world import (
     ExactDenoiser,
     LeakyDenoiser,
-    broadcast_condition,
     conditional_frame_cov,
     conditional_moments,
     kron_cov,
@@ -51,6 +51,19 @@ def test_draw_initial_ve_standard_scale(ve):
     _, sigma = alpha_sigma(ve, 1.0)
     x = draw_initial(SamplerConfig(1.0, 10), ve, (50_000, 2, 2), np.random.default_rng(1))
     assert np.std(x) == pytest.approx(sigma, rel=0.01)
+
+
+@pytest.mark.parametrize("M", sorted({1.0, *DiagnosticsConfig().m_grid}))
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+def test_standard_start_is_the_old_formula(request, schedule_name, M):
+    # init=None draws from standard_init; in binary64 z * sqrt(1) + 0 is z
+    # and z * sqrt(fl(sigma^2)) + 0 is sigma z, bit for bit
+    schedule = request.getfixturevalue(schedule_name)
+    shape = (64, 8, 4)
+    x = draw_initial(SamplerConfig(M, 10), schedule, shape, np.random.default_rng(3))
+    z = np.random.default_rng(3).standard_normal(shape)
+    want = z if schedule.kind == "vp" else alpha_sigma(schedule, M)[1] * z
+    np.testing.assert_array_equal(x, want)
 
 
 def test_ddim_step_terminal_is_prediction(world, vp):
@@ -208,7 +221,8 @@ def _reference_x0(den, xt, y, t):
     if not isinstance(den, LeakyDenoiser):
         return exact
     leak = den.leak(t)
-    return (1.0 - leak) * exact + leak * broadcast_condition(y, world.n_frames)
+    static = np.repeat(y[..., None, :], world.n_frames, axis=-2)  # y in every frame
+    return (1.0 - leak) * exact + leak * static
 
 
 def _reference_sample(den, y0, cfg, schedule, n, rng):

@@ -130,10 +130,12 @@ def test_edm_time_sampler_ve_median(ve):
 
 
 def test_zero_corruption_matches_naive_stream(world, vp):
+    # a zero corruption level draws nothing, so the rest of the stream is
+    # the naive one
     naive = TrainConfig(mode=NAIVE, batch_size=32)
-    noisy = TrainConfig(mode=TIMENOISE, batch_size=32, timenoise=TN)
+    noisy = TrainConfig(mode=CDM_FIXED, batch_size=32, cdm_beta=0.0)
     a = make_training_batch(world, vp, naive, np.random.default_rng(8))
-    b = make_training_batch(world, vp, noisy, np.random.default_rng(8), beta_override=0.0)
+    b = make_training_batch(world, vp, noisy, np.random.default_rng(8))
     np.testing.assert_array_equal(a.xt, b.xt)
     np.testing.assert_array_equal(a.y, b.y)
     np.testing.assert_array_equal(a.t, b.t)

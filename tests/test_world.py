@@ -10,7 +10,6 @@ from toydiffusion.world import (
     GaussianWorld,
     LeakyDenoiser,
     as_eps_prediction,
-    broadcast_condition,
     conditional_frame_cov,
     conditional_moments,
     expected_motion_score,
@@ -234,17 +233,6 @@ def test_leaky_denoiser_blend(world, vp):
         LeakyDenoiser(world, vp, lam_max=1.5, p=1.0)
     with pytest.raises(ValueError):
         LeakyDenoiser(world, vp, lam_max=0.5, p=0.0)
-
-
-def test_broadcast_condition_shapes():
-    y = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(
-        broadcast_condition(y, 3), np.tile(y, (3, 1))
-    )
-    yb = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = broadcast_condition(yb, 3)
-    assert out.shape == (2, 3, 2)
-    np.testing.assert_array_equal(out[1], np.tile(yb[1], (3, 1)))
 
 
 @pytest.mark.parametrize("t", [1e-6, 0.5, 1.0])
