@@ -103,52 +103,52 @@ def standard_init(schedule: NoiseSchedule, M: float, flat_dim: int):
     return InitDistribution(mu_p=np.zeros(flat_dim), sigma_p2=sigma_p2, M=M)
 
 
-def gaussian_kl(mu_q, sigma_q, init: InitDistribution) -> float:
-    """Exact KL(N(mu_q, Sigma_q) || N(mu_p, sigma_p2 I)).
-
-    0.5 [ ||mu_p - mu_q||^2 / s2 + d log s2 + tr(Sigma_q)/s2
-          - log det Sigma_q - d ].
-    Raises np.linalg.LinAlgError when Sigma_q is not positive definite.
+def gaussian_kl(mu_q, frame_cov, init: InitDistribution) -> float:
+    """Exact KL(N(mu_q, C (x) I_k) || N(mu_p, sigma_p2 I)) for an N x N frame
+    factor C and k = D / N, D = mu_q.size (a full covariance is k = 1):
+    0.5 [ ||mu_p - mu_q||^2 / s2 + D log s2 + k tr(C)/s2 - k log det C - D ].
+    Raises np.linalg.LinAlgError when C is not positive definite.
     """
     mu_q = np.asarray(mu_q, dtype=np.float64).ravel()
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
-    d = mu_q.size
-    if init.mu_p.size != d or sigma_q.shape != (d, d):
+    frame_cov = np.asarray(frame_cov, dtype=np.float64)
+    d, n = mu_q.size, len(frame_cov)
+    if frame_cov.shape != (n, n) or not n or d % n or init.mu_p.size != d:
         raise ValueError("dimension mismatch between q moments and init")
-    chol = np.linalg.cholesky(sigma_q)
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    k = d // n
+    chol = np.linalg.cholesky(frame_cov)
+    logdet_q = 2.0 * k * float(np.sum(np.log(np.diag(chol))))
     diff = init.mu_p - mu_q
     s2 = init.sigma_p2
     return 0.5 * (
         float(diff @ diff) / s2
         + d * np.log(s2)
-        + float(np.trace(sigma_q)) / s2
+        + k * float(np.trace(frame_cov)) / s2
         - logdet_q
         - d
     )
 
 
-def verify_optimality(mu_q, sigma_q, init: InitDistribution) -> dict:
+def verify_optimality(mu_q, frame_cov, init: InitDistribution) -> dict:
     """Brute-force check that `init` minimizes the KL over a fixed grid.
 
-    The 9 x 9 cells rescale the variance by kappa in geomspace(0.5, 2, 9)
-    and shift the mean by linspace(-1, 1, 9) along 1/sqrt(d); the cell
+    The q moments mu_q and frame factor C are read as in gaussian_kl.  The
+    9 x 9 cells rescale the variance by kappa in geomspace(0.5, 2, 9) and
+    shift the mean by linspace(-1, 1, 9) along 1/sqrt(D); the cell
     (kappa=1, shift=0) is the candidate optimum, and every other cell must
     exceed its KL by more than 1e-9.  Also cross-checks the stationarity
-    formula sigma_p2 = (tr(Sigma_q) + ||mu_p - mu_q||^2) / d to 1e-10.
+    formula sigma_p2 = (k tr(C) + ||mu_p - mu_q||^2) / D to 1e-10.
     """
+    kl_opt = gaussian_kl(mu_q, frame_cov, init)  # also checks the shapes
     mu_q = np.asarray(mu_q, dtype=np.float64).ravel()
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
-    d = mu_q.size
+    d, k = mu_q.size, mu_q.size // len(frame_cov)
     kappas = np.geomspace(0.5, 2.0, 9)  # symmetric in log, includes 1
     delta_scales = np.linspace(-1.0, 1.0, 9)
     direction = np.ones(d) / np.sqrt(d)
 
     diff = init.mu_p - mu_q
-    sigma_formula = (float(np.trace(sigma_q)) + float(diff @ diff)) / d
+    sigma_formula = (k * float(np.trace(frame_cov)) + float(diff @ diff)) / d
     sigma_gap = abs(init.sigma_p2 - sigma_formula)
 
-    kl_opt = gaussian_kl(mu_q, sigma_q, init)
     grid = []
     worst_margin = np.inf
     for kappa in kappas:
@@ -158,7 +158,7 @@ def verify_optimality(mu_q, sigma_q, init: InitDistribution) -> dict:
                 sigma_p2=init.sigma_p2 * float(kappa),
                 M=init.M,
             )
-            kl = gaussian_kl(mu_q, sigma_q, perturbed)
+            kl = gaussian_kl(mu_q, frame_cov, perturbed)
             at_optimum = bool(kappa == 1.0) and bool(scale == 0.0)
             grid.append(
                 {

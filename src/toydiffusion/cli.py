@@ -64,7 +64,7 @@ from .world import (
     GaussianWorld,
     LeakyDenoiser,
     expected_motion_score,
-    kron_cov,
+    first_frames,
     marginal_moments_at,
     sample_videos,
 )
@@ -143,10 +143,10 @@ def save_config(path, cfg: ExperimentConfig) -> None:
 
 
 def _video_rows(videos):
-    """CSV columns x0, x1, ... and one row per flattened video."""
+    """One CSV row per flattened video, in columns x0, x1, ..."""
     flat = np.asarray(videos).reshape(len(videos), -1)
     names = [f"x{i}" for i in range(flat.shape[1])]
-    return names, [dict(zip(names, row)) for row in flat]
+    return [dict(zip(names, row)) for row in flat]
 
 
 def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
@@ -198,7 +198,7 @@ def _cmd_world_sample(cfg, args, out):
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng([cfg.seed, 0, 0])
-    write_csv(out, *_video_rows(sample_videos(cfg.world, args.n, rng)))
+    write_csv(out, _video_rows(sample_videos(cfg.world, args.n, rng)))
 
 
 def _cmd_estimate_init(cfg, args, out):
@@ -223,9 +223,8 @@ def _cmd_prop1_check(cfg, args, out):
     reports = []
     for m_start in cfg.diagnostics.m_grid:
         mu_q, frame_cov = marginal_moments_at(cfg.world, cfg.schedule, m_start)
-        sigma_q = kron_cov(frame_cov, cfg.world.frame_dim)
         init = optimal_init(moments, cfg.schedule, m_start)
-        reports.append(verify_optimality(mu_q, sigma_q, init))
+        reports.append(verify_optimality(mu_q, frame_cov, init))
     passed = all(rep["passed"] for rep in reports)
     write_json(out, {"passed": passed, "reports": reports})
     if not passed:
@@ -257,12 +256,10 @@ def _cmd_sample(cfg, args, out):
         start_time=m_start, steps=steps, init=init,
         inference_beta=cfg.sampler.inference_beta,
     )
-    y0 = cfg.world.m0 + cfg.world.s0 * np.random.default_rng(
-        [cfg.seed, 0, 1]
-    ).standard_normal((args.n, cfg.world.frame_dim))
+    y0 = first_frames(cfg.world, args.n, np.random.default_rng([cfg.seed, 0, 1]))
     rng = np.random.default_rng([cfg.seed, 0, 2])
     videos = sample_batch(denoiser, y0, run_cfg, cfg.schedule, args.n, rng)
-    write_csv(out, *_video_rows(videos))
+    write_csv(out, _video_rows(videos))
     ms = motion_scores(videos)
     write_json(
         out + ".summary.json",
@@ -284,7 +281,7 @@ def _cmd_diagnose_leakage(cfg, args, out):
     curve = leakage_curve(
         denoiser, eval_videos, cfg.schedule, cfg.diagnostics.t_grid, cfg.seed
     )
-    write_csv(out, ["t", "ratio"], curve.rows())
+    write_csv(out, curve.rows())
 
 
 def _cmd_diagnose_motion_sweep(cfg, args, out):
@@ -292,9 +289,9 @@ def _cmd_diagnose_motion_sweep(cfg, args, out):
     targets = cfg.diagnostics.targets or (expected_motion_score(cfg.world),)
     rows = motion_sweep(
         denoiser, targets, cfg.world, cfg.schedule, cfg.sampler,
-        cfg.diagnostics.n_chains, cfg.seed, conditioned=args.conditioned,
+        cfg.diagnostics.n_chains, cfg.seed,
     )
-    write_csv(out, ["input_ms", "output_ms_mean", "error"], rows)
+    write_csv(out, rows)
 
 
 def _cmd_diagnose_init_ablation(cfg, args, out):
@@ -303,9 +300,7 @@ def _cmd_diagnose_init_ablation(cfg, args, out):
         cfg.world, cfg.schedule, cfg.diagnostics.m_grid, (STANDARD, ANALYTIC),
         denoiser, cfg.diagnostics.n_chains, cfg.seed, steps=cfg.sampler.steps,
     )
-    write_csv(
-        out, ["M", "init", "kl", "mean_output_ms", "mean_err", "cov_err"], rows
-    )
+    write_csv(out, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     dm = _command(dsub, "motion-sweep", _cmd_diagnose_motion_sweep,
                   "motion_sweep.csv", "output motion vs expectation")
     _add_denoiser_flags(dm)
-    dm.add_argument("--conditioned", action="store_true")
 
     da = _command(dsub, "init-ablation", _cmd_diagnose_init_ablation,
                   "init_ablation.csv", "start-time x init-mode comparison table")
@@ -393,33 +387,40 @@ def _emit_error(kind: str, exc) -> None:
 def main(argv=None) -> int:
     """Parse, load the config, resolve --out, run the command, write the
     manifest; map config and numerical failures to exit codes 2 and 3.
-    Any other exception is a bug and propagates."""
+    Any other exception is a bug and propagates.  A failed run removes the
+    output_dir it created while that is still empty."""
     args = build_parser().parse_args(argv)
     experiment = args.command + (
         "-" + args.experiment if args.command == "diagnose" else "")
     # the manifest records exactly the parsed flags
     flags = {k: v for k, v in vars(args).items()
              if k not in ("func", "default_out")}
+    made, code = None, 1  # code stays 1 when a bug propagates
     try:
         cfg = load_config(args.config)
         out = args.out
         if out is None:
-            os.makedirs(cfg.output_dir, exist_ok=True)
+            if not os.path.isdir(cfg.output_dir):
+                os.makedirs(cfg.output_dir)
+                made = cfg.output_dir
             out = os.path.join(cfg.output_dir, args.default_out.format(**flags))
         code = args.func(cfg, args, out) or 0
         write_manifest(
             out + ".manifest.json", experiment,
             {"experiment_config": to_payload(cfg), "args": flags}, cfg.seed,
         )
-        return code
     except (TrainingDiverged, SamplerDiverged, np.linalg.LinAlgError,
             FloatingPointError, OverflowError) as exc:
         _emit_error("numerical", exc)
-        return 3
+        code = 3
     except (ValueError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError) as exc:
         _emit_error("config", exc)
-        return 2
+        code = 2
+    finally:
+        if code and made and not os.listdir(made):
+            os.rmdir(made)
+    return code
 
 
 def entry() -> None:

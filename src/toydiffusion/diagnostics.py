@@ -29,7 +29,7 @@ from .train import TrainedDenoiser
 from .world import (
     conditional_moments,
     expected_motion_score,
-    kron_cov,
+    first_frames,
     marginal_moments_at,
     x0_from_eps,
 )
@@ -102,28 +102,22 @@ def leakage_curve(denoiser, eval_videos, schedule, t_grid, seed: int):
     )
 
 
-def motion_sweep(
-    denoiser, targets, world, schedule, config: SamplerConfig, n: int, seed: int,
-    conditioned: bool = False,
-):
+def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: int,
+                 seed: int):
     """Generate per target and compare output motion to the expectation.
 
-    Unconditioned: the expectation is the world's closed-form mean motion
-    score and the target list only sets the number of repeats.
-    Conditioned: each target is fed to a motion-conditioned checkpoint as
-    its scalar feature and is itself the expectation.
+    A checkpoint trained with the motion feature gets each target as its
+    scalar feature, and the target is itself the expectation.  Any other
+    denoiser is compared with the world's closed-form mean motion score,
+    and the target list only sets the number of repeats.
     """
-    if conditioned:
-        model = getattr(denoiser, "model", None)
-        if model is None or not model.motion_feature:
-            raise ValueError(
-                "conditioned sweep requires a motion-conditioned checkpoint"
-            )
+    conditioned = (isinstance(denoiser, TrainedDenoiser)
+                   and denoiser.model.motion_feature)
     gt_ms = expected_motion_score(world)
     rows = []
     for j, target in enumerate(targets):
         rng = np.random.default_rng([seed, _SWEEP_TAG, j])
-        y0 = world.m0 + world.s0 * rng.standard_normal((n, world.frame_dim))
+        y0 = first_frames(world, n, rng)
         active = denoiser
         if conditioned:
             active = TrainedDenoiser(
@@ -178,15 +172,12 @@ def init_ablation(
     The chain generator is re-created per start time, so init modes at the
     same M share their standard-normal draws (paired comparison).
     """
-    y0 = world.m0 + world.s0 * np.random.default_rng(
-        [seed, _ABLATION_TAG, 1, 0]
-    ).standard_normal(world.frame_dim)
+    y0 = first_frames(world, 1, np.random.default_rng([seed, _ABLATION_TAG, 1, 0]))[0]
     moments = exact_moments(world)
     rows = []
     for i, m_start in enumerate(m_grid):
         m_start = float(m_start)
         mu_q, frame_cov_q = marginal_moments_at(world, schedule, m_start)
-        sigma_q = kron_cov(frame_cov_q, world.frame_dim)
         for mode in init_modes:
             if mode == STANDARD:
                 init_obj = standard_init(schedule, m_start, world.flat_dim)
@@ -194,7 +185,7 @@ def init_ablation(
                 init_obj = optimal_init(moments, schedule, m_start)
             else:
                 raise ValueError(f"unknown init mode {mode!r}")
-            kl = gaussian_kl(mu_q, sigma_q, init_obj)
+            kl = gaussian_kl(mu_q, frame_cov_q, init_obj)
             config = SamplerConfig(start_time=m_start, steps=steps, init=init_obj)
             rng = np.random.default_rng([seed, _ABLATION_TAG, 0, i])
             out = sample_batch(denoiser, y0, config, schedule, n, rng)
@@ -224,8 +215,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, fieldnames, rows) -> None:
-    """Write dict rows with repr-formatted floats (shortest round-trip)."""
+def write_csv(path, rows) -> None:
+    """Write dict rows under a header of the first row's keys, floats
+    repr-formatted (shortest round-trip); every row has those keys."""
+    fieldnames = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)

@@ -100,6 +100,10 @@ class TrainConfig:
             object.__setattr__(
                 self, "s_w_choices", tuple(float(s) for s in self.s_w_choices) or None
             )
+        if self.s_w_choices and not self.motion_feature:
+            raise ValueError("s_w_choices needs motion_feature, the only reader of it")
+        if self.s_w_choices and not all(s > 0.0 for s in self.s_w_choices):
+            raise ValueError(f"s_w_choices must be positive, got {self.s_w_choices}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +320,7 @@ def _sample_clean_batch(world, config, rng):
     With s_w_choices, each video's innovation scale is picked before any
     video is drawn."""
     b = config.batch_size
-    if config.motion_feature and config.s_w_choices:
+    if config.s_w_choices:  # set only with motion_feature
         choices = np.asarray(config.s_w_choices, dtype=np.float64)
         pick = rng.integers(0, len(choices), size=b)
         x0 = sample_videos(world, b, rng, s_w=choices[pick])

@@ -46,8 +46,10 @@ class GaussianWorld:
     s_w: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_frames < 1 or self.frame_dim < 1:
-            raise ValueError("n_frames and frame_dim must be at least 1")
+        if self.n_frames < 2:
+            raise ValueError(f"n_frames must be at least 2, got {self.n_frames}")
+        if self.frame_dim < 1:
+            raise ValueError("frame_dim must be at least 1")
         for name in ("s0", "s_w"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -79,6 +81,11 @@ class GaussianWorld:
 # Sampling
 
 
+def first_frames(world: GaussianWorld, n: int, rng: np.random.Generator):
+    """Draw n first frames m0 + s0 z, shape (n, d)."""
+    return world.m0 + world.s0 * rng.standard_normal((n, world.frame_dim))
+
+
 def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
                   first=None, s_w=None):
     """Draw n videos, shape (n, N, d).
@@ -86,24 +93,16 @@ def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
     first pins frame 1 to a given (d,) frame and draws nothing for it.
     s_w overrides the world's innovation scale, either as a scalar or as
     one value per video.  Draw order: first frames, then increments.
-    Frames are first = m0 + s0 z and first + cumsum(drift + s_w z'), each
-    operation written in place into the one output array.
+    Frames are first_frames(...) and first + cumsum(drift + s_w z'), the
+    increments written in place into the one output array.
     """
     out = np.empty((n, world.n_frames, world.frame_dim))
-    first_out = out[:, :1]
-    if first is None:
-        z = rng.standard_normal(first_out.shape)
-        z *= world.s0
-        np.add(world.m0, z, out=first_out)
-    else:
-        first_out[...] = first
-    if world.n_frames == 1:
-        return out
+    out[:, 0] = first_frames(world, n, rng) if first is None else first
     inc = rng.standard_normal((n, world.n_frames - 1, world.frame_dim))
     inc *= world.s_w if s_w is None else np.reshape(s_w, (-1, 1, 1))
     inc += world.drift
     np.cumsum(inc, axis=1, out=inc)
-    np.add(first_out, inc, out=out[:, 1:])
+    np.add(out[:, :1], inc, out=out[:, 1:])
     return out
 
 

@@ -59,6 +59,51 @@ def test_kl_requires_positive_definite_q():
     init = InitDistribution(mu_p=np.zeros(2), sigma_p2=1.0, M=1.0)
     with pytest.raises(np.linalg.LinAlgError):
         gaussian_kl(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), init)
+    # the same indefinite matrix as the frame factor of a 2 x 3 video
+    init = InitDistribution(mu_p=np.zeros(6), sigma_p2=1.0, M=1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        gaussian_kl(np.zeros(6), np.array([[1.0, 2.0], [2.0, 1.0]]), init)
+
+
+def test_kl_rejects_mean_not_a_whole_number_of_frames():
+    init = InitDistribution(mu_p=np.zeros(7), sigma_p2=1.0, M=1.0)
+    with pytest.raises(ValueError):
+        gaussian_kl(np.zeros(7), np.eye(2), init)  # 7 is not 2 k
+    with pytest.raises(ValueError):
+        verify_optimality(np.zeros(7), np.eye(2), init)
+
+
+# the three worlds of acceptance criterion 1
+_WORLDS = {
+    "default": td.GaussianWorld(),
+    "six-frames": td.GaussianWorld(n_frames=6, frame_dim=3, m0=1.0, s0=2.0,
+                                   drift=-0.3, s_w=1.2),
+    "twelve-frames": td.GaussianWorld(n_frames=12, frame_dim=2,
+                                      m0=np.array([1.5, -0.5]), s0=0.7,
+                                      drift=0.05, s_w=0.25),
+}
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("world", _WORLDS.values(), ids=_WORLDS.keys())
+def test_kl_on_frame_factor_matches_dense_kron(request, world, schedule_name):
+    # the N x N frame factor gives the KL of the dense (N d) x (N d)
+    # kron_cov covariance to 1e-13 absolute, at every cell of the
+    # optimality grid, and the grid reaches the same verdict
+    schedule = request.getfixturevalue(schedule_name)
+    moments = exact_moments(world)
+    for M in (1.0, 0.96, 0.9, 0.8, 0.5, 0.1):
+        mu_q, cov_f = marginal_moments_at(world, schedule, M)
+        dense = kron_cov(cov_f, world.frame_dim)
+        standard = standard_init(schedule, M, world.flat_dim)
+        assert abs(gaussian_kl(mu_q, cov_f, standard)
+                   - gaussian_kl(mu_q, dense, standard)) <= 1e-13
+        opt = optimal_init(moments, schedule, M)
+        got, want = verify_optimality(mu_q, cov_f, opt), verify_optimality(
+            mu_q, dense, opt)
+        assert got["passed"] == want["passed"]
+        np.testing.assert_allclose([c["kl"] for c in got["grid"]],
+                                   [c["kl"] for c in want["grid"]], rtol=0, atol=1e-13)
 
 
 def test_optimum_agrees_with_numerical_minimizer(world, vp):

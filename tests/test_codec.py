@@ -40,7 +40,8 @@ CASES = {
                                            m_grid=(0.9,), n_chains=2,
                                            targets=(1.5,)),
     "ExperimentConfig": config_from_payload(
-        {"train": {"mode": "cdm", "cdm_beta": 0.3, "s_w_choices": [0.5]},
+        {"train": {"mode": "cdm", "cdm_beta": 0.3, "s_w_choices": [0.5],
+                   "motion_feature": True},
          "sampler": {"start_time": 0.9, "init": to_payload(INIT)}, "seed": 4}),
 }
 

@@ -499,9 +499,64 @@ def test_non_positive_motion_target_is_rejected(tmp_path, capsys, target):
     payload["diagnostics"]["targets"] = [1.0, target]
     (tmp_path / "config.json").write_text(json.dumps(payload))
     capsys.readouterr()
-    assert main(["diagnose", "motion-sweep", "--config", cfgp, "--conditioned",
+    assert main(["diagnose", "motion-sweep", "--config", cfgp,
                  "--denoiser", f"ckpt:{ck}", "--out", str(tmp_path / "x.csv")]) == 2
     assert "targets" in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "2"], ["diagnose", "leakage"], ["diagnose", "motion-sweep"],
+], ids=["sample", "leakage", "motion-sweep"])
+def test_one_frame_world_is_rejected(tmp_path, capsys, argv):
+    # a one-frame video has no motion to score; sample used to write its CSV
+    # and then fail on the motion summary, with no manifest
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["world"]["n_frames"] = 1
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([*argv, "--config", cfgp, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "n_frames" in _one_config_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+_VIDEO_COLUMNS = [f"x{i}" for i in range(8 * 4)]
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["world-sample", "--n", "3"], _VIDEO_COLUMNS),
+    (["sample", "--n", "3"], _VIDEO_COLUMNS),
+    (["diagnose", "leakage"], ["t", "ratio"]),
+    (["diagnose", "motion-sweep"], ["input_ms", "output_ms_mean", "error"]),
+    (["diagnose", "init-ablation"],
+     ["M", "init", "kl", "mean_output_ms", "mean_err", "cov_err"]),
+], ids=["world-sample", "sample", "leakage", "motion-sweep", "init-ablation"])
+def test_csv_header_columns(tmp_path, argv, header):
+    # cli.py states no column list; each header is the keys of the rows
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--config", small_config(tmp_path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].split(",") == header
+
+
+def test_failed_run_leaves_no_empty_output_dir(tmp_path, monkeypatch):
+    # without --out a command writes under output_dir, which main creates;
+    # a run that fails before writing anything removes it again
+    monkeypatch.chdir(tmp_path)
+    assert main(["world-sample", "--n", "0"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    # a failed acceptance check keeps the report it wrote, a success its output
+    monkeypatch.setattr("toydiffusion.cli.verify_optimality",
+                        lambda *args: {"passed": False})
+    assert main(["prop1-check"]) == 4
+    assert main(["world-sample", "--n", "2"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "prop1_report.json", "prop1_report.json.manifest.json",
+        "videos.csv", "videos.csv.manifest.json"]
+    # an empty output_dir that the run did not create stays
+    (tmp_path / "other" / "out").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "other")
+    assert main(["world-sample", "--n", "0"]) == 2
+    assert (tmp_path / "other" / "out").is_dir()
 
 
 def test_python_m_toydiffusion_is_the_cli(tmp_path):

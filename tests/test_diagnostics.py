@@ -100,14 +100,8 @@ def test_motion_sweep_unconditioned(world, vp):
     assert rows[0]["output_ms_mean"] != rows[1]["output_ms_mean"]
 
 
-def test_motion_sweep_conditioned_requires_feature(world, vp):
-    den = ExactDenoiser(world, vp)
-    with pytest.raises(ValueError):
-        motion_sweep(den, [2.0], world, vp, td.SamplerConfig(1.0, 5), 8, 0,
-                     conditioned=True)
-
-
 def test_motion_sweep_conditioned_with_trained_model(world, vp):
+    # a motion-feature checkpoint is conditioned on each target, unasked
     cfg = td.TrainConfig(
         mode="naive", steps=300, seed=0, motion_feature=True,
         s_w_choices=(0.25, 0.5, 1.0),
@@ -116,7 +110,7 @@ def test_motion_sweep_conditioned_with_trained_model(world, vp):
     model, params, *_ = td.load_checkpoint(ckpt)
     den = td.TrainedDenoiser(model, params, vp)
     rows = motion_sweep(den, [1.0, 3.0], world, vp, td.SamplerConfig(1.0, 20),
-                        n=64, seed=1, conditioned=True)
+                        n=64, seed=1)
     assert [row["input_ms"] for row in rows] == [1.0, 3.0]
     for row in rows:
         assert np.isfinite(row["output_ms_mean"])
@@ -159,19 +153,18 @@ def test_standard_row_replays_from_its_init(request, world, schedule_name):
     # sampling from that object, or from init=None, gives the row again
     from toydiffusion.analytic_init import gaussian_kl, standard_init
     from toydiffusion.diagnostics import _ABLATION_TAG
-    from toydiffusion.world import kron_cov, marginal_moments_at
+    from toydiffusion.world import first_frames, marginal_moments_at
 
     schedule = request.getfixturevalue(schedule_name)
     leaky = LeakyDenoiser(world, schedule, lam_max=0.8, p=4.0)
     m_grid, seed, n, steps = [1.0, 0.9], 4, 32, 6
     rows = init_ablation(world, schedule, m_grid, ["standard"], leaky, n, seed,
                          steps=steps)
-    y0 = world.m0 + world.s0 * np.random.default_rng(
-        [seed, _ABLATION_TAG, 1, 0]).standard_normal(world.frame_dim)
+    y0 = first_frames(world, 1, np.random.default_rng([seed, _ABLATION_TAG, 1, 0]))[0]
     for i, (m_start, row) in enumerate(zip(m_grid, rows)):
         init = standard_init(schedule, m_start, world.flat_dim)
         mu_q, cov_f = marginal_moments_at(world, schedule, m_start)
-        assert row["kl"] == gaussian_kl(mu_q, kron_cov(cov_f, world.frame_dim), init)
+        assert row["kl"] == gaussian_kl(mu_q, cov_f, init)
         for cfg in (td.SamplerConfig(m_start, steps, init=init),
                     td.SamplerConfig(m_start, steps)):
             rng = np.random.default_rng([seed, _ABLATION_TAG, 0, i])
@@ -192,7 +185,7 @@ def test_write_csv_floats_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
     rows = [{"t": 0.1 + 0.2, "ratio": 1 / 3}, {"t": 1e-17, "ratio": -2.5},
             {"t": np.float64(4.8e-4), "ratio": np.float64(1 / 7)}]
-    write_csv(path, ["t", "ratio"], rows)
+    write_csv(path, rows)
     with open(path, newline="") as fh:
         got = list(csv.DictReader(fh))
     for want, back in zip(rows, got):

@@ -307,6 +307,12 @@ def test_train_config_round_trip_and_validation():
         TrainConfig(mode=NAIVE, lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(mode=NAIVE, cond_frame="last")
+    # only the motion feature reads s_w_choices, and a choice is an s_w > 0
+    for kwargs in (dict(s_w_choices=(0.1, 5.0)),
+                   dict(motion_feature=True, s_w_choices=(0.5, 0.0)),
+                   dict(motion_feature=True, s_w_choices=(-1.0,))):
+        with pytest.raises(ValueError, match="s_w_choices"):
+            TrainConfig(mode=NAIVE, **kwargs)
 
 
 def test_batch_container_fields(world, vp):

@@ -269,6 +269,8 @@ def test_world_validation():
         GaussianWorld(s0=-1.0)
     with pytest.raises(ValueError):
         GaussianWorld(m0=np.zeros(3), frame_dim=4)
+    with pytest.raises(ValueError, match="n_frames"):
+        GaussianWorld(n_frames=1)  # one frame has no motion to score
     # non-finite fields, and magnitudes whose prior covariance trace
     # N s0^2 + s_w^2 N (N - 1) / 2 overflows, are rejected by name
     for kwargs, name in [
