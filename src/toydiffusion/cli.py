@@ -251,11 +251,10 @@ def _cmd_sample(cfg, args, out):
     m_start = cfg.sampler.start_time if args.M is None else args.M
     steps = cfg.sampler.steps if args.steps is None else args.steps
     denoiser = _build_denoiser(args, cfg)
-    init = _load_init(args.init, m_start, cfg)
-    run_cfg = SamplerConfig(
-        start_time=m_start, steps=steps, init=init,
-        inference_beta=cfg.sampler.inference_beta,
-    )
+    init = cfg.sampler.init
+    if args.init is not None:
+        init = _load_init(args.init, m_start, cfg)
+    run_cfg = replace(cfg.sampler, start_time=m_start, steps=steps, init=init)
     y0 = first_frames(cfg.world, args.n, np.random.default_rng([cfg.seed, 0, 1]))
     rng = np.random.default_rng([cfg.seed, 0, 2])
     videos = sample_batch(denoiser, y0, run_cfg, cfg.schedule, args.n, rng)
@@ -355,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     sa = _command(sub, "sample", _cmd_sample, "samples.csv",
                   "run reverse chains and save videos")
     _add_denoiser_flags(sa)
-    sa.add_argument("--init", default="standard",
-                    help="standard | analytic | analytic:PATH")
+    sa.add_argument("--init",
+                    help="standard | analytic | analytic:PATH "
+                         "(default: the config's sampler.init)")
     sa.add_argument("--M", type=float)
     sa.add_argument("--steps", type=int)
     sa.add_argument("--n", type=int, default=100)
@@ -387,22 +387,27 @@ def _emit_error(kind: str, exc) -> None:
 def main(argv=None) -> int:
     """Parse, load the config, resolve --out, run the command, write the
     manifest; map config and numerical failures to exit codes 2 and 3.
-    Any other exception is a bug and propagates.  A failed run removes the
-    output_dir it created while that is still empty."""
+    Any other exception is a bug and propagates.  A failed run removes
+    each directory it created for output_dir while that is still empty."""
     args = build_parser().parse_args(argv)
     experiment = args.command + (
         "-" + args.experiment if args.command == "diagnose" else "")
     # the manifest records exactly the parsed flags
     flags = {k: v for k, v in vars(args).items()
              if k not in ("func", "default_out")}
-    made, code = None, 1  # code stays 1 when a bug propagates
+    made, code = [], 1  # code stays 1 when a bug propagates
     try:
         cfg = load_config(args.config)
         out = args.out
         if out is None:
-            if not os.path.isdir(cfg.output_dir):
-                os.makedirs(cfg.output_dir)
-                made = cfg.output_dir
+            path = os.path.abspath(cfg.output_dir)
+            while not os.path.lexists(path):  # what makedirs creates, deepest first
+                made.append(path)
+                path = os.path.dirname(path)
+            if not os.path.isdir(path):
+                raise ConfigError(
+                    f"output_dir {cfg.output_dir}: {path} is not a directory")
+            os.makedirs(cfg.output_dir, exist_ok=True)
             out = os.path.join(cfg.output_dir, args.default_out.format(**flags))
         code = args.func(cfg, args, out) or 0
         write_manifest(
@@ -418,8 +423,9 @@ def main(argv=None) -> int:
         _emit_error("config", exc)
         code = 2
     finally:
-        if code and made and not os.listdir(made):
-            os.rmdir(made)
+        for path in made if code else ():  # deepest first
+            if os.path.isdir(path) and not os.listdir(path):
+                os.rmdir(path)
     return code
 
 

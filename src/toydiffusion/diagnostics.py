@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_init import exact_moments, gaussian_kl, optimal_init, standard_init
-from .sampler import ANALYTIC, STANDARD, SamplerConfig, sample_batch
+from .sampler import ANALYTIC, STANDARD, SamplerConfig, check_schedule, sample_batch
 from .schedule import perturb
 from .train import TrainedDenoiser
 from .world import (
@@ -62,11 +62,11 @@ def one_step_prediction(denoiser, x0, y0, schedule, t, rng):
     clean-video estimate: (x_t - sigma_t eps_hat) / alpha_t."""
     if not 0.0 < t <= 1.0:
         raise ValueError("one-step prediction requires t in (0, 1]")
+    oracle = isinstance(denoiser, OracleEps)
+    if not oracle:
+        check_schedule(denoiser, schedule)
     xt, eps = perturb(schedule, x0, t, rng)
-    if isinstance(denoiser, OracleEps):
-        eps_hat = eps
-    else:
-        eps_hat = denoiser.predict_eps(xt, y0, t)
+    eps_hat = eps if oracle else denoiser.predict_eps(xt, y0, t)
     return x0_from_eps(eps_hat, xt, schedule, t)
 
 

@@ -5,14 +5,15 @@ repeatedly applies
 
     x_next = alpha_next x0_hat + (sigma_next / sigma_cur) (x_cur - alpha_cur x0_hat)
 
-with x0_hat supplied by any denoiser exposing predict_x0.  Each step is
-written in place into the array predict_x0 returns, so predict_x0 must
-return a new writable array that its caller owns.  The initial
-state is drawn from the config's init, a Gaussian fitted to the time-M
-marginal, or else from standard_init, the conventional prior.
-Initial draws are formed by affine-mapping one shared standard-normal
-tensor, so runs that differ only in the init distribution are paired
-sample-by-sample under a shared seed.
+with x0_hat from a denoiser.  A denoiser has predict_x0(xt, y, t), which
+returns a new writable array its caller owns (each step is written in
+place into it), shape, the (n_frames, frame_dim) of one video, and
+schedule, which must be the sampler's.  The initial state is drawn from
+the config's init, a Gaussian fitted to the time-M marginal, or else
+from standard_init, the conventional prior.  Initial draws are formed
+by affine-mapping one shared standard-normal tensor, so runs that differ
+only in the init distribution are paired sample-by-sample under a
+shared seed.
 """
 
 from __future__ import annotations
@@ -103,14 +104,13 @@ def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
     return x0_hat
 
 
-def _video_shape(denoiser):
-    world = getattr(denoiser, "world", None)
-    if world is not None:
-        return world.n_frames, world.frame_dim
-    model = getattr(denoiser, "model", None)
-    if model is not None:
-        return model.n_frames, model.frame_dim
-    raise ValueError("cannot infer video shape from this denoiser")
+def check_schedule(denoiser, schedule: NoiseSchedule) -> None:
+    """Reject a denoiser built for another schedule than the caller's."""
+    if denoiser.schedule != schedule:
+        raise ValueError(
+            f"denoiser schedule {denoiser.schedule} differs from the run's "
+            f"schedule {schedule}"
+        )
 
 
 def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
@@ -118,16 +118,15 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
 
     y0 may be one frame (shared by all chains) or a batch of n frames.
     """
-    n_frames, frame_dim = _video_shape(denoiser)
+    check_schedule(denoiser, schedule)
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim == 2 and y0.shape[0] != n:
         raise ValueError("per-chain conditions must match the chain count")
-    x = draw_initial(config, schedule, (n, n_frames, frame_dim), rng)
+    x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
     if config.inference_beta is None or config.inference_beta == 0.0:
         y = y0
     else:
-        eps_shape = y0.shape if y0.ndim == 2 else (n,) + y0.shape
-        y = y0 + config.inference_beta * rng.standard_normal(eps_shape)
+        y = y0 + config.inference_beta * rng.standard_normal((n, y0.shape[-1]))
     grid = time_grid(config.start_time, config.steps)
     for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
         x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)

@@ -115,14 +115,17 @@ _HARMONICS = np.arange(1, TIME_HARMONICS + 1, dtype=np.float64)
 
 def time_features(t, out=None):
     """Fourier time encoding [t, sin(2 pi k t), cos(2 pi k t)], k = 1..4, one
-    row per time; written into the (len(t), F_TIME) array out when given."""
+    row per time; written into the (B, F_TIME) array out when given, every
+    row of it when t is a single time."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if out is None:
         out = np.empty((t.shape[0], F_TIME))
     angles = 2.0 * np.pi * t[:, None] * _HARMONICS
+    # assigned rather than written with out=, which would evaluate sin and
+    # cos again for every row that a single time is broadcast to
     out[:, 0] = t
-    np.sin(angles, out=out[:, 1 : 1 + TIME_HARMONICS])
-    np.cos(angles, out=out[:, 1 + TIME_HARMONICS :])
+    out[:, 1 : 1 + TIME_HARMONICS] = np.sin(angles)
+    out[:, 1 + TIME_HARMONICS :] = np.cos(angles)
     return out
 
 
@@ -171,18 +174,15 @@ class MLPDenoiser:
 
     def build_inputs(self, xt, y, t, motion=None):
         """Input rows [flattened xt, y, time features, motion], written
-        block by block into one (B, in_dim) array; returns (x, single)."""
+        block by block into one (B, in_dim) array, B = prod(xt.shape[:-2]);
+        y, t and motion are one per row or one for all."""
         xt = np.asarray(xt, dtype=np.float64)
-        single = xt.ndim == 2
-        if single:
-            xt = xt[None]
-        b = xt.shape[0]
+        b = math.prod(xt.shape[:-2])
         y = np.asarray(y, dtype=np.float64)
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if self.motion_feature and motion is None:
             raise ValueError("this model expects a motion-target feature")
         width = (
-            math.prod(xt.shape[1:]) + (y.shape[-1] if y.ndim else 0) + F_TIME
+            math.prod(xt.shape[-2:]) + (y.shape[-1] if y.ndim else 0) + F_TIME
             + (1 if self.motion_feature else 0)
         )
         if width != self.in_dim:
@@ -193,20 +193,16 @@ class MLPDenoiser:
         o, c = self.out_dim, self.out_dim + self.frame_dim
         x[:, :o] = xt.reshape(b, -1)
         x[:, o:c] = y
-        if t.shape[0] == b:
-            time_features(t, x[:, c : c + F_TIME])
-        else:
-            x[:, c : c + F_TIME] = time_features(t)
+        time_features(t, x[:, c : c + F_TIME])
         if self.motion_feature:
             x[:, -1] = motion
-        return x, single
+        return x
 
     def forward(self, params, xt, y, t, motion=None):
         """Predicted noise, shaped like xt."""
-        x, single = self.build_inputs(xt, y, t, motion)
+        x = self.build_inputs(xt, y, t, motion)
         out = self._forward(_Workspace(self, params, x.shape[0]), x)
-        out = out.reshape(-1, self.n_frames, self.frame_dim)
-        return out[0] if single else out
+        return out.reshape(np.shape(xt))
 
     def _forward(self, work, x):
         """Output for inputs x (B, in_dim); writes h1, h2 and out into work."""
@@ -280,10 +276,10 @@ class TrainedDenoiser:
         self.params = np.asarray(params, dtype=np.float64)
         self.schedule = schedule
         self.motion_value = motion_value
+        self.shape = (model.n_frames, model.frame_dim)
 
     def predict_eps(self, xt, y, t):
-        motion = self.motion_value if self.model.motion_feature else None
-        return self.model.forward(self.params, xt, y, t, motion)
+        return self.model.forward(self.params, xt, y, t, self.motion_value)
 
     def predict_x0(self, xt, y, t):
         return x0_from_eps(self.predict_eps(xt, y, t), xt, self.schedule, t)
@@ -371,8 +367,9 @@ def make_training_batch(world, schedule, config, rng):
 
 def batch_loss(model, params, batch):
     """Mean squared noise-prediction error over the batch."""
-    x, _ = model.build_inputs(batch.xt, batch.y, batch.t, batch.motion)
-    return _residual(model, _Workspace(model, params, x.shape[0]), x, batch)[0]
+    diff = model.forward(params, batch.xt, batch.y, batch.t, batch.motion)
+    diff -= batch.target
+    return float(np.mean(diff * diff))
 
 
 def batch_loss_and_gradient(model, params, batch, work=None):
@@ -381,19 +378,14 @@ def batch_loss_and_gradient(model, params, batch, work=None):
     work is a _Workspace built over params; train() passes the one it
     reuses for every step.  Without it the gradient is a fresh array.
     """
-    x, _ = model.build_inputs(batch.xt, batch.y, batch.t, batch.motion)
+    x = model.build_inputs(batch.xt, batch.y, batch.t, batch.motion)
     if work is None:
         work = _Workspace(model, params, x.shape[0])
-    loss, diff = _residual(model, work, x, batch)
-    diff *= 2.0 / diff.size
-    return loss, model._backward(work, x, diff)
-
-
-def _residual(model, work, x, batch):
-    """Mean squared error and the residual output - target, held in work.out."""
     diff = model._forward(work, x)
     diff -= batch.target.reshape(diff.shape)
-    return float(np.mean(diff * diff)), diff
+    loss = float(np.mean(diff * diff))
+    diff *= 2.0 / diff.size
+    return loss, model._backward(work, x, diff)
 
 
 @dataclass(frozen=True, eq=False)

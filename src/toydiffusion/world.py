@@ -112,16 +112,10 @@ def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
 
 def _frame_means(world: GaussianWorld, y0):
     """Per-frame means with frame 1 at y0: y0 + (i-1) * drift; y0 = m0
-    gives the prior means.
-
-    y0 may be a single (d,) frame or a batch (B, d); the batch axis, if
-    present, leads the output.
+    gives the prior means.  A batch of frames (..., d) gives (..., N, d).
     """
-    y0 = np.asarray(y0, dtype=np.float64)
     steps = np.arange(world.n_frames, dtype=np.float64)[:, None]
-    if y0.ndim == 1:
-        return y0 + steps * world.drift
-    return y0[:, None, :] + steps * world.drift
+    return np.asarray(y0, dtype=np.float64)[..., None, :] + steps * world.drift
 
 
 def prior_frame_cov(world: GaussianWorld):
@@ -218,6 +212,7 @@ class ExactDenoiser:
     def __init__(self, world: GaussianWorld, schedule: NoiseSchedule, conditional=True):
         self.world = world
         self.schedule = schedule
+        self.shape = (world.n_frames, world.frame_dim)
         self.conditional = bool(conditional)
         cov = (conditional_frame_cov if self.conditional else prior_frame_cov)(world)
         lam, self._basis = np.linalg.eigh(cov)
@@ -226,12 +221,9 @@ class ExactDenoiser:
     def predict_x0(self, xt, y, t):
         if not 0.0 < t <= 1.0:
             raise ValueError("exact prediction requires t in (0, 1]")
-        if self.conditional:
-            if y is None:
-                raise ValueError("conditional denoiser needs a conditioning frame")
-            mean = _frame_means(self.world, y)
-        else:
-            mean = _frame_means(self.world, self.world.m0)
+        if self.conditional and y is None:
+            raise ValueError("conditional denoiser needs a conditioning frame")
+        mean = _frame_means(self.world, y if self.conditional else self.world.m0)
         alpha, sigma = alpha_sigma(self.schedule, t)
         shrink = alpha * self._lam / (alpha**2 * self._lam + sigma**2)
         gain = (self._basis * shrink) @ self._basis.T

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,6 +16,7 @@ import toydiffusion as td
 from toydiffusion.analytic_init import estimate_moments, optimal_init
 from toydiffusion.cli import (
     ConfigError,
+    _build_denoiser,
     config_from_payload,
     load_config,
     main,
@@ -636,3 +638,68 @@ def test_fuzzed_config_and_flags_exit_cleanly(fuzz_dir, payload, flags):
               if line.startswith('{"error"')]
     assert len(errors) == (code != 0)
     assert all(e["type"] in ("config", "numerical", "acceptance") for e in errors)
+
+
+def test_sample_reads_sampler_init_from_the_config(tmp_path, capsys):
+    # without --init, sample starts from the config's sampler.init; the flag
+    # still decides when given, and an init fitted at another M is rejected
+    cfgp = small_config(tmp_path)
+    cfg = load_config(cfgp)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["sampler"].update(start_time=0.9, init=to_payload(
+        optimal_init(td.exact_moments(cfg.world), cfg.schedule, 0.9)))
+    fitted = tmp_path / "fitted.json"
+    fitted.write_text(json.dumps(payload))
+
+    def run(config, *flags):
+        out = tmp_path / "s.csv"
+        code = main(["sample", "--config", str(config), "--n", "4", *flags,
+                     "--out", str(out)])
+        if code:
+            return code, None
+        summary = json.loads((tmp_path / "s.csv.summary.json").read_text())
+        return out.read_bytes(), summary["config"]["init"]
+
+    from_config, init = run(fitted)
+    assert init == payload["sampler"]["init"]
+    assert run(fitted, "--init", "analytic")[0] == from_config
+    assert run(cfgp, "--M", "0.9", "--init", "analytic")[0] == from_config
+    standard, init = run(fitted, "--init", "standard")
+    assert init is None and standard != from_config
+    capsys.readouterr()
+    assert run(fitted, "--M", "0.8") == (2, None)
+    assert "different start time" in _one_config_error(capsys)
+
+
+def test_output_dir_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep")
+    (tmp_path / "c.json").write_text(json.dumps({"output_dir": "afile"}))
+    assert main(["world-sample", "--config", "c.json", "--n", "2"]) == 2
+    assert "afile" in _one_config_error(capsys)
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
+def test_failed_run_removes_the_parents_it_created(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"output_dir": "a/b/c"}))
+    assert main(["world-sample", "--config", "c.json", "--n", "0"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    # a parent that was there before the run stays, even when empty
+    (tmp_path / "a").mkdir()
+    assert main(["world-sample", "--config", "c.json", "--n", "0"]) == 2
+    assert list((tmp_path / "a").iterdir()) == []
+
+
+def test_every_sampling_denoiser_states_shape_and_schedule(tmp_path):
+    # the sampler reads the video shape and the schedule from the denoiser
+    cfgp = small_config(tmp_path)
+    ck = tmp_path / "ck.json"
+    assert main(["train", "--config", cfgp, "--mode", "naive", "--steps", "2",
+                 "--out", str(ck)]) == 0
+    cfg = load_config(cfgp)
+    for spec in ("exact", "leaky", f"ckpt:{ck}"):
+        args = argparse.Namespace(denoiser=spec, lam_max=0.8, p=4.0)
+        den = _build_denoiser(args, cfg)
+        assert den.shape == (cfg.world.n_frames, cfg.world.frame_dim)
+        assert den.schedule == cfg.schedule

@@ -58,6 +58,19 @@ def test_oracle_curve_is_exactly_flat(world, vp):
     assert set(rows[0]) == {"t", "ratio"} and rows[0]["t"] == 0.1
 
 
+def test_probe_rejects_a_denoiser_for_another_schedule(world, vp, ve):
+    # a VP denoiser probed on VE corruptions gave a ratio of 3.6e5 at t=0.95;
+    # the oracle stub has no schedule and runs on any
+    evs = td.sample_videos(world, 8, np.random.default_rng(3))
+    model = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8)
+    params = model.init_params(np.random.default_rng(4))
+    for den in (ExactDenoiser(world, vp), LeakyDenoiser(world, vp, 0.8, 4.0),
+                td.TrainedDenoiser(model, params, vp)):
+        with pytest.raises(ValueError, match="schedule"):
+            leakage_curve(den, evs, ve, [0.5], seed=0)
+    assert leakage_curve(OracleEps(), evs, ve, [0.5], seed=0).ratio.shape == (1,)
+
+
 def test_leakage_curve_is_seed_paired(world, vp):
     evs = td.sample_videos(world, 32, np.random.default_rng(3))
     den = ExactDenoiser(world, vp)

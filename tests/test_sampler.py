@@ -164,19 +164,24 @@ def test_single_chain_wrapper(world, vp):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sampler_divergence_detection(world, vp):
     class Bad:
-        world = None
-        model = None
-
-        def __init__(self, w):
-            self.world = w
+        shape = (world.n_frames, world.frame_dim)
+        schedule = vp
 
         def predict_x0(self, xt, y, t):
             return np.full_like(np.asarray(xt), np.inf)
 
     with pytest.raises(SamplerDiverged) as err:
-        sample_batch(Bad(world), np.zeros(4), SamplerConfig(1.0, 10), vp, 2,
+        sample_batch(Bad(), np.zeros(4), SamplerConfig(1.0, 10), vp, 2,
                      np.random.default_rng(9))
     assert err.value.step == 0
+
+
+def test_denoiser_for_another_schedule_is_rejected(world, vp, ve):
+    # a VP posterior mean stepped on the VE grid ran and gave 10x the motion
+    den = ExactDenoiser(world, vp)
+    with pytest.raises(ValueError, match="kind='vp'.*kind='ve'"):
+        sample_batch(den, np.zeros(4), SamplerConfig(1.0, 5), ve, 2,
+                     np.random.default_rng(0))
 
 
 def test_sampler_config_validation(world, vp):

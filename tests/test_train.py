@@ -48,8 +48,8 @@ def test_build_inputs_layout(world):
     rng = np.random.default_rng(0)
     xt = rng.standard_normal((3, 8, 4))
     y = rng.standard_normal((3, 4))
-    x, single = model.build_inputs(xt, y, 0.3)
-    assert not single and x.shape == (3, model.in_dim)
+    x = model.build_inputs(xt, y, 0.3)
+    assert x.shape == (3, model.in_dim)
     np.testing.assert_array_equal(x[:, :32], xt.reshape(3, -1))
     np.testing.assert_array_equal(x[:, 32:36], y)
     np.testing.assert_allclose(x[:, 36:], np.broadcast_to(time_features(0.3), (3, 9)))

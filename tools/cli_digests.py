@@ -1,0 +1,102 @@
+"""Run a fixed set of CLI commands and print one sha256 line per file written.
+
+    python3 tools/cli_digests.py > digests.txt
+
+Every command of the set runs in a fresh temporary directory, once with a
+VP config and once with a VE config, through ``python -m toydiffusion``
+on the ``src/`` tree beside this script and with one OpenBLAS thread.
+The set covers every output kind the CLI writes: videos, an init file, the
+optimality report, checkpoints of all four training modes, samples (exact,
+leaky from an analytic start, a checkpoint, an init file), leakage curves
+(exact, leaky, oracle, checkpoint), motion sweeps (leaky, checkpoint) and
+the init ablation, each with its manifest and, for samples, its summary.
+
+Output lines are ``<sha256>  <schedule>/<file>``, sorted, so running the
+script on two source trees and diffing the two outputs shows every file
+whose bytes differ.  A command that exits non-zero stops the script with
+its stderr and exit code 1.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Small sizes so the whole set runs in well under a minute.  The VE config
+# also noises the sampler's condition, so that draw is covered too.
+CONFIGS = {
+    "vp": {
+        "schedule": {"kind": "vp"},
+        "train": {"steps": 300},
+        "sampler": {"steps": 20},
+        "diagnostics": {"eval_videos": 32, "n_chains": 200, "m_grid": [1.0, 0.9]},
+        "seed": 3,
+    },
+    "ve": {
+        "schedule": {"kind": "ve"},
+        "train": {"steps": 300},
+        "sampler": {"steps": 20, "inference_beta": 0.05},
+        "diagnostics": {"eval_videos": 32, "n_chains": 200, "m_grid": [1.0, 0.9]},
+        "seed": 4,
+    },
+}
+
+COMMANDS = [
+    ["world-sample", "--n", "200", "--out", "videos.csv"],
+    ["estimate-init", "--data", "videos.csv", "--M", "0.9", "--out", "init.json"],
+    ["prop1-check", "--out", "prop1.json"],
+    *(["train", "--mode", mode, "--out", f"ckpt_{mode}.json"]
+      for mode in ("naive", "timenoise", "cdm", "constant")),
+    ["sample", "--n", "100", "--out", "sample_exact.csv"],
+    ["sample", "--n", "100", "--denoiser", "leaky", "--M", "0.9", "--init", "analytic",
+     "--out", "sample_leaky.csv"],
+    ["sample", "--n", "100", "--denoiser", "ckpt:ckpt_timenoise.json",
+     "--out", "sample_ckpt.csv"],
+    ["sample", "--n", "100", "--M", "0.9", "--init", "analytic:init.json",
+     "--out", "sample_initfile.csv"],
+    *(["diagnose", "leakage", "--denoiser", spec, "--out", f"leakage_{name}.csv"]
+      for name, spec in (("exact", "exact"), ("leaky", "leaky"), ("oracle", "oracle"),
+                         ("ckpt", "ckpt:ckpt_timenoise.json"))),
+    *(["diagnose", "motion-sweep", "--denoiser", spec, "--out", f"sweep_{name}.csv"]
+      for name, spec in (("leaky", "leaky"), ("ckpt", "ckpt:ckpt_naive.json"))),
+    ["diagnose", "init-ablation", "--out", "ablation.csv"],
+]
+
+
+def run_set(name, payload, env):
+    """Run COMMANDS under one config in a new directory; return the digest
+    lines of every file left there except the config itself."""
+    with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
+        with open(os.path.join(tmp, "config.json"), "w") as fh:
+            json.dump(payload, fh)
+        for argv in COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toydiffusion", *argv, "--config", "config.json"],
+                cwd=tmp, env=env, capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                sys.stderr.write(
+                    f"{name}: {' '.join(argv)} exited {proc.returncode}\n{proc.stderr}")
+                raise SystemExit(1)
+        lines = []
+        for file in sorted(os.listdir(tmp)):
+            if file == "config.json":
+                continue
+            with open(os.path.join(tmp, file), "rb") as fh:
+                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}/{file}")
+        return lines
+
+
+def main():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    for name, payload in CONFIGS.items():
+        for line in run_set(name, payload, env):
+            print(line)
+
+
+if __name__ == "__main__":
+    main()
