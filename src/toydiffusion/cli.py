@@ -151,7 +151,10 @@ def _video_rows(videos):
 
 def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
     """Resolve a --denoiser flag: exact | leaky | oracle | ckpt:PATH.  The
-    oracle stub returns the probe's own noise, so it cannot drive a sampler."""
+    oracle stub returns the probe's own noise, so it cannot drive a sampler.
+    A checkpoint trained with the motion feature is conditioned on the
+    world's expected motion score, the value its training fed without
+    s_w_choices."""
     spec = args.denoiser
     if spec == "exact":
         return ExactDenoiser(cfg.world, cfg.schedule, conditional=True)
@@ -170,7 +173,8 @@ def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
                     f"checkpoint {name} {to_payload(theirs)} does not match "
                     f"the config {name} {to_payload(ours)}"
                 )
-        return TrainedDenoiser(model, params, cfg.schedule)
+        motion = expected_motion_score(cfg.world) if model.motion_feature else None
+        return TrainedDenoiser(model, params, cfg.schedule, motion_value=motion)
     raise ConfigError(f"unknown denoiser {spec!r}")
 
 

@@ -9,10 +9,18 @@ Two schedule families on normalized time t in [0, 1]:
 
 The forward kernel corrupts clean data x0 into x_t = alpha_t x0 + sigma_t eps
 with standard normal eps.
+
+alpha_sigma at a Python-float time (which includes np.float64) is cached:
+the pair is computed once per distinct (schedule, t) key, by the same
+expression as the array path, in a least-recently-used cache of
+TIME_CACHE_SIZE entries.  NoiseSchedule is a frozen dataclass, so it is a
+sound key.  An invalid time is not cached and raises on every call; array
+times are never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +31,11 @@ VE = "ve"
 
 #: Terminal time of the forward process; time is normalized.
 T_FINAL = 1.0
+
+#: Entries of every per-time cache: the scalar alpha_sigma pairs here and
+#: each exact denoiser's gains.  The longest sampler grid in use has 201
+#: times.
+TIME_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -62,13 +75,20 @@ class NoiseSchedule:
 
 def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
-    if (t < 0.0).any() or (t > T_FINAL).any():
+    if not ((t >= 0.0) & (t <= T_FINAL)).all():  # NaN fails both
         raise ValueError(f"time must lie in [0, {T_FINAL}], got {t!r}")
     return t
 
 
 def alpha_sigma(schedule: NoiseSchedule, t):
-    """Return (alpha_t, sigma_t) for scalar or array t in [0, 1]."""
+    """Return (alpha_t, sigma_t) for scalar or array t in [0, 1]; a float t
+    is looked up in the per-(schedule, t) cache."""
+    if isinstance(t, float):
+        return _cached_alpha_sigma(schedule, t)
+    return _alpha_sigma(schedule, t)
+
+
+def _alpha_sigma(schedule: NoiseSchedule, t):
     t = _check_time(t)
     if schedule.kind == VP:
         log_alpha = -0.25 * t * t * (schedule.beta_max - schedule.beta_min) \
@@ -81,6 +101,9 @@ def alpha_sigma(schedule: NoiseSchedule, t):
     if t.ndim == 0:
         return float(alpha), float(sigma)
     return alpha, sigma
+
+
+_cached_alpha_sigma = functools.lru_cache(maxsize=TIME_CACHE_SIZE)(_alpha_sigma)
 
 
 def sigma_to_t(schedule: NoiseSchedule, sigma):

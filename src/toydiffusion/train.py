@@ -16,6 +16,7 @@ Four condition-corruption modes are supported during training:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -310,6 +311,18 @@ def sample_training_times(schedule, config: TrainConfig, n, rng):
     return np.clip(t, config.t_floor, 1.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _motion_scores(world, s_w_choices):
+    """Read-only expected motion score of the world at each innovation
+    scale in s_w_choices, or at its own one when that is None.  Keyed by
+    the world's identity, which fixes its read-only arrays, so a training
+    run computes the scores once."""
+    worlds = [replace(world, s_w=s) for s in s_w_choices] if s_w_choices else [world]
+    scores = np.array([expected_motion_score(w) for w in worlds])
+    scores.flags.writeable = False
+    return scores
+
+
 def _sample_clean_batch(world, config, rng):
     """Clean videos plus the per-item motion feature (None when disabled).
 
@@ -320,14 +333,11 @@ def _sample_clean_batch(world, config, rng):
         choices = np.asarray(config.s_w_choices, dtype=np.float64)
         pick = rng.integers(0, len(choices), size=b)
         x0 = sample_videos(world, b, rng, s_w=choices[pick])
-        scores = np.array([expected_motion_score(replace(world, s_w=s))
-                           for s in config.s_w_choices])
-        return x0, scores[pick]
+        return x0, _motion_scores(world, config.s_w_choices)[pick]
     x0 = sample_videos(world, b, rng)
-    motion = (
-        np.full(b, expected_motion_score(world)) if config.motion_feature else None
-    )
-    return x0, motion
+    if not config.motion_feature:
+        return x0, None
+    return x0, np.full(b, _motion_scores(world, None)[0])
 
 
 def _corrupt_condition(config, y0, t, rng):

@@ -14,6 +14,14 @@ the gain G(t) = U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T.  The
 conditional C is singular (frame 1 is pinned); its zero eigenvalue gets
 zero gain, which is exact, so frame 1 of the prediction is the condition.
 
+Each exact denoiser caches what depends on the time alone: keyed by
+float(t), it keeps (alpha_t, G(t)) in its own least-recently-used cache of
+schedule.TIME_CACHE_SIZE entries (at N = 8, 0.5 KiB of gain per entry), so
+G(t) is computed once per distinct time.  The cached gains are read-only,
+and a prediction is always a new array.  The per-frame offsets
+(i-1) * drift are computed once per denoiser.  A world's m0 and drift
+arrays are read-only, so nothing derived from them goes stale.
+
 A "leaky" denoiser blends the exact conditional prediction with a static
 broadcast of the conditioning frame, turning conditioning over-reliance
 into a dial.
@@ -21,13 +29,14 @@ into a dial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .schedule import NoiseSchedule, alpha_sigma
+from .schedule import TIME_CACHE_SIZE, NoiseSchedule, alpha_sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +44,8 @@ class GaussianWorld:
     """Random-walk video distribution.
 
     frame_1 ~ N(m0, s0^2 I); frame_{i+1} = frame_i + drift + N(0, s_w^2 I).
-    m0 and drift accept scalars (broadcast across the frame dimension).
+    m0 and drift accept scalars (broadcast across the frame dimension) and
+    are stored as read-only (frame_dim,) arrays.
     """
 
     n_frames: int = 8
@@ -69,6 +79,7 @@ class GaussianWorld:
             ).copy()
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} must be finite, got {vec.tolist()!r}")
+            vec.flags.writeable = False
             object.__setattr__(self, name, vec)
 
     @property
@@ -110,12 +121,16 @@ def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
 # Moments
 
 
-def _frame_means(world: GaussianWorld, y0):
-    """Per-frame means with frame 1 at y0: y0 + (i-1) * drift; y0 = m0
-    gives the prior means.  A batch of frames (..., d) gives (..., N, d).
+def _frame_offsets(world: GaussianWorld):
+    """Per-frame mean offsets from frame 1, (i-1) * drift, shape (N, d)."""
+    return np.arange(world.n_frames, dtype=np.float64)[:, None] * world.drift
+
+
+def _frame_means(offsets, y0):
+    """Per-frame means with frame 1 at y0: y0 + offsets; y0 = m0 gives the
+    prior means.  A batch of frames (..., d) gives (..., N, d).
     """
-    steps = np.arange(world.n_frames, dtype=np.float64)[:, None]
-    return np.asarray(y0, dtype=np.float64)[..., None, :] + steps * world.drift
+    return np.asarray(y0, dtype=np.float64)[..., None, :] + offsets
 
 
 def prior_frame_cov(world: GaussianWorld):
@@ -135,7 +150,8 @@ def prior_moments(world: GaussianWorld):
 
     Full covariance of the flattened video is kron(C, I_d).
     """
-    return _frame_means(world, world.m0).ravel(), prior_frame_cov(world)
+    mean = _frame_means(_frame_offsets(world), world.m0)
+    return mean.ravel(), prior_frame_cov(world)
 
 
 def conditional_moments(world: GaussianWorld, y0):
@@ -143,7 +159,8 @@ def conditional_moments(world: GaussianWorld, y0):
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (world.frame_dim,):
         raise ValueError("y0 must be a single frame of shape (frame_dim,)")
-    return _frame_means(world, y0).ravel(), conditional_frame_cov(world)
+    mean = _frame_means(_frame_offsets(world), y0)
+    return mean.ravel(), conditional_frame_cov(world)
 
 
 def marginal_moments_at(world, schedule: NoiseSchedule, t):
@@ -215,24 +232,37 @@ class ExactDenoiser:
         self.shape = (world.n_frames, world.frame_dim)
         self.conditional = bool(conditional)
         cov = (conditional_frame_cov if self.conditional else prior_frame_cov)(world)
-        lam, self._basis = np.linalg.eigh(cov)
-        self._lam = np.clip(lam, 0.0, None)
+        lam, basis = np.linalg.eigh(cov)
+        self._offsets = _frame_offsets(world)
+        # a partial, not a bound method, so the cache holds no reference
+        # back to the denoiser
+        self._coefficients = functools.lru_cache(maxsize=TIME_CACHE_SIZE)(
+            functools.partial(_posterior_gain, schedule, np.clip(lam, 0.0, None), basis)
+        )
 
     def predict_x0(self, xt, y, t):
         if not 0.0 < t <= 1.0:
             raise ValueError("exact prediction requires t in (0, 1]")
         if self.conditional and y is None:
             raise ValueError("conditional denoiser needs a conditioning frame")
-        mean = _frame_means(self.world, y if self.conditional else self.world.m0)
-        alpha, sigma = alpha_sigma(self.schedule, t)
-        shrink = alpha * self._lam / (alpha**2 * self._lam + sigma**2)
-        gain = (self._basis * shrink) @ self._basis.T
+        mean = _frame_means(self._offsets, y if self.conditional else self.world.m0)
+        alpha, gain = self._coefficients(float(t))
         out = gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
         out += mean
         return out
 
     def predict_eps(self, xt, y, t):
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
+
+
+def _posterior_gain(schedule, lam, basis, t):
+    """alpha_t and the read-only gain U diag(alpha lam / (alpha^2 lam +
+    sigma^2)) U^T at time t."""
+    alpha, sigma = alpha_sigma(schedule, t)
+    shrink = alpha * lam / (alpha**2 * lam + sigma**2)
+    gain = (basis * shrink) @ basis.T
+    gain.flags.writeable = False
+    return alpha, gain
 
 
 class LeakyDenoiser(ExactDenoiser):

@@ -23,6 +23,7 @@ from toydiffusion.cli import (
     save_config,
 )
 from toydiffusion.codec import to_payload
+from toydiffusion.world import first_frames
 
 
 def small_config(tmp_path):
@@ -179,6 +180,32 @@ def test_train_and_sample_round_trip(tmp_path):
     assert np.isfinite(summary["mean_motion"])
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_motion_feature_checkpoint_samples_and_probes(tmp_path):
+    # the checkpoint is conditioned on the world's expected motion score;
+    # sample and diagnose leakage used to exit 2 for want of a value
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["train"]["motion_feature"] = True
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    ck = tmp_path / "mf.json"
+    assert main(["train", "--config", cfgp, "--mode", "naive", "--steps", "5",
+                 "--out", str(ck)]) == 0
+    out = tmp_path / "samples.csv"
+    assert main(["sample", "--config", cfgp, "--denoiser", f"ckpt:{ck}",
+                 "--n", "6", "--out", str(out)]) == 0
+    assert main(["diagnose", "leakage", "--config", cfgp, "--denoiser", f"ckpt:{ck}",
+                 "--out", str(tmp_path / "leakage.csv")]) == 0
+    cfg = load_config(cfgp)
+    model, params, *_ = td.load_checkpoint(str(ck))
+    den = td.TrainedDenoiser(model, params, cfg.schedule,
+                             motion_value=td.expected_motion_score(cfg.world))
+    y0 = first_frames(cfg.world, 6, np.random.default_rng([cfg.seed, 0, 1]))
+    want = td.sample_batch(den, y0, cfg.sampler, cfg.schedule, 6,
+                           np.random.default_rng([cfg.seed, 0, 2]))
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(got, want.reshape(6, -1))
 
 
 def test_train_cdm_gets_default_level(tmp_path):

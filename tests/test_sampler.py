@@ -14,6 +14,7 @@ from toydiffusion.sampler import (
     sample_batch,
     time_grid,
 )
+from toydiffusion import schedule as schedule_module
 from toydiffusion.schedule import alpha_sigma
 from toydiffusion.train import TrainedDenoiser
 from toydiffusion.world import (
@@ -278,6 +279,24 @@ def test_sample_batch_matches_reference_loop(request, denoisers, name,
     got = sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(12))
     want = _reference_sample(den, y0, cfg, schedule, n, np.random.default_rng(12))
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+def test_sample_batch_same_bytes_from_cold_and_warm_caches(request, world,
+                                                          schedule_name):
+    schedule = request.getfixturevalue(schedule_name)
+    cfg = SamplerConfig(0.9, 20)
+    y0 = np.array([1.0, -0.5, 0.0, 2.0])
+    den = LeakyDenoiser(world, schedule, 0.6, 1.5)
+    runs = []
+    for cold in (True, False, False):
+        if cold:
+            schedule_module._cached_alpha_sigma.cache_clear()
+            den._coefficients.cache_clear()
+        runs.append(sample_batch(den, y0, cfg, schedule, 16, np.random.default_rng(9)))
+    assert den._coefficients.cache_info().hits > 0
+    for run in runs[1:]:
+        np.testing.assert_array_equal(run, runs[0])
 
 
 @pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import toydiffusion as td
-from toydiffusion.schedule import alpha_sigma, perturb, sigma_to_t
+from toydiffusion import schedule as schedule_module
+from toydiffusion.schedule import TIME_CACHE_SIZE, alpha_sigma, perturb, sigma_to_t
 
 VP = td.NoiseSchedule.vp()
 VE = td.NoiseSchedule.ve()
@@ -119,6 +120,42 @@ def test_time_domain_checked():
         alpha_sigma(VP, -0.01)
     with pytest.raises(ValueError):
         alpha_sigma(VE, 1.01)
+
+
+@pytest.mark.parametrize("schedule", [VP, VE], ids=["vp", "ve"])
+@pytest.mark.parametrize("steps", [1, 50, 200])
+def test_cached_scalar_alpha_sigma_equals_array_path(schedule, steps):
+    # the grids include t = 1 and t = 0; cold and warm lookups both match the
+    # array evaluation bit for bit
+    grid = np.linspace(1.0, 0.0, steps + 1)
+    alpha, sigma = alpha_sigma(schedule, grid)
+    schedule_module._cached_alpha_sigma.cache_clear()
+    for _ in range(2):
+        got = np.array([alpha_sigma(schedule, float(t)) for t in grid])
+        assert np.array_equal(got[:, 0], alpha) and np.array_equal(got[:, 1], sigma)
+    info = schedule_module._cached_alpha_sigma.cache_info()
+    assert info.misses == steps + 1 and info.hits == steps + 1
+
+
+def test_invalid_time_raises_on_every_call():
+    # a failed evaluation is not cached; NaN used to pass as a time
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            alpha_sigma(VP, 1.5)
+        with pytest.raises(ValueError):
+            alpha_sigma(VE, -0.25)
+        with pytest.raises(ValueError):
+            alpha_sigma(VP, float("nan"))
+    with pytest.raises(ValueError):
+        alpha_sigma(VE, np.array([0.5, np.nan]))
+
+
+def test_alpha_sigma_cache_is_bounded():
+    assert schedule_module._cached_alpha_sigma.cache_info().maxsize == TIME_CACHE_SIZE
+    schedule_module._cached_alpha_sigma.cache_clear()
+    for t in np.linspace(0.0, 1.0, TIME_CACHE_SIZE + 10):
+        alpha_sigma(VP, float(t))
+    assert schedule_module._cached_alpha_sigma.cache_info().currsize == TIME_CACHE_SIZE
 
 
 def test_bad_schedule_params_rejected():

@@ -27,6 +27,8 @@ from toydiffusion.train import (
     train,
 )
 
+train_module = importlib.import_module("toydiffusion.train")
+
 TN = td.TimeNoiseParams(beta_m=2.0, a=5.0)
 
 
@@ -214,6 +216,21 @@ def test_per_item_s_w_batch_replay(world, vp):
         s: td.expected_motion_score(td.GaussianWorld(s_w=s)) for s in (0.25, 1.0)
     }
     np.testing.assert_array_equal(got.motion, [motion[s] for s in s_w])
+
+
+@pytest.mark.parametrize("choices", [(0.25, 1.0), None])
+def test_motion_scores_are_computed_once_per_world(vp, choices):
+    # every batch of one world reuses one read-only score array; a batch's
+    # motion feature is its own writable array
+    world = td.GaussianWorld()
+    cfg = TrainConfig(batch_size=8, motion_feature=True, s_w_choices=choices)
+    rng = np.random.default_rng(3)
+    misses = train_module._motion_scores.cache_info().misses
+    batches = [make_training_batch(world, vp, cfg, rng) for _ in range(3)]
+    assert train_module._motion_scores.cache_info().misses == misses + 1
+    assert not train_module._motion_scores(world, cfg.s_w_choices).flags.writeable
+    batches[0].motion[:] = 0.0
+    assert np.all(batches[1].motion > 0.0)
 
 
 def test_motion_feature_plumbing(world, vp):

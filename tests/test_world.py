@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import norm
 
 import toydiffusion as td
-from toydiffusion.schedule import alpha_sigma
+from toydiffusion.schedule import TIME_CACHE_SIZE, alpha_sigma
 from toydiffusion.world import (
     ExactDenoiser,
     GaussianWorld,
@@ -251,8 +251,52 @@ def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
         np.testing.assert_allclose(got[i].ravel(), want, atol=1e-10)
 
 
+def test_exact_denoiser_gain_cache(world, vp):
+    # one (alpha_t, G(t)) per distinct time, bounded, read-only
+    den = ExactDenoiser(world, vp)
+    xt = np.random.default_rng(11).standard_normal((3, 8, 4))
+    y0 = np.array([0.5, -1.0, 0.0, 2.0])
+    for t in (0.3, 0.7, 0.3, np.float64(0.7)):
+        den.predict_x0(xt, y0, t)
+    info = den._coefficients.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (2, 2, TIME_CACHE_SIZE)
+    alpha, gain = den._coefficients(0.3)
+    assert alpha == alpha_sigma(vp, 0.3)[0]
+    with pytest.raises(ValueError):
+        gain[0, 0] = 1.0
+    # a LeakyDenoiser fills its own cache through the same path
+    leaky = LeakyDenoiser(world, vp, 0.5, 2.0)
+    leaky.predict_x0(xt, y0, 0.3)
+    assert leaky._coefficients.cache_info().currsize == 1
+
+
+def test_exact_prediction_is_a_fresh_array(world, vp):
+    # writing into one result changes neither the cache nor the next result
+    den = ExactDenoiser(world, vp)
+    xt = np.random.default_rng(12).standard_normal((3, 8, 4))
+    y0 = np.array([0.5, -1.0, 0.0, 2.0])
+    first = den.predict_x0(xt, y0, 0.4)
+    kept = first.copy()
+    assert first.flags.writeable
+    assert not np.shares_memory(first, den._coefficients(0.4)[1])
+    first[...] = np.nan
+    np.testing.assert_array_equal(den.predict_x0(xt, y0, 0.4), kept)
+
+
 # ---------------------------------------------------------------------------
 # world plumbing
+
+
+def test_world_arrays_are_read_only():
+    # denoisers precompute from m0 and drift, so neither may change
+    w = GaussianWorld(m0=[0.0, 1.0, 2.0, 3.0], drift=0.1)
+    for vec in (w.m0, w.drift):
+        with pytest.raises(ValueError):
+            vec[0] = 5.0
+        with pytest.raises(ValueError):
+            vec += 1.0
+    # a world built from another's arrays copies them
+    assert not np.shares_memory(GaussianWorld(m0=w.m0).m0, w.m0)
 
 
 def test_world_round_trip_and_broadcast():

@@ -6,10 +6,13 @@ Every command of the set runs in a fresh temporary directory, once with a
 VP config and once with a VE config, through ``python -m toydiffusion``
 on the ``src/`` tree beside this script and with one OpenBLAS thread.
 The set covers every output kind the CLI writes: videos, an init file, the
-optimality report, checkpoints of all four training modes, samples (exact,
-leaky from an analytic start, a checkpoint, an init file), leakage curves
-(exact, leaky, oracle, checkpoint), motion sweeps (leaky, checkpoint) and
-the init ablation, each with its manifest and, for samples, its summary.
+optimality report, checkpoints of all four training modes and one trained
+with the motion feature and s_w_choices, samples (exact, leaky from an
+analytic start, a checkpoint, the motion-feature checkpoint, an init
+file), leakage curves (exact, leaky, oracle, checkpoint, motion-feature
+checkpoint), motion sweeps (leaky, checkpoint) and the init ablation, each
+with its manifest and, for samples, its summary.  A command runs with
+config.json unless it names its own --config.
 
 Output lines are ``<sha256>  <schedule>/<file>``, sorted, so running the
 script on two source trees and diffing the two outputs shows every file
@@ -45,6 +48,10 @@ CONFIGS = {
     },
 }
 
+# The motion-feature checkpoint's config: its world and schedule are the
+# base config's, so the other commands can load the checkpoint.
+MOTION_TRAIN = {"motion_feature": True, "s_w_choices": [0.25, 1.0]}
+
 COMMANDS = [
     ["world-sample", "--n", "200", "--out", "videos.csv"],
     ["estimate-init", "--data", "videos.csv", "--M", "0.9", "--out", "init.json"],
@@ -64,18 +71,28 @@ COMMANDS = [
     *(["diagnose", "motion-sweep", "--denoiser", spec, "--out", f"sweep_{name}.csv"]
       for name, spec in (("leaky", "leaky"), ("ckpt", "ckpt:ckpt_naive.json"))),
     ["diagnose", "init-ablation", "--out", "ablation.csv"],
+    ["train", "--mode", "naive", "--config", "config_mf.json", "--out", "ckpt_mf.json"],
+    ["sample", "--n", "100", "--denoiser", "ckpt:ckpt_mf.json",
+     "--out", "sample_mf.csv"],
+    ["diagnose", "leakage", "--denoiser", "ckpt:ckpt_mf.json",
+     "--out", "leakage_mf.csv"],
 ]
+CONFIG_FILES = ("config.json", "config_mf.json")
 
 
 def run_set(name, payload, env):
     """Run COMMANDS under one config in a new directory; return the digest
-    lines of every file left there except the config itself."""
+    lines of every file left there except the configs themselves."""
+    motion = dict(payload, train={**payload["train"], **MOTION_TRAIN})
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
-        with open(os.path.join(tmp, "config.json"), "w") as fh:
-            json.dump(payload, fh)
+        for file, content in zip(CONFIG_FILES, (payload, motion)):
+            with open(os.path.join(tmp, file), "w") as fh:
+                json.dump(content, fh)
         for argv in COMMANDS:
+            if "--config" not in argv:
+                argv = [*argv, "--config", "config.json"]
             proc = subprocess.run(
-                [sys.executable, "-m", "toydiffusion", *argv, "--config", "config.json"],
+                [sys.executable, "-m", "toydiffusion", *argv],
                 cwd=tmp, env=env, capture_output=True, text=True,
             )
             if proc.returncode != 0:
@@ -84,7 +101,7 @@ def run_set(name, payload, env):
                 raise SystemExit(1)
         lines = []
         for file in sorted(os.listdir(tmp)):
-            if file == "config.json":
+            if file in CONFIG_FILES:
                 continue
             with open(os.path.join(tmp, file), "rb") as fh:
                 lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}/{file}")
