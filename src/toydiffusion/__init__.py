@@ -27,7 +27,6 @@ from .world import (
     GaussianWorld,
     LeakyDenoiser,
     as_eps_prediction,
-    conditional_frame_cov,
     conditional_moments,
     expected_motion_score,
     kron_cov,

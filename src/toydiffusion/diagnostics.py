@@ -1,12 +1,12 @@
 """Motion metrics and the leakage/initialization diagnostic experiments.
 
 The central probe is the one-step clean-video prediction: corrupt a known
-video to time t, ask a denoiser for its noise estimate, convert back to a
-clean-video estimate, and compare its motion to the ground truth.  A
-denoiser that over-relies on the conditioning frame shows a motion ratio
-that collapses at large t; calibrated references (the exact posterior
-mean, or an oracle that returns the drawn noise) pin down what the curve
-should look like without leakage.
+video to time t, ask a denoiser for its clean-video estimate, and compare
+its motion to the ground truth.  A denoiser that over-relies on the
+conditioning frame shows a motion ratio that collapses at large t;
+calibrated references (the exact posterior mean, or an oracle that
+returns the drawn noise) pin down what the curve should look like without
+leakage.
 
 All experiment entry points take integer seeds and derive their
 generators internally, so curves for two denoisers (or two init modes)
@@ -58,16 +58,17 @@ class OracleEps:
 
 
 def one_step_prediction(denoiser, x0, y0, schedule, t, rng):
-    """Corrupt x0 to time t and map the denoiser's noise estimate back to a
-    clean-video estimate: (x_t - sigma_t eps_hat) / alpha_t."""
+    """Corrupt x0 to time t and return the denoiser's clean-video estimate;
+    the oracle's is (x_t - sigma_t eps) / alpha_t from the drawn noise."""
     if not 0.0 < t <= 1.0:
         raise ValueError("one-step prediction requires t in (0, 1]")
     oracle = isinstance(denoiser, OracleEps)
     if not oracle:
         check_schedule(denoiser, schedule)
     xt, eps = perturb(schedule, x0, t, rng)
-    eps_hat = eps if oracle else denoiser.predict_eps(xt, y0, t)
-    return x0_from_eps(eps_hat, xt, schedule, t)
+    if oracle:
+        return x0_from_eps(eps, xt, schedule, t)
+    return denoiser.predict_x0(xt, y0, t)
 
 
 @dataclass

@@ -5,15 +5,17 @@ repeatedly applies
 
     x_next = alpha_next x0_hat + (sigma_next / sigma_cur) (x_cur - alpha_cur x0_hat)
 
-with x0_hat from a denoiser.  A denoiser has predict_x0(xt, y, t), which
-returns a new writable array its caller owns (each step is written in
-place into it), shape, the (n_frames, frame_dim) of one video, and
-schedule, which must be the sampler's.  The initial state is drawn from
-the config's init, a Gaussian fitted to the time-M marginal, or else
-from standard_init, the conventional prior.  Initial draws are formed
-by affine-mapping one shared standard-normal tensor, so runs that differ
-only in the init distribution are paired sample-by-sample under a
-shared seed.
+with x0_hat from a denoiser, written by three in-place operations into
+x0_hat as r (x_cur + ((alpha_next - r alpha_cur) / r) x0_hat), r =
+sigma_next / sigma_cur > 0 (the last step, to t = 0, returns x0_hat).  A
+denoiser has predict_x0(xt, y, t), which returns a new writable array its
+caller owns (each step is written in place into it), shape, the
+(n_frames, frame_dim) of one video, and schedule, which must be the
+sampler's.  The initial state is drawn from the config's init, a
+Gaussian fitted to the time-M marginal, or else from standard_init, the
+conventional prior.  Initial draws are formed by affine-mapping one
+shared standard-normal tensor, so runs that differ only in the init
+distribution are paired sample-by-sample under a shared seed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .analytic_init import InitDistribution, standard_init
 from .schedule import NoiseSchedule, alpha_sigma
+from .timenoise import corrupt
 
 STANDARD = "standard"
 ANALYTIC = "analytic"
@@ -94,13 +97,11 @@ def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
         return x0_hat
     a_from, s_from = alpha_sigma(schedule, t_from)
     a_to, s_to = alpha_sigma(schedule, t_to)
-    # a_to x0_hat + (s_to / s_from) (xt - a_from x0_hat), operation by
-    # operation in that order, with one temporary
-    rest = a_from * x0_hat
-    np.subtract(xt, rest, out=rest)
-    rest *= s_to / s_from
-    x0_hat *= a_to
-    x0_hat += rest
+    # a_to x0_hat + r (xt - a_from x0_hat), with r > 0 as t_to > 0
+    r = s_to / s_from
+    x0_hat *= (a_to - r * a_from) / r
+    x0_hat += xt
+    x0_hat *= r
     return x0_hat
 
 
@@ -123,10 +124,9 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     if y0.ndim == 2 and y0.shape[0] != n:
         raise ValueError("per-chain conditions must match the chain count")
     x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
-    if config.inference_beta is None or config.inference_beta == 0.0:
-        y = y0
-    else:
-        y = y0 + config.inference_beta * rng.standard_normal((n, y0.shape[-1]))
+    y = y0
+    if config.inference_beta:
+        y = corrupt(np.broadcast_to(y0, (n, y0.shape[-1])), config.inference_beta, rng)
     grid = time_grid(config.start_time, config.steps)
     for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
         x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)

@@ -4,34 +4,36 @@ A video is an (N, d) array of N frames in R^d.  Frame 1 is drawn from
 N(m0, s0^2 I) and each subsequent frame adds a deterministic drift plus
 N(0, s_w^2 I) innovation.  All coordinate dimensions are independent, so
 the full prior covariance is C (x) I_d with an N x N frame factor C,
-and every posterior computation reduces to N x N algebra.
+and every posterior computation reduces to N x N algebra.  The law given
+frame 1 = y0 is that of the pinned world replace(world, m0=y0, s0=0.0).
 
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), which is the Bayes-optimal clean-video prediction under the
-forward kernel x_t = alpha_t x0 + sigma_t eps.  With C = U diag(lam) U^T
-decomposed once, that prediction is mean + G(t) (x_t - alpha_t mean) with
-the gain G(t) = U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T.  The
-conditional C is singular (frame 1 is pinned); its zero eigenvalue gets
-zero gain, which is exact, so frame 1 of the prediction is the condition.
+forward kernel x_t = alpha_t x0 + sigma_t eps: mean + G (x_t - alpha_t
+mean) with the gain G(t) = U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T
+for C = U diag(lam) U^T.  The mean is 1 y^T + o, with y the first-frame
+mean (the condition y0, or m0 without one) and o the per-frame offsets
+(i-1) * drift, so the prediction is one affine map of x_t and y:
+
+    x0_hat = A(t) x_t + c(t) y^T + b(t),
+    A = (1 - l) G,  c = (1 - l) (I - alpha G) 1 + l 1,  b = (1 - l) (I - alpha G) o,
+
+where l(t) is the leaky denoiser's blend toward a static copy of y (0 for
+the exact denoiser), which turns conditioning over-reliance into a dial.
 
 Each exact denoiser caches what depends on the time alone: keyed by
-float(t), it keeps (alpha_t, G(t)) in its own least-recently-used cache of
-schedule.TIME_CACHE_SIZE entries (at N = 8, 0.5 KiB of gain per entry), so
-G(t) is computed once per distinct time.  The cached gains are read-only,
-and a prediction is always a new array.  The per-frame offsets
-(i-1) * drift are computed once per denoiser.  A world's m0 and drift
-arrays are read-only, so nothing derived from them goes stale.
-
-A "leaky" denoiser blends the exact conditional prediction with a static
-broadcast of the conditioning frame, turning conditioning over-reliance
-into a dial.
+float(t), it keeps (A, c, b) in its own least-recently-used cache of
+schedule.TIME_CACHE_SIZE entries (at N = 8, d = 4, 0.8 KiB per entry).
+The cached arrays are read-only, and a prediction is always a new array.
+A world's m0 and drift arrays are read-only, so nothing derived from them
+goes stale.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -126,23 +128,10 @@ def _frame_offsets(world: GaussianWorld):
     return np.arange(world.n_frames, dtype=np.float64)[:, None] * world.drift
 
 
-def _frame_means(offsets, y0):
-    """Per-frame means with frame 1 at y0: y0 + offsets; y0 = m0 gives the
-    prior means.  A batch of frames (..., d) gives (..., N, d).
-    """
-    return np.asarray(y0, dtype=np.float64)[..., None, :] + offsets
-
-
 def prior_frame_cov(world: GaussianWorld):
     """Frame covariance factor C, C_ij = s0^2 + min(i-1, j-1) * s_w^2."""
     idx = np.arange(world.n_frames, dtype=np.float64)
     return world.s0**2 + np.minimum.outer(idx, idx) * world.s_w**2
-
-
-def conditional_frame_cov(world: GaussianWorld):
-    """Frame covariance given frame 1: C'_ij = min(i-1, j-1) * s_w^2."""
-    idx = np.arange(world.n_frames, dtype=np.float64)
-    return np.minimum.outer(idx, idx) * world.s_w**2
 
 
 def prior_moments(world: GaussianWorld):
@@ -150,17 +139,16 @@ def prior_moments(world: GaussianWorld):
 
     Full covariance of the flattened video is kron(C, I_d).
     """
-    mean = _frame_means(_frame_offsets(world), world.m0)
-    return mean.ravel(), prior_frame_cov(world)
+    return (world.m0 + _frame_offsets(world)).ravel(), prior_frame_cov(world)
 
 
 def conditional_moments(world: GaussianWorld, y0):
-    """Flattened mean and frame covariance factor given frame 1 = y0."""
+    """Flattened mean and frame covariance factor given frame 1 = y0: the
+    prior moments of the pinned world, frame 1 fixed at y0 (s0 = 0)."""
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (world.frame_dim,):
         raise ValueError("y0 must be a single frame of shape (frame_dim,)")
-    mean = _frame_means(_frame_offsets(world), y0)
-    return mean.ravel(), conditional_frame_cov(world)
+    return prior_moments(replace(world, m0=y0, s0=0.0))
 
 
 def marginal_moments_at(world, schedule: NoiseSchedule, t):
@@ -217,27 +205,30 @@ def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
 class ExactDenoiser:
     """Posterior-mean denoiser E[X_0 | X_t (, frame_1 = y0)].
 
-    With prior N(mean, C (x) I_d) and kernel x_t = alpha x0 + sigma eps,
-    the posterior mean per coordinate column is
-        mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean)
-      = mean + U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T (xt - alpha mean)
-    for C = U diag(lam) U^T, decomposed once here with lam clipped at 0.
-    A zero eigenvalue (the pinned first frame of the conditional C) gets
-    zero gain, which is exact, so the singular case needs no jitter.
+    With prior N(mean, C (x) I_d), the posterior mean per coordinate column
+    is mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean), which
+    is the gain form of the module docstring for C = U diag(lam) U^T,
+    decomposed once here with lam clipped at 0.  The zero eigenvalue of
+    the pinned C (frame 1 is the condition) gets zero gain, which is
+    exact, so the singular case needs no jitter.
     """
+
+    # the blend toward the condition, l(t) = lam_max * t^p: none here
+    lam_max = 0.0
+    p = 1.0
 
     def __init__(self, world: GaussianWorld, schedule: NoiseSchedule, conditional=True):
         self.world = world
         self.schedule = schedule
         self.shape = (world.n_frames, world.frame_dim)
         self.conditional = bool(conditional)
-        cov = (conditional_frame_cov if self.conditional else prior_frame_cov)(world)
-        lam, basis = np.linalg.eigh(cov)
-        self._offsets = _frame_offsets(world)
-        # a partial, not a bound method, so the cache holds no reference
-        # back to the denoiser
+        pinned = replace(world, s0=0.0) if self.conditional else world
+        lam, basis = np.linalg.eigh(prior_frame_cov(pinned))
+        # a partial of values, not a bound method, so the cache holds no
+        # reference back to the denoiser
         self._coefficients = functools.lru_cache(maxsize=TIME_CACHE_SIZE)(
-            functools.partial(_posterior_gain, schedule, np.clip(lam, 0.0, None), basis)
+            functools.partial(_affine_map, schedule, np.clip(lam, 0.0, None), basis,
+                              _frame_offsets(world), self.lam_max, self.p)
         )
 
     def predict_x0(self, xt, y, t):
@@ -245,31 +236,43 @@ class ExactDenoiser:
             raise ValueError("exact prediction requires t in (0, 1]")
         if self.conditional and y is None:
             raise ValueError("conditional denoiser needs a conditioning frame")
-        mean = _frame_means(self._offsets, y if self.conditional else self.world.m0)
-        alpha, gain = self._coefficients(float(t))
-        out = gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
-        out += mean
+        y = np.asarray(y if self.conditional else self.world.m0, dtype=np.float64)
+        a, c, b = self._coefficients(float(t))
+        out = a @ xt
+        out += c * y[..., None, :]
+        out += b
         return out
 
     def predict_eps(self, xt, y, t):
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
 
 
-def _posterior_gain(schedule, lam, basis, t):
-    """alpha_t and the read-only gain U diag(alpha lam / (alpha^2 lam +
-    sigma^2)) U^T at time t."""
+def _affine_map(schedule, lam, basis, offsets, lam_max, p, t):
+    """The read-only (A, c, b) of x0_hat = A xt + c y^T + b at time t.
+
+    G = U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T and the leak
+    l = lam_max t^p give A = (1 - l) G, c = (1 - l) (I - alpha G) 1 + l
+    as an (N, 1) column, and b = (1 - l) (I - alpha G) o for the offsets o.
+    """
     alpha, sigma = alpha_sigma(schedule, t)
     shrink = alpha * lam / (alpha**2 * lam + sigma**2)
     gain = (basis * shrink) @ basis.T
-    gain.flags.writeable = False
-    return alpha, gain
+    rest = np.eye(len(lam)) - alpha * gain
+    leak = lam_max * t**p  # LeakyDenoiser.leak(t)
+    keep = 1.0 - leak
+    coefficients = (keep * gain, keep * rest.sum(axis=1, keepdims=True) + leak,
+                    keep * (rest @ offsets))
+    for array in coefficients:
+        array.flags.writeable = False
+    return coefficients
 
 
 class LeakyDenoiser(ExactDenoiser):
     """Exact conditional denoiser blended toward a static copy of y0.
 
     x0_hat = (1 - lam(t)) * exact + lam(t) * broadcast(y0) with
-    lam(t) = lam_max * t^p: no leak at t=0, maximal leak at t=1.
+    lam(t) = lam_max * t^p: no leak at t=0, maximal leak at t=1.  The
+    blend is part of the cached affine map, so predict_x0 is inherited.
     """
 
     def __init__(self, world, schedule, lam_max: float, p: float):
@@ -277,16 +280,9 @@ class LeakyDenoiser(ExactDenoiser):
             raise ValueError("lam_max must lie in [0, 1]")
         if not p > 0.0:
             raise ValueError("p must be positive")
-        super().__init__(world, schedule, conditional=True)
         self.lam_max = float(lam_max)
         self.p = float(p)
+        super().__init__(world, schedule, conditional=True)
 
     def leak(self, t) -> float:
         return self.lam_max * float(t) ** self.p
-
-    def predict_x0(self, xt, y, t):
-        lam = self.leak(t)
-        out = super().predict_x0(xt, y, t)
-        out *= 1.0 - lam
-        out += lam * np.asarray(y, dtype=np.float64)[..., None, :]
-        return out

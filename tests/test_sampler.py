@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from toydiffusion.train import TrainedDenoiser
 from toydiffusion.world import (
     ExactDenoiser,
     LeakyDenoiser,
-    conditional_frame_cov,
     conditional_moments,
     kron_cov,
+    prior_frame_cov,
 )
 
 
@@ -209,30 +210,31 @@ def test_draw_initial_dimension_guard(world, vp):
 
 
 def _reference_x0(den, xt, y, t):
-    """Independent copy of the exact and leaky predict_x0 expressions,
+    """Independent copy of the exact family's affine map A xt + c y^T + b,
     each operation allocating its result; the trained denoiser's
     predict_x0 already allocates and is used as it is."""
     if isinstance(den, TrainedDenoiser):
         return den.predict_x0(xt, y, t)
     world = den.world
-    lam, basis = np.linalg.eigh(conditional_frame_cov(world))
+    pinned = replace(world, s0=0.0) if den.conditional else world
+    lam, basis = np.linalg.eigh(prior_frame_cov(pinned))
     lam = np.clip(lam, 0.0, None)
-    y = np.asarray(y, dtype=np.float64)
-    steps = np.arange(world.n_frames, dtype=np.float64)[:, None]
-    mean = (y if y.ndim == 1 else y[:, None, :]) + steps * world.drift
+    y = np.asarray(y if den.conditional else world.m0, dtype=np.float64)
+    offsets = np.arange(world.n_frames, dtype=np.float64)[:, None] * world.drift
     alpha, sigma = alpha_sigma(den.schedule, t)
     shrink = alpha * lam / (alpha**2 * lam + sigma**2)
     gain = (basis * shrink) @ basis.T
-    exact = mean + gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
-    if not isinstance(den, LeakyDenoiser):
-        return exact
-    leak = den.leak(t)
-    static = np.repeat(y[..., None, :], world.n_frames, axis=-2)  # y in every frame
-    return (1.0 - leak) * exact + leak * static
+    rest = np.eye(world.n_frames) - alpha * gain
+    leak = den.leak(t) if isinstance(den, LeakyDenoiser) else 0.0
+    a = (1.0 - leak) * gain
+    c = (1.0 - leak) * rest.sum(axis=1, keepdims=True) + leak
+    b = (1.0 - leak) * (rest @ offsets)
+    return a @ np.asarray(xt) + c * y[..., None, :] + b
 
 
 def _reference_sample(den, y0, cfg, schedule, n, rng):
-    """sample_batch written out with the allocating DDIM expression."""
+    """sample_batch written out with the allocating form of the DDIM step
+    r (x + ((a_to - r a_from) / r) x0_hat), r = s_to / s_from."""
     x = draw_initial(cfg, schedule, (n, 8, 4), rng)
     y = np.asarray(y0, dtype=np.float64)
     if cfg.inference_beta is not None:
@@ -246,7 +248,8 @@ def _reference_sample(den, y0, cfg, schedule, n, rng):
             continue
         a_from, s_from = alpha_sigma(schedule, float(t_from))
         a_to, s_to = alpha_sigma(schedule, float(t_to))
-        x = a_to * x0_hat + (s_to / s_from) * (np.asarray(x) - a_from * x0_hat)
+        r = s_to / s_from
+        x = (x0_hat * ((a_to - r * a_from) / r) + x) * r
     return x
 
 
@@ -279,6 +282,80 @@ def test_sample_batch_matches_reference_loop(request, denoisers, name,
     got = sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(12))
     want = _reference_sample(den, y0, cfg, schedule, n, np.random.default_rng(12))
     np.testing.assert_array_equal(got, want)
+
+
+# The mean-centred posterior, the blend toward y after the fact and the
+# five-operation step that the affine map and the three-operation step
+# replaced; they reorder floating-point work, so they agree within 1e-12.
+
+
+def _centred_x0(den, xt, y, t):
+    """mean + G (xt - alpha mean), then (1 - l) x0_hat + l y for the leak."""
+    world = den.world
+    idx = np.arange(world.n_frames, dtype=np.float64)
+    cov = np.minimum.outer(idx, idx) * world.s_w**2
+    if not den.conditional:
+        cov = world.s0**2 + cov
+        y = world.m0
+    lam, basis = np.linalg.eigh(cov)
+    lam = np.clip(lam, 0.0, None)
+    y = np.asarray(y, dtype=np.float64)
+    mean = y[..., None, :] + idx[:, None] * world.drift
+    alpha, sigma = alpha_sigma(den.schedule, t)
+    shrink = alpha * lam / (alpha**2 * lam + sigma**2)
+    gain = (basis * shrink) @ basis.T
+    exact = mean + gain @ (np.asarray(xt, dtype=np.float64) - alpha * mean)
+    if not isinstance(den, LeakyDenoiser):
+        return exact
+    leak = den.leak(t)
+    static = np.repeat(y[..., None, :], world.n_frames, axis=-2)
+    return (1.0 - leak) * exact + leak * static
+
+
+def _centred_sample(den, y0, cfg, schedule, n, rng):
+    x = draw_initial(cfg, schedule, (n, 8, 4), rng)
+    y = np.asarray(y0, dtype=np.float64)
+    if cfg.inference_beta is not None:
+        y = y + cfg.inference_beta * rng.standard_normal((n, 4))
+    grid = time_grid(cfg.start_time, cfg.steps)
+    for t_from, t_to in zip(grid[:-1], grid[1:]):
+        x0_hat = _centred_x0(den, x, y, float(t_from))
+        if t_to == 0.0:
+            x = x0_hat
+            continue
+        a_from, s_from = alpha_sigma(schedule, float(t_from))
+        a_to, s_to = alpha_sigma(schedule, float(t_to))
+        x = a_to * x0_hat + (s_to / s_from) * (x - a_from * x0_hat)
+    return x
+
+
+@pytest.mark.parametrize("beta", [None, 0.3])
+@pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", ["exact", "leaky", "unconditional"])
+def test_affine_map_agrees_with_the_centred_posterior(request, name, schedule_name,
+                                                      per_chain, beta):
+    schedule = request.getfixturevalue(schedule_name)
+    # a nonzero m0 so that the unconditional denoiser's c m0^T counts
+    world = td.GaussianWorld(m0=[0.5, -1.0, 0.0, 2.0], drift=[0.2, -0.1, 0.0, 0.3])
+    den = {
+        "exact": lambda: ExactDenoiser(world, schedule),
+        "leaky": lambda: LeakyDenoiser(world, schedule, 0.6, 1.5),
+        "unconditional": lambda: ExactDenoiser(world, schedule, conditional=False),
+    }[name]()
+    n = 16
+    rng = np.random.default_rng(17)
+    y0 = 2.0 * rng.standard_normal((n, 4) if per_chain else 4)
+    x0, z = td.sample_videos(world, n, rng), rng.standard_normal((n, 8, 4))
+    for t in (1e-4, 0.05, 0.5, 0.9, 1.0):
+        alpha, sigma = alpha_sigma(schedule, t)
+        xt = alpha * x0 + sigma * z
+        np.testing.assert_allclose(den.predict_x0(xt, y0, t),
+                                   _centred_x0(den, xt, y0, t), rtol=0, atol=1e-12)
+    cfg = SamplerConfig(0.9, 40, inference_beta=beta)
+    got = sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(18))
+    want = _centred_sample(den, y0, cfg, schedule, n, np.random.default_rng(18))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])
@@ -338,9 +415,9 @@ def _traced_peak_bytes(run):
     ("leaky", True, 4.5),
 ], ids=["exact-shared", "leaky-per-chain"])
 def test_sample_batch_peak_memory(world, vp, name, per_chain, bound):
-    # each step holds the state, the denoiser's input temporary and its
-    # output (plus the (n, N, d) conditional mean with per-chain y0), and
-    # writes the DDIM update into that output
+    # each step holds the state and the denoiser's output (plus the
+    # (n, N, d) c y^T with per-chain y0), and writes the DDIM update into
+    # that output
     n = 2000
     if name == "exact":
         den = ExactDenoiser(world, vp)
@@ -351,3 +428,21 @@ def test_sample_batch_peak_memory(world, vp, name, per_chain, bound):
         den, y0, SamplerConfig(1.0, 20), vp, n, np.random.default_rng(15)))
     state_bytes = n * world.n_frames * world.frame_dim * 8
     assert peak <= bound * state_bytes, peak / state_bytes
+
+
+@pytest.mark.parametrize("per_chain, bound", [(False, 1.1), (True, 2.2)],
+                         ids=["shared", "per-chain"])
+@pytest.mark.parametrize("name", ["exact", "leaky"])
+def test_ddim_step_allocates_only_its_output(world, vp, name, per_chain, bound):
+    # the step's output is the one (B, N, d) array a shared condition
+    # needs; a per-chain condition adds its c y^T term
+    n = 4096
+    if name == "exact":
+        den = ExactDenoiser(world, vp)
+    else:
+        den = LeakyDenoiser(world, vp, 0.6, 1.5)
+    rng = np.random.default_rng(16)
+    xt = rng.standard_normal((n, 8, 4))
+    y = rng.standard_normal((n, 4) if per_chain else 4)
+    peak = _traced_peak_bytes(lambda: ddim_step(den, xt, y, 0.6, 0.4, vp))
+    assert peak <= bound * xt.nbytes, peak / xt.nbytes

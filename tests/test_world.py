@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,6 @@ from toydiffusion.world import (
     GaussianWorld,
     LeakyDenoiser,
     as_eps_prediction,
-    conditional_frame_cov,
     conditional_moments,
     expected_motion_score,
     kron_cov,
@@ -49,7 +50,8 @@ def test_conditional_cov_is_schur_complement(world):
     # conditioning a Gaussian on its first frame: C' = C - C[:,0] C[0,:] / C[0,0]
     c = prior_frame_cov(world)
     schur = c - np.outer(c[:, 0], c[0, :]) / c[0, 0]
-    np.testing.assert_allclose(conditional_frame_cov(world), schur, atol=1e-12)
+    pinned = replace(world, m0=np.ones(4), s0=0.0)
+    np.testing.assert_allclose(prior_frame_cov(pinned), schur, atol=1e-12)
 
 
 def test_conditional_sampling_matches_closed_form(world):
@@ -239,7 +241,8 @@ def test_leaky_denoiser_blend(world, vp):
 def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
     # frame 1 is pinned, so the conditional frame covariance has a zero
     # eigenvalue; the posterior must stay finite and keep frame 1 = y0
-    assert np.abs(np.linalg.eigvalsh(conditional_frame_cov(world))).min() < 1e-12
+    pinned = replace(world, s0=0.0)
+    assert np.abs(np.linalg.eigvalsh(prior_frame_cov(pinned))).min() < 1e-12
     rng = np.random.default_rng(10)
     y0 = np.array([0.7, -0.4, 1.5, 0.0])
     xt = rng.standard_normal((5, 8, 4))
@@ -252,7 +255,7 @@ def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
 
 
 def test_exact_denoiser_gain_cache(world, vp):
-    # one (alpha_t, G(t)) per distinct time, bounded, read-only
+    # one affine map (A, c, b) per distinct time, bounded, read-only
     den = ExactDenoiser(world, vp)
     xt = np.random.default_rng(11).standard_normal((3, 8, 4))
     y0 = np.array([0.5, -1.0, 0.0, 2.0])
@@ -260,10 +263,13 @@ def test_exact_denoiser_gain_cache(world, vp):
         den.predict_x0(xt, y0, t)
     info = den._coefficients.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (2, 2, TIME_CACHE_SIZE)
-    alpha, gain = den._coefficients(0.3)
-    assert alpha == alpha_sigma(vp, 0.3)[0]
-    with pytest.raises(ValueError):
-        gain[0, 0] = 1.0
+    a, c, b = den._coefficients(0.3)
+    assert (a.shape, c.shape, b.shape) == ((8, 8), (8, 1), (8, 4))
+    # A xt + c y^T + b is the prediction
+    np.testing.assert_array_equal(a @ xt + c * y0 + b, den.predict_x0(xt, y0, 0.3))
+    for array in (a, c, b):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
     # a LeakyDenoiser fills its own cache through the same path
     leaky = LeakyDenoiser(world, vp, 0.5, 2.0)
     leaky.predict_x0(xt, y0, 0.3)
@@ -278,9 +284,27 @@ def test_exact_prediction_is_a_fresh_array(world, vp):
     first = den.predict_x0(xt, y0, 0.4)
     kept = first.copy()
     assert first.flags.writeable
-    assert not np.shares_memory(first, den._coefficients(0.4)[1])
+    for array in den._coefficients(0.4):
+        assert not np.shares_memory(first, array)
     first[...] = np.nan
     np.testing.assert_array_equal(den.predict_x0(xt, y0, 0.4), kept)
+
+
+@pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+def test_leaky_without_leak_is_the_exact_denoiser(request, world, schedule_name,
+                                                  per_chain):
+    # lam_max = 0 folds a zero leak into the same map, bit for bit
+    schedule = request.getfixturevalue(schedule_name)
+    rng = np.random.default_rng(13)
+    xt = rng.standard_normal((5, 8, 4))
+    y0 = rng.standard_normal((5, 4) if per_chain else 4)
+    exact = ExactDenoiser(world, schedule)
+    for p in (0.5, 1.0, 3.0):
+        plain = LeakyDenoiser(world, schedule, lam_max=0.0, p=p)
+        for t in (1e-6, 0.3, 1.0):
+            np.testing.assert_array_equal(plain.predict_x0(xt, y0, t),
+                                          exact.predict_x0(xt, y0, t))
 
 
 # ---------------------------------------------------------------------------
