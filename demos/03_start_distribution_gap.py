@@ -35,7 +35,8 @@ for m_start in (1.0, 0.96, 0.92, 0.88, 0.84, 0.8):
     print(f"  {m_start:4.2f}      {kl_std:12.6f}      {kl_fit:12.6f}")
 
 # the fitted parameters in closed form: mu_p = alpha_M E[X0],
-# sigma_p^2 = alpha_M^2 avg-var + sigma_M^2 + alpha_M^2 ||mean||^2 / d
+# sigma_p^2 = alpha_M^2 avg-var + sigma_M^2 (the mean is matched exactly,
+# so no mean term enters the variance)
 m_start = 0.9
 init = optimal_init(moments, schedule, m_start)
 print(f"\nfitted init at M = {m_start}: sigma_p^2 = {init.sigma_p2:.6f}, "

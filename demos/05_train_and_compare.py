@@ -17,6 +17,7 @@ import toydiffusion as td
 from toydiffusion.diagnostics import leakage_curve, motion_scores
 from toydiffusion.sampler import SamplerConfig, sample_batch
 from toydiffusion.train import TrainedDenoiser, load_checkpoint
+from toydiffusion.world import first_frames
 
 
 def main():
@@ -53,9 +54,7 @@ def main():
     print(f"\nmean output motion (target {gt:.3f}) and leakage ratios")
     print("  model      out-motion   " + "".join(f"r({t})  " for t in t_grid))
     for name, den in denoisers.items():
-        y0 = world.m0 + world.s0 * np.random.default_rng(
-            [11, args.seed]
-        ).standard_normal((1000, world.frame_dim))
+        y0 = first_frames(world, 1000, np.random.default_rng([11, args.seed]))
         out = sample_batch(den, y0, SamplerConfig(1.0, 50), schedule, 1000,
                            np.random.default_rng([12, args.seed]))
         curve = leakage_curve(den, eval_videos, schedule, t_grid, seed=10)

@@ -171,7 +171,8 @@ def init_ablation(
     start from the InitDistribution whose KL it reports.
 
     The chain generator is re-created per start time, so init modes at the
-    same M share their standard-normal draws (paired comparison).
+    same M share their standard-normal draws (paired comparison).  Chains
+    see y0 clean (no inference_beta): moment errors are against its law.
     """
     y0 = first_frames(world, 1, np.random.default_rng([seed, _ABLATION_TAG, 1, 0]))[0]
     moments = exact_moments(world)

@@ -117,16 +117,19 @@ def check_schedule(denoiser, schedule: NoiseSchedule) -> None:
 def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     """Run n reverse chains; returns generated videos of shape (n, N, d).
 
-    y0 may be one frame (shared by all chains) or a batch of n frames.
+    y0 is one frame (d,) shared by all chains or one per chain, (n, d).
     """
     check_schedule(denoiser, schedule)
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim == 2 and y0.shape[0] != n:
         raise ValueError("per-chain conditions must match the chain count")
+    d = denoiser.shape[1]
+    if y0.shape not in ((d,), (n, d)):
+        raise ValueError(f"y0 must have shape ({d},) or ({n}, {d}), got {y0.shape}")
     x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
     y = y0
     if config.inference_beta:
-        y = corrupt(np.broadcast_to(y0, (n, y0.shape[-1])), config.inference_beta, rng)
+        y = corrupt(np.broadcast_to(y0, (n, d)), config.inference_beta, rng)
     grid = time_grid(config.start_time, config.steps)
     for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
         x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)

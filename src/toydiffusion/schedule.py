@@ -33,8 +33,8 @@ VE = "ve"
 T_FINAL = 1.0
 
 #: Entries of every per-time cache: the scalar alpha_sigma pairs here and
-#: each exact denoiser's gains.  The longest sampler grid in use has 201
-#: times.
+#: the exact family's affine maps in world, one cache each.  The longest
+#: sampler grid in use has 201 times.
 TIME_CACHE_SIZE = 1024
 
 

@@ -10,10 +10,10 @@ frame 1 = y0 is that of the pinned world replace(world, m0=y0, s0=0.0).
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), which is the Bayes-optimal clean-video prediction under the
 forward kernel x_t = alpha_t x0 + sigma_t eps: mean + G (x_t - alpha_t
-mean) with the gain G(t) = U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T
-for C = U diag(lam) U^T.  The mean is 1 y^T + o, with y the first-frame
-mean (the condition y0, or m0 without one) and o the per-frame offsets
-(i-1) * drift, so the prediction is one affine map of x_t and y:
+mean) with the gain G(t) = solve(alpha^2 C + sigma^2 I, alpha C).  The
+mean is 1 y^T + o, with y the first-frame mean (the condition y0, or m0
+without one) and o the per-frame offsets (i-1) * drift, so the
+prediction is one affine map of x_t and y:
 
     x0_hat = A(t) x_t + c(t) y^T + b(t),
     A = (1 - l) G,  c = (1 - l) (I - alpha G) 1 + l 1,  b = (1 - l) (I - alpha G) o,
@@ -21,12 +21,12 @@ mean (the condition y0, or m0 without one) and o the per-frame offsets
 where l(t) is the leaky denoiser's blend toward a static copy of y (0 for
 the exact denoiser), which turns conditioning over-reliance into a dial.
 
-Each exact denoiser caches what depends on the time alone: keyed by
-float(t), it keeps (A, c, b) in its own least-recently-used cache of
-schedule.TIME_CACHE_SIZE entries (at N = 8, d = 4, 0.8 KiB per entry).
-The cached arrays are read-only, and a prediction is always a new array.
-A world's m0 and drift arrays are read-only, so nothing derived from them
-goes stale.
+One module-level least-recently-used cache of schedule.TIME_CACHE_SIZE
+entries (at N = 8, d = 4, 0.8 KiB each) keeps (A, c, b) for every exact
+denoiser, keyed by its prior world, schedule, lam_max, p and float(t).
+Worlds are keyed by identity and their m0 and drift are read-only, so no
+entry goes stale.  The cached arrays are read-only, and a prediction is
+always a new array.
 """
 
 from __future__ import annotations
@@ -206,30 +206,22 @@ class ExactDenoiser:
     """Posterior-mean denoiser E[X_0 | X_t (, frame_1 = y0)].
 
     With prior N(mean, C (x) I_d), the posterior mean per coordinate column
-    is mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean), which
-    is the gain form of the module docstring for C = U diag(lam) U^T,
-    decomposed once here with lam clipped at 0.  The zero eigenvalue of
-    the pinned C (frame 1 is the condition) gets zero gain, which is
-    exact, so the singular case needs no jitter.
+    is mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean), whose
+    commuting factors give the solve of the module docstring.  C is that of
+    prior, the world pinned at frame 1 (s0 = 0) when conditional, with a
+    zero first row and column that give frame 1 exactly zero gain;
+    alpha^2 C + sigma^2 I is nonsingular for every t > 0.
     """
-
-    # the blend toward the condition, l(t) = lam_max * t^p: none here
-    lam_max = 0.0
-    p = 1.0
 
     def __init__(self, world: GaussianWorld, schedule: NoiseSchedule, conditional=True):
         self.world = world
         self.schedule = schedule
         self.shape = (world.n_frames, world.frame_dim)
         self.conditional = bool(conditional)
-        pinned = replace(world, s0=0.0) if self.conditional else world
-        lam, basis = np.linalg.eigh(prior_frame_cov(pinned))
-        # a partial of values, not a bound method, so the cache holds no
-        # reference back to the denoiser
-        self._coefficients = functools.lru_cache(maxsize=TIME_CACHE_SIZE)(
-            functools.partial(_affine_map, schedule, np.clip(lam, 0.0, None), basis,
-                              _frame_offsets(world), self.lam_max, self.p)
-        )
+        self.prior = replace(world, s0=0.0) if self.conditional else world
+        # the blend toward the condition, l(t) = lam_max * t^p: none here
+        self.lam_max = 0.0
+        self.p = 1.0
 
     def predict_x0(self, xt, y, t):
         if not 0.0 < t <= 1.0:
@@ -237,7 +229,9 @@ class ExactDenoiser:
         if self.conditional and y is None:
             raise ValueError("conditional denoiser needs a conditioning frame")
         y = np.asarray(y if self.conditional else self.world.m0, dtype=np.float64)
-        a, c, b = self._coefficients(float(t))
+        if y.shape[-1:] != (self.world.frame_dim,):
+            raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim)")
+        a, c, b = _affine_map(self.prior, self.schedule, self.lam_max, self.p, float(t))
         out = a @ xt
         out += c * y[..., None, :]
         out += b
@@ -247,21 +241,22 @@ class ExactDenoiser:
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
 
 
-def _affine_map(schedule, lam, basis, offsets, lam_max, p, t):
+@functools.lru_cache(maxsize=TIME_CACHE_SIZE)
+def _affine_map(prior, schedule, lam_max, p, t):
     """The read-only (A, c, b) of x0_hat = A xt + c y^T + b at time t.
 
-    G = U diag(alpha lam / (alpha^2 lam + sigma^2)) U^T and the leak
-    l = lam_max t^p give A = (1 - l) G, c = (1 - l) (I - alpha G) 1 + l
+    G = solve(alpha^2 C + sigma^2 I, alpha C) for the prior's C and the
+    leak l = lam_max t^p give A = (1 - l) G, c = (1 - l) (I - alpha G) 1 + l
     as an (N, 1) column, and b = (1 - l) (I - alpha G) o for the offsets o.
     """
     alpha, sigma = alpha_sigma(schedule, t)
-    shrink = alpha * lam / (alpha**2 * lam + sigma**2)
-    gain = (basis * shrink) @ basis.T
-    rest = np.eye(len(lam)) - alpha * gain
+    cov, eye = prior_frame_cov(prior), np.eye(prior.n_frames)
+    gain = np.linalg.solve(alpha**2 * cov + sigma**2 * eye, alpha * cov)
+    rest = eye - alpha * gain
     leak = lam_max * t**p  # LeakyDenoiser.leak(t)
     keep = 1.0 - leak
     coefficients = (keep * gain, keep * rest.sum(axis=1, keepdims=True) + leak,
-                    keep * (rest @ offsets))
+                    keep * (rest @ _frame_offsets(prior)))
     for array in coefficients:
         array.flags.writeable = False
     return coefficients
@@ -280,9 +275,9 @@ class LeakyDenoiser(ExactDenoiser):
             raise ValueError("lam_max must lie in [0, 1]")
         if not p > 0.0:
             raise ValueError("p must be positive")
+        super().__init__(world, schedule, conditional=True)
         self.lam_max = float(lam_max)
         self.p = float(p)
-        super().__init__(world, schedule, conditional=True)
 
     def leak(self, t) -> float:
         return self.lam_max * float(t) ** self.p

@@ -265,6 +265,24 @@ def test_diagnose_init_ablation(tmp_path):
         assert all(np.isfinite(float(x)) for x in [m_start, *numbers])
 
 
+def test_init_ablation_chains_see_the_clean_condition(tmp_path):
+    # sampler.inference_beta noises motion-sweep's conditions but not the
+    # ablation's, whose moment errors are against the clean-frame law
+    payload = json.loads(pathlib.Path(small_config(tmp_path)).read_text())
+    written = {}
+    for beta in (None, 0.3):
+        payload["sampler"]["inference_beta"] = beta
+        cfgp = tmp_path / f"beta_{beta}.json"
+        cfgp.write_text(json.dumps(payload))
+        for command in ("init-ablation", "motion-sweep"):
+            out = tmp_path / f"{command}_{beta}.csv"
+            assert main(["diagnose", command, "--config", str(cfgp),
+                         "--out", str(out)]) == 0
+            written[command, beta] = out.read_bytes()
+    assert written["init-ablation", None] == written["init-ablation", 0.3]
+    assert written["motion-sweep", None] != written["motion-sweep", 0.3]
+
+
 def test_diagnose_motion_sweep(tmp_path):
     cfgp = small_config(tmp_path)
     out = tmp_path / "sweep.csv"

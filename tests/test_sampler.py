@@ -16,6 +16,7 @@ from toydiffusion.sampler import (
     time_grid,
 )
 from toydiffusion import schedule as schedule_module
+from toydiffusion import world as world_module
 from toydiffusion.schedule import alpha_sigma
 from toydiffusion.train import TrainedDenoiser
 from toydiffusion.world import (
@@ -128,8 +129,21 @@ def test_sample_batch_shapes_and_condition_modes(world, vp):
         den, np.zeros((6, 4)), cfg, vp, 6, np.random.default_rng(5)
     )
     np.testing.assert_allclose(shared, per_chain, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chain count"):
         sample_batch(den, np.zeros((5, 4)), cfg, vp, 6, rng)
+
+
+@pytest.mark.parametrize("shape", [(1,), (6, 1)])
+@pytest.mark.parametrize("name", ["exact", "leaky"])
+def test_condition_of_the_wrong_width_is_rejected(world, vp, name, shape):
+    # a (1,) or (n, 1) condition used to broadcast over all d coordinates
+    den = (ExactDenoiser(world, vp) if name == "exact"
+           else LeakyDenoiser(world, vp, 0.6, 1.5))
+    y0 = np.full(shape, 2.0)
+    with pytest.raises(ValueError, match=r"\(4,\) or \(6, 4\)"):
+        sample_batch(den, y0, SamplerConfig(1.0, 5), vp, 6, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="frame_dim"):
+        den.predict_x0(np.zeros((6, 8, 4)), y0, 0.5)
 
 
 def test_sample_batch_reproducible(world, vp):
@@ -217,14 +231,13 @@ def _reference_x0(den, xt, y, t):
         return den.predict_x0(xt, y, t)
     world = den.world
     pinned = replace(world, s0=0.0) if den.conditional else world
-    lam, basis = np.linalg.eigh(prior_frame_cov(pinned))
-    lam = np.clip(lam, 0.0, None)
+    cov = prior_frame_cov(pinned)
     y = np.asarray(y if den.conditional else world.m0, dtype=np.float64)
     offsets = np.arange(world.n_frames, dtype=np.float64)[:, None] * world.drift
     alpha, sigma = alpha_sigma(den.schedule, t)
-    shrink = alpha * lam / (alpha**2 * lam + sigma**2)
-    gain = (basis * shrink) @ basis.T
-    rest = np.eye(world.n_frames) - alpha * gain
+    eye = np.eye(world.n_frames)
+    gain = np.linalg.solve(alpha**2 * cov + sigma**2 * eye, alpha * cov)
+    rest = eye - alpha * gain
     leak = den.leak(t) if isinstance(den, LeakyDenoiser) else 0.0
     a = (1.0 - leak) * gain
     c = (1.0 - leak) * rest.sum(axis=1, keepdims=True) + leak
@@ -369,9 +382,9 @@ def test_sample_batch_same_bytes_from_cold_and_warm_caches(request, world,
     for cold in (True, False, False):
         if cold:
             schedule_module._cached_alpha_sigma.cache_clear()
-            den._coefficients.cache_clear()
+            world_module._affine_map.cache_clear()
         runs.append(sample_batch(den, y0, cfg, schedule, 16, np.random.default_rng(9)))
-    assert den._coefficients.cache_info().hits > 0
+    assert world_module._affine_map.cache_info().hits > 0
     for run in runs[1:]:
         np.testing.assert_array_equal(run, runs[0])
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import norm
 
 import toydiffusion as td
+from toydiffusion import world as world_module
 from toydiffusion.schedule import TIME_CACHE_SIZE, alpha_sigma
 from toydiffusion.world import (
     ExactDenoiser,
@@ -254,26 +255,43 @@ def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
         np.testing.assert_allclose(got[i].ravel(), want, atol=1e-10)
 
 
+def _map_of(den, t):
+    """The module cache's (A, c, b) for den at time t."""
+    return world_module._affine_map(den.prior, den.schedule, den.lam_max, den.p, t)
+
+
 def test_exact_denoiser_gain_cache(world, vp):
-    # one affine map (A, c, b) per distinct time, bounded, read-only
+    # one affine map (A, c, b) per distinct key, in one bounded module
+    # cache, read-only
+    world_module._affine_map.cache_clear()
     den = ExactDenoiser(world, vp)
     xt = np.random.default_rng(11).standard_normal((3, 8, 4))
     y0 = np.array([0.5, -1.0, 0.0, 2.0])
     for t in (0.3, 0.7, 0.3, np.float64(0.7)):
         den.predict_x0(xt, y0, t)
-    info = den._coefficients.cache_info()
+    info = world_module._affine_map.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (2, 2, TIME_CACHE_SIZE)
-    a, c, b = den._coefficients(0.3)
+    a, c, b = _map_of(den, 0.3)
     assert (a.shape, c.shape, b.shape) == ((8, 8), (8, 1), (8, 4))
     # A xt + c y^T + b is the prediction
     np.testing.assert_array_equal(a @ xt + c * y0 + b, den.predict_x0(xt, y0, 0.3))
     for array in (a, c, b):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    # a LeakyDenoiser fills its own cache through the same path
+    # a LeakyDenoiser fills the same cache through the same path
     leaky = LeakyDenoiser(world, vp, 0.5, 2.0)
     leaky.predict_x0(xt, y0, 0.3)
-    assert leaky._coefficients.cache_info().currsize == 1
+    assert world_module._affine_map.cache_info().currsize == 3
+    # two leaks on one world get two maps, and the leak, not the
+    # denoiser, picks the map
+    other = LeakyDenoiser(world, vp, 0.9, 1.0)
+    ours, theirs = _map_of(leaky, 0.3), _map_of(other, 0.3)
+    assert not np.array_equal(ours[0], theirs[0])
+    borrowed = world_module._affine_map(leaky.prior, vp, other.lam_max, other.p, 0.3)
+    for got, want in zip(borrowed, theirs):
+        np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(leaky.predict_x0(xt, y0, 0.3),
+                              other.predict_x0(xt, y0, 0.3))
 
 
 def test_exact_prediction_is_a_fresh_array(world, vp):
@@ -284,7 +302,7 @@ def test_exact_prediction_is_a_fresh_array(world, vp):
     first = den.predict_x0(xt, y0, 0.4)
     kept = first.copy()
     assert first.flags.writeable
-    for array in den._coefficients(0.4):
+    for array in _map_of(den, 0.4):
         assert not np.shares_memory(first, array)
     first[...] = np.nan
     np.testing.assert_array_equal(den.predict_x0(xt, y0, 0.4), kept)

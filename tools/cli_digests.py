@@ -18,16 +18,29 @@ Output lines are ``<sha256>  <schedule>/<file>``, sorted, so running the
 script on two source trees and diffing the two outputs shows every file
 whose bytes differ.  A command that exits non-zero stops the script with
 its stderr and exit code 1.
+
+    python3 tools/cli_digests.py --against OTHER_TREE
+
+also runs the set on the ``src/`` of another checkout and, after the
+digest lines of this tree, prints one line per file whose bytes differ
+between the two: the largest absolute and relative difference over the
+numbers in the file, or ``layout differs`` when the text around the
+numbers (or the set of files) differs.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# A decimal number standing alone, not part of a name or a version string.
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 # Small sizes so the whole set runs in well under a minute.  The VE config
 # also noises the sampler's condition, so that draw is covered too.
@@ -81,8 +94,9 @@ CONFIG_FILES = ("config.json", "config_mf.json")
 
 
 def run_set(name, payload, env):
-    """Run COMMANDS under one config in a new directory; return the digest
-    lines of every file left there except the configs themselves."""
+    """Run COMMANDS under one config in a new directory; return
+    {"<name>/<file>": bytes} of every file left there except the configs
+    themselves, in file order."""
     motion = dict(payload, train={**payload["train"], **MOTION_TRAIN})
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
         for file, content in zip(CONFIG_FILES, (payload, motion)):
@@ -99,20 +113,56 @@ def run_set(name, payload, env):
                 sys.stderr.write(
                     f"{name}: {' '.join(argv)} exited {proc.returncode}\n{proc.stderr}")
                 raise SystemExit(1)
-        lines = []
+        written = {}
         for file in sorted(os.listdir(tmp)):
             if file in CONFIG_FILES:
                 continue
             with open(os.path.join(tmp, file), "rb") as fh:
-                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}/{file}")
-        return lines
+                written[f"{name}/{file}"] = fh.read()
+        return written
+
+
+def run_tree(tree):
+    """Every output of the set under each config, run on tree's src/."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    written = {}
+    for name, payload in CONFIGS.items():
+        written.update(run_set(name, payload, env))
+    return written
+
+
+def value_difference(old, new):
+    """The largest absolute and relative difference over the numbers of two
+    versions of a file, or "layout differs" when the text around them (or
+    their count) differs or the file is missing from one tree."""
+    if old is None or new is None:
+        return "layout differs"
+    old, new = old.decode(), new.decode()
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return "layout differs"
+    max_abs = max_rel = 0.0
+    for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))):
+        scale = max(abs(a), abs(b))
+        max_abs = max(max_abs, abs(a - b))
+        max_rel = max(max_rel, abs(a - b) / scale if scale else 0.0)
+    return f"max abs {max_abs:.2g}, max rel {max_rel:.2g}"
 
 
 def main():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
-    for name, payload in CONFIGS.items():
-        for line in run_set(name, payload, env):
-            print(line)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="TREE",
+                        help="another checkout to run the set on and compare with")
+    args = parser.parse_args()
+    ours = run_tree(ROOT)
+    for key, data in ours.items():
+        print(f"{hashlib.sha256(data).hexdigest()}  {key}")
+    if args.against is None:
+        return
+    theirs = run_tree(args.against)
+    for key in [*ours, *(key for key in theirs if key not in ours)]:
+        if ours.get(key) != theirs.get(key):
+            print(f"differs  {key}: {value_difference(theirs.get(key), ours.get(key))}")
 
 
 if __name__ == "__main__":
