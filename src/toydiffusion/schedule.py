@@ -137,13 +137,18 @@ def perturb(schedule: NoiseSchedule, x0: np.ndarray, t, rng: np.random.Generator
     noise that was actually drawn.  t may be a scalar or a vector with one
     entry per leading item of x0.
     """
-    alpha, sigma = alpha_sigma(schedule, t)
     x0 = np.asarray(x0, dtype=np.float64)
-    alpha, sigma = _per_item(alpha, x0), _per_item(sigma, x0)
     eps = rng.standard_normal(x0.shape)
+    return perturb_with_noise(schedule, x0, t, eps), eps
+
+
+def perturb_with_noise(schedule: NoiseSchedule, x0: np.ndarray, t, eps):
+    """x_t = alpha_t x0 + sigma_t eps for given standard normals eps."""
+    alpha, sigma = alpha_sigma(schedule, t)
+    alpha, sigma = _per_item(alpha, x0), _per_item(sigma, x0)
     xt = alpha * x0
     xt += sigma * eps
-    return xt, eps
+    return xt
 
 
 def _per_item(coef, x: np.ndarray):

@@ -72,12 +72,16 @@ def pdf(params: TimeNoiseParams, t, beta_s):
 
 def sample_beta(params: TimeNoiseParams, t, rng: np.random.Generator, size=None):
     """Draw beta_s = beta_m * sigmoid(z) with z ~ Normal(mu(t), 1)."""
-    mu = mu_of_t(params, t)
-    z = mu + rng.standard_normal(size if size is not None else np.shape(mu))
-    out = params.beta_m * expit(z)
+    noise = rng.standard_normal(size if size is not None else np.shape(t))
+    out = beta_from_noise(params, t, noise)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def beta_from_noise(params: TimeNoiseParams, t, noise):
+    """The level beta_m * sigmoid(mu(t) + noise) for standard normal noise."""
+    return params.beta_m * expit(mu_of_t(params, t) + noise)
 
 
 def constant_beta(params: TimeNoiseParams, t):
@@ -98,7 +102,12 @@ def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
     beta_s = _per_item(beta_s, y0)
     if (beta_s == 0.0).all():
         return y0.copy()
-    eps = rng.standard_normal(y0.shape)
+    return corrupt_with_noise(y0, beta_s, rng.standard_normal(y0.shape), variant)
+
+
+def corrupt_with_noise(y0, beta_s, eps, variant: str):
+    """corrupt's arithmetic for given standard normals eps shaped like y0;
+    beta_s is a scalar or a level per row shaped to broadcast against y0."""
     if variant == INTERPOLATION:
         return (1.0 - beta_s) * y0 + beta_s * eps
     return y0 + beta_s * eps

@@ -12,6 +12,14 @@ Four condition-corruption modes are supported during training:
   cdm       - fixed corruption level at every time
   constant  - deterministic level beta_m (mu(t)+1)/2 tracking the
               logit-normal center without its randomness
+
+train() builds its batches one block of BLOCK_STEPS steps at a time.  The
+draws of each step are made in the same order as before, step after step
+(see make_training_batch); the arithmetic on them (videos, conditions,
+times, corruption levels, noisy videos, model input rows) runs once per
+block over all its rows.  Forward, backward and Adam then run per step on
+that step's contiguous rows, at the batch shape, so a checkpoint has the
+bytes of building each batch on its own.
 """
 
 from __future__ import annotations
@@ -24,15 +32,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import ConfigError, from_payload, read_json, to_payload
-from .schedule import NoiseSchedule, perturb, sigma_to_t
+from .schedule import NoiseSchedule, perturb_with_noise, sigma_to_t
 from .timenoise import (
     ADDITIVE,
     TimeNoiseParams,
+    beta_from_noise,
     constant_beta,
-    corrupt,
-    sample_beta,
+    corrupt_with_noise,
 )
-from .world import GaussianWorld, expected_motion_score, sample_videos, x0_from_eps
+from .world import (
+    GaussianWorld,
+    expected_motion_score,
+    first_frames_from_noise,
+    videos_from_noise,
+    x0_from_eps,
+)
 
 NAIVE = "naive"
 TIMENOISE = "timenoise"
@@ -50,6 +64,10 @@ TIME_HARMONICS = 4
 F_TIME = 1 + 2 * TIME_HARMONICS
 
 CHECKPOINT_VERSION = 1
+
+#: Training steps whose batches train() builds in one pass; a larger block
+#: saves little more per step and holds more rows in memory.
+BLOCK_STEPS = 8
 
 
 class TrainingDiverged(RuntimeError):
@@ -292,7 +310,8 @@ class TrainedDenoiser:
 
 @dataclass
 class Batch:
-    """One training batch: noisy videos, conditions, times, noise targets."""
+    """One training batch, or those of consecutive steps stacked row-wise:
+    noisy videos, conditions, times, noise targets."""
 
     xt: np.ndarray
     y: np.ndarray
@@ -301,14 +320,26 @@ class Batch:
     motion: np.ndarray | None = None
 
 
+def _time_draws(config: TrainConfig, n, rng):
+    """One step's time draws: uniform times on (t_floor, 1), or EDM log
+    noise levels."""
+    if config.t_sampler == UNIFORM_T:
+        return rng.uniform(config.t_floor, 1.0, size=n)
+    return rng.normal(config.p_mean, config.p_std, size=n)
+
+
+def _times_from_draws(schedule, config: TrainConfig, draws):
+    """Training times from _time_draws: uniform times as drawn, log noise
+    levels mapped through the schedule inverse and clamped to [t_floor, 1]."""
+    if config.t_sampler == UNIFORM_T:
+        return draws
+    return np.clip(sigma_to_t(schedule, np.exp(draws)), config.t_floor, 1.0)
+
+
 def sample_training_times(schedule, config: TrainConfig, n, rng):
     """Draw training times; uniform on (t_floor, 1) or EDM log-normal noise levels
     mapped through the schedule inverse and clamped to [t_floor, 1]."""
-    if config.t_sampler == UNIFORM_T:
-        return rng.uniform(config.t_floor, 1.0, size=n)
-    log_sigma = rng.normal(config.p_mean, config.p_std, size=n)
-    t = sigma_to_t(schedule, np.exp(log_sigma))
-    return np.clip(t, config.t_floor, 1.0)
+    return _times_from_draws(schedule, config, _time_draws(config, n, rng))
 
 
 @functools.lru_cache(maxsize=64)
@@ -323,52 +354,105 @@ def _motion_scores(world, s_w_choices):
     return scores
 
 
-def _sample_clean_batch(world, config, rng):
-    """Clean videos plus the per-item motion feature (None when disabled).
+def _training_rows(world, schedule, config: TrainConfig, rng, steps):
+    """The batches of up to `steps` consecutive training steps, stacked as
+    one Batch of batch_size rows per step.
 
-    With s_w_choices, each video's innovation scale is picked before any
-    video is drawn."""
-    b = config.batch_size
-    if config.s_w_choices:  # set only with motion_feature
-        choices = np.asarray(config.s_w_choices, dtype=np.float64)
-        pick = rng.integers(0, len(choices), size=b)
-        x0 = sample_videos(world, b, rng, s_w=choices[pick])
-        return x0, _motion_scores(world, config.s_w_choices)[pick]
-    x0 = sample_videos(world, b, rng)
-    if not config.motion_feature:
-        return x0, None
-    return x0, np.full(b, _motion_scores(world, None)[0])
+    Each step makes its draws from rng in the order of make_training_batch.
+    The arithmetic on them (videos, conditions, times, corruption levels,
+    noisy videos) then runs once over all rows, the same elementwise
+    operations on longer arrays, so each step's rows equal its own batch.
 
+    A step whose corruption levels are all zero draws no condition noise.
+    The level curves' levels are known only after the draws, so each step
+    first draws its condition noise; if a step's levels turn out all zero,
+    rng is reset and the draws are made again up to that step, without its
+    condition noise, and the Batch ends there.
+    """
+    b, n, d = config.batch_size, world.n_frames, world.frame_dim
+    choices = np.asarray(config.s_w_choices or (), dtype=np.float64)
+    fixed_zero = config.mode == NAIVE or (
+        config.mode == CDM_FIXED and config.cdm_beta == 0.0
+    )
+    noisy = 0 if fixed_zero else steps  # steps 0..noisy-1 draw condition noise
+    while True:
+        start = rng.bit_generator.state
+        pick = np.empty(steps * b, dtype=np.int64)
+        z_first = np.empty((steps, b, d))
+        z_inc = np.empty((steps, b, n - 1, d))
+        frame = np.empty(steps * b, dtype=np.int64)
+        t_draws = np.empty(steps * b)
+        z_level = np.empty((steps, b))
+        z_cond = np.empty((steps, b, d))
+        eps = np.empty((steps, b, n, d))
+        for k in range(steps):
+            rows = slice(k * b, (k + 1) * b)
+            if choices.size:  # set only with motion_feature
+                pick[rows] = rng.integers(0, choices.size, size=b)
+            rng.standard_normal(out=z_first[k])
+            rng.standard_normal(out=z_inc[k])
+            if config.cond_frame == RANDOM_FRAME:
+                frame[rows] = rng.integers(0, n, size=b)
+            t_draws[rows] = _time_draws(config, b, rng)
+            if config.mode == TIMENOISE:
+                rng.standard_normal(out=z_level[k])
+            if k < noisy:
+                rng.standard_normal(out=z_cond[k])
+            rng.standard_normal(out=eps[k])
+        t = _times_from_draws(schedule, config, t_draws)
+        if config.mode == NAIVE:
+            break
+        # cdm's fixed level is additive; the level curves take their
+        # variant from the timenoise parameters
+        if config.mode == CDM_FIXED:
+            levels, variant = np.full(t.shape, config.cdm_beta), ADDITIVE
+        elif config.mode == CONSTANT_BETA:
+            levels, variant = constant_beta(config.timenoise, t), config.timenoise.variant
+        else:
+            levels = beta_from_noise(config.timenoise, t, z_level.reshape(-1))
+            variant = config.timenoise.variant
+        zero = (levels.reshape(steps, b)[:noisy] == 0.0).all(axis=1)
+        if not zero.any():
+            break
+        steps = int(zero.argmax()) + 1
+        noisy = steps - 1
+        rng.bit_generator.state = start
 
-def _corrupt_condition(config, y0, t, rng):
-    """Choose the mode's corruption level and apply it; a zero level consumes
-    no draws.  The level-curve modes take their variant from the timenoise
-    parameters; cdm's fixed level is additive."""
-    if config.mode == NAIVE:
-        return y0
-    if config.mode == CDM_FIXED:
-        return corrupt(y0, config.cdm_beta, rng, ADDITIVE)
-    if config.mode == CONSTANT_BETA:
-        betas = constant_beta(config.timenoise, t)
+    rows = steps * b
+    first = first_frames_from_noise(world, z_first.reshape(rows, d))
+    z_inc = z_inc.reshape(rows, n - 1, d)
+    if choices.size:
+        x0 = videos_from_noise(world, first, z_inc, choices[pick])
+        motion = _motion_scores(world, config.s_w_choices)[pick]
     else:
-        betas = sample_beta(config.timenoise, t, rng)
-    return corrupt(y0, betas, rng, config.timenoise.variant)
+        x0 = videos_from_noise(world, first, z_inc)
+        motion = np.full(rows, _motion_scores(world, None)[0]) \
+            if config.motion_feature else None
+    if config.cond_frame == RANDOM_FRAME:
+        y0 = x0[np.arange(rows), frame, :]
+    else:
+        y0 = x0[:, 0, :]
+    y = y0
+    if config.mode != NAIVE:
+        cut = noisy * b
+        y = corrupt_with_noise(y0[:cut], levels[:cut, None],
+                               z_cond.reshape(rows, d)[:cut], variant)
+        if cut < rows:  # the last step drew no condition noise: a clean copy
+            y = np.concatenate([y, y0[cut:]])
+    eps = eps.reshape(x0.shape)
+    return Batch(xt=perturb_with_noise(schedule, x0, t, eps), y=y, t=t,
+                 target=eps, motion=motion)
 
 
 def make_training_batch(world, schedule, config, rng):
-    """Draw one batch.  Draw order is fixed (videos, frame choice, times,
-    condition corruption, forward noise) so that modes which skip a stage
-    leave the remaining stream identical."""
-    x0, motion = _sample_clean_batch(world, config, rng)
-    if config.cond_frame == RANDOM_FRAME:
-        idx = rng.integers(0, world.n_frames, size=x0.shape[0])
-        y0 = x0[np.arange(x0.shape[0]), idx, :]
-    else:
-        y0 = x0[:, 0, :]
-    t = sample_training_times(schedule, config, x0.shape[0], rng)
-    y = _corrupt_condition(config, y0, t, rng)
-    xt, eps = perturb(schedule, x0, t, rng)
-    return Batch(xt=xt, y=y, t=t, target=eps, motion=motion)
+    """Draw one batch: the one-step case of the builder that train() calls
+    once per block of steps, whose per-step draw order this is and whose
+    arithmetic runs per block.  Draw order is fixed (s_w picks, first
+    frames, increments, frame choice, times, condition level and noise,
+    forward noise) so that modes which skip a stage leave the remaining
+    stream identical; a step whose corruption levels are all zero draws no
+    condition noise."""
+    return _training_rows(world, schedule, config, rng, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +466,20 @@ def batch_loss(model, params, batch):
     return float(np.mean(diff * diff))
 
 
-def batch_loss_and_gradient(model, params, batch, work=None):
-    """Loss and its gradient with respect to params.
-
-    work is a _Workspace built over params; train() passes the one it
-    reuses for every step.  Without it the gradient is a fresh array.
-    """
+def batch_loss_and_gradient(model, params, batch):
+    """Loss and its gradient with respect to params, a fresh array."""
     x = model.build_inputs(batch.xt, batch.y, batch.t, batch.motion)
-    if work is None:
-        work = _Workspace(model, params, x.shape[0])
+    work = _Workspace(model, params, x.shape[0])
+    return _loss_and_gradient(model, work, x, batch.target.reshape(x.shape[0], -1))
+
+
+def _loss_and_gradient(model, work, x, target):
+    """Loss and gradient for input rows x and noise targets (B, out_dim);
+    work is a _Workspace over the parameters, whose gradient it returns.
+    train() calls it on each step's rows of a block with the one
+    workspace it reuses."""
     diff = model._forward(work, x)
-    diff -= batch.target.reshape(diff.shape)
+    diff -= target
     loss = float(np.mean(diff * diff))
     diff *= 2.0 / diff.size
     return loss, model._backward(work, x, diff)
@@ -439,31 +526,41 @@ def train(world, schedule, config: TrainConfig, return_history=False):
     v = np.zeros_like(params)
     m_hat = np.empty_like(params)
     v_hat = np.empty_like(params)
-    work = _Workspace(model, params, config.batch_size)
+    b = config.batch_size
+    work = _Workspace(model, params, b)
     history = []
-    for step in range(config.steps):
-        batch = make_training_batch(world, schedule, config, data_rng)
-        loss, grad = batch_loss_and_gradient(model, params, batch, work)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(step, loss)
-        # m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
-        # params -= (lr m_hat) / (sqrt(v_hat) + eps), evaluated in this
-        # order in place; m_hat and v_hat double as scratch for the terms.
-        m *= beta1
-        m += np.multiply(grad, 1.0 - beta1, out=m_hat)
-        np.multiply(grad, 1.0 - beta2, out=v_hat)
-        v_hat *= grad
-        v *= beta2
-        v += v_hat
-        np.divide(m, 1.0 - beta1 ** (step + 1), out=m_hat)
-        np.divide(v, 1.0 - beta2 ** (step + 1), out=v_hat)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += adam_eps
-        m_hat *= config.lr
-        m_hat /= v_hat
-        params -= m_hat
-        if return_history and (step % 500 == 0 or step == config.steps - 1):
-            history.append((step, loss))
+    step = 0
+    while step < config.steps:
+        block = _training_rows(
+            world, schedule, config, data_rng, min(BLOCK_STEPS, config.steps - step)
+        )
+        x = model.build_inputs(block.xt, block.y, block.t, block.motion)
+        targets = block.target.reshape(x.shape[0], -1)
+        for row in range(0, x.shape[0], b):
+            loss, grad = _loss_and_gradient(model, work, x[row : row + b],
+                                            targets[row : row + b])
+            if not math.isfinite(loss):
+                raise TrainingDiverged(step, loss)
+            # m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
+            # params -= (lr m_hat) / (sqrt(v_hat) + eps), evaluated in this
+            # order in place; m_hat and v_hat double as scratch for the terms.
+            m *= beta1
+            m += np.multiply(grad, 1.0 - beta1, out=m_hat)
+            np.multiply(grad, 1.0 - beta2, out=v_hat)
+            v_hat *= grad
+            v *= beta2
+            v += v_hat
+            np.divide(m, 1.0 - beta1 ** (step + 1), out=m_hat)
+            np.divide(v, 1.0 - beta2 ** (step + 1), out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += adam_eps
+            m_hat *= config.lr
+            m_hat /= v_hat
+            params -= m_hat
+            if return_history and (step % 500 == 0 or step == config.steps - 1):
+                history.append((step, loss))
+            step += 1
+        del block, x, targets  # freed before the next block is drawn
 
     final_heldout = batch_loss(model, params, heldout)
     checkpoint = to_payload(_Checkpoint(

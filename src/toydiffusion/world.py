@@ -25,8 +25,9 @@ One module-level least-recently-used cache of schedule.TIME_CACHE_SIZE
 entries (at N = 8, d = 4, 0.8 KiB each) keeps (A, c, b) for every exact
 denoiser, keyed by its prior world, schedule, lam_max, p and float(t).
 Worlds are keyed by identity and their m0 and drift are read-only, so no
-entry goes stale.  The cached arrays are read-only, and a prediction is
-always a new array.
+entry goes stale.  A conditional denoiser's prior, the pinned world, is
+made once per world, so the denoisers on one world share entries.  The
+cached arrays are read-only, and a prediction is always a new array.
 """
 
 from __future__ import annotations
@@ -96,7 +97,12 @@ class GaussianWorld:
 
 def first_frames(world: GaussianWorld, n: int, rng: np.random.Generator):
     """Draw n first frames m0 + s0 z, shape (n, d)."""
-    return world.m0 + world.s0 * rng.standard_normal((n, world.frame_dim))
+    return first_frames_from_noise(world, rng.standard_normal((n, world.frame_dim)))
+
+
+def first_frames_from_noise(world: GaussianWorld, z):
+    """First frames m0 + s0 z for standard normals z (..., d)."""
+    return world.m0 + world.s0 * z
 
 
 def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
@@ -105,13 +111,22 @@ def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
 
     first pins frame 1 to a given (d,) frame and draws nothing for it.
     s_w overrides the world's innovation scale, either as a scalar or as
-    one value per video.  Draw order: first frames, then increments.
-    Frames are first_frames(...) and first + cumsum(drift + s_w z'), the
-    increments written in place into the one output array.
+    one value per video.  Draw order: first frames, then increments; the
+    frames are those of videos_from_noise.
     """
-    out = np.empty((n, world.n_frames, world.frame_dim))
-    out[:, 0] = first_frames(world, n, rng) if first is None else first
+    if first is None:
+        first = first_frames(world, n, rng)
     inc = rng.standard_normal((n, world.n_frames - 1, world.frame_dim))
+    return videos_from_noise(world, first, inc, s_w)
+
+
+def videos_from_noise(world: GaussianWorld, first, inc, s_w=None):
+    """Videos (n, N, d) with frame 1 first and later frames first +
+    cumsum(drift + s_w z), for the (n, N - 1, d) standard normals z in inc.
+    The increments are written in place into inc, then into the one output
+    array.  s_w is as in sample_videos."""
+    out = np.empty((inc.shape[0], world.n_frames, world.frame_dim))
+    out[:, 0] = first
     inc *= world.s_w if s_w is None else np.reshape(s_w, (-1, 1, 1))
     inc += world.drift
     np.cumsum(inc, axis=1, out=inc)
@@ -218,7 +233,7 @@ class ExactDenoiser:
         self.schedule = schedule
         self.shape = (world.n_frames, world.frame_dim)
         self.conditional = bool(conditional)
-        self.prior = replace(world, s0=0.0) if self.conditional else world
+        self.prior = _pinned(world) if self.conditional else world
         # the blend toward the condition, l(t) = lam_max * t^p: none here
         self.lam_max = 0.0
         self.p = 1.0
@@ -239,6 +254,13 @@ class ExactDenoiser:
 
     def predict_eps(self, xt, y, t):
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
+
+
+@functools.lru_cache(maxsize=64)
+def _pinned(world):
+    """The world pinned at frame 1 (s0 = 0), one per world, so that every
+    conditional denoiser on a world reads the same _affine_map entries."""
+    return replace(world, s0=0.0)
 
 
 @functools.lru_cache(maxsize=TIME_CACHE_SIZE)

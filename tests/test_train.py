@@ -1,11 +1,14 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import toydiffusion as td
-from toydiffusion.timenoise import constant_beta
+from toydiffusion.schedule import perturb
+from toydiffusion.timenoise import constant_beta, corrupt, sample_beta
 from toydiffusion.train import (
+    BLOCK_STEPS,
     CDM_FIXED,
     CONSTANT_BETA,
     EDM_LOGNORMAL,
@@ -153,8 +156,6 @@ def test_cdm_batch_replay(world, vp):
     x0 = td.sample_videos(world, 16, rng)
     t = rng.uniform(cfg.t_floor, 1.0, 16)
     eps_y = rng.standard_normal((16, 4))
-    from toydiffusion.schedule import perturb
-
     xt, eps = perturb(vp, x0, t, rng)
     np.testing.assert_allclose(got.y, x0[:, 0, :] + 0.7 * eps_y, atol=1e-15)
     np.testing.assert_allclose(got.xt, xt, atol=1e-15)
@@ -205,8 +206,6 @@ def test_per_item_s_w_batch_replay(world, vp):
         td.sigma_to_t(vp, np.exp(rng.normal(cfg.p_mean, cfg.p_std, 16))),
         cfg.t_floor, 1.0,
     )
-    from toydiffusion.schedule import perturb
-
     xt, eps = perturb(vp, x0, t, rng)
     np.testing.assert_array_equal(got.y, x0[np.arange(16), idx, :])
     np.testing.assert_array_equal(got.t, t)
@@ -459,19 +458,211 @@ def test_forward_matches_plain_numpy_at_any_batch_size(world, b):
     assert not np.shares_memory(shared, model.forward(params, xt, y[0], 0.3))
 
 
-def test_train_calls_each_traced_stage_once_per_step(world, vp, monkeypatch):
-    # the benchmark's train.* layer metrics are spans around these two
-    # module functions; train() must keep calling them through the module
-    module = importlib.import_module("toydiffusion.train")
-    calls = {"make_training_batch": 0, "batch_loss_and_gradient": 0}
-    for name in calls:
-        original = getattr(module, name)
+@pytest.mark.parametrize("steps", [25, 0])
+def test_train_builds_batches_one_block_at_a_time(world, vp, monkeypatch, steps):
+    # train() draws the held-out batch as a one-step block, then one block
+    # of up to BLOCK_STEPS steps per call of the builder; it assembles each
+    # block's input rows in one build_inputs call and runs the loss and
+    # gradient once per step on that step's rows
+    calls = {"_training_rows": [], "make_training_batch": 0,
+             "batch_loss_and_gradient": 0, "build_inputs": [], "_loss_and_gradient": []}
+    originals = {name: getattr(train_module, name)
+                 for name in calls if name != "build_inputs"}
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def rows(*args):
+        calls["_training_rows"].append(args[-1])
+        return originals["_training_rows"](*args)
 
-        monkeypatch.setattr(module, name, counted)
-    td.train(world, vp, TrainConfig(mode=NAIVE, steps=25))
-    # one extra batch: the held-out batch drawn before training
-    assert calls == {"make_training_batch": 26, "batch_loss_and_gradient": 25}
+    def loss_and_gradient(model, work, x, target):
+        calls["_loss_and_gradient"].append(x.shape[0])
+        return originals["_loss_and_gradient"](model, work, x, target)
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    build_inputs = MLPDenoiser.build_inputs
+
+    def inputs(self, xt, *args):
+        calls["build_inputs"].append(xt.shape[0])
+        return build_inputs(self, xt, *args)
+
+    monkeypatch.setattr(train_module, "_training_rows", rows)
+    monkeypatch.setattr(train_module, "_loss_and_gradient", loss_and_gradient)
+    monkeypatch.setattr(train_module, "make_training_batch",
+                        counted("make_training_batch"))
+    monkeypatch.setattr(train_module, "batch_loss_and_gradient",
+                        counted("batch_loss_and_gradient"))
+    monkeypatch.setattr(MLPDenoiser, "build_inputs", inputs)
+    td.train(world, vp, TrainConfig(mode=NAIVE, steps=steps, batch_size=4))
+    full, rest = divmod(steps, BLOCK_STEPS)
+    blocks = [BLOCK_STEPS] * full + [rest] * (rest > 0)
+    assert calls == {
+        "_training_rows": [1] + blocks,
+        "make_training_batch": 1,
+        "batch_loss_and_gradient": 0,
+        # the held-out loss before and after training, and one per block
+        "build_inputs": [4] + [4 * s for s in blocks] + [4],
+        "_loss_and_gradient": [4] * steps,
+    }
+
+
+def _reference_step_loss(world, schedule, cfg, step):
+    """The reference loop's training loss at `step`: its parameters after
+    `step` updates on the data stream's batch for that step."""
+    params, _ = _reference_train(world, schedule, replace(cfg, steps=step))
+    model = MLPDenoiser(world.n_frames, world.frame_dim, hidden=cfg.hidden,
+                        motion_feature=cfg.motion_feature)
+    data_rng = np.random.default_rng(cfg.seed).spawn(3)[2]
+    for _ in range(step + 1):
+        batch = make_training_batch(world, schedule, cfg, data_rng)
+    return batch_loss(model, params, batch)
+
+
+PARTIAL_BLOCK_STEPS = (0, 1, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 43)
+
+
+@pytest.mark.parametrize("steps", PARTIAL_BLOCK_STEPS)
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_train_matches_reference_loop_at_any_step_count(world, request, schedule_name,
+                                                        case, steps):
+    # runs that end inside a block, or before the first one, keep the bytes
+    # of the step-by-step reference, and so does the returned history
+    schedule = request.getfixturevalue(schedule_name)
+    cfg = TrainConfig(steps=steps, seed=3, **REFERENCE_CASES[case])
+    ckpt, history = train(world, schedule, cfg, return_history=True)
+    params, final_loss = _reference_train(world, schedule, cfg)
+    assert np.array_equal(np.asarray(ckpt["parameters"]), params)
+    assert ckpt["final_loss"] == history["final_heldout"] == final_loss
+    assert history["initial_heldout"] == _reference_train(
+        world, schedule, replace(cfg, steps=0))[1]
+    logged = sorted({0, steps - 1}) if steps else []
+    assert history["loss_history"] == [
+        (step, _reference_step_loss(world, schedule, cfg, step)) for step in logged
+    ]
+
+
+# Levels beta_m t^a round to zero for every item of a step whose times all
+# lie below about 0.69, so about half the steps of these runs draw no
+# condition noise.
+ZERO_LEVEL_CASES = {
+    "additive": dict(timenoise=td.TimeNoiseParams(beta_m=2.0, a=100.0), batch_size=2),
+    "interpolation": dict(
+        timenoise=td.TimeNoiseParams(beta_m=1.0, a=100.0, variant="interpolation"),
+        batch_size=3,
+    ),
+}
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("case", sorted(ZERO_LEVEL_CASES))
+def test_steps_without_condition_noise_match_reference_loop(world, request,
+                                                            schedule_name, case):
+    schedule = request.getfixturevalue(schedule_name)
+    cfg = TrainConfig(mode=CONSTANT_BETA, steps=43, seed=3, **ZERO_LEVEL_CASES[case])
+    data_rng = np.random.default_rng(cfg.seed).spawn(3)[2]
+    zero = [
+        not constant_beta(cfg.timenoise, make_training_batch(world, schedule, cfg,
+                                                             data_rng).t).any()
+        for _ in range(cfg.steps)
+    ]
+    # both kinds of step, and a zero-level step inside the first block
+    assert any(zero) and not all(zero) and any(zero[1:BLOCK_STEPS])
+    ckpt = train(world, schedule, cfg)
+    params, final_loss = _reference_train(world, schedule, cfg)
+    assert np.array_equal(np.asarray(ckpt["parameters"]), params)
+    assert ckpt["final_loss"] == final_loss
+
+
+def _replay_batch(world, schedule, cfg, rng):
+    """One batch drawn step by step through the per-step public functions,
+    in the documented draw order: s_w picks, videos, frame choice, times,
+    condition level and noise (none when every level is zero), forward
+    noise."""
+    b, motion = cfg.batch_size, None
+    if cfg.s_w_choices:
+        s_w = np.asarray(cfg.s_w_choices)[rng.integers(0, len(cfg.s_w_choices), size=b)]
+        x0 = td.sample_videos(world, b, rng, s_w=s_w)
+        motion = np.array([td.expected_motion_score(replace(world, s_w=s)) for s in s_w])
+    else:
+        x0 = td.sample_videos(world, b, rng)
+        if cfg.motion_feature:
+            motion = np.full(b, td.expected_motion_score(world))
+    if cfg.cond_frame == "random":
+        y0 = x0[np.arange(b), rng.integers(0, world.n_frames, size=b)]
+    else:
+        y0 = x0[:, 0]
+    t = sample_training_times(schedule, cfg, b, rng)
+    y = y0
+    if cfg.mode == CDM_FIXED:
+        y = corrupt(y0, cfg.cdm_beta, rng)
+    elif cfg.mode != NAIVE:
+        level = (constant_beta(cfg.timenoise, t) if cfg.mode == CONSTANT_BETA
+                 else sample_beta(cfg.timenoise, t, rng))
+        y = corrupt(y0, level, rng, cfg.timenoise.variant)
+    xt, eps = perturb(schedule, x0, t, rng)
+    return Batch(xt=xt, y=y, t=t, target=eps, motion=motion)
+
+
+BATCH_CASES = [
+    *(REFERENCE_CASES[name] for name in sorted(REFERENCE_CASES)),
+    *(dict(mode=CONSTANT_BETA, **ZERO_LEVEL_CASES[name])
+      for name in sorted(ZERO_LEVEL_CASES)),
+    dict(mode=CDM_FIXED, cdm_beta=0.0),
+    dict(mode=CDM_FIXED, cdm_beta=0.5, t_sampler=EDM_LOGNORMAL, motion_feature=True),
+]
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batches_replay_the_per_step_draws(world, request, schedule_name, case):
+    schedule = request.getfixturevalue(schedule_name)
+    cfg = TrainConfig(seed=3, **{"batch_size": 5, **case})
+    got_rng, want_rng = np.random.default_rng(22), np.random.default_rng(22)
+    for _ in range(20):
+        got = make_training_batch(world, schedule, cfg, got_rng)
+        want = _replay_batch(world, schedule, cfg, want_rng)
+        for field in ("xt", "y", "t", "target", "motion"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_block_rows_are_consecutive_batches(world, vp, case):
+    # a block's rows are the batches of its steps, one after another, and
+    # it leaves the generator where those batches leave it; a block may end
+    # early, at a step that draws no condition noise
+    cfg = TrainConfig(seed=3, **{"batch_size": 5, **case})
+    b = cfg.batch_size
+    block_rng, step_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(4):
+        block = train_module._training_rows(world, vp, cfg, block_rng, BLOCK_STEPS)
+        steps = block.t.shape[0] // b
+        assert 1 <= steps <= BLOCK_STEPS and block.t.shape[0] == steps * b
+        for k in range(steps):
+            batch = make_training_batch(world, vp, cfg, step_rng)
+            rows = slice(k * b, (k + 1) * b)
+            for field in ("xt", "y", "t", "target", "motion"):
+                want, got = getattr(batch, field), getattr(block, field)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got[rows], want), field
+        assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_is_reported_at_the_reference_step(world, vp):
+    # a cdm level near the largest double overflows the condition of any
+    # item whose noise exceeds about 4 to infinity; its gradient is NaN, so
+    # the loss of the next step is.  With this seed that happens in the
+    # second block.
+    cfg = TrainConfig(mode=CDM_FIXED, cdm_beta=4.5e307, steps=40, seed=5)
+    with pytest.raises(TrainingDiverged) as err:
+        train(world, vp, cfg)
+    first = next(step for step in range(cfg.steps)
+                 if not np.isfinite(_reference_step_loss(world, vp, cfg, step)))
+    assert BLOCK_STEPS < first
+    assert err.value.step == first

@@ -294,6 +294,23 @@ def test_exact_denoiser_gain_cache(world, vp):
                               other.predict_x0(xt, y0, 0.3))
 
 
+def test_conditional_denoisers_on_one_world_share_maps(world, vp):
+    # the pinned prior is made once per world, so a second conditional
+    # denoiser on the world reads the first one's map
+    world_module._affine_map.cache_clear()
+    xt = np.random.default_rng(12).standard_normal((3, 8, 4))
+    y0 = np.array([0.5, -1.0, 0.0, 2.0])
+    first, second = ExactDenoiser(world, vp), ExactDenoiser(world, vp)
+    assert second.prior is first.prior
+    got = [den.predict_x0(xt, y0, 0.5) for den in (first, second)]
+    info = world_module._affine_map.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the same bytes as a map built on a pinned world of its own
+    a, c, b = world_module._affine_map(replace(world, s0=0.0), vp, 0.0, 1.0, 0.5)
+    for out in got:
+        np.testing.assert_array_equal(out, (a @ xt + c * y0) + b)
+
+
 def test_exact_prediction_is_a_fresh_array(world, vp):
     # writing into one result changes neither the cache nor the next result
     den = ExactDenoiser(world, vp)
