@@ -35,8 +35,10 @@ class InitDistribution:
         mu = np.asarray(self.mu_p, dtype=np.float64).ravel()
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu_p must be finite")
-        if not self.sigma_p2 > 0.0:
-            raise ValueError("sigma_p2 must be positive")
+        if not 0.0 < self.sigma_p2 < np.inf:
+            raise ValueError(
+                f"sigma_p2 must be positive and finite, got {self.sigma_p2!r}"
+            )
         if not 0.0 < self.M <= 1.0:
             raise ValueError("M must lie in (0, 1]")
         object.__setattr__(self, "mu_p", mu)

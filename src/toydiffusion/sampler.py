@@ -5,17 +5,25 @@ repeatedly applies
 
     x_next = alpha_next x0_hat + (sigma_next / sigma_cur) (x_cur - alpha_cur x0_hat)
 
-with x0_hat from a denoiser, written by three in-place operations into
-x0_hat as r (x_cur + ((alpha_next - r alpha_cur) / r) x0_hat), r =
-sigma_next / sigma_cur > 0 (the last step, to t = 0, returns x0_hat).  A
+with x0_hat from a denoiser (the last step, to t = 0, returns x0_hat).  A
 denoiser has predict_x0(xt, y, t), which returns a new writable array its
-caller owns (each step is written in place into it), shape, the
-(n_frames, frame_dim) of one video, and schedule, which must be the
-sampler's.  The initial state is drawn from the config's init, a
-Gaussian fitted to the time-M marginal, or else from standard_init, the
-conventional prior.  Initial draws are formed by affine-mapping one
-shared standard-normal tensor, so runs that differ only in the init
-distribution are paired sample-by-sample under a shared seed.
+caller owns, shape, the (n_frames, frame_dim) of one video, and schedule,
+which must be the sampler's.
+
+The exact and leaky denoisers are affine, so each of their steps is one
+cached map x_next = M x_cur + c y^T + b (world._affine_map with the step's
+end time).  sample_batch runs their chains in an (N, d n) state whose chain
+index is innermost: a step is one (N, N) @ (N, d n) matmul into the other
+of two buffers plus the c y^T + b term, added in place.  Any other
+denoiser runs ddim_step, which writes the update into predict_x0's fresh
+result by three in-place operations, r (x_cur + ((alpha_next - r
+alpha_cur) / r) x0_hat) with r = sigma_next / sigma_cur > 0.
+
+The initial state is drawn from the config's init, a Gaussian fitted to
+the time-M marginal, or else from standard_init, the conventional prior.
+Initial draws are formed by affine-mapping one shared standard-normal
+tensor, so runs that differ only in the init distribution are paired
+sample-by-sample under a shared seed.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import numpy as np
 from .analytic_init import InitDistribution, standard_init
 from .schedule import NoiseSchedule, alpha_sigma
 from .timenoise import corrupt
+from .world import ExactDenoiser, _affine_map
 
 STANDARD = "standard"
 ANALYTIC = "analytic"
@@ -38,6 +47,7 @@ class SamplerDiverged(RuntimeError):
     def __init__(self, step: int, t: float):
         super().__init__(f"non-finite sampler state at step {step} (t={t:g})")
         self.step = step
+        self.t = t
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +141,36 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     if config.inference_beta:
         y = corrupt(np.broadcast_to(y0, (n, d)), config.inference_beta, rng)
     grid = time_grid(config.start_time, config.steps)
+    if not isinstance(denoiser, ExactDenoiser):
+        for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
+            x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)
+            if not np.all(np.isfinite(x)):
+                raise SamplerDiverged(step, float(t_to))
+        return x
+    # column k n + j of the (N, d n) state is coordinate k of chain j; the
+    # draw is released when x is rebound
+    n_frames = denoiser.shape[0]
+    x = np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(n_frames, d * n)
+    y = y if denoiser.conditional else denoiser.world.m0
+    key = (denoiser.prior, schedule, denoiser.lam_max, denoiser.p)
+    out, finite = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    # a per-chain condition, held as (d, n), adds c y^T + b through one
+    # reused buffer
+    term = None
+    if y.ndim == 2:
+        y, term = np.ascontiguousarray(y.T), np.empty((n_frames, d, n))
     for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
-        x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)
-        if not np.all(np.isfinite(x)):
+        m, c, b = _affine_map(*key, float(t_from), float(t_to))
+        np.matmul(m, x, out=out)
+        cols = out.reshape(n_frames, d, n)
+        if term is None:
+            cols += (c * y + b)[:, :, None]
+        else:
+            np.multiply(c[:, :, None], y, out=term)
+            term += b[:, :, None]
+            cols += term
+        if not np.isfinite(out, out=finite).all():
             raise SamplerDiverged(step, float(t_to))
-    return x
-
+        x, out = out, x
+    del out, finite, term
+    return x.reshape(n_frames, d, n).transpose(2, 0, 1).copy()

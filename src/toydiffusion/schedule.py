@@ -34,7 +34,8 @@ T_FINAL = 1.0
 
 #: Entries of every per-time cache: the scalar alpha_sigma pairs here and
 #: the exact family's affine maps in world, one cache each.  The longest
-#: sampler grid in use has 201 times.
+#: sampler grid in use has 201 times; an exact-family run on it keeps a
+#: prediction map and a step map per step, about 400 maps.
 TIME_CACHE_SIZE = 1024
 
 

@@ -21,9 +21,11 @@ prediction is one affine map of x_t and y:
 where l(t) is the leaky denoiser's blend toward a static copy of y (0 for
 the exact denoiser), which turns conditioning over-reliance into a dial.
 
-One module-level least-recently-used cache of schedule.TIME_CACHE_SIZE
-entries (at N = 8, d = 4, 0.8 KiB each) keeps (A, c, b) for every exact
-denoiser, keyed by its prior world, schedule, lam_max, p and float(t).
+The sampler applies the same map composed with each DDIM step, x_to =
+M x_t + c y^T + b.  One module-level least-recently-used cache of
+schedule.TIME_CACHE_SIZE entries (at N = 8, d = 4, 0.8 KiB each) keeps
+(A, c, b) and the step maps for every exact denoiser, keyed by its prior
+world, schedule, lam_max, p, float(t) and, for a step, its end time.
 Worlds are keyed by identity and their m0 and drift are read-only, so no
 entry goes stale.  A conditional denoiser's prior, the pinned world, is
 made once per world, so the denoisers on one world share entries.  The
@@ -264,21 +266,36 @@ def _pinned(world):
 
 
 @functools.lru_cache(maxsize=TIME_CACHE_SIZE)
-def _affine_map(prior, schedule, lam_max, p, t):
-    """The read-only (A, c, b) of x0_hat = A xt + c y^T + b at time t.
+def _affine_map(prior, schedule, lam_max, p, t, t_to=0.0):
+    """The read-only (M, c, b) of one DDIM step x_to = M xt + c y^T + b
+    from t down to t_to.
 
-    G = solve(alpha^2 C + sigma^2 I, alpha C) for the prior's C and the
-    leak l = lam_max t^p give A = (1 - l) G, c = (1 - l) (I - alpha G) 1 + l
-    as an (N, 1) column, and b = (1 - l) (I - alpha G) o for the offsets o.
+    t_to = 0 is the prediction x0_hat = A xt + c y^T + b itself, which
+    predict_x0 reads: G = solve(alpha^2 C + sigma^2 I, alpha C) for the
+    prior's C and the leak l = lam_max t^p give A = (1 - l) G, c = (1 - l)
+    (I - alpha G) 1 + l as an (N, 1) column, and b = (1 - l) (I - alpha G) o
+    for the offsets o.  A step to t_to > 0, x_to = k x0_hat + r xt with r =
+    sigma_to / sigma_t and k = alpha_to - r alpha_t, composes that map into
+    (k A + r I, k c, k b).  t_to = 0 never takes that form: VE has
+    sigma(0) = sigma_min, not 0.
     """
-    alpha, sigma = alpha_sigma(schedule, t)
-    cov, eye = prior_frame_cov(prior), np.eye(prior.n_frames)
-    gain = np.linalg.solve(alpha**2 * cov + sigma**2 * eye, alpha * cov)
-    rest = eye - alpha * gain
-    leak = lam_max * t**p  # LeakyDenoiser.leak(t)
-    keep = 1.0 - leak
-    coefficients = (keep * gain, keep * rest.sum(axis=1, keepdims=True) + leak,
-                    keep * (rest @ _frame_offsets(prior)))
+    eye = np.eye(prior.n_frames)
+    if t_to != 0.0:
+        a, c, b = _affine_map(prior, schedule, lam_max, p, t)
+        a_from, s_from = alpha_sigma(schedule, t)
+        a_to, s_to = alpha_sigma(schedule, t_to)
+        r = s_to / s_from
+        kappa = a_to - r * a_from
+        coefficients = (kappa * a + r * eye, kappa * c, kappa * b)
+    else:
+        alpha, sigma = alpha_sigma(schedule, t)
+        cov = prior_frame_cov(prior)
+        gain = np.linalg.solve(alpha**2 * cov + sigma**2 * eye, alpha * cov)
+        rest = eye - alpha * gain
+        leak = lam_max * t**p  # LeakyDenoiser.leak(t)
+        keep = 1.0 - leak
+        coefficients = (keep * gain, keep * rest.sum(axis=1, keepdims=True) + leak,
+                        keep * (rest @ _frame_offsets(prior)))
     for array in coefficients:
         array.flags.writeable = False
     return coefficients

@@ -213,3 +213,11 @@ def test_init_distribution_round_trip_and_validation():
         InitDistribution(mu_p=np.zeros(2), sigma_p2=1.0, M=1.2)
     with pytest.raises(ValueError):
         DataMoments(mean=np.zeros(2), avg_var=-1.0, n_samples=3)
+
+
+@pytest.mark.parametrize("sigma_p2", [np.inf, np.nan, -np.inf])
+def test_init_distribution_rejects_non_finite_variance(sigma_p2):
+    # an infinite variance used to pass "not inf > 0" and start every chain
+    # at inf, reported as SamplerDiverged at step 0
+    with pytest.raises(ValueError, match="sigma_p2 must be positive and finite"):
+        InitDistribution(mu_p=np.zeros(2), sigma_p2=sigma_p2, M=1.0)

@@ -192,6 +192,40 @@ def test_sampler_divergence_detection(world, vp):
     assert err.value.step == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["exact", "leaky"])
+def test_step_map_divergence_is_reported_at_the_replayed_step(world, vp, name):
+    # a start mean of 1e308 overflows the state after some steps; the step
+    # and t are those at which a replay of the step maps first leaves the
+    # finite range
+    den = EXACT_FAMILY[name](world, vp)
+    init = InitDistribution(mu_p=np.full(32, 1e308), sigma_p2=1.0, M=1.0)
+    cfg = SamplerConfig(1.0, 50, init=init)
+    y0 = np.zeros(4)
+    with pytest.raises(SamplerDiverged) as err:
+        sample_batch(den, y0, cfg, vp, 3, np.random.default_rng(24))
+    replay = _step_map_states(den, y0, cfg, vp, 3, np.random.default_rng(24))
+    step, t_to = next((step, t_to) for step, t_to, x in replay
+                      if not np.isfinite(x).all())
+    assert (err.value.step, err.value.t) == (step, t_to)
+    assert step > 0
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", ["exact", "leaky"])
+def test_step_maps_keep_a_huge_condition_finite(request, world, name, schedule_name):
+    # the three-operation step's (k / r) x0_hat overflowed on a 1.7e308
+    # condition (step 44 on VP, 6 on VE); the fused state never forms it
+    schedule = request.getfixturevalue(schedule_name)
+    den = EXACT_FAMILY[name](world, schedule)
+    y0 = np.full(4, 1.7e308)
+    cfg = SamplerConfig(1.0, 50)
+    got = sample_batch(den, y0, cfg, schedule, 3, np.random.default_rng(25))
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(
+        got, _step_map_sample(den, y0, cfg, schedule, 3, np.random.default_rng(25)))
+
+
 def test_denoiser_for_another_schedule_is_rejected(world, vp, ve):
     # a VP posterior mean stepped on the VE grid ran and gave 10x the motion
     den = ExactDenoiser(world, vp)
@@ -220,19 +254,15 @@ def test_draw_initial_dimension_guard(world, vp):
 
 
 # ---------------------------------------------------------------------------
-# The in-place step against the plain expressions it replaced
+# The sampler against written-out copies of its arithmetic
 
 
-def _reference_x0(den, xt, y, t):
-    """Independent copy of the exact family's affine map A xt + c y^T + b,
-    each operation allocating its result; the trained denoiser's
-    predict_x0 already allocates and is used as it is."""
-    if isinstance(den, TrainedDenoiser):
-        return den.predict_x0(xt, y, t)
+def _reference_map(den, t):
+    """Independent copy of the exact family's affine map (A, c, b) of
+    x0_hat = A xt + c y^T + b, each operation allocating its result."""
     world = den.world
     pinned = replace(world, s0=0.0) if den.conditional else world
     cov = prior_frame_cov(pinned)
-    y = np.asarray(y if den.conditional else world.m0, dtype=np.float64)
     offsets = np.arange(world.n_frames, dtype=np.float64)[:, None] * world.drift
     alpha, sigma = alpha_sigma(den.schedule, t)
     eye = np.eye(world.n_frames)
@@ -242,17 +272,48 @@ def _reference_x0(den, xt, y, t):
     a = (1.0 - leak) * gain
     c = (1.0 - leak) * rest.sum(axis=1, keepdims=True) + leak
     b = (1.0 - leak) * (rest @ offsets)
+    return a, c, b
+
+
+def _reference_step_map(den, t_from, t_to):
+    """The DDIM step x_to = k x0_hat + r xt composed into the map:
+    (k A + r I, k c, k b) with r = s_to / s_from and k = a_to - r a_from,
+    and (A, c, b) itself for the step to t = 0."""
+    a, c, b = _reference_map(den, t_from)
+    if t_to == 0.0:
+        return a, c, b
+    a_from, s_from = alpha_sigma(den.schedule, t_from)
+    a_to, s_to = alpha_sigma(den.schedule, t_to)
+    r = s_to / s_from
+    kappa = a_to - r * a_from
+    return kappa * a + r * np.eye(len(a)), kappa * c, kappa * b
+
+
+def _reference_x0(den, xt, y, t):
+    """The exact family's prediction through _reference_map; the trained
+    denoiser's predict_x0 already allocates and is used as it is."""
+    if isinstance(den, TrainedDenoiser):
+        return den.predict_x0(xt, y, t)
+    a, c, b = _reference_map(den, t)
+    y = np.asarray(y if den.conditional else den.world.m0, dtype=np.float64)
     return a @ np.asarray(xt) + c * y[..., None, :] + b
 
 
-def _reference_sample(den, y0, cfg, schedule, n, rng):
-    """sample_batch written out with the allocating form of the DDIM step
-    r (x + ((a_to - r a_from) / r) x0_hat), r = s_to / s_from."""
+def _reference_start(cfg, schedule, y0, n, rng):
+    """The initial draw, then one condition draw per chain if cfg says so."""
     x = draw_initial(cfg, schedule, (n, 8, 4), rng)
     y = np.asarray(y0, dtype=np.float64)
     if cfg.inference_beta is not None:
         eps_shape = y.shape if y.ndim == 2 else (n,) + y.shape
         y = y + cfg.inference_beta * rng.standard_normal(eps_shape)
+    return x, y
+
+
+def _reference_sample(den, y0, cfg, schedule, n, rng):
+    """sample_batch written out with the allocating form of the three-
+    operation DDIM step r (x + ((a_to - r a_from) / r) x0_hat), r = s_to /
+    s_from, for any denoiser."""
+    x, y = _reference_start(cfg, schedule, y0, n, rng)
     grid = time_grid(cfg.start_time, cfg.steps)
     for t_from, t_to in zip(grid[:-1], grid[1:]):
         x0_hat = _reference_x0(den, x, y, float(t_from))
@@ -263,6 +324,28 @@ def _reference_sample(den, y0, cfg, schedule, n, rng):
         a_to, s_to = alpha_sigma(schedule, float(t_to))
         r = s_to / s_from
         x = (x0_hat * ((a_to - r * a_from) / r) + x) * r
+    return x
+
+
+def _step_map_states(den, y0, cfg, schedule, n, rng):
+    """sample_batch's exact-family arithmetic written out: the chains as
+    the columns of an (N, d n) state, chain index innermost, and each step
+    M x + (c y^T + b), each operation allocating.  Yields every step's
+    (step, t_to, state as (n, N, d))."""
+    x, y = _reference_start(cfg, schedule, y0, n, rng)
+    y = y if den.conditional else den.world.m0
+    term_y = y.T[None] if y.ndim == 2 else y[None, :, None]  # (1, d, n or 1)
+    cols = x.transpose(1, 2, 0).reshape(8, 4 * n)
+    grid = time_grid(cfg.start_time, cfg.steps)
+    for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
+        m, c, b = _reference_step_map(den, float(t_from), float(t_to))
+        term = c[:, :, None] * term_y + b[:, :, None]
+        cols = ((m @ cols).reshape(8, 4, n) + term).reshape(8, 4 * n)
+        yield step, float(t_to), cols.reshape(8, 4, n).transpose(2, 0, 1)
+
+
+def _step_map_sample(den, y0, cfg, schedule, n, rng):
+    *_, (_, _, x) = _step_map_states(den, y0, cfg, schedule, n, rng)
     return x
 
 
@@ -286,6 +369,9 @@ def denoisers(world, vp, ve):
 @pytest.mark.parametrize("name", ["exact", "leaky", "trained"])
 def test_sample_batch_matches_reference_loop(request, denoisers, name,
                                              schedule_name, per_chain, beta):
+    # the trained denoiser runs the three-operation step, bit for bit; the
+    # exact family runs one step map per step, bit for bit against its
+    # written-out copy and within 1e-13 of the three-operation step
     schedule = request.getfixturevalue(schedule_name)
     den = denoisers[(name, schedule.kind)]
     n = 16
@@ -294,7 +380,124 @@ def test_sample_batch_matches_reference_loop(request, denoisers, name,
     cfg = SamplerConfig(0.9, 12, inference_beta=beta)
     got = sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(12))
     want = _reference_sample(den, y0, cfg, schedule, n, np.random.default_rng(12))
-    np.testing.assert_array_equal(got, want)
+    if name == "trained":
+        np.testing.assert_array_equal(got, want)
+        return
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    fused = _step_map_sample(den, y0, cfg, schedule, n, np.random.default_rng(12))
+    np.testing.assert_array_equal(got, fused)
+
+
+EXACT_FAMILY = {
+    "exact": lambda world, schedule: ExactDenoiser(world, schedule),
+    "leaky": lambda world, schedule: LeakyDenoiser(world, schedule, 0.6, 1.5),
+    "unconditional": lambda world, schedule: ExactDenoiser(world, schedule,
+                                                           conditional=False),
+}
+
+
+@pytest.mark.parametrize("steps", [(0.9, 50), (1.0, 200), (0.5, 1)],
+                         ids=["M0.9-K50", "M1-K200", "M0.5-K1"])
+@pytest.mark.parametrize("beta", [None, 0.3])
+@pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
+def test_step_maps_agree_with_the_three_operation_step(request, name, schedule_name,
+                                                       per_chain, beta, steps):
+    # the fused step reorders floating-point work; 1e-13 absolute, fixed
+    # before any run (measured maximum 2.4e-14)
+    schedule = request.getfixturevalue(schedule_name)
+    world = td.GaussianWorld(m0=[0.5, -1.0, 0.0, 2.0], drift=[0.2, -0.1, 0.0, 0.3])
+    den = EXACT_FAMILY[name](world, schedule)
+    n = 32
+    rng = np.random.default_rng(19)
+    y0 = 2.0 * rng.standard_normal((n, 4) if per_chain else 4)
+    cfg = SamplerConfig(*steps, inference_beta=beta)
+    got = sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(20))
+    want = np.random.default_rng(20)
+    want = _reference_sample(den, y0, cfg, schedule, n, want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def _probe_step(den, y, t_from, t_to):
+    """Recover (M, c, b) of one step from ddim_step alone: the zero video
+    with y = 0 gives b, the N unit-frame videos give M's columns, and the
+    zero video with y = 1 gives c.  The unconditional denoiser reads m0 in
+    place of y, so its zero response is c m0^T + b."""
+    n_frames, d = den.shape
+    videos = np.zeros((n_frames + 2, n_frames, d))
+    videos[np.arange(n_frames), np.arange(n_frames)] = 1.0
+    ys = np.zeros((n_frames + 2, d))
+    ys[-1] = y
+    out = ddim_step(den, videos, ys, t_from, t_to, den.schedule)
+    zero = out[-2]
+    # (N, N, d): M's column j in every coordinate; (N, d): c in every one
+    return (out[:n_frames] - zero).transpose(1, 0, 2), out[-1] - zero, zero
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
+def test_step_maps_match_ddim_step_probes(request, name, schedule_name):
+    schedule = request.getfixturevalue(schedule_name)
+    world = td.GaussianWorld(m0=[0.5, -1.0, 0.0, 2.0], drift=[0.2, -0.1, 0.0, 0.3])
+    den = EXACT_FAMILY[name](world, schedule)
+    times = [(0.9, 0.825), (1.0, 0.995), (0.5, 0.25), (0.02, 0.01), (0.3, 0.0),
+             (0.005, 0.0)]
+    for t_from, t_to in times:
+        m, c, b = world_module._affine_map(den.prior, schedule, den.lam_max, den.p,
+                                           t_from, t_to)
+        assert not any(array.flags.writeable for array in (m, c, b))
+        probed_m, probed_c, zero = _probe_step(den, np.ones(4), t_from, t_to)
+        np.testing.assert_allclose(probed_m, np.broadcast_to(m[..., None], (8, 8, 4)),
+                                   rtol=0, atol=1e-12)
+        if den.conditional:
+            np.testing.assert_allclose(probed_c, np.broadcast_to(c, (8, 4)),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(zero, b, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(probed_c, 0.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(zero, c * world.m0 + b, rtol=0, atol=1e-12)
+        # and the written-out copy of the step map
+        for got, want in zip((m, c, b), _reference_step_map(den, t_from, t_to)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
+def test_step_map_to_zero_is_the_prediction_map(request, world, name, schedule_name):
+    # t_to = 0 is predict_x0's own (A, c, b), bit for bit, and not the
+    # r, k form: VE has sigma(0) = sigma_min != 0
+    schedule = request.getfixturevalue(schedule_name)
+    den = EXACT_FAMILY[name](world, schedule)
+    key = (den.prior, schedule, den.lam_max, den.p)
+    xt = np.random.default_rng(21).standard_normal((5, 8, 4))
+    y0 = np.array([0.5, -1.0, 0.0, 2.0])
+    for t in (1.0, 0.5, 0.02, 1e-4):
+        to_zero, prediction = world_module._affine_map(*key, t, 0.0), \
+            world_module._affine_map(*key, t)
+        for got, want in zip(to_zero, prediction):
+            np.testing.assert_array_equal(got, want)
+        a, c, b = to_zero
+        y = y0 if den.conditional else world.m0
+        np.testing.assert_array_equal(den.predict_x0(xt, y0, t), a @ xt + c * y + b)
+        np.testing.assert_array_equal(ddim_step(den, xt, y0, t, 0.0, schedule),
+                                      den.predict_x0(xt, y0, t))
+
+
+@pytest.mark.parametrize("name, per_chain", [("exact", False), ("leaky", True)],
+                         ids=["exact-shared", "leaky-per-chain"])
+def test_chain_output_does_not_depend_on_the_chain_count(world, vp, name, per_chain):
+    # chain i gets row i of the draw and the same column of every matmul,
+    # whatever the number of chains
+    den = EXACT_FAMILY[name](world, vp)
+    cfg = SamplerConfig(0.9, 20)
+    big = 10_000
+    y0 = np.random.default_rng(22).standard_normal((big, 4) if per_chain else 4)
+    full = sample_batch(den, y0, cfg, vp, big, np.random.default_rng(23))
+    for n in (1, 3, 17, 100, 2048):
+        y = y0[:n] if per_chain else y0
+        got = sample_batch(den, y, cfg, vp, n, np.random.default_rng(23))
+        np.testing.assert_array_equal(got, full[:n])
 
 
 # The mean-centred posterior, the blend toward y after the fact and the
@@ -428,9 +631,10 @@ def _traced_peak_bytes(run):
     ("leaky", True, 4.5),
 ], ids=["exact-shared", "leaky-per-chain"])
 def test_sample_batch_peak_memory(world, vp, name, per_chain, bound):
-    # each step holds the state and the denoiser's output (plus the
-    # (n, N, d) c y^T with per-chain y0), and writes the DDIM update into
-    # that output
+    # the draw is released once the chain-innermost state is made; each
+    # step then holds two state buffers, a boolean one (plus the reused
+    # c y^T + b buffer with per-chain y0), and the output is made after the
+    # second state buffer is freed
     n = 2000
     if name == "exact":
         den = ExactDenoiser(world, vp)
