@@ -72,8 +72,9 @@ class SamplerConfig:
             raise ValueError("steps must be at least 1")
         if self.init is not None and self.init.M != self.start_time:
             raise ValueError("init distribution was fitted at a different start time")
-        if self.inference_beta is not None and self.inference_beta < 0.0:
-            raise ValueError("inference_beta must be nonnegative")
+        beta = self.inference_beta
+        if beta is not None and not 0.0 <= beta < np.inf:
+            raise ValueError(f"inference_beta must be finite and >= 0, got {beta!r}")
 
 
 def time_grid(start_time: float, steps: int):
@@ -136,6 +137,8 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     d = denoiser.shape[1]
     if y0.shape not in ((d,), (n, d)):
         raise ValueError(f"y0 must have shape ({d},) or ({n}, {d}), got {y0.shape}")
+    if not np.isfinite(y0).all():
+        raise ValueError("y0 must be finite")
     x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
     y = y0
     if config.inference_beta:

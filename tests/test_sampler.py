@@ -193,18 +193,32 @@ def test_sampler_divergence_detection(world, vp):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
+@pytest.mark.parametrize("source, schedule_name", [
+    ("start", "vp"), ("condition", "vp"), ("condition", "ve"),
+])
 @pytest.mark.parametrize("name", ["exact", "leaky"])
-def test_step_map_divergence_is_reported_at_the_replayed_step(world, vp, name):
-    # a start mean of 1e308 overflows the state after some steps; the step
-    # and t are those at which a replay of the step maps first leaves the
-    # finite range
-    den = EXACT_FAMILY[name](world, vp)
-    init = InitDistribution(mu_p=np.full(32, 1e308), sigma_p2=1.0, M=1.0)
-    cfg = SamplerConfig(1.0, 50, init=init)
-    y0 = np.zeros(4)
+def test_step_map_divergence_is_reported_at_the_replayed_step(request, world, name,
+                                                              source, schedule_name,
+                                                              per_chain):
+    # the step and t are those at which a replay of the step maps first
+    # leaves the finite range.  A start mean of 1e308 grows past it on VP
+    # (VE steps contract); a huge drift and condition put the data's last
+    # frame, y0 + 7 drift, past it on both schedules
+    schedule = request.getfixturevalue(schedule_name)
+    rng = np.random.default_rng(26)
+    if source == "start":
+        init = InitDistribution(mu_p=np.full(32, 1e308), sigma_p2=1.0, M=1.0)
+        cfg = SamplerConfig(1.0, 50, init=init)
+        y0 = rng.standard_normal((3, 4)) if per_chain else np.zeros(4)
+    else:
+        world = td.GaussianWorld(drift=[1.5e307, 0.0, 0.0, 0.0])
+        cfg = SamplerConfig(1.0, 50)
+        y0 = 1.4e308 * (rng.uniform(0.9, 1.0, (3, 4)) if per_chain else np.ones(4))
+    den = EXACT_FAMILY[name](world, schedule)
     with pytest.raises(SamplerDiverged) as err:
-        sample_batch(den, y0, cfg, vp, 3, np.random.default_rng(24))
-    replay = _step_map_states(den, y0, cfg, vp, 3, np.random.default_rng(24))
+        sample_batch(den, y0, cfg, schedule, 3, np.random.default_rng(24))
+    replay = _step_map_states(den, y0, cfg, schedule, 3, np.random.default_rng(24))
     step, t_to = next((step, t_to) for step, t_to, x in replay
                       if not np.isfinite(x).all())
     assert (err.value.step, err.value.t) == (step, t_to)
@@ -244,6 +258,19 @@ def test_sampler_config_validation(world, vp):
         SamplerConfig(start_time=0.0, steps=10)
     with pytest.raises(ValueError):
         SamplerConfig(start_time=1.0, steps=10, inference_beta=-0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_beta_and_condition_are_rejected(world, vp, bad):
+    # an input error, rejected before the run rather than reported as a
+    # numerical failure (SamplerDiverged at step 0)
+    with pytest.raises(ValueError, match="inference_beta"):
+        SamplerConfig(1.0, 10, inference_beta=bad)
+    for den in (ExactDenoiser(world, vp), ExactDenoiser(world, vp, conditional=False)):
+        for y0 in (np.array([bad, 0.0, 0.0, 0.0]), np.full((2, 4), bad)):
+            with pytest.raises(ValueError, match="y0"):
+                sample_batch(den, y0, SamplerConfig(1.0, 10), vp, 2,
+                             np.random.default_rng(0))
 
 
 def test_draw_initial_dimension_guard(world, vp):
