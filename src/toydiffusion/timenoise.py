@@ -35,10 +35,10 @@ class TimeNoiseParams:
     variant: str = ADDITIVE
 
     def __post_init__(self) -> None:
-        if not self.beta_m > 0.0:
-            raise ValueError("beta_m must be positive")
-        if not self.a > 0.0:
-            raise ValueError("exponent a must be positive")
+        for name in ("beta_m", "a"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if self.variant not in (ADDITIVE, INTERPOLATION):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == INTERPOLATION and self.beta_m != 1.0:
@@ -95,14 +95,13 @@ def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
     """Corrupt conditioning frames at level beta_s.
 
     Additive: y0 + beta_s * eps; interpolation: (1 - beta_s) y0 + beta_s * eps.
-    beta_s is a scalar or one level per row of y0.  An all-zero level
-    applies no noise, consumes no randomness and returns a copy of y0.
+    beta_s is a scalar or one level per row of y0.  Every call draws eps,
+    one standard normal per entry of y0, whatever the level; a caller that
+    wants no noise at all skips the call.
     """
     y0 = np.asarray(y0, dtype=np.float64)
-    beta_s = _per_item(beta_s, y0)
-    if (beta_s == 0.0).all():
-        return y0.copy()
-    return corrupt_with_noise(y0, beta_s, rng.standard_normal(y0.shape), variant)
+    eps = rng.standard_normal(y0.shape)
+    return corrupt_with_noise(y0, _per_item(beta_s, y0), eps, variant)
 
 
 def corrupt_with_noise(y0, beta_s, eps, variant: str):

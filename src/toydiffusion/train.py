@@ -14,12 +14,12 @@ Four condition-corruption modes are supported during training:
               logit-normal center without its randomness
 
 train() builds its batches one block of BLOCK_STEPS steps at a time.  The
-draws of each step are made in the same order as before, step after step
-(see make_training_batch); the arithmetic on them (videos, conditions,
-times, corruption levels, noisy videos, model input rows) runs once per
-block over all its rows.  Forward, backward and Adam then run per step on
-that step's contiguous rows, at the batch shape, so a checkpoint has the
-bytes of building each batch on its own.
+draws of each step are made step after step, in the order and number
+that make_training_batch fixes from the config alone; the arithmetic on
+them (videos, conditions, times, corruption levels, noisy videos, model
+input rows) runs once per block over all its rows.  Forward, backward and
+Adam then run per step on that step's contiguous rows, at the batch
+shape, so a checkpoint has the bytes of building each batch on its own.
 """
 
 from __future__ import annotations
@@ -103,8 +103,14 @@ class TrainConfig:
             raise ValueError("steps must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.lr > 0.0:
-            raise ValueError("learning rate must be positive")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if not math.isfinite(self.p_mean):
+            raise ValueError(f"p_mean must be finite, got {self.p_mean!r}")
+        if not 0.0 <= self.p_std < math.inf:
+            raise ValueError(f"p_std must be finite and >= 0, got {self.p_std!r}")
         if self.t_sampler not in (UNIFORM_T, EDM_LOGNORMAL):
             raise ValueError(f"unknown time sampler {self.t_sampler!r}")
         if not 0.0 < self.t_floor < 1.0:
@@ -113,6 +119,8 @@ class TrainConfig:
             raise ValueError(f"mode {self.mode!r} requires timenoise parameters")
         if self.mode == CDM_FIXED and self.cdm_beta is None:
             raise ValueError("cdm mode requires cdm_beta")
+        if self.cdm_beta is not None and not 0.0 <= self.cdm_beta < math.inf:
+            raise ValueError(f"cdm_beta must be finite and >= 0, got {self.cdm_beta!r}")
         if self.cond_frame not in (FIRST_FRAME, RANDOM_FRAME):
             raise ValueError(f"unknown cond_frame {self.cond_frame!r}")
         if self.s_w_choices is not None:  # empty means no choice
@@ -121,8 +129,9 @@ class TrainConfig:
             )
         if self.s_w_choices and not self.motion_feature:
             raise ValueError("s_w_choices needs motion_feature, the only reader of it")
-        if self.s_w_choices and not all(s > 0.0 for s in self.s_w_choices):
-            raise ValueError(f"s_w_choices must be positive, got {self.s_w_choices}")
+        if self.s_w_choices and not all(0.0 < s < math.inf for s in self.s_w_choices):
+            raise ValueError(
+                f"s_w_choices must be finite and positive, got {self.s_w_choices}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,68 +364,40 @@ def _motion_scores(world, s_w_choices):
 
 
 def _training_rows(world, schedule, config: TrainConfig, rng, steps):
-    """The batches of up to `steps` consecutive training steps, stacked as
-    one Batch of batch_size rows per step.
+    """The batches of `steps` consecutive training steps, stacked as one
+    Batch of batch_size rows per step.
 
     Each step makes its draws from rng in the order of make_training_batch.
     The arithmetic on them (videos, conditions, times, corruption levels,
     noisy videos) then runs once over all rows, the same elementwise
     operations on longer arrays, so each step's rows equal its own batch.
-
-    A step whose corruption levels are all zero draws no condition noise.
-    The level curves' levels are known only after the draws, so each step
-    first draws its condition noise; if a step's levels turn out all zero,
-    rng is reset and the draws are made again up to that step, without its
-    condition noise, and the Batch ends there.
     """
     b, n, d = config.batch_size, world.n_frames, world.frame_dim
     choices = np.asarray(config.s_w_choices or (), dtype=np.float64)
-    fixed_zero = config.mode == NAIVE or (
-        config.mode == CDM_FIXED and config.cdm_beta == 0.0
-    )
-    noisy = 0 if fixed_zero else steps  # steps 0..noisy-1 draw condition noise
-    while True:
-        start = rng.bit_generator.state
-        pick = np.empty(steps * b, dtype=np.int64)
-        z_first = np.empty((steps, b, d))
-        z_inc = np.empty((steps, b, n - 1, d))
-        frame = np.empty(steps * b, dtype=np.int64)
-        t_draws = np.empty(steps * b)
-        z_level = np.empty((steps, b))
-        z_cond = np.empty((steps, b, d))
-        eps = np.empty((steps, b, n, d))
-        for k in range(steps):
-            rows = slice(k * b, (k + 1) * b)
-            if choices.size:  # set only with motion_feature
-                pick[rows] = rng.integers(0, choices.size, size=b)
-            rng.standard_normal(out=z_first[k])
-            rng.standard_normal(out=z_inc[k])
-            if config.cond_frame == RANDOM_FRAME:
-                frame[rows] = rng.integers(0, n, size=b)
-            t_draws[rows] = _time_draws(config, b, rng)
-            if config.mode == TIMENOISE:
-                rng.standard_normal(out=z_level[k])
-            if k < noisy:
-                rng.standard_normal(out=z_cond[k])
-            rng.standard_normal(out=eps[k])
-        t = _times_from_draws(schedule, config, t_draws)
-        if config.mode == NAIVE:
-            break
-        # cdm's fixed level is additive; the level curves take their
-        # variant from the timenoise parameters
-        if config.mode == CDM_FIXED:
-            levels, variant = np.full(t.shape, config.cdm_beta), ADDITIVE
-        elif config.mode == CONSTANT_BETA:
-            levels, variant = constant_beta(config.timenoise, t), config.timenoise.variant
-        else:
-            levels = beta_from_noise(config.timenoise, t, z_level.reshape(-1))
-            variant = config.timenoise.variant
-        zero = (levels.reshape(steps, b)[:noisy] == 0.0).all(axis=1)
-        if not zero.any():
-            break
-        steps = int(zero.argmax()) + 1
-        noisy = steps - 1
-        rng.bit_generator.state = start
+    clean = config.mode == NAIVE or (config.mode == CDM_FIXED and not config.cdm_beta)
+    pick = np.empty(steps * b, dtype=np.int64)
+    z_first = np.empty((steps, b, d))
+    z_inc = np.empty((steps, b, n - 1, d))
+    frame = np.empty(steps * b, dtype=np.int64)
+    t_draws = np.empty(steps * b)
+    z_level = np.empty((steps, b))
+    z_cond = np.empty((steps, b, d))
+    eps = np.empty((steps, b, n, d))
+    for k in range(steps):
+        rows = slice(k * b, (k + 1) * b)
+        if choices.size:  # set only with motion_feature
+            pick[rows] = rng.integers(0, choices.size, size=b)
+        rng.standard_normal(out=z_first[k])
+        rng.standard_normal(out=z_inc[k])
+        if config.cond_frame == RANDOM_FRAME:
+            frame[rows] = rng.integers(0, n, size=b)
+        t_draws[rows] = _time_draws(config, b, rng)
+        if config.mode == TIMENOISE:
+            rng.standard_normal(out=z_level[k])
+        if not clean:
+            rng.standard_normal(out=z_cond[k])
+        rng.standard_normal(out=eps[k])
+    t = _times_from_draws(schedule, config, t_draws)
 
     rows = steps * b
     first = first_frames_from_noise(world, z_first.reshape(rows, d))
@@ -429,16 +410,18 @@ def _training_rows(world, schedule, config: TrainConfig, rng, steps):
         motion = np.full(rows, _motion_scores(world, None)[0]) \
             if config.motion_feature else None
     if config.cond_frame == RANDOM_FRAME:
-        y0 = x0[np.arange(rows), frame, :]
+        y = x0[np.arange(rows), frame, :]
     else:
-        y0 = x0[:, 0, :]
-    y = y0
-    if config.mode != NAIVE:
-        cut = noisy * b
-        y = corrupt_with_noise(y0[:cut], levels[:cut, None],
-                               z_cond.reshape(rows, d)[:cut], variant)
-        if cut < rows:  # the last step drew no condition noise: a clean copy
-            y = np.concatenate([y, y0[cut:]])
+        y = x0[:, 0, :]
+    # cdm's fixed level is additive; the level curves take their variant
+    # from the timenoise parameters
+    if config.mode == CDM_FIXED and not clean:
+        y = corrupt_with_noise(y, config.cdm_beta, z_cond.reshape(rows, d), ADDITIVE)
+    elif config.mode in (TIMENOISE, CONSTANT_BETA):
+        levels = (constant_beta(config.timenoise, t) if config.mode == CONSTANT_BETA
+                  else beta_from_noise(config.timenoise, t, z_level.reshape(-1)))
+        y = corrupt_with_noise(y, levels[:, None], z_cond.reshape(rows, d),
+                               config.timenoise.variant)
     eps = eps.reshape(x0.shape)
     return Batch(xt=perturb_with_noise(schedule, x0, t, eps), y=y, t=t,
                  target=eps, motion=motion)
@@ -450,8 +433,10 @@ def make_training_batch(world, schedule, config, rng):
     arithmetic runs per block.  Draw order is fixed (s_w picks, first
     frames, increments, frame choice, times, condition level and noise,
     forward noise) so that modes which skip a stage leave the remaining
-    stream identical; a step whose corruption levels are all zero draws no
-    condition noise."""
+    stream identical.  Which draws a step makes depends on the config
+    alone: naive runs and cdm runs at level 0 draw no condition noise, and
+    every other run draws batch_size x frame_dim condition normals on every
+    step, whatever its levels."""
     return _training_rows(world, schedule, config, rng, 1)
 
 

@@ -86,6 +86,13 @@ class GaussianWorld:
                 raise ValueError(f"{name} must be finite, got {vec.tolist()!r}")
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
+        with np.errstate(over="ignore"):  # an overflow is reported by field below
+            offsets = _frame_offsets(self)
+            means = self.m0 + offsets
+        if not np.isfinite(offsets).all():
+            raise ValueError("drift overflows the frame offsets (i - 1) * drift")
+        if not np.isfinite(means).all():
+            raise ValueError("m0 and drift overflow the frame means m0 + (i - 1) * drift")
 
     @property
     def flat_dim(self) -> int:

@@ -532,6 +532,24 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
     assert f"{key} in {section} must be" in _one_config_error(capsys)
 
 
+@pytest.mark.parametrize("section, values, argv", [
+    ("world", {"drift": [3e307, 0.0, 0.0, 0.0]}, ["world-sample", "--n", "2"]),
+    ("train", {"cdm_beta": -0.5}, ["train", "--mode", "cdm", "--steps", "2"]),
+], ids=["world-drift-overflow", "cdm_beta-negative"])
+def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values, argv):
+    # a drift whose frame offsets overflow wrote inf into the last frames,
+    # and a negative cdm level trained; both exited 0
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload[section].update(values)
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    out = tmp_path / "x.out"
+    capsys.readouterr()
+    assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
+    assert next(iter(values)) in _one_config_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", [0.0, -1.0])
 def test_non_positive_motion_target_is_rejected(tmp_path, capsys, target):
     # a target is a motion score, which is positive; 0 divided the sweep's

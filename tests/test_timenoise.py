@@ -111,15 +111,18 @@ def test_corrupt_interpolation_variant():
     np.testing.assert_allclose(y, 0.75 * y0 + 0.25 * eps, atol=1e-15)
 
 
-def test_zero_override_is_noise_free_and_stream_neutral():
+def test_zero_override_is_noise_free_and_draws_like_any_level():
+    # a zero level returns y0's values exactly, in a new array, and draws
+    # its noise like any other level, so the stream after it does not
+    # depend on the level
     y0 = np.ones((3, 4))
-    rng = np.random.default_rng(5)
-    before = rng.bit_generator.state
     for level in (0.0, np.zeros(3)):
+        rng, other = np.random.default_rng(5), np.random.default_rng(5)
         y = corrupt(y0, level, rng)
-        assert rng.bit_generator.state == before  # no randomness consumed
+        corrupt(y0, 0.5, other)
+        assert rng.bit_generator.state == other.bit_generator.state
         np.testing.assert_array_equal(y, y0)
-        assert y is not y0  # defensive copy
+        assert y is not y0
 
 
 def test_corruption_grows_with_time_on_average():

@@ -331,6 +331,38 @@ def test_train_config_round_trip_and_validation():
             TrainConfig(mode=NAIVE, **kwargs)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=np.nan), "cdm_beta"),
+    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=np.inf), "cdm_beta"),
+    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=-0.5), "cdm_beta"),
+    (lambda: TrainConfig(mode=NAIVE, lr=np.inf), "lr"),
+    (lambda: TrainConfig(mode=NAIVE, lr=np.nan), "lr"),
+    (lambda: TrainConfig(mode=NAIVE, p_std=-1.0), "p_std"),
+    (lambda: TrainConfig(mode=NAIVE, p_std=np.inf), "p_std"),
+    (lambda: TrainConfig(mode=NAIVE, p_mean=np.nan), "p_mean"),
+    (lambda: TrainConfig(mode=NAIVE, hidden=0), "hidden"),
+    (lambda: TrainConfig(mode=NAIVE, motion_feature=True, s_w_choices=(np.inf,)),
+     "s_w_choices"),
+    (lambda: td.TimeNoiseParams(beta_m=np.inf, a=5.0), "beta_m"),
+    (lambda: td.TimeNoiseParams(beta_m=2.0, a=np.inf), "a"),
+    (lambda: td.TimeNoiseParams(beta_m=np.nan, a=5.0), "beta_m"),
+], ids=["cdm_beta-nan", "cdm_beta-inf", "cdm_beta-negative", "lr-inf", "lr-nan",
+        "p_std-negative", "p_std-inf", "p_mean-nan", "hidden-zero", "s_w_choices-inf",
+        "beta_m-inf", "a-inf", "beta_m-nan"])
+def test_training_inputs_are_rejected_at_construction(build, field):
+    # these trained into a non-finite loss (nan cdm_beta, infinite lr), ran
+    # (a negative cdm_beta) or failed at the first draw (a negative p_std,
+    # no hidden units); an input error names its field instead of
+    # surfacing as a numerical failure
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        build()
+
+
+def test_zero_cdm_level_and_p_std_are_accepted():
+    TrainConfig(mode=CDM_FIXED, cdm_beta=0.0)
+    TrainConfig(mode=NAIVE, t_sampler=EDM_LOGNORMAL, p_std=0.0)
+
+
 def test_batch_container_fields(world, vp):
     cfg = TrainConfig(mode=NAIVE, batch_size=4)
     batch = make_training_batch(world, vp, cfg, np.random.default_rng(15))
@@ -546,8 +578,8 @@ def test_train_matches_reference_loop_at_any_step_count(world, request, schedule
 
 
 # Levels beta_m t^a round to zero for every item of a step whose times all
-# lie below about 0.69, so about half the steps of these runs draw no
-# condition noise.
+# lie below about 0.69, so about half the steps of these runs corrupt
+# nothing; they still draw their condition noise, as every step does.
 ZERO_LEVEL_CASES = {
     "additive": dict(timenoise=td.TimeNoiseParams(beta_m=2.0, a=100.0), batch_size=2),
     "interpolation": dict(
@@ -580,7 +612,7 @@ def test_steps_without_condition_noise_match_reference_loop(world, request,
 def _replay_batch(world, schedule, cfg, rng):
     """One batch drawn step by step through the per-step public functions,
     in the documented draw order: s_w picks, videos, frame choice, times,
-    condition level and noise (none when every level is zero), forward
+    condition level and noise (none for naive and cdm level 0), forward
     noise."""
     b, motion = cfg.batch_size, None
     if cfg.s_w_choices:
@@ -598,7 +630,8 @@ def _replay_batch(world, schedule, cfg, rng):
     t = sample_training_times(schedule, cfg, b, rng)
     y = y0
     if cfg.mode == CDM_FIXED:
-        y = corrupt(y0, cfg.cdm_beta, rng)
+        if cfg.cdm_beta:  # level 0 draws nothing, like naive
+            y = corrupt(y0, cfg.cdm_beta, rng)
     elif cfg.mode != NAIVE:
         level = (constant_beta(cfg.timenoise, t) if cfg.mode == CONSTANT_BETA
                  else sample_beta(cfg.timenoise, t, rng))
@@ -633,16 +666,15 @@ def test_batches_replay_the_per_step_draws(world, request, schedule_name, case):
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_block_rows_are_consecutive_batches(world, vp, case):
     # a block's rows are the batches of its steps, one after another, and
-    # it leaves the generator where those batches leave it; a block may end
-    # early, at a step that draws no condition noise
+    # it leaves the generator where those batches leave it; every block has
+    # all the steps it was asked for, zero-level steps included
     cfg = TrainConfig(seed=3, **{"batch_size": 5, **case})
     b = cfg.batch_size
     block_rng, step_rng = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(4):
         block = train_module._training_rows(world, vp, cfg, block_rng, BLOCK_STEPS)
-        steps = block.t.shape[0] // b
-        assert 1 <= steps <= BLOCK_STEPS and block.t.shape[0] == steps * b
-        for k in range(steps):
+        assert block.t.shape[0] == BLOCK_STEPS * b
+        for k in range(BLOCK_STEPS):
             batch = make_training_batch(world, vp, cfg, step_rng)
             rows = slice(k * b, (k + 1) * b)
             for field in ("xt", "y", "t", "target", "motion"):
@@ -651,6 +683,24 @@ def test_block_rows_are_consecutive_batches(world, vp, case):
                 if want is not None:
                     assert np.array_equal(got[rows], want), field
         assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_LEVEL_CASES))
+def test_draws_do_not_depend_on_the_levels(world, vp, case):
+    # which draws a step makes is fixed by the config: a = 100 makes about
+    # half the steps' levels round to zero, a = 5 hardly any, and both draw
+    # alike, so the two streams stay in step
+    zero = TrainConfig(mode=CONSTANT_BETA, **ZERO_LEVEL_CASES[case])
+    noisy = replace(zero, timenoise=replace(zero.timenoise, a=5.0))
+    zero_rng, noisy_rng = np.random.default_rng(23), np.random.default_rng(23)
+    zero_steps = 0
+    for _ in range(20):
+        got = make_training_batch(world, vp, zero, zero_rng)
+        want = make_training_batch(world, vp, noisy, noisy_rng)
+        assert np.array_equal(got.target, want.target)
+        zero_steps += not constant_beta(zero.timenoise, got.t).any()
+    assert zero_rng.bit_generator.state == noisy_rng.bit_generator.state
+    assert 0 < zero_steps < 20
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

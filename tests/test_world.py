@@ -386,6 +386,21 @@ def test_world_validation():
     GaussianWorld(s0=1e150)
 
 
+def test_overflowing_frame_means_are_rejected():
+    # frame N's mean is m0 + (N - 1) drift; a drift of 3e307 over 7 frames
+    # used to write inf into the last frames of a sample
+    with pytest.raises(ValueError, match="drift overflows"):
+        GaussianWorld(drift=[3e307, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="drift overflows"):
+        GaussianWorld(n_frames=3, drift=-1e308)
+    with pytest.raises(ValueError, match="m0 and drift overflow"):
+        GaussianWorld(m0=[0.0, 1.7e308, 0.0, 0.0], drift=[0.0, 1e307, 0.0, 0.0])
+    # finite offsets and means are kept, however large
+    world = GaussianWorld(drift=[1.5e307, 0.0, 0.0, 0.0])
+    assert np.isfinite(sample_videos(world, 2, np.random.default_rng(0))).all()
+    GaussianWorld(m0=-1.7e308, drift=2.5e307)
+
+
 def test_sample_video_shape(world):
     v = sample_videos(world, 1, np.random.default_rng(9))
     assert v.shape == (1, 8, 4)

@@ -11,8 +11,10 @@ with the motion feature and s_w_choices, samples (exact, leaky from an
 analytic start, a checkpoint, the motion-feature checkpoint, an init
 file), leakage curves (exact, leaky, oracle, checkpoint, motion-feature
 checkpoint), motion sweeps (leaky, checkpoint) and the init ablation, each
-with its manifest and, for samples, its summary.  A command runs with
-config.json unless it names its own --config.
+with its manifest and, for samples, its summary.  One more constant-mode
+checkpoint, at batch size 2 and a = 100, has steps whose corruption levels
+all round to zero.  A command runs with config.json unless it names its
+own --config.
 
 Output lines are ``<sha256>  <schedule>/<file>``, sorted, so running the
 script on two source trees and diffing the two outputs shows every file
@@ -65,6 +67,10 @@ CONFIGS = {
 # base config's, so the other commands can load the checkpoint.
 MOTION_TRAIN = {"motion_feature": True, "s_w_choices": [0.25, 1.0]}
 
+# The zero-level checkpoint's config: with a = 100 a level beta_m t^a rounds
+# to zero below t = 0.69, so about half its two-item steps corrupt nothing.
+ZERO_LEVEL_TRAIN, ZERO_LEVEL_TIMENOISE = {"batch_size": 2}, {"a": 100.0}
+
 COMMANDS = [
     ["world-sample", "--n", "200", "--out", "videos.csv"],
     ["estimate-init", "--data", "videos.csv", "--M", "0.9", "--out", "init.json"],
@@ -89,8 +95,10 @@ COMMANDS = [
      "--out", "sample_mf.csv"],
     ["diagnose", "leakage", "--denoiser", "ckpt:ckpt_mf.json",
      "--out", "leakage_mf.csv"],
+    ["train", "--mode", "constant", "--config", "config_zero.json",
+     "--out", "ckpt_zero.json"],
 ]
-CONFIG_FILES = ("config.json", "config_mf.json")
+CONFIG_FILES = ("config.json", "config_mf.json", "config_zero.json")
 
 
 def run_set(name, payload, env):
@@ -98,8 +106,10 @@ def run_set(name, payload, env):
     {"<name>/<file>": bytes} of every file left there except the configs
     themselves, in file order."""
     motion = dict(payload, train={**payload["train"], **MOTION_TRAIN})
+    zero = dict(payload, train={**payload["train"], **ZERO_LEVEL_TRAIN},
+                timenoise={**payload.get("timenoise", {}), **ZERO_LEVEL_TIMENOISE})
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
-        for file, content in zip(CONFIG_FILES, (payload, motion)):
+        for file, content in zip(CONFIG_FILES, (payload, motion, zero)):
             with open(os.path.join(tmp, file), "w") as fh:
                 json.dump(content, fh)
         for argv in COMMANDS:
