@@ -217,6 +217,8 @@ def _cmd_estimate_init(cfg, args, out):
         raise ConfigError(
             f"data has {data.shape[1]} columns, world needs {world.flat_dim}"
         )
+    if not np.isfinite(data).all():
+        raise ConfigError(f"data file {args.data} holds a non-finite value")
     moments = estimate_moments(data.reshape(-1, world.n_frames, world.frame_dim))
     init = optimal_init(moments, cfg.schedule, args.M)
     write_json(out, {"moments": to_payload(moments), "init": to_payload(init)})

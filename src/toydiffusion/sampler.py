@@ -11,13 +11,14 @@ caller owns, shape, the (n_frames, frame_dim) of one video, and schedule,
 which must be the sampler's.
 
 The exact and leaky denoisers are affine, so each of their steps is one
-cached map x_next = M x_cur + c y^T + b (world._affine_map with the step's
-end time).  sample_batch runs their chains in an (N, d n) state whose chain
-index is innermost: a step is one (N, N) @ (N, d n) matmul into the other
-of two buffers plus the c y^T + b term, added in place.  Any other
-denoiser runs ddim_step, which writes the update into predict_x0's fresh
-result by three in-place operations, r (x_cur + ((alpha_next - r
-alpha_cur) / r) x0_hat) with r = sigma_next / sigma_cur > 0.
+cached map x_next = M x_cur + c y^T + b, their step_map(t_cur, t_next).
+sample_batch runs their chains in an (N, d n) state whose chain index is
+innermost: a step is one (N, N) @ (N, d n) matmul into the other of two
+buffers plus c y^T + b, formed in one reused buffer with a column per
+distinct condition and added in place.  Any other denoiser runs
+ddim_step, which writes the update into predict_x0's fresh result by
+three in-place operations, r (x_cur + ((alpha_next - r alpha_cur) / r)
+x0_hat) with r = sigma_next / sigma_cur > 0.
 
 The initial state is drawn from the config's init, a Gaussian fitted to
 the time-M marginal, or else from standard_init, the conventional prior.
@@ -35,7 +36,7 @@ import numpy as np
 from .analytic_init import InitDistribution, standard_init
 from .schedule import NoiseSchedule, alpha_sigma
 from .timenoise import corrupt
-from .world import ExactDenoiser, _affine_map
+from .world import ExactDenoiser
 
 STANDARD = "standard"
 ANALYTIC = "analytic"
@@ -154,24 +155,19 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     # draw is released when x is rebound
     n_frames = denoiser.shape[0]
     x = np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(n_frames, d * n)
+    # the condition as a (d, 1) column when shared or (d, n) per chain;
+    # c y^T + b is formed in one reused buffer of that width
     y = y if denoiser.conditional else denoiser.world.m0
-    key = (denoiser.prior, schedule, denoiser.lam_max, denoiser.p)
+    y = np.ascontiguousarray(np.reshape(y, (-1, d)).T)
     out, finite = np.empty_like(x), np.empty(x.shape, dtype=bool)
-    # a per-chain condition, held as (d, n), adds c y^T + b through one
-    # reused buffer
-    term = None
-    if y.ndim == 2:
-        y, term = np.ascontiguousarray(y.T), np.empty((n_frames, d, n))
+    term = np.empty((n_frames, d, y.shape[1]))
     for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
-        m, c, b = _affine_map(*key, float(t_from), float(t_to))
+        m, c, b = denoiser.step_map(t_from, t_to)
         np.matmul(m, x, out=out)
+        np.multiply(c[:, :, None], y, out=term)
+        term += b[:, :, None]
         cols = out.reshape(n_frames, d, n)
-        if term is None:
-            cols += (c * y + b)[:, :, None]
-        else:
-            np.multiply(c[:, :, None], y, out=term)
-            term += b[:, :, None]
-            cols += term
+        cols += term
         if not np.isfinite(out, out=finite).all():
             raise SamplerDiverged(step, float(t_to))
         x, out = out, x

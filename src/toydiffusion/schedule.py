@@ -33,9 +33,9 @@ VE = "ve"
 T_FINAL = 1.0
 
 #: Entries of every per-time cache: the scalar alpha_sigma pairs here and
-#: the exact family's affine maps in world, one cache each.  The longest
-#: sampler grid in use has 201 times; an exact-family run on it keeps a
-#: prediction map and a step map per step, about 400 maps.
+#: the exact family's affine maps in world, one cache each.  A K-step
+#: exact-family run keeps 2K - 1 maps (its step maps and the prediction
+#: maps of all steps but the last): 399 at K = 200, the longest grid in use.
 TIME_CACHE_SIZE = 1024
 
 

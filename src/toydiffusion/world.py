@@ -22,14 +22,14 @@ where l(t) is the leaky denoiser's blend toward a static copy of y (0 for
 the exact denoiser), which turns conditioning over-reliance into a dial.
 
 The sampler applies the same map composed with each DDIM step, x_to =
-M x_t + c y^T + b.  One module-level least-recently-used cache of
+M x_t + c y^T + b; ExactDenoiser.step_map(t, t_to) returns either, t_to = 0
+being the prediction map.  One module-level least-recently-used cache of
 schedule.TIME_CACHE_SIZE entries (at N = 8, d = 4, 0.8 KiB each) keeps
-(A, c, b) and the step maps for every exact denoiser, keyed by its prior
-world, schedule, lam_max, p, float(t) and, for a step, its end time.
-Worlds are keyed by identity and their m0 and drift are read-only, so no
-entry goes stale.  A conditional denoiser's prior, the pinned world, is
-made once per world, so the denoisers on one world share entries.  The
-cached arrays are read-only, and a prediction is always a new array.
+them for every exact denoiser, keyed by world, conditional, schedule, the
+leak value l(t), float(t) and t_to.  Worlds are keyed by identity and
+their m0 and drift are read-only, so no entry goes stale.  Denoisers on
+one world with the same leak share entries.  The cached arrays are
+read-only, and a prediction is always a new array.
 """
 
 from __future__ import annotations
@@ -231,10 +231,11 @@ class ExactDenoiser:
 
     With prior N(mean, C (x) I_d), the posterior mean per coordinate column
     is mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean), whose
-    commuting factors give the solve of the module docstring.  C is that of
-    prior, the world pinned at frame 1 (s0 = 0) when conditional, with a
-    zero first row and column that give frame 1 exactly zero gain;
-    alpha^2 C + sigma^2 I is nonsingular for every t > 0.
+    commuting factors give the solve of the module docstring.  C is the
+    world's, or when conditional that of the world pinned at frame 1
+    (s0 = 0), with a zero first row and column that give frame 1 exactly
+    zero gain; alpha^2 C + sigma^2 I is nonsingular for every t > 0.
+    step_map is the one way to the family's cached affine maps.
     """
 
     def __init__(self, world: GaussianWorld, schedule: NoiseSchedule, conditional=True):
@@ -242,10 +243,16 @@ class ExactDenoiser:
         self.schedule = schedule
         self.shape = (world.n_frames, world.frame_dim)
         self.conditional = bool(conditional)
-        self.prior = _pinned(world) if self.conditional else world
-        # the blend toward the condition, l(t) = lam_max * t^p: none here
-        self.lam_max = 0.0
-        self.p = 1.0
+
+    def leak(self, t) -> float:
+        """The blend l(t) toward the condition: none here."""
+        return 0.0
+
+    def step_map(self, t, t_to=0.0):
+        """The read-only (M, c, b) of the DDIM step x_to = M xt + c y^T + b
+        from t down to t_to; t_to = 0 is the prediction map (A, c, b)."""
+        return _affine_map(self.world, self.conditional, self.schedule, self.leak(t),
+                           float(t), float(t_to))
 
     def predict_x0(self, xt, y, t):
         if not 0.0 < t <= 1.0:
@@ -255,7 +262,7 @@ class ExactDenoiser:
         y = np.asarray(y if self.conditional else self.world.m0, dtype=np.float64)
         if y.shape[-1:] != (self.world.frame_dim,):
             raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim)")
-        a, c, b = _affine_map(self.prior, self.schedule, self.lam_max, self.p, float(t))
+        a, c, b = self.step_map(t)
         out = a @ xt
         out += c * y[..., None, :]
         out += b
@@ -265,30 +272,23 @@ class ExactDenoiser:
         return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
 
 
-@functools.lru_cache(maxsize=64)
-def _pinned(world):
-    """The world pinned at frame 1 (s0 = 0), one per world, so that every
-    conditional denoiser on a world reads the same _affine_map entries."""
-    return replace(world, s0=0.0)
-
-
 @functools.lru_cache(maxsize=TIME_CACHE_SIZE)
-def _affine_map(prior, schedule, lam_max, p, t, t_to=0.0):
+def _affine_map(world, conditional, schedule, leak, t, t_to):
     """The read-only (M, c, b) of one DDIM step x_to = M xt + c y^T + b
-    from t down to t_to.
+    from t down to t_to, for the leak value l = leak(t).
 
     t_to = 0 is the prediction x0_hat = A xt + c y^T + b itself, which
     predict_x0 reads: G = solve(alpha^2 C + sigma^2 I, alpha C) for the
-    prior's C and the leak l = lam_max t^p give A = (1 - l) G, c = (1 - l)
-    (I - alpha G) 1 + l as an (N, 1) column, and b = (1 - l) (I - alpha G) o
-    for the offsets o.  A step to t_to > 0, x_to = k x0_hat + r xt with r =
-    sigma_to / sigma_t and k = alpha_to - r alpha_t, composes that map into
-    (k A + r I, k c, k b).  t_to = 0 never takes that form: VE has
-    sigma(0) = sigma_min, not 0.
+    world's C, pinned at frame 1 when conditional, gives A = (1 - l) G,
+    c = (1 - l) (I - alpha G) 1 + l as an (N, 1) column, and b = (1 - l)
+    (I - alpha G) o for the offsets o.  A step to t_to > 0, x_to = k x0_hat
+    + r xt with r = sigma_to / sigma_t and k = alpha_to - r alpha_t,
+    composes that map into (k A + r I, k c, k b).  t_to = 0 never takes
+    that form: VE has sigma(0) = sigma_min, not 0.
     """
-    eye = np.eye(prior.n_frames)
+    eye = np.eye(world.n_frames)
     if t_to != 0.0:
-        a, c, b = _affine_map(prior, schedule, lam_max, p, t)
+        a, c, b = _affine_map(world, conditional, schedule, leak, t, 0.0)
         a_from, s_from = alpha_sigma(schedule, t)
         a_to, s_to = alpha_sigma(schedule, t_to)
         r = s_to / s_from
@@ -296,13 +296,12 @@ def _affine_map(prior, schedule, lam_max, p, t, t_to=0.0):
         coefficients = (kappa * a + r * eye, kappa * c, kappa * b)
     else:
         alpha, sigma = alpha_sigma(schedule, t)
-        cov = prior_frame_cov(prior)
+        cov = prior_frame_cov(replace(world, s0=0.0) if conditional else world)
         gain = np.linalg.solve(alpha**2 * cov + sigma**2 * eye, alpha * cov)
         rest = eye - alpha * gain
-        leak = lam_max * t**p  # LeakyDenoiser.leak(t)
         keep = 1.0 - leak
         coefficients = (keep * gain, keep * rest.sum(axis=1, keepdims=True) + leak,
-                        keep * (rest @ _frame_offsets(prior)))
+                        keep * (rest @ _frame_offsets(world)))
     for array in coefficients:
         array.flags.writeable = False
     return coefficients
@@ -319,8 +318,8 @@ class LeakyDenoiser(ExactDenoiser):
     def __init__(self, world, schedule, lam_max: float, p: float):
         if not 0.0 <= lam_max <= 1.0:
             raise ValueError("lam_max must lie in [0, 1]")
-        if not p > 0.0:
-            raise ValueError("p must be positive")
+        if not 0.0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p!r}")
         super().__init__(world, schedule, conditional=True)
         self.lam_max = float(lam_max)
         self.p = float(p)

@@ -151,6 +151,26 @@ def test_estimate_init_matches_library(tmp_path):
     assert payload["moments"]["n_samples"] == 64
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_estimate_init_names_the_data_file_on_a_non_finite_value(tmp_path, capsys,
+                                                                 value):
+    # a nan in the data used to exit 2 as "mu_p must be finite", a field of
+    # the fitted init that the user never wrote
+    cfgp = small_config(tmp_path)
+    data = tmp_path / "videos.csv"
+    assert main(["world-sample", "--config", cfgp, "--n", "4",
+                 "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    lines[2] = ",".join([value, *lines[2].split(",")[1:]])
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "init.json"
+    capsys.readouterr()
+    assert main(["estimate-init", "--config", cfgp, "--data", str(data),
+                 "--M", "0.9", "--out", str(out)]) == 2
+    assert _one_config_error(capsys) == f"data file {data} holds a non-finite value"
+    assert not out.exists()
+
+
 def test_prop1_check_cli(tmp_path):
     cfgp = small_config(tmp_path)
     out = tmp_path / "prop1.json"
@@ -532,13 +552,18 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
     assert f"{key} in {section} must be" in _one_config_error(capsys)
 
 
-@pytest.mark.parametrize("section, values, argv", [
-    ("world", {"drift": [3e307, 0.0, 0.0, 0.0]}, ["world-sample", "--n", "2"]),
-    ("train", {"cdm_beta": -0.5}, ["train", "--mode", "cdm", "--steps", "2"]),
-], ids=["world-drift-overflow", "cdm_beta-negative"])
-def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values, argv):
+@pytest.mark.parametrize("section, values, argv, name", [
+    ("world", {"drift": [3e307, 0.0, 0.0, 0.0]}, ["world-sample", "--n", "2"], "drift"),
+    ("train", {"cdm_beta": -0.5}, ["train", "--mode", "cdm", "--steps", "2"],
+     "cdm_beta"),
+    ("world", {}, ["diagnose", "leakage", "--denoiser", "leaky", "--p", "inf"],
+     "p must be"),
+], ids=["world-drift-overflow", "cdm_beta-negative", "leaky-p-inf"])
+def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values, argv,
+                                              name):
     # a drift whose frame offsets overflow wrote inf into the last frames,
-    # and a negative cdm level trained; both exited 0
+    # a negative cdm level trained, and p = inf made a leak of 0 below t = 1;
+    # all exited 0
     cfgp = small_config(tmp_path)
     payload = json.loads((tmp_path / "config.json").read_text())
     payload[section].update(values)
@@ -546,7 +571,7 @@ def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values,
     out = tmp_path / "x.out"
     capsys.readouterr()
     assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
-    assert next(iter(values)) in _one_config_error(capsys)
+    assert name in _one_config_error(capsys)
     assert not out.exists()
 
 

@@ -471,8 +471,7 @@ def test_step_maps_match_ddim_step_probes(request, name, schedule_name):
     times = [(0.9, 0.825), (1.0, 0.995), (0.5, 0.25), (0.02, 0.01), (0.3, 0.0),
              (0.005, 0.0)]
     for t_from, t_to in times:
-        m, c, b = world_module._affine_map(den.prior, schedule, den.lam_max, den.p,
-                                           t_from, t_to)
+        m, c, b = den.step_map(t_from, t_to)
         assert not any(array.flags.writeable for array in (m, c, b))
         probed_m, probed_c, zero = _probe_step(den, np.ones(4), t_from, t_to)
         np.testing.assert_allclose(probed_m, np.broadcast_to(m[..., None], (8, 8, 4)),
@@ -492,23 +491,43 @@ def test_step_maps_match_ddim_step_probes(request, name, schedule_name):
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])
 @pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
 def test_step_map_to_zero_is_the_prediction_map(request, world, name, schedule_name):
-    # t_to = 0 is predict_x0's own (A, c, b), bit for bit, and not the
-    # r, k form: VE has sigma(0) = sigma_min != 0
+    # t_to = 0 is predict_x0's own (A, c, b), the same cached arrays, and
+    # not the r, k form: VE has sigma(0) = sigma_min != 0
     schedule = request.getfixturevalue(schedule_name)
     den = EXACT_FAMILY[name](world, schedule)
-    key = (den.prior, schedule, den.lam_max, den.p)
     xt = np.random.default_rng(21).standard_normal((5, 8, 4))
     y0 = np.array([0.5, -1.0, 0.0, 2.0])
     for t in (1.0, 0.5, 0.02, 1e-4):
-        to_zero, prediction = world_module._affine_map(*key, t, 0.0), \
-            world_module._affine_map(*key, t)
+        to_zero, prediction = den.step_map(t, 0.0), den.step_map(t)
         for got, want in zip(to_zero, prediction):
-            np.testing.assert_array_equal(got, want)
+            assert got is want
         a, c, b = to_zero
         y = y0 if den.conditional else world.m0
         np.testing.assert_array_equal(den.predict_x0(xt, y0, t), a @ xt + c * y + b)
         np.testing.assert_array_equal(ddim_step(den, xt, y0, t, 0.0, schedule),
                                       den.predict_x0(xt, y0, t))
+
+
+@pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
+@pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
+def test_a_run_makes_one_map_per_step_and_prediction(world, vp, name, per_chain):
+    # a K-step run reads one step map per step and makes 2K - 1 maps: its
+    # K step maps and the prediction maps of all but the last step, whose
+    # step to 0 is the prediction map, so a later prediction there is a hit
+    den = EXACT_FAMILY[name](world, vp)
+    calls, step_map = [], den.step_map
+    den.step_map = lambda t, t_to=0.0: calls.append((t, t_to)) or step_map(t, t_to)
+    cfg = SamplerConfig(0.9, 20)
+    y0 = np.full((8, 4) if per_chain else 4, 2.0)
+    world_module._affine_map.cache_clear()
+    sample_batch(den, y0, cfg, vp, 8, np.random.default_rng(3))
+    grid = time_grid(cfg.start_time, cfg.steps)
+    assert calls == list(zip(grid[:-1], grid[1:]))
+    info = world_module._affine_map.cache_info()
+    assert (info.misses, info.hits) == (2 * cfg.steps - 1, 0)
+    den.predict_x0(np.zeros((8, 4)), y0[0] if per_chain else y0, grid[-2])
+    info = world_module._affine_map.cache_info()
+    assert (info.misses, info.hits) == (2 * cfg.steps - 1, 1)
 
 
 @pytest.mark.parametrize("name, per_chain", [("exact", False), ("leaky", True)],
@@ -659,9 +678,10 @@ def _traced_peak_bytes(run):
 ], ids=["exact-shared", "leaky-per-chain"])
 def test_sample_batch_peak_memory(world, vp, name, per_chain, bound):
     # the draw is released once the chain-innermost state is made; each
-    # step then holds two state buffers, a boolean one (plus the reused
-    # c y^T + b buffer with per-chain y0), and the output is made after the
-    # second state buffer is freed
+    # step then holds two state buffers, a boolean one and the reused
+    # c y^T + b buffer (one column with a shared y0, a state's size with
+    # per-chain y0), and the output is made after the second state buffer
+    # is freed
     n = 2000
     if name == "exact":
         den = ExactDenoiser(world, vp)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,13 @@ def test_leaky_denoiser_blend(world, vp):
         LeakyDenoiser(world, vp, lam_max=0.5, p=0.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_leaky_denoiser_rejects_a_non_finite_exponent(world, vp, p):
+    # p = inf made the leak 0 below t = 1 and lam_max at t = 1
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        LeakyDenoiser(world, vp, lam_max=0.5, p=p)
+
+
 @pytest.mark.parametrize("t", [1e-6, 0.5, 1.0])
 def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
     # frame 1 is pinned, so the conditional frame covariance has a zero
@@ -255,11 +263,6 @@ def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
         np.testing.assert_allclose(got[i].ravel(), want, atol=1e-10)
 
 
-def _map_of(den, t):
-    """The module cache's (A, c, b) for den at time t."""
-    return world_module._affine_map(den.prior, den.schedule, den.lam_max, den.p, t)
-
-
 def test_exact_denoiser_gain_cache(world, vp):
     # one affine map (A, c, b) per distinct key, in one bounded module
     # cache, read-only
@@ -271,7 +274,7 @@ def test_exact_denoiser_gain_cache(world, vp):
         den.predict_x0(xt, y0, t)
     info = world_module._affine_map.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (2, 2, TIME_CACHE_SIZE)
-    a, c, b = _map_of(den, 0.3)
+    a, c, b = den.step_map(0.3)
     assert (a.shape, c.shape, b.shape) == ((8, 8), (8, 1), (8, 4))
     # A xt + c y^T + b is the prediction
     np.testing.assert_array_equal(a @ xt + c * y0 + b, den.predict_x0(xt, y0, 0.3))
@@ -282,31 +285,35 @@ def test_exact_denoiser_gain_cache(world, vp):
     leaky = LeakyDenoiser(world, vp, 0.5, 2.0)
     leaky.predict_x0(xt, y0, 0.3)
     assert world_module._affine_map.cache_info().currsize == 3
-    # two leaks on one world get two maps, and the leak, not the
-    # denoiser, picks the map
+    # two leaks on one world get two maps, and the leak value, not the
+    # denoiser, picks the map: 0.4 * 0.5 and 0.8 * 0.5^2 are one double
     other = LeakyDenoiser(world, vp, 0.9, 1.0)
-    ours, theirs = _map_of(leaky, 0.3), _map_of(other, 0.3)
+    ours, theirs = leaky.step_map(0.3), other.step_map(0.3)
     assert not np.array_equal(ours[0], theirs[0])
-    borrowed = world_module._affine_map(leaky.prior, vp, other.lam_max, other.p, 0.3)
-    for got, want in zip(borrowed, theirs):
-        np.testing.assert_array_equal(got, want)
     assert not np.array_equal(leaky.predict_x0(xt, y0, 0.3),
                               other.predict_x0(xt, y0, 0.3))
+    linear = LeakyDenoiser(world, vp, 0.4, 1.0)
+    square = LeakyDenoiser(world, vp, 0.8, 2.0)
+    assert linear.leak(0.5) == square.leak(0.5)
+    for got, want in zip(square.step_map(0.5), linear.step_map(0.5)):
+        assert got is want
 
 
 def test_conditional_denoisers_on_one_world_share_maps(world, vp):
-    # the pinned prior is made once per world, so a second conditional
-    # denoiser on the world reads the first one's map
+    # maps are keyed by world, not by denoiser, so a second conditional
+    # denoiser on the world, and a leaky one without leak, read the first
+    # one's map
     world_module._affine_map.cache_clear()
     xt = np.random.default_rng(12).standard_normal((3, 8, 4))
     y0 = np.array([0.5, -1.0, 0.0, 2.0])
-    first, second = ExactDenoiser(world, vp), ExactDenoiser(world, vp)
-    assert second.prior is first.prior
-    got = [den.predict_x0(xt, y0, 0.5) for den in (first, second)]
+    dens = (ExactDenoiser(world, vp), ExactDenoiser(world, vp),
+            LeakyDenoiser(world, vp, 0.0, 2.0))
+    got = [den.predict_x0(xt, y0, 0.5) for den in dens]
     info = world_module._affine_map.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    # the same bytes as a map built on a pinned world of its own
-    a, c, b = world_module._affine_map(replace(world, s0=0.0), vp, 0.0, 1.0, 0.5)
+    assert (info.misses, info.hits) == (1, 2)
+    # the same bytes as the map of a world pinned at frame 1 on its own
+    pinned = ExactDenoiser(replace(world, s0=0.0), vp, conditional=False)
+    a, c, b = pinned.step_map(0.5)
     for out in got:
         np.testing.assert_array_equal(out, (a @ xt + c * y0) + b)
 
@@ -319,7 +326,7 @@ def test_exact_prediction_is_a_fresh_array(world, vp):
     first = den.predict_x0(xt, y0, 0.4)
     kept = first.copy()
     assert first.flags.writeable
-    for array in _map_of(den, 0.4):
+    for array in den.step_map(0.4):
         assert not np.shares_memory(first, array)
     first[...] = np.nan
     np.testing.assert_array_equal(den.predict_x0(xt, y0, 0.4), kept)

@@ -4,7 +4,8 @@
 
 Every command of the set runs in a fresh temporary directory, once with a
 VP config and once with a VE config, through ``python -m toydiffusion``
-on the ``src/`` tree beside this script and with one OpenBLAS thread.
+on the ``src/`` tree beside this script, with one OpenBLAS thread and
+with PYTHONDONTWRITEBYTECODE=1, so no tree gains a ``__pycache__``.
 The set covers every output kind the CLI writes: videos, an init file, the
 optimality report, checkpoints of all four training modes and one trained
 with the motion feature and s_w_choices, samples (exact, leaky from an
@@ -27,7 +28,8 @@ also runs the set on the ``src/`` of another checkout and, after the
 digest lines of this tree, prints one line per file whose bytes differ
 between the two: the largest absolute and relative difference over the
 numbers in the file, or ``layout differs`` when the text around the
-numbers (or the set of files) differs.
+numbers (or the set of files) differs.  It exits 1 after printing every
+``differs`` line, so its exit status is a byte-identity gate.
 """
 
 import argparse
@@ -134,7 +136,7 @@ def run_set(name, payload, env):
 
 def run_tree(tree):
     """Every output of the set under each config, run on tree's src/."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     written = {}
     for name, payload in CONFIGS.items():
@@ -170,9 +172,12 @@ def main():
     if args.against is None:
         return
     theirs = run_tree(args.against)
-    for key in [*ours, *(key for key in theirs if key not in ours)]:
-        if ours.get(key) != theirs.get(key):
-            print(f"differs  {key}: {value_difference(theirs.get(key), ours.get(key))}")
+    differs = [key for key in [*ours, *(key for key in theirs if key not in ours)]
+               if ours.get(key) != theirs.get(key)]
+    for key in differs:
+        print(f"differs  {key}: {value_difference(theirs.get(key), ours.get(key))}")
+    if differs:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
