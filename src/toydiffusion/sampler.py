@@ -12,13 +12,25 @@ which must be the sampler's.
 
 The exact and leaky denoisers are affine, so each of their steps is one
 cached map x_next = M x_cur + c y^T + b, their step_map(t_cur, t_next).
-sample_batch runs their chains in an (N, d n) state whose chain index is
-innermost: a step is one (N, N) @ (N, d n) matmul into the other of two
-buffers plus c y^T + b, formed in one reused buffer with a column per
-distinct condition and added in place.  Any other denoiser runs
-ddim_step, which writes the update into predict_x0's fresh result by
-three in-place operations, r (x_cur + ((alpha_next - r alpha_cur) / r)
-x0_hat) with r = sigma_next / sigma_cur > 0.
+sample_batch reads the K maps once and runs the chains in blocks of at
+most BLOCK_BYTES of state each through all K steps, so a block stays in
+cache.  A block is copied from its rows of the draw into an (N, d B)
+state whose chain index is innermost; a step is one (N, N) @ (N, d B)
+matmul into the other of two reused block buffers plus c y^T + b, formed
+in one reused buffer with a column per distinct condition and added in
+place.  A chain's column sees the same operations whatever the block
+size, so its bytes do not depend on the chain count.  Finiteness is
+checked once per block, after its last step: a non-finite entry stays
+non-finite through every later step, since the matmul mixes it into
+every entry of its column and an add keeps it.  A finite end state is
+written back over the block's rows, and the draw array is the output.  A
+block whose end state is not finite is replayed from its rows, still the
+draw, with a check after every step; once all blocks have run,
+SamplerDiverged is raised at the earliest first non-finite step over the
+blocks.  Any other denoiser runs ddim_step, which writes the update into
+predict_x0's fresh result by three in-place operations, r (x_cur +
+((alpha_next - r alpha_cur) / r) x0_hat) with r = sigma_next / sigma_cur
+> 0, and checks the whole batch after each step.
 
 The initial state is drawn from the config's init, a Gaussian fitted to
 the time-M marginal, or else from standard_init, the conventional prior.
@@ -40,6 +52,11 @@ from .world import ExactDenoiser
 
 STANDARD = "standard"
 ANALYTIC = "analytic"
+
+# Bytes of one block's (N, d B) state in the exact family's blocked run:
+# 1024 chains of an 8 x 4 video.  A block's two states and its c y^T + b
+# term stay in a core's cache across all K steps.
+BLOCK_BYTES = 256 * 1024
 
 
 class SamplerDiverged(RuntimeError):
@@ -151,25 +168,54 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
             if not np.all(np.isfinite(x)):
                 raise SamplerDiverged(step, float(t_to))
         return x
-    # column k n + j of the (N, d n) state is coordinate k of chain j; the
-    # draw is released when x is rebound
-    n_frames = denoiser.shape[0]
-    x = np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(n_frames, d * n)
-    # the condition as a (d, 1) column when shared or (d, n) per chain;
-    # c y^T + b is formed in one reused buffer of that width
-    y = y if denoiser.conditional else denoiser.world.m0
-    y = np.ascontiguousarray(np.reshape(y, (-1, d)).T)
-    out, finite = np.empty_like(x), np.empty(x.shape, dtype=bool)
-    term = np.empty((n_frames, d, y.shape[1]))
-    for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
+    # one (t_to, M, c, b) per step, c and b as (N, d, 1) columns
+    maps = []
+    for t_from, t_to in zip(grid[:-1], grid[1:]):
         m, c, b = denoiser.step_map(t_from, t_to)
-        np.matmul(m, x, out=out)
-        np.multiply(c[:, :, None], y, out=term)
-        term += b[:, :, None]
-        cols = out.reshape(n_frames, d, n)
+        maps.append((float(t_to), m, c[:, :, None], b[:, :, None]))
+    # one condition row shared by all chains, or one row per chain
+    y = np.reshape(y if denoiser.conditional else denoiser.world.m0, (-1, d))
+    n_frames = denoiser.shape[0]
+    width = min(n, max(1, BLOCK_BYTES // (n_frames * d * 8)))
+    bufs = np.empty((2, n_frames * d * width))
+    term = np.empty(n_frames * d * min(len(y), width))
+    diverged = []
+    for j in range(0, n, width):
+        rows = x[j:j + width]
+        cond = y[j:j + width].T if len(y) > 1 else y.T
+        with np.errstate(all="ignore"):
+            state = _run_block(maps, rows, cond, bufs, term, checked=False)
+        if not np.isfinite(state).all():
+            # the checked replay warns on overflow as a per-step run does
+            try:
+                state = _run_block(maps, rows, cond, bufs, term, checked=True)
+            except SamplerDiverged as err:
+                diverged.append(err)
+                continue
+        rows[...] = state.reshape(n_frames, d, -1).transpose(2, 0, 1)
+    if diverged:
+        raise min(diverged, key=lambda err: err.step)
+    return x
+
+
+def _run_block(maps, rows, y, bufs, term, checked):
+    """Run the chains rows, (B, N, d), through every step of maps in two
+    (N, d B) states, chain index innermost, held in bufs, and return the
+    end state.  y is the (d, 1 or B) condition; term holds c y^T + b.
+    With checked, a step whose state is not finite raises SamplerDiverged
+    there."""
+    n_chains, n_frames, d = rows.shape
+    size = n_frames * d * n_chains
+    cur, nxt = (buf[:size].reshape(n_frames, d * n_chains) for buf in bufs)
+    np.copyto(cur.reshape(n_frames, d, n_chains), rows.transpose(1, 2, 0))
+    term = term[:n_frames * d * y.shape[1]].reshape(n_frames, d, y.shape[1])
+    for step, (t_to, m, c, b) in enumerate(maps):
+        np.matmul(m, cur, out=nxt)
+        np.multiply(c, y, out=term)
+        term += b
+        cols = nxt.reshape(n_frames, d, n_chains)
         cols += term
-        if not np.isfinite(out, out=finite).all():
-            raise SamplerDiverged(step, float(t_to))
-        x, out = out, x
-    del out, finite, term
-    return x.reshape(n_frames, d, n).transpose(2, 0, 1).copy()
+        if checked and not np.isfinite(nxt).all():
+            raise SamplerDiverged(step, t_to)
+        cur, nxt = nxt, cur
+    return cur

@@ -8,6 +8,7 @@ import toydiffusion as td
 from toydiffusion.analytic_init import InitDistribution, exact_moments, optimal_init
 from toydiffusion.cli import DiagnosticsConfig
 from toydiffusion.sampler import (
+    BLOCK_BYTES,
     SamplerConfig,
     SamplerDiverged,
     ddim_step,
@@ -225,6 +226,33 @@ def test_step_map_divergence_is_reported_at_the_replayed_step(request, world, na
     assert step > 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", ["exact", "leaky"])
+def test_divergence_over_blocks_is_reported_at_the_earliest_step(request, name,
+                                                                 schedule_name):
+    # three blocks: a chain of the first diverges late, the second stays
+    # finite and a chain of the last diverges earlier; the run reports
+    # the earliest first non-finite step over all chains
+    schedule = request.getfixturevalue(schedule_name)
+    world = td.GaussianWorld(drift=[1.5e307, 0.0, 0.0, 0.0])
+    den = EXACT_FAMILY[name](world, schedule)
+    n, late, early = 2 * BLOCK + 17, 5, 2 * BLOCK + 3
+    y0 = np.ones((n, 4))
+    y0[late], y0[early] = 1.3e308, 1.7e308
+    cfg = SamplerConfig(1.0, 50)
+    with pytest.raises(SamplerDiverged) as err:
+        sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(27))
+    first = np.full(n, cfg.steps)
+    for step, t_to, x in _step_map_states(den, y0, cfg, schedule, n,
+                                          np.random.default_rng(27)):
+        first[(first == cfg.steps) & ~np.isfinite(x).all(axis=(1, 2))] = step
+    assert first[early] < first[late] < cfg.steps
+    assert (first[BLOCK:2 * BLOCK] == cfg.steps).all()
+    assert err.value.step == first.min()
+    assert err.value.t == time_grid(cfg.start_time, cfg.steps)[first.min() + 1]
+
+
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])
 @pytest.mark.parametrize("name", ["exact", "leaky"])
 def test_step_maps_keep_a_huge_condition_finite(request, world, name, schedule_name):
@@ -415,6 +443,9 @@ def test_sample_batch_matches_reference_loop(request, denoisers, name,
     np.testing.assert_array_equal(got, fused)
 
 
+# chains of an 8 x 4 video in one block of sample_batch's exact-family run
+BLOCK = BLOCK_BYTES // (8 * 4 * 8)
+
 EXACT_FAMILY = {
     "exact": lambda world, schedule: ExactDenoiser(world, schedule),
     "leaky": lambda world, schedule: LeakyDenoiser(world, schedule, 0.6, 1.5),
@@ -534,13 +565,13 @@ def test_a_run_makes_one_map_per_step_and_prediction(world, vp, name, per_chain)
                          ids=["exact-shared", "leaky-per-chain"])
 def test_chain_output_does_not_depend_on_the_chain_count(world, vp, name, per_chain):
     # chain i gets row i of the draw and the same column of every matmul,
-    # whatever the number of chains
+    # whatever the number of chains and wherever the block edges fall
     den = EXACT_FAMILY[name](world, vp)
     cfg = SamplerConfig(0.9, 20)
     big = 10_000
     y0 = np.random.default_rng(22).standard_normal((big, 4) if per_chain else 4)
     full = sample_batch(den, y0, cfg, vp, big, np.random.default_rng(23))
-    for n in (1, 3, 17, 100, 2048):
+    for n in (1, 3, 17, 100, BLOCK - 1, BLOCK, BLOCK + 1, 2048, 2 * BLOCK + 17):
         y = y0[:n] if per_chain else y0
         got = sample_batch(den, y, cfg, vp, n, np.random.default_rng(23))
         np.testing.assert_array_equal(got, full[:n])
@@ -672,17 +703,18 @@ def _traced_peak_bytes(run):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name, per_chain, bound", [
-    ("exact", False, 3.5),
-    ("leaky", True, 4.5),
-], ids=["exact-shared", "leaky-per-chain"])
-def test_sample_batch_peak_memory(world, vp, name, per_chain, bound):
-    # the draw is released once the chain-innermost state is made; each
-    # step then holds two state buffers, a boolean one and the reused
-    # c y^T + b buffer (one column with a shared y0, a state's size with
-    # per-chain y0), and the output is made after the second state buffer
-    # is freed
-    n = 2000
+@pytest.mark.parametrize("name, per_chain, n, bound", [
+    ("exact", False, 2000, 3.5),
+    ("leaky", True, 2000, 4.5),
+    ("exact", False, 10_000, 1.5),
+    ("leaky", True, 10_000, 1.75),
+], ids=["exact-shared", "leaky-per-chain", "exact-shared-10-blocks",
+        "leaky-per-chain-10-blocks"])
+def test_sample_batch_peak_memory(world, vp, name, per_chain, n, bound):
+    # the draw is the output; besides it a run holds two block states of
+    # up to BLOCK chains, the c y^T + b buffer (one column with a shared
+    # y0, a block state's size with per-chain y0) and one block's boolean
+    # finiteness mask, so past a few blocks the peak nears one state
     if name == "exact":
         den = ExactDenoiser(world, vp)
     else:

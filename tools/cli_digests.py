@@ -8,11 +8,12 @@ on the ``src/`` tree beside this script, with one OpenBLAS thread and
 with PYTHONDONTWRITEBYTECODE=1, so no tree gains a ``__pycache__``.
 The set covers every output kind the CLI writes: videos, an init file, the
 optimality report, checkpoints of all four training modes and one trained
-with the motion feature and s_w_choices, samples (exact, leaky from an
-analytic start, a checkpoint, the motion-feature checkpoint, an init
-file), leakage curves (exact, leaky, oracle, checkpoint, motion-feature
-checkpoint), motion sweeps (leaky, checkpoint) and the init ablation, each
-with its manifest and, for samples, its summary.  One more constant-mode
+with the motion feature and s_w_choices, samples (exact, exact over
+several sampler blocks, leaky from an analytic start, a checkpoint, the
+motion-feature checkpoint, an init file), leakage curves (exact, leaky,
+oracle, checkpoint, motion-feature checkpoint), motion sweeps (leaky,
+checkpoint) and the init ablation, each with its manifest and, for
+samples, its summary.  One more constant-mode
 checkpoint, at batch size 2 and a = 100, has steps whose corruption levels
 all round to zero.  A command runs with config.json unless it names its
 own --config.
@@ -80,6 +81,8 @@ COMMANDS = [
     *(["train", "--mode", mode, "--out", f"ckpt_{mode}.json"]
       for mode in ("naive", "timenoise", "cdm", "constant")),
     ["sample", "--n", "100", "--out", "sample_exact.csv"],
+    # more chains than one sampler block holds, ending in a partial block
+    ["sample", "--n", "2500", "--out", "sample_blocks.csv"],
     ["sample", "--n", "100", "--denoiser", "leaky", "--M", "0.9", "--init", "analytic",
      "--out", "sample_leaky.csv"],
     ["sample", "--n", "100", "--denoiser", "ckpt:ckpt_timenoise.json",
