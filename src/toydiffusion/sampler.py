@@ -11,26 +11,26 @@ caller owns, shape, the (n_frames, frame_dim) of one video, and schedule,
 which must be the sampler's.
 
 The exact and leaky denoisers are affine, so each of their steps is one
-cached map x_next = M x_cur + c y^T + b, their step_map(t_cur, t_next).
-sample_batch reads the K maps once and runs the chains in blocks of at
-most BLOCK_BYTES of state each through all K steps, so a block stays in
-cache.  A block is copied from its rows of the draw into an (N, d B)
-state whose chain index is innermost; a step is one (N, N) @ (N, d B)
-matmul into the other of two reused block buffers plus c y^T + b, formed
-in one reused buffer with a column per distinct condition and added in
-place.  A chain's column sees the same operations whatever the block
-size, so its bytes do not depend on the chain count.  Finiteness is
-checked once per block, after its last step: a non-finite entry stays
-non-finite through every later step, since the matmul mixes it into
-every entry of its column and an add keeps it.  A finite end state is
-written back over the block's rows, and the draw array is the output.  A
-block whose end state is not finite is replayed from its rows, still the
-draw, with a check after every step; once all blocks have run,
+cached (N, N + 2) matrix W = [M | c | beta], x_next = M x_cur + c y^T +
+beta drift^T, their step_map(t_cur, t_next).  sample_batch reads the K
+maps once and runs the chains in blocks of at most BLOCK_BYTES of video
+state each through all K steps, so a block stays in cache.  A block is an
+(N + 2, d B) state, chain index innermost: the block's rows of the draw,
+then the chains' conditions (m0 without one) and the drift, written once
+into both of two reused buffers, so a step is one matmul of W into the
+first N rows of the other.  A chain's column sees the same operations
+whatever the block size, so its bytes do not depend on the chain count.
+Finiteness is checked once per block, after its last step: the matmul
+mixes a non-finite entry into every entry of its column, so it stays
+non-finite.  A finite end state is written back over the block's rows,
+and the draw array is the output.  A block that ends non-finite is
+replayed from its rows with a check after every step, and
 SamplerDiverged is raised at the earliest first non-finite step over the
 blocks.  Any other denoiser runs ddim_step, which writes the update into
 predict_x0's fresh result by three in-place operations, r (x_cur +
 ((alpha_next - r alpha_cur) / r) x0_hat) with r = sigma_next / sigma_cur
-> 0, and checks the whole batch after each step.
+> 0, and checks the whole batch after each step.  Both paths detect a
+non-finite state themselves, so numpy does not warn during a run.
 
 The initial state is drawn from the config's init, a Gaussian fitted to
 the time-M marginal, or else from standard_init, the conventional prior.
@@ -53,9 +53,9 @@ from .world import ExactDenoiser
 STANDARD = "standard"
 ANALYTIC = "analytic"
 
-# Bytes of one block's (N, d B) state in the exact family's blocked run:
-# 1024 chains of an 8 x 4 video.  A block's two states and its c y^T + b
-# term stay in a core's cache across all K steps.
+# Bytes of one block's N video rows of (N + 2, d B) state in the exact
+# family's blocked run: 1024 chains of an 8 x 4 video.  A block's two
+# states stay in a core's cache across all K steps.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -143,11 +143,14 @@ def check_schedule(denoiser, schedule: NoiseSchedule) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     """Run n reverse chains; returns generated videos of shape (n, N, d).
 
     y0 is one frame (d,) shared by all chains or one per chain, (n, d).
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     check_schedule(denoiser, schedule)
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim == 2 and y0.shape[0] != n:
@@ -168,27 +171,20 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
             if not np.all(np.isfinite(x)):
                 raise SamplerDiverged(step, float(t_to))
         return x
-    # one (t_to, M, c, b) per step, c and b as (N, d, 1) columns
-    maps = []
-    for t_from, t_to in zip(grid[:-1], grid[1:]):
-        m, c, b = denoiser.step_map(t_from, t_to)
-        maps.append((float(t_to), m, c[:, :, None], b[:, :, None]))
-    # one condition row shared by all chains, or one row per chain
-    y = np.reshape(y if denoiser.conditional else denoiser.world.m0, (-1, d))
+    maps = [(float(t_to), denoiser.step_map(t_from, t_to))
+            for t_from, t_to in zip(grid[:-1], grid[1:])]
+    y = np.broadcast_to(y if denoiser.conditional else denoiser.world.m0, (n, d))
     n_frames = denoiser.shape[0]
     width = min(n, max(1, BLOCK_BYTES // (n_frames * d * 8)))
-    bufs = np.empty((2, n_frames * d * width))
-    term = np.empty(n_frames * d * min(len(y), width))
+    bufs = np.empty((2, (n_frames + 2) * d * width))
     diverged = []
     for j in range(0, n, width):
         rows = x[j:j + width]
-        cond = y[j:j + width].T if len(y) > 1 else y.T
-        with np.errstate(all="ignore"):
-            state = _run_block(maps, rows, cond, bufs, term, checked=False)
+        block = (maps, rows, y[j:j + width], denoiser.world.drift, bufs)
+        state = _run_block(*block, checked=False)
         if not np.isfinite(state).all():
-            # the checked replay warns on overflow as a per-step run does
             try:
-                state = _run_block(maps, rows, cond, bufs, term, checked=True)
+                state = _run_block(*block, checked=True)
             except SamplerDiverged as err:
                 diverged.append(err)
                 continue
@@ -198,24 +194,22 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     return x
 
 
-def _run_block(maps, rows, y, bufs, term, checked):
-    """Run the chains rows, (B, N, d), through every step of maps in two
-    (N, d B) states, chain index innermost, held in bufs, and return the
-    end state.  y is the (d, 1 or B) condition; term holds c y^T + b.
-    With checked, a step whose state is not finite raises SamplerDiverged
-    there."""
+def _run_block(maps, rows, y, drift, bufs, checked):
+    """Run the chains rows, (B, N, d), with conditions y, (B, d), through
+    every step of maps in the two (N + 2, d B) states bufs holds, chain
+    index innermost and y^T and the drift in the last two rows, and return
+    the end state's N video rows.  With checked, a step whose state is not
+    finite raises SamplerDiverged there."""
     n_chains, n_frames, d = rows.shape
-    size = n_frames * d * n_chains
-    cur, nxt = (buf[:size].reshape(n_frames, d * n_chains) for buf in bufs)
-    np.copyto(cur.reshape(n_frames, d, n_chains), rows.transpose(1, 2, 0))
-    term = term[:n_frames * d * y.shape[1]].reshape(n_frames, d, y.shape[1])
-    for step, (t_to, m, c, b) in enumerate(maps):
-        np.matmul(m, cur, out=nxt)
-        np.multiply(c, y, out=term)
-        term += b
-        cols = nxt.reshape(n_frames, d, n_chains)
-        cols += term
-        if checked and not np.isfinite(nxt).all():
+    size = (n_frames + 2) * d * n_chains
+    states = bufs[:, :size].reshape(2, n_frames + 2, d, n_chains)
+    np.copyto(states[0, :n_frames], rows.transpose(1, 2, 0))
+    states[:, n_frames] = y.T
+    states[:, n_frames + 1] = drift[:, None]
+    cur, nxt = states.reshape(2, n_frames + 2, d * n_chains)
+    for step, (t_to, w) in enumerate(maps):
+        np.matmul(w, cur, out=nxt[:n_frames])
+        if checked and not np.isfinite(nxt[:n_frames]).all():
             raise SamplerDiverged(step, t_to)
         cur, nxt = nxt, cur
-    return cur
+    return cur[:n_frames]

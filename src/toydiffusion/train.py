@@ -515,37 +515,39 @@ def train(world, schedule, config: TrainConfig, return_history=False):
     work = _Workspace(model, params, b)
     history = []
     step = 0
-    while step < config.steps:
-        block = _training_rows(
-            world, schedule, config, data_rng, min(BLOCK_STEPS, config.steps - step)
-        )
-        x = model.build_inputs(block.xt, block.y, block.t, block.motion)
-        targets = block.target.reshape(x.shape[0], -1)
-        for row in range(0, x.shape[0], b):
-            loss, grad = _loss_and_gradient(model, work, x[row : row + b],
-                                            targets[row : row + b])
-            if not math.isfinite(loss):
-                raise TrainingDiverged(step, loss)
-            # m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
-            # params -= (lr m_hat) / (sqrt(v_hat) + eps), evaluated in this
-            # order in place; m_hat and v_hat double as scratch for the terms.
-            m *= beta1
-            m += np.multiply(grad, 1.0 - beta1, out=m_hat)
-            np.multiply(grad, 1.0 - beta2, out=v_hat)
-            v_hat *= grad
-            v *= beta2
-            v += v_hat
-            np.divide(m, 1.0 - beta1 ** (step + 1), out=m_hat)
-            np.divide(v, 1.0 - beta2 ** (step + 1), out=v_hat)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += adam_eps
-            m_hat *= config.lr
-            m_hat /= v_hat
-            params -= m_hat
-            if return_history and (step % 500 == 0 or step == config.steps - 1):
-                history.append((step, loss))
-            step += 1
-        del block, x, targets  # freed before the next block is drawn
+    # the loop reports a non-finite loss itself, so numpy does not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while step < config.steps:
+            block = _training_rows(
+                world, schedule, config, data_rng, min(BLOCK_STEPS, config.steps - step)
+            )
+            x = model.build_inputs(block.xt, block.y, block.t, block.motion)
+            targets = block.target.reshape(x.shape[0], -1)
+            for row in range(0, x.shape[0], b):
+                loss, grad = _loss_and_gradient(model, work, x[row : row + b],
+                                                targets[row : row + b])
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(step, loss)
+                # m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
+                # params -= (lr m_hat) / (sqrt(v_hat) + eps), evaluated in this
+                # order in place; m_hat and v_hat double as scratch for the terms.
+                m *= beta1
+                m += np.multiply(grad, 1.0 - beta1, out=m_hat)
+                np.multiply(grad, 1.0 - beta2, out=v_hat)
+                v_hat *= grad
+                v *= beta2
+                v += v_hat
+                np.divide(m, 1.0 - beta1 ** (step + 1), out=m_hat)
+                np.divide(v, 1.0 - beta2 ** (step + 1), out=v_hat)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += adam_eps
+                m_hat *= config.lr
+                m_hat /= v_hat
+                params -= m_hat
+                if return_history and (step % 500 == 0 or step == config.steps - 1):
+                    history.append((step, loss))
+                step += 1
+            del block, x, targets  # freed before the next block is drawn
 
     final_heldout = batch_loss(model, params, heldout)
     checkpoint = to_payload(_Checkpoint(

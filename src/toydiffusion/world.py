@@ -11,24 +11,25 @@ Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), which is the Bayes-optimal clean-video prediction under the
 forward kernel x_t = alpha_t x0 + sigma_t eps: mean + G (x_t - alpha_t
 mean) with the gain G(t) = solve(alpha^2 C + sigma^2 I, alpha C).  The
-mean is 1 y^T + o, with y the first-frame mean (the condition y0, or m0
-without one) and o the per-frame offsets (i-1) * drift, so the
-prediction is one affine map of x_t and y:
+mean is 1 y^T + i drift^T, with y the first-frame mean (the condition y0,
+or m0 without one) and i = (0, 1, ..., N-1) the frame indices, so the
+prediction is one affine map of x_t, y and the drift:
 
-    x0_hat = A(t) x_t + c(t) y^T + b(t),
-    A = (1 - l) G,  c = (1 - l) (I - alpha G) 1 + l 1,  b = (1 - l) (I - alpha G) o,
+    x0_hat = A(t) x_t + c(t) y^T + beta(t) drift^T,
+    A = (1 - l) G,  c = (1 - l) (I - alpha G) 1 + l 1,  beta = (1 - l) (I - alpha G) i,
 
 where l(t) is the leaky denoiser's blend toward a static copy of y (0 for
 the exact denoiser), which turns conditioning over-reliance into a dial.
 
-The sampler applies the same map composed with each DDIM step, x_to =
-M x_t + c y^T + b; ExactDenoiser.step_map(t, t_to) returns either, t_to = 0
-being the prediction map.  One module-level least-recently-used cache of
-schedule.TIME_CACHE_SIZE entries (at N = 8, d = 4, 0.8 KiB each) keeps
-them for every exact denoiser, keyed by world, conditional, schedule, the
-leak value l(t), float(t) and t_to.  Worlds are keyed by identity and
-their m0 and drift are read-only, so no entry goes stale.  Denoisers on
-one world with the same leak share entries.  The cached arrays are
+The sampler applies the same map composed with each DDIM step.
+ExactDenoiser.step_map(t, t_to) returns either as one (N, N + 2) matrix
+W = [M | c | beta], x_to = M x_t + c y^T + beta drift^T, t_to = 0 being
+the prediction map.  One module-level least-recently-used cache of
+schedule.TIME_CACHE_SIZE entries (at N = 8, 0.6 KiB each) keeps them for
+every exact denoiser, keyed by world, conditional, schedule, the leak
+value l(t), float(t) and t_to.  Worlds are keyed by identity and their
+m0 and drift are read-only, so no entry goes stale.  Denoisers on one
+world with the same leak share entries.  The cached matrices are
 read-only, and a prediction is always a new array.
 """
 
@@ -249,8 +250,9 @@ class ExactDenoiser:
         return 0.0
 
     def step_map(self, t, t_to=0.0):
-        """The read-only (M, c, b) of the DDIM step x_to = M xt + c y^T + b
-        from t down to t_to; t_to = 0 is the prediction map (A, c, b)."""
+        """The read-only (N, N + 2) W = [M | c | beta] of the DDIM step
+        x_to = M xt + c y^T + beta drift^T from t down to t_to; t_to = 0
+        is the prediction map [A | c | beta]."""
         return _affine_map(self.world, self.conditional, self.schedule, self.leak(t),
                            float(t), float(t_to))
 
@@ -262,10 +264,10 @@ class ExactDenoiser:
         y = np.asarray(y if self.conditional else self.world.m0, dtype=np.float64)
         if y.shape[-1:] != (self.world.frame_dim,):
             raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim)")
-        a, c, b = self.step_map(t)
-        out = a @ xt
-        out += c * y[..., None, :]
-        out += b
+        w, n = self.step_map(t), self.world.n_frames
+        out = w[:, :n] @ xt
+        out += w[:, n:n + 1] * y[..., None, :]
+        out += w[:, n + 1:] * self.world.drift
         return out
 
     def predict_eps(self, xt, y, t):
@@ -274,37 +276,37 @@ class ExactDenoiser:
 
 @functools.lru_cache(maxsize=TIME_CACHE_SIZE)
 def _affine_map(world, conditional, schedule, leak, t, t_to):
-    """The read-only (M, c, b) of one DDIM step x_to = M xt + c y^T + b
-    from t down to t_to, for the leak value l = leak(t).
+    """The read-only W = [M | c | beta] of one DDIM step x_to = M xt +
+    c y^T + beta drift^T from t down to t_to, for the leak value l = leak(t).
 
-    t_to = 0 is the prediction x0_hat = A xt + c y^T + b itself, which
-    predict_x0 reads: G = solve(alpha^2 C + sigma^2 I, alpha C) for the
-    world's C, pinned at frame 1 when conditional, gives A = (1 - l) G,
-    c = (1 - l) (I - alpha G) 1 + l as an (N, 1) column, and b = (1 - l)
-    (I - alpha G) o for the offsets o.  A step to t_to > 0, x_to = k x0_hat
-    + r xt with r = sigma_to / sigma_t and k = alpha_to - r alpha_t,
-    composes that map into (k A + r I, k c, k b).  t_to = 0 never takes
-    that form: VE has sigma(0) = sigma_min, not 0.
+    t_to = 0 is the prediction x0_hat = A xt + c y^T + beta drift^T itself,
+    which predict_x0 reads: G = solve(alpha^2 C + sigma^2 I, alpha C) for
+    the world's C, pinned at frame 1 when conditional, gives A = (1 - l) G,
+    c = (1 - l) (I - alpha G) 1 + l and beta = (1 - l) (I - alpha G) i for
+    the frame indices i.  A step to t_to > 0, x_to = k x0_hat + r xt with
+    r = sigma_to / sigma_t and k = alpha_to - r alpha_t, composes that map
+    into k W + r [I | 0 | 0].  t_to = 0 never takes that form: VE has
+    sigma(0) = sigma_min, not 0.
     """
-    eye = np.eye(world.n_frames)
+    n = world.n_frames
+    eye = np.eye(n)
     if t_to != 0.0:
-        a, c, b = _affine_map(world, conditional, schedule, leak, t, 0.0)
         a_from, s_from = alpha_sigma(schedule, t)
         a_to, s_to = alpha_sigma(schedule, t_to)
         r = s_to / s_from
-        kappa = a_to - r * a_from
-        coefficients = (kappa * a + r * eye, kappa * c, kappa * b)
+        w = (a_to - r * a_from) * _affine_map(world, conditional, schedule, leak, t, 0.0)
+        w[:, :n] += r * eye
     else:
         alpha, sigma = alpha_sigma(schedule, t)
         cov = prior_frame_cov(replace(world, s0=0.0) if conditional else world)
         gain = np.linalg.solve(alpha**2 * cov + sigma**2 * eye, alpha * cov)
         rest = eye - alpha * gain
-        keep = 1.0 - leak
-        coefficients = (keep * gain, keep * rest.sum(axis=1, keepdims=True) + leak,
-                        keep * (rest @ _frame_offsets(world)))
-    for array in coefficients:
-        array.flags.writeable = False
-    return coefficients
+        w = np.hstack((gain, rest.sum(axis=1, keepdims=True),
+                       rest @ np.arange(n, dtype=np.float64)[:, None]))
+        w *= 1.0 - leak
+        w[:, n] += leak
+    w.flags.writeable = False
+    return w
 
 
 class LeakyDenoiser(ExactDenoiser):

@@ -415,6 +415,39 @@ def test_estimate_init_without_data_rows_is_one_json_line(tmp_path, content):
         "type": "config", "message": f"data file {data} has no data rows"}}
 
 
+@pytest.mark.parametrize("command", ["sample", "train"])
+def test_numerical_failure_is_one_json_line(tmp_path, command):
+    # a real process, so a warning numpy prints on stderr is seen too: a
+    # start mean of 1e308 overflows the sampler's state, and a step size
+    # of 1e300 the training loss, each of which the run reports itself
+    cfgp = small_config(tmp_path)
+    if command == "sample":
+        (tmp_path / "init.json").write_text(json.dumps(
+            {"mu_p": [1e308] * 32, "sigma_p2": 1.0, "M": 1.0}))
+        args = ["sample", "--n", "3", "--M", "1.0", "--init", "analytic:init.json"]
+        message = "non-finite sampler state at step 4 (t=0)"
+    else:
+        payload = json.loads(pathlib.Path(cfgp).read_text())
+        payload["train"]["lr"] = 1e300
+        pathlib.Path(cfgp).write_text(json.dumps(payload))
+        args = ["train", "--mode", "naive"]
+        message = "non-finite training loss at step 1: inf"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "from toydiffusion.cli import entry; entry()",
+         *args, "--config", cfgp, "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {"error": {"type": "numerical", "message": message}}
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("world", "s0", True), ("world", "s0", "1.0"), ("world", "m0", "0"),
     ("train", "hidden", 64.0), ("world", "bogus", 1.0),

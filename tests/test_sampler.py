@@ -384,19 +384,19 @@ def _reference_sample(den, y0, cfg, schedule, n, rng):
 
 def _step_map_states(den, y0, cfg, schedule, n, rng):
     """sample_batch's exact-family arithmetic written out: the chains as
-    the columns of an (N, d n) state, chain index innermost, and each step
-    M x + (c y^T + b), each operation allocating.  Yields every step's
-    (step, t_to, state as (n, N, d))."""
+    the columns of an (N + 2, d n) state, chain index innermost, whose
+    last two rows are the conditions (m0 without one) and the drift, and
+    each step W @ state over the step map W, each operation allocating.
+    Yields every step's (step, t_to, video rows as (n, N, d))."""
     x, y = _reference_start(cfg, schedule, y0, n, rng)
-    y = y if den.conditional else den.world.m0
-    term_y = y.T[None] if y.ndim == 2 else y[None, :, None]  # (1, d, n or 1)
-    cols = x.transpose(1, 2, 0).reshape(8, 4 * n)
+    y = np.broadcast_to(y if den.conditional else den.world.m0, (n, 4))
+    drift = np.broadcast_to(den.world.drift[:, None], (4, n))
+    cols = np.concatenate((x.transpose(1, 2, 0), [y.T, drift])).reshape(10, 4 * n)
     grid = time_grid(cfg.start_time, cfg.steps)
     for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
-        m, c, b = _reference_step_map(den, float(t_from), float(t_to))
-        term = c[:, :, None] * term_y + b[:, :, None]
-        cols = ((m @ cols).reshape(8, 4, n) + term).reshape(8, 4 * n)
-        yield step, float(t_to), cols.reshape(8, 4, n).transpose(2, 0, 1)
+        w = den.step_map(float(t_from), float(t_to))
+        cols = np.concatenate((w @ cols, cols[8:]))
+        yield step, float(t_to), cols[:8].reshape(8, 4, n).transpose(2, 0, 1)
 
 
 def _step_map_sample(den, y0, cfg, schedule, n, rng):
@@ -478,10 +478,11 @@ def test_step_maps_agree_with_the_three_operation_step(request, name, schedule_n
 
 
 def _probe_step(den, y, t_from, t_to):
-    """Recover (M, c, b) of one step from ddim_step alone: the zero video
-    with y = 0 gives b, the N unit-frame videos give M's columns, and the
-    zero video with y = 1 gives c.  The unconditional denoiser reads m0 in
-    place of y, so its zero response is c m0^T + b."""
+    """Recover M, c and beta drift^T of one step from ddim_step alone: the
+    zero video with y = 0 gives beta drift^T, the N unit-frame videos give
+    M's columns, and the zero video with y = 1 gives c.  The unconditional
+    denoiser reads m0 in place of y, so its zero response is c m0^T +
+    beta drift^T."""
     n_frames, d = den.shape
     videos = np.zeros((n_frames + 2, n_frames, d))
     videos[np.arange(n_frames), np.arange(n_frames)] = 1.0
@@ -502,8 +503,9 @@ def test_step_maps_match_ddim_step_probes(request, name, schedule_name):
     times = [(0.9, 0.825), (1.0, 0.995), (0.5, 0.25), (0.02, 0.01), (0.3, 0.0),
              (0.005, 0.0)]
     for t_from, t_to in times:
-        m, c, b = den.step_map(t_from, t_to)
-        assert not any(array.flags.writeable for array in (m, c, b))
+        w = den.step_map(t_from, t_to)
+        assert w.shape == (8, 10) and not w.flags.writeable
+        m, c, b = w[:, :8], w[:, 8:9], w[:, 9:] * world.drift
         probed_m, probed_c, zero = _probe_step(den, np.ones(4), t_from, t_to)
         np.testing.assert_allclose(probed_m, np.broadcast_to(m[..., None], (8, 8, 4)),
                                    rtol=0, atol=1e-12)
@@ -514,7 +516,8 @@ def test_step_maps_match_ddim_step_probes(request, name, schedule_name):
         else:
             np.testing.assert_allclose(probed_c, 0.0, rtol=0, atol=1e-12)
             np.testing.assert_allclose(zero, c * world.m0 + b, rtol=0, atol=1e-12)
-        # and the written-out copy of the step map
+        # and the written-out copy of the step map, whose b is formed over
+        # the frame offsets
         for got, want in zip((m, c, b), _reference_step_map(den, t_from, t_to)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -522,19 +525,18 @@ def test_step_maps_match_ddim_step_probes(request, name, schedule_name):
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])
 @pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
 def test_step_map_to_zero_is_the_prediction_map(request, world, name, schedule_name):
-    # t_to = 0 is predict_x0's own (A, c, b), the same cached arrays, and
-    # not the r, k form: VE has sigma(0) = sigma_min != 0
+    # t_to = 0 is predict_x0's own [A | c | beta], the same cached matrix,
+    # and not the r, k form: VE has sigma(0) = sigma_min != 0
     schedule = request.getfixturevalue(schedule_name)
     den = EXACT_FAMILY[name](world, schedule)
     xt = np.random.default_rng(21).standard_normal((5, 8, 4))
     y0 = np.array([0.5, -1.0, 0.0, 2.0])
     for t in (1.0, 0.5, 0.02, 1e-4):
-        to_zero, prediction = den.step_map(t, 0.0), den.step_map(t)
-        for got, want in zip(to_zero, prediction):
-            assert got is want
-        a, c, b = to_zero
+        w = den.step_map(t, 0.0)
+        assert w is den.step_map(t)
         y = y0 if den.conditional else world.m0
-        np.testing.assert_array_equal(den.predict_x0(xt, y0, t), a @ xt + c * y + b)
+        want = w[:, :8] @ xt + w[:, 8:9] * y + w[:, 9:] * world.drift
+        np.testing.assert_array_equal(den.predict_x0(xt, y0, t), want)
         np.testing.assert_array_equal(ddim_step(den, xt, y0, t, 0.0, schedule),
                                       den.predict_x0(xt, y0, t))
 
@@ -575,6 +577,19 @@ def test_chain_output_does_not_depend_on_the_chain_count(world, vp, name, per_ch
         y = y0[:n] if per_chain else y0
         got = sample_batch(den, y, cfg, vp, n, np.random.default_rng(23))
         np.testing.assert_array_equal(got, full[:n])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", ["exact", "leaky", "unconditional", "trained"])
+def test_a_chain_count_below_one_is_rejected(world, vp, denoisers, name, n):
+    # n = 0 used to fail inside the run: a zero block width on the exact
+    # family, a reshape on a trained denoiser
+    den = denoisers[(name, "vp")] if name == "trained" else EXACT_FAMILY[name](world, vp)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+        sample_batch(den, np.zeros(4), SamplerConfig(1.0, 5), vp, n, rng)
+    assert rng.bit_generator.state == state
 
 
 # The mean-centred posterior, the blend toward y after the fact and the
@@ -711,9 +726,8 @@ def _traced_peak_bytes(run):
 ], ids=["exact-shared", "leaky-per-chain", "exact-shared-10-blocks",
         "leaky-per-chain-10-blocks"])
 def test_sample_batch_peak_memory(world, vp, name, per_chain, n, bound):
-    # the draw is the output; besides it a run holds two block states of
-    # up to BLOCK chains, the c y^T + b buffer (one column with a shared
-    # y0, a block state's size with per-chain y0) and one block's boolean
+    # the draw is the output; besides it a run holds two (N + 2, d B)
+    # block states of up to BLOCK chains and one block's boolean
     # finiteness mask, so past a few blocks the peak nears one state
     if name == "exact":
         den = ExactDenoiser(world, vp)

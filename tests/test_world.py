@@ -264,8 +264,8 @@ def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
 
 
 def test_exact_denoiser_gain_cache(world, vp):
-    # one affine map (A, c, b) per distinct key, in one bounded module
-    # cache, read-only
+    # one affine map W = [A | c | beta] per distinct key, in one bounded
+    # module cache, read-only
     world_module._affine_map.cache_clear()
     den = ExactDenoiser(world, vp)
     xt = np.random.default_rng(11).standard_normal((3, 8, 4))
@@ -274,13 +274,14 @@ def test_exact_denoiser_gain_cache(world, vp):
         den.predict_x0(xt, y0, t)
     info = world_module._affine_map.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (2, 2, TIME_CACHE_SIZE)
-    a, c, b = den.step_map(0.3)
-    assert (a.shape, c.shape, b.shape) == ((8, 8), (8, 1), (8, 4))
-    # A xt + c y^T + b is the prediction
-    np.testing.assert_array_equal(a @ xt + c * y0 + b, den.predict_x0(xt, y0, 0.3))
-    for array in (a, c, b):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1.0
+    w = den.step_map(0.3)
+    assert w.shape == (8, 10)
+    # A xt + c y^T + beta drift^T is the prediction
+    np.testing.assert_array_equal(
+        w[:, :8] @ xt + w[:, 8:9] * y0 + w[:, 9:] * world.drift,
+        den.predict_x0(xt, y0, 0.3))
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
     # a LeakyDenoiser fills the same cache through the same path
     leaky = LeakyDenoiser(world, vp, 0.5, 2.0)
     leaky.predict_x0(xt, y0, 0.3)
@@ -288,15 +289,13 @@ def test_exact_denoiser_gain_cache(world, vp):
     # two leaks on one world get two maps, and the leak value, not the
     # denoiser, picks the map: 0.4 * 0.5 and 0.8 * 0.5^2 are one double
     other = LeakyDenoiser(world, vp, 0.9, 1.0)
-    ours, theirs = leaky.step_map(0.3), other.step_map(0.3)
-    assert not np.array_equal(ours[0], theirs[0])
+    assert not np.array_equal(leaky.step_map(0.3), other.step_map(0.3))
     assert not np.array_equal(leaky.predict_x0(xt, y0, 0.3),
                               other.predict_x0(xt, y0, 0.3))
     linear = LeakyDenoiser(world, vp, 0.4, 1.0)
     square = LeakyDenoiser(world, vp, 0.8, 2.0)
     assert linear.leak(0.5) == square.leak(0.5)
-    for got, want in zip(square.step_map(0.5), linear.step_map(0.5)):
-        assert got is want
+    assert square.step_map(0.5) is linear.step_map(0.5)
 
 
 def test_conditional_denoisers_on_one_world_share_maps(world, vp):
@@ -313,9 +312,10 @@ def test_conditional_denoisers_on_one_world_share_maps(world, vp):
     assert (info.misses, info.hits) == (1, 2)
     # the same bytes as the map of a world pinned at frame 1 on its own
     pinned = ExactDenoiser(replace(world, s0=0.0), vp, conditional=False)
-    a, c, b = pinned.step_map(0.5)
+    w = pinned.step_map(0.5)
     for out in got:
-        np.testing.assert_array_equal(out, (a @ xt + c * y0) + b)
+        np.testing.assert_array_equal(
+            out, (w[:, :8] @ xt + w[:, 8:9] * y0) + w[:, 9:] * world.drift)
 
 
 def test_exact_prediction_is_a_fresh_array(world, vp):
@@ -326,8 +326,7 @@ def test_exact_prediction_is_a_fresh_array(world, vp):
     first = den.predict_x0(xt, y0, 0.4)
     kept = first.copy()
     assert first.flags.writeable
-    for array in den.step_map(0.4):
-        assert not np.shares_memory(first, array)
+    assert not np.shares_memory(first, den.step_map(0.4))
     first[...] = np.nan
     np.testing.assert_array_equal(den.predict_x0(xt, y0, 0.4), kept)
 
