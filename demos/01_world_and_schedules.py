@@ -36,7 +36,7 @@ cond_mean, cond_cov = conditional_moments(world, y0)
 print("\nconditional frame covariance given frame 1 (first 4x4 block):")
 print(cond_cov[:4, :4])
 print("conditional frame means, coordinate 0:",
-      np.round(cond_mean.reshape(world.n_frames, -1)[:, 0], 3))
+      np.round(cond_mean[:, 0], 3))
 
 # how much clean signal survives at time t: x_t = alpha_t x_0 + sigma_t eps
 print("\n      t      VP alpha    VP sigma    VE sigma")

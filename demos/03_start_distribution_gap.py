@@ -27,11 +27,10 @@ moments = exact_moments(world)
 print("KL( true time-M marginal || chain init ), VP schedule\n")
 print("    M      standard N(0,I)    fitted isotropic")
 for m_start in (1.0, 0.96, 0.92, 0.88, 0.84, 0.8):
-    # the KL reads the N x N frame factor C of the covariance C (x) I_d
-    mu_q, frame_cov = marginal_moments_at(world, schedule, m_start)
-    kl_std = gaussian_kl(mu_q, frame_cov, standard_init(schedule, m_start,
-                                                        world.flat_dim))
-    kl_fit = gaussian_kl(mu_q, frame_cov, optimal_init(moments, schedule, m_start))
+    # the marginal is an (N, d) mean with the N x N factor C of C (x) I_d
+    q = marginal_moments_at(world, schedule, m_start)
+    kl_std = gaussian_kl(q, standard_init(schedule, m_start, world.flat_dim))
+    kl_fit = gaussian_kl(q, optimal_init(moments, schedule, m_start))
     print(f"  {m_start:4.2f}      {kl_std:12.6f}      {kl_fit:12.6f}")
 
 # the fitted parameters in closed form: mu_p = alpha_M E[X0],
@@ -44,8 +43,7 @@ print(f"\nfitted init at M = {m_start}: sigma_p^2 = {init.sigma_p2:.6f}, "
 
 # brute force: perturb the variance (x0.5 .. x2) and shift the mean; every
 # grid cell must have strictly larger KL than the candidate
-mu_q, frame_cov = marginal_moments_at(world, schedule, m_start)
-report = verify_optimality(mu_q, frame_cov, init)
+report = verify_optimality(marginal_moments_at(world, schedule, m_start), init)
 print(f"9x9 perturbation grid: passed = {report['passed']}, "
       f"worst margin {report['margin']:.3e}, "
       f"stationarity-formula gap {report['sigma_formula_gap']:.1e}")

@@ -24,6 +24,7 @@ from .timenoise import (
 )
 from .world import (
     ExactDenoiser,
+    FrameGaussian,
     GaussianWorld,
     LeakyDenoiser,
     as_eps_prediction,

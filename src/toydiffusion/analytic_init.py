@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule, VP, alpha_sigma
-from .world import GaussianWorld, prior_moments
+from .world import FrameGaussian, GaussianWorld, prior_moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,50 +105,46 @@ def standard_init(schedule: NoiseSchedule, M: float, flat_dim: int):
     return InitDistribution(mu_p=np.zeros(flat_dim), sigma_p2=sigma_p2, M=M)
 
 
-def gaussian_kl(mu_q, frame_cov, init: InitDistribution) -> float:
-    """Exact KL(N(mu_q, C (x) I_k) || N(mu_p, sigma_p2 I)) for an N x N frame
-    factor C and k = D / N, D = mu_q.size (a full covariance is k = 1):
-    0.5 [ ||mu_p - mu_q||^2 / s2 + D log s2 + k tr(C)/s2 - k log det C - D ].
+def gaussian_kl(q: FrameGaussian, init: InitDistribution) -> float:
+    """Exact KL(q || N(mu_p, sigma_p2 I)) for the law q = N(mean, C (x) I_k)
+    of an (N, k) array, D = N k (a dense law is the k = 1 case):
+    0.5 [ ||mu_p - mean||^2 / s2 + D log s2 + k tr(C)/s2 - k log det C - D ].
     Raises np.linalg.LinAlgError when C is not positive definite.
     """
-    mu_q = np.asarray(mu_q, dtype=np.float64).ravel()
-    frame_cov = np.asarray(frame_cov, dtype=np.float64)
-    d, n = mu_q.size, len(frame_cov)
-    if frame_cov.shape != (n, n) or not n or d % n or init.mu_p.size != d:
+    mean, cov = (np.asarray(a, dtype=np.float64) for a in q)
+    if mean.ndim != 2 or cov.shape != (len(mean),) * 2 or init.mu_p.size != mean.size:
         raise ValueError("dimension mismatch between q moments and init")
-    k = d // n
-    chol = np.linalg.cholesky(frame_cov)
+    d, k = mean.size, mean.shape[1]
+    chol = np.linalg.cholesky(cov)
     logdet_q = 2.0 * k * float(np.sum(np.log(np.diag(chol))))
-    diff = init.mu_p - mu_q
+    diff = init.mu_p - mean.ravel()
     s2 = init.sigma_p2
     return 0.5 * (
         float(diff @ diff) / s2
         + d * np.log(s2)
-        + k * float(np.trace(frame_cov)) / s2
+        + k * float(np.trace(cov)) / s2
         - logdet_q
         - d
     )
 
 
-def verify_optimality(mu_q, frame_cov, init: InitDistribution) -> dict:
-    """Brute-force check that `init` minimizes the KL over a fixed grid.
+def verify_optimality(q: FrameGaussian, init: InitDistribution) -> dict:
+    """Brute-force check that `init` minimizes the KL to q over a fixed grid.
 
-    The q moments mu_q and frame factor C are read as in gaussian_kl.  The
-    9 x 9 cells rescale the variance by kappa in geomspace(0.5, 2, 9) and
+    The 9 x 9 cells rescale the variance by kappa in geomspace(0.5, 2, 9) and
     shift the mean by linspace(-1, 1, 9) along 1/sqrt(D); the cell
     (kappa=1, shift=0) is the candidate optimum, and every other cell must
     exceed its KL by more than 1e-9.  Also cross-checks the stationarity
-    formula sigma_p2 = (k tr(C) + ||mu_p - mu_q||^2) / D to 1e-10.
+    formula sigma_p2 = (k tr(C) + ||mu_p - mean||^2) / D to 1e-10.
     """
-    kl_opt = gaussian_kl(mu_q, frame_cov, init)  # also checks the shapes
-    mu_q = np.asarray(mu_q, dtype=np.float64).ravel()
-    d, k = mu_q.size, mu_q.size // len(frame_cov)
+    kl_opt = gaussian_kl(q, init)  # also checks the shapes
+    d, k = q.mean.size, q.mean.shape[1]
     kappas = np.geomspace(0.5, 2.0, 9)  # symmetric in log, includes 1
     delta_scales = np.linspace(-1.0, 1.0, 9)
     direction = np.ones(d) / np.sqrt(d)
 
-    diff = init.mu_p - mu_q
-    sigma_formula = (k * float(np.trace(frame_cov)) + float(diff @ diff)) / d
+    diff = init.mu_p - np.ravel(q.mean)
+    sigma_formula = (k * float(np.trace(q.cov)) + float(diff @ diff)) / d
     sigma_gap = abs(init.sigma_p2 - sigma_formula)
 
     grid = []
@@ -160,7 +156,7 @@ def verify_optimality(mu_q, frame_cov, init: InitDistribution) -> dict:
                 sigma_p2=init.sigma_p2 * float(kappa),
                 M=init.M,
             )
-            kl = gaussian_kl(mu_q, frame_cov, perturbed)
+            kl = gaussian_kl(q, perturbed)
             at_optimum = bool(kappa == 1.0) and bool(scale == 0.0)
             grid.append(
                 {

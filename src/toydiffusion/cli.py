@@ -228,9 +228,9 @@ def _cmd_prop1_check(cfg, args, out):
     moments = exact_moments(cfg.world)
     reports = []
     for m_start in cfg.diagnostics.m_grid:
-        mu_q, frame_cov = marginal_moments_at(cfg.world, cfg.schedule, m_start)
         init = optimal_init(moments, cfg.schedule, m_start)
-        reports.append(verify_optimality(mu_q, frame_cov, init))
+        reports.append(verify_optimality(
+            marginal_moments_at(cfg.world, cfg.schedule, m_start), init))
     passed = all(rep["passed"] for rep in reports)
     write_json(out, {"passed": passed, "reports": reports})
     if not passed:

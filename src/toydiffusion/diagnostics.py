@@ -141,19 +141,16 @@ def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: i
 def conditional_moment_errors(samples, world, y0):
     """Relative errors of sample moments against the exact conditional ones.
 
-    Mean error is relative L2 on the flattened mean; covariance error is
+    Mean error is relative L2 over every entry of the mean; covariance error is
     the largest absolute deviation of the coordinate-averaged frame
     covariance, scaled by the largest exact entry.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
-    mean_flat, frame_cov = conditional_moments(world, y0)
-    flat = samples.reshape(n, -1)
-    mean_err = float(
-        np.linalg.norm(flat.mean(axis=0) - mean_flat)
-        / max(np.linalg.norm(mean_flat), 1e-12)
-    )
-    centered = samples - samples.mean(axis=0)
+    mean, frame_cov = conditional_moments(world, y0)
+    emp = samples.mean(axis=0)
+    mean_err = float(np.linalg.norm(emp - mean) / max(np.linalg.norm(mean), 1e-12))
+    centered = samples - emp
     cov_est = np.einsum("bik,bjk->ij", centered, centered) / (
         n * world.frame_dim
     )
@@ -179,7 +176,7 @@ def init_ablation(
     rows = []
     for i, m_start in enumerate(m_grid):
         m_start = float(m_start)
-        mu_q, frame_cov_q = marginal_moments_at(world, schedule, m_start)
+        q = marginal_moments_at(world, schedule, m_start)
         for mode in init_modes:
             if mode == STANDARD:
                 init_obj = standard_init(schedule, m_start, world.flat_dim)
@@ -187,7 +184,7 @@ def init_ablation(
                 init_obj = optimal_init(moments, schedule, m_start)
             else:
                 raise ValueError(f"unknown init mode {mode!r}")
-            kl = gaussian_kl(mu_q, frame_cov_q, init_obj)
+            kl = gaussian_kl(q, init_obj)
             config = SamplerConfig(start_time=m_start, steps=steps, init=init_obj)
             rng = np.random.default_rng([seed, _ABLATION_TAG, 0, i])
             out = sample_batch(denoiser, y0, config, schedule, n, rng)

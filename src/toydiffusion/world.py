@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -159,30 +160,34 @@ def prior_frame_cov(world: GaussianWorld):
     return world.s0**2 + np.minimum.outer(idx, idx) * world.s_w**2
 
 
-def prior_moments(world: GaussianWorld):
-    """Flattened prior mean (N*d,) and the N x N frame covariance factor.
+class FrameGaussian(NamedTuple):
+    """The law N(mean, cov (x) I_d) of an (N, d) array, cov its N x N frame
+    factor; a dense Gaussian on R^D is the (D, 1) case.  Unpacks as a pair."""
 
-    Full covariance of the flattened video is kron(C, I_d).
-    """
-    return (world.m0 + _frame_offsets(world)).ravel(), prior_frame_cov(world)
+    mean: np.ndarray
+    cov: np.ndarray
 
 
-def conditional_moments(world: GaussianWorld, y0):
-    """Flattened mean and frame covariance factor given frame 1 = y0: the
-    prior moments of the pinned world, frame 1 fixed at y0 (s0 = 0)."""
+def prior_moments(world: GaussianWorld) -> FrameGaussian:
+    """The prior law of a video: frame means m0 + (i-1) drift, factor C."""
+    return FrameGaussian(world.m0 + _frame_offsets(world), prior_frame_cov(world))
+
+
+def conditional_moments(world: GaussianWorld, y0) -> FrameGaussian:
+    """The law given frame 1 = y0: the prior law of the pinned world,
+    frame 1 fixed at y0 (s0 = 0)."""
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (world.frame_dim,):
         raise ValueError("y0 must be a single frame of shape (frame_dim,)")
     return prior_moments(replace(world, m0=y0, s0=0.0))
 
 
-def marginal_moments_at(world, schedule: NoiseSchedule, t):
-    """Moments of X_t = alpha_t X_0 + sigma_t eps: the flattened mean and the
-    frame covariance factor C_t of the full covariance kron(C_t, I_d)."""
+def marginal_moments_at(world, schedule: NoiseSchedule, t) -> FrameGaussian:
+    """The law of X_t = alpha_t X_0 + sigma_t eps: mean alpha_t E[X_0] and
+    factor C_t = alpha_t^2 C + sigma_t^2 I."""
     alpha, sigma = alpha_sigma(schedule, t)
     mean, cov = prior_moments(world)
-    cov_t = alpha**2 * cov + sigma**2 * np.eye(world.n_frames)
-    return alpha * mean, cov_t
+    return FrameGaussian(alpha * mean, alpha**2 * cov + sigma**2 * np.eye(len(cov)))
 
 
 def kron_cov(frame_cov, frame_dim: int):

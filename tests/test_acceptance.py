@@ -56,6 +56,7 @@ from toydiffusion.train import (
 )
 from toydiffusion.world import (
     ExactDenoiser,
+    FrameGaussian,
     LeakyDenoiser,
     conditional_moments,
     kron_cov,
@@ -109,9 +110,9 @@ def test_criterion_01_start_distribution_optimality(vp, ve):
         for sch in (vp, ve):
             for m_start in (0.8, 0.9, 0.96):
                 mu_q, cov_f = marginal_moments_at(world, sch, m_start)
-                sigma_q = kron_cov(cov_f, world.frame_dim)
+                q = FrameGaussian(mu_q.reshape(-1, 1), kron_cov(cov_f, world.frame_dim))
                 init = optimal_init(moments, sch, m_start)
-                res = verify_optimality(mu_q, sigma_q, init)
+                res = verify_optimality(q, init)
                 if not res["passed"]:
                     return False, (
                         f"failed at kind={sch.kind} M={m_start}: "
@@ -135,9 +136,9 @@ def test_criterion_02_gap_monotone_in_start_time(world, vp):
     std_kls, gaps_ok = [], True
     for m_start in m_grid:
         mu_q, cov_f = marginal_moments_at(world, vp, m_start)
-        sigma_q = kron_cov(cov_f, world.frame_dim)
-        std = gaussian_kl(mu_q, sigma_q, standard_init(vp, m_start, world.flat_dim))
-        ana = gaussian_kl(mu_q, sigma_q, optimal_init(moments, vp, m_start))
+        q = FrameGaussian(mu_q.reshape(-1, 1), kron_cov(cov_f, world.frame_dim))
+        std = gaussian_kl(q, standard_init(vp, m_start, world.flat_dim))
+        ana = gaussian_kl(q, optimal_init(moments, vp, m_start))
         std_kls.append(std)
         gaps_ok = gaps_ok and ana <= std
     increasing = all(b > a for a, b in zip(std_kls, std_kls[1:]))
@@ -185,8 +186,7 @@ def test_criterion_04_sampler_calibration(world, vp):
         den, y0, SamplerConfig(start_time=1.0, steps=200), vp, 10_000,
         np.random.default_rng([0, 0, 2]),
     )
-    mean_flat, frame_cov = conditional_moments(world, y0)
-    frame_means = mean_flat.reshape(world.n_frames, world.frame_dim)
+    frame_means, frame_cov = conditional_moments(world, y0)
     emp = out.mean(axis=0)
     mean_rel = float(
         np.max(

@@ -14,18 +14,23 @@ from toydiffusion.analytic_init import (
     standard_init,
     verify_optimality,
 )
-from toydiffusion.world import kron_cov, marginal_moments_at
+from toydiffusion.world import FrameGaussian, kron_cov, marginal_moments_at
+
+
+def _dense(q):
+    """The (N d, 1) dense law of a frame law q, through kron_cov."""
+    return FrameGaussian(q.mean.reshape(-1, 1), kron_cov(q.cov, q.mean.shape[1]))
 
 
 def _q_moments(world, schedule, M):
-    mean, cov_factor = marginal_moments_at(world, schedule, M)
-    return mean, kron_cov(cov_factor, world.frame_dim)
+    return _dense(marginal_moments_at(world, schedule, M))
 
 
 def test_kl_zero_on_identical_gaussians():
     mu = np.array([0.3, -1.0, 2.0])
     init = InitDistribution(mu_p=mu, sigma_p2=1.7, M=1.0)
-    assert gaussian_kl(mu, 1.7 * np.eye(3), init) == pytest.approx(0.0, abs=1e-12)
+    q = FrameGaussian(mu.reshape(-1, 1), 1.7 * np.eye(3))
+    assert gaussian_kl(q, init) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_matches_diagonal_closed_form():
@@ -38,7 +43,8 @@ def test_kl_matches_diagonal_closed_form():
     s2 = 1.9
     expected = 0.5 * np.sum(v / s2 + (m - mp) ** 2 / s2 - 1.0 + np.log(s2 / v))
     init = InitDistribution(mu_p=mp, sigma_p2=s2, M=0.5)
-    assert gaussian_kl(m, np.diag(v), init) == pytest.approx(expected, rel=1e-12)
+    q = FrameGaussian(m.reshape(-1, 1), np.diag(v))
+    assert gaussian_kl(q, init) == pytest.approx(expected, rel=1e-12)
 
 
 def test_kl_matches_monte_carlo():
@@ -48,7 +54,7 @@ def test_kl_matches_monte_carlo():
     sigma_q = a @ a.T + 0.5 * np.eye(d)
     mu_q = rng.standard_normal(d)
     init = InitDistribution(mu_p=rng.standard_normal(d), sigma_p2=1.3, M=0.8)
-    exact = gaussian_kl(mu_q, sigma_q, init)
+    exact = gaussian_kl(FrameGaussian(mu_q.reshape(-1, 1), sigma_q), init)
     x = rng.multivariate_normal(mu_q, sigma_q, size=400_000)
     log_q = multivariate_normal(mu_q, sigma_q).logpdf(x)
     log_p = multivariate_normal(init.mu_p, init.sigma_p2 * np.eye(d)).logpdf(x)
@@ -58,19 +64,25 @@ def test_kl_matches_monte_carlo():
 def test_kl_requires_positive_definite_q():
     init = InitDistribution(mu_p=np.zeros(2), sigma_p2=1.0, M=1.0)
     with pytest.raises(np.linalg.LinAlgError):
-        gaussian_kl(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), init)
+        gaussian_kl(FrameGaussian(np.zeros((2, 1)), np.array([[1.0, 2.0], [2.0, 1.0]])),
+                    init)
     # the same indefinite matrix as the frame factor of a 2 x 3 video
     init = InitDistribution(mu_p=np.zeros(6), sigma_p2=1.0, M=1.0)
     with pytest.raises(np.linalg.LinAlgError):
-        gaussian_kl(np.zeros(6), np.array([[1.0, 2.0], [2.0, 1.0]]), init)
+        gaussian_kl(FrameGaussian(np.zeros((2, 3)), np.array([[1.0, 2.0], [2.0, 1.0]])),
+                    init)
 
 
 def test_kl_rejects_mean_not_a_whole_number_of_frames():
+    # a cov or init whose size disagrees with the (N, d) mean, or a flat mean
     init = InitDistribution(mu_p=np.zeros(7), sigma_p2=1.0, M=1.0)
-    with pytest.raises(ValueError):
-        gaussian_kl(np.zeros(7), np.eye(2), init)  # 7 is not 2 k
-    with pytest.raises(ValueError):
-        verify_optimality(np.zeros(7), np.eye(2), init)
+    for q in (FrameGaussian(np.zeros((7, 1)), np.eye(2)),  # cov is not 7 x 7
+              FrameGaussian(np.zeros((2, 3)), np.eye(2)),  # init is not 2 x 3
+              FrameGaussian(np.zeros(7), np.eye(7))):  # mean is not (N, d)
+        with pytest.raises(ValueError):
+            gaussian_kl(q, init)
+        with pytest.raises(ValueError):
+            verify_optimality(q, init)
 
 
 # the three worlds of acceptance criterion 1
@@ -82,48 +94,49 @@ _WORLDS = {
                                       m0=np.array([1.5, -0.5]), s0=0.7,
                                       drift=0.05, s_w=0.25),
 }
+# a large-scale world, whose KLs reach 1e16: there the frame factor and the
+# dense law agree to 1e-14 relative, where the three worlds above agree to
+# 1e-13 absolute
+_WIDE = td.GaussianWorld(s_w=1e5)
 
 
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])
-@pytest.mark.parametrize("world", _WORLDS.values(), ids=_WORLDS.keys())
-def test_kl_on_frame_factor_matches_dense_kron(request, world, schedule_name):
+@pytest.mark.parametrize("world, rtol", [*((w, 0.0) for w in _WORLDS.values()),
+                                         (_WIDE, 1e-14)], ids=[*_WORLDS, "wide"])
+def test_kl_on_frame_factor_matches_dense_kron(request, world, rtol, schedule_name):
     # the N x N frame factor gives the KL of the dense (N d) x (N d)
-    # kron_cov covariance to 1e-13 absolute, at every cell of the
+    # kron_cov covariance to 1e-13 absolute (the wide world: rtol), at every cell of the
     # optimality grid, and the grid reaches the same verdict
     schedule = request.getfixturevalue(schedule_name)
     moments = exact_moments(world)
     for M in (1.0, 0.96, 0.9, 0.8, 0.5, 0.1):
-        mu_q, cov_f = marginal_moments_at(world, schedule, M)
-        dense = kron_cov(cov_f, world.frame_dim)
+        q = marginal_moments_at(world, schedule, M)
         standard = standard_init(schedule, M, world.flat_dim)
-        assert abs(gaussian_kl(mu_q, cov_f, standard)
-                   - gaussian_kl(mu_q, dense, standard)) <= 1e-13
+        want = gaussian_kl(_dense(q), standard)
+        assert abs(gaussian_kl(q, standard) - want) <= 1e-13 + rtol * abs(want)
         opt = optimal_init(moments, schedule, M)
-        got, want = verify_optimality(mu_q, cov_f, opt), verify_optimality(
-            mu_q, dense, opt)
+        got, want = verify_optimality(q, opt), verify_optimality(_dense(q), opt)
         assert got["passed"] == want["passed"]
         np.testing.assert_allclose([c["kl"] for c in got["grid"]],
-                                   [c["kl"] for c in want["grid"]], rtol=0, atol=1e-13)
+                                   [c["kl"] for c in want["grid"]],
+                                   rtol=rtol, atol=1e-13)
 
 
 def test_optimum_agrees_with_numerical_minimizer(world, vp):
     # brute force over (mu, log s2) must land on the closed-form optimum
     M = 0.9
-    mu_q, sigma_q = _q_moments(world, vp, M)
+    q = _q_moments(world, vp, M)
     opt = optimal_init(exact_moments(world), vp, M)
 
     def objective(theta):
         return gaussian_kl(
-            mu_q,
-            sigma_q,
-            InitDistribution(mu_p=theta[:-1], sigma_p2=np.exp(theta[-1]), M=M),
-        )
+            q, InitDistribution(mu_p=theta[:-1], sigma_p2=np.exp(theta[-1]), M=M))
 
-    start = np.concatenate([mu_q + 0.3, [np.log(2.0)]])
+    start = np.concatenate([q.mean.ravel() + 0.3, [np.log(2.0)]])
     res = minimize(objective, start, method="BFGS", options={"gtol": 1e-12})
     np.testing.assert_allclose(res.x[:-1], opt.mu_p, atol=1e-6)
     assert np.exp(res.x[-1]) == pytest.approx(opt.sigma_p2, abs=1e-6)
-    assert res.fun == pytest.approx(gaussian_kl(mu_q, sigma_q, opt), abs=1e-9)
+    assert res.fun == pytest.approx(gaussian_kl(q, opt), abs=1e-9)
 
 
 def test_optimal_init_closed_form(world, vp):
@@ -182,9 +195,9 @@ def test_estimated_moments_converge_to_exact(world):
 
 def test_verify_optimality_accepts_the_optimum(world, vp):
     M = 0.9
-    mu_q, sigma_q = _q_moments(world, vp, M)
+    q = _q_moments(world, vp, M)
     init = optimal_init(exact_moments(world), vp, M)
-    res = verify_optimality(mu_q, sigma_q, init)
+    res = verify_optimality(q, init)
     assert res["passed"]
     assert res["margin"] > 1e-9
     assert res["sigma_formula_gap"] <= 1e-10
@@ -194,13 +207,13 @@ def test_verify_optimality_accepts_the_optimum(world, vp):
 
 def test_verify_optimality_rejects_perturbed_inits(world, vp):
     M = 0.9
-    mu_q, sigma_q = _q_moments(world, vp, M)
+    q = _q_moments(world, vp, M)
     opt = optimal_init(exact_moments(world), vp, M)
     wide = InitDistribution(mu_p=opt.mu_p, sigma_p2=1.3 * opt.sigma_p2, M=M)
-    res = verify_optimality(mu_q, sigma_q, wide)
+    res = verify_optimality(q, wide)
     assert not res["passed"]
     shifted = InitDistribution(mu_p=opt.mu_p + 0.4, sigma_p2=opt.sigma_p2, M=M)
-    res = verify_optimality(mu_q, sigma_q, shifted)
+    res = verify_optimality(q, shifted)
     # some grid cell sits closer to the true optimum than the candidate
     assert res["margin"] < 0.0
 

@@ -142,16 +142,16 @@ def test_init_ablation_table(world, vp):
     from toydiffusion.analytic_init import (
         exact_moments, gaussian_kl, optimal_init, standard_init,
     )
-    from toydiffusion.world import kron_cov, marginal_moments_at
+    from toydiffusion.world import FrameGaussian, kron_cov, marginal_moments_at
 
     for row in rows:
         mu_q, cov_f = marginal_moments_at(world, vp, row["M"])
-        sigma_q = kron_cov(cov_f, world.frame_dim)
+        q = FrameGaussian(mu_q.reshape(-1, 1), kron_cov(cov_f, world.frame_dim))
         if row["init"] == "standard":
             init = standard_init(vp, row["M"], world.flat_dim)
         else:
             init = optimal_init(exact_moments(world), vp, row["M"])
-        assert row["kl"] == pytest.approx(gaussian_kl(mu_q, sigma_q, init), rel=1e-12)
+        assert row["kl"] == pytest.approx(gaussian_kl(q, init), rel=1e-12)
     by = {(r["M"], r["init"]): r for r in rows}
     for m in (1.0, 0.9):
         assert by[(m, "analytic")]["kl"] <= by[(m, "standard")]["kl"]
@@ -175,8 +175,8 @@ def test_standard_row_replays_from_its_init(request, world, schedule_name):
     y0 = first_frames(world, 1, np.random.default_rng([seed, _ABLATION_TAG, 1, 0]))[0]
     for i, (m_start, row) in enumerate(zip(m_grid, rows)):
         init = standard_init(schedule, m_start, world.flat_dim)
-        mu_q, cov_f = marginal_moments_at(world, schedule, m_start)
-        assert row["kl"] == gaussian_kl(mu_q, cov_f, init)
+        assert row["kl"] == gaussian_kl(marginal_moments_at(world, schedule, m_start),
+                                        init)
         for cfg in (td.SamplerConfig(m_start, steps, init=init),
                     td.SamplerConfig(m_start, steps)):
             rng = np.random.default_rng([seed, _ABLATION_TAG, 0, i])

@@ -96,7 +96,7 @@ def test_ddim_converges_to_exact_gaussian_transport(world, vp):
     y0 = np.array([0.4, -0.2, 1.0, 0.0])
     a, s = alpha_sigma(vp, M)
     mean, frame_cov = conditional_moments(world, y0)
-    sig0 = kron_cov(frame_cov, 4)
+    mean, sig0 = mean.ravel(), kron_cov(frame_cov, 4)
     lam, vecs = np.linalg.eigh(sig0)
     lam = np.maximum(lam, 0.0)
     lam_m = a * a * lam + s * s

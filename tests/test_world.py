@@ -60,10 +60,8 @@ def test_conditional_sampling_matches_closed_form(world):
     rng = np.random.default_rng(1)
     y0 = np.array([0.5, -1.0, 2.0, 0.0])
     vids = sample_videos(world, 200_000, rng, first=y0)
-    mean_flat, cov = conditional_moments(world, y0)
-    np.testing.assert_allclose(
-        vids.reshape(-1, world.flat_dim).mean(axis=0), mean_flat, atol=0.02
-    )
+    mean, cov = conditional_moments(world, y0)
+    np.testing.assert_allclose(vids.mean(axis=0), mean, atol=0.02)
     emp = np.zeros_like(cov)
     for k in range(world.frame_dim):
         emp += np.cov(vids[:, :, k].T, bias=True)
@@ -137,7 +135,7 @@ def _dense_posterior(world, schedule, xt_flat, t, y0=None):
         mean, frame_cov = prior_moments(world)
     else:
         mean, frame_cov = conditional_moments(world, y0)
-    sig0 = kron_cov(frame_cov, world.frame_dim)
+    mean, sig0 = mean.ravel(), kron_cov(frame_cov, world.frame_dim)
     sig_t = a * a * sig0 + s * s * np.eye(world.flat_dim)
     return mean + a * sig0 @ np.linalg.solve(sig_t, xt_flat - a * mean)
 
@@ -176,6 +174,7 @@ def test_exact_denoiser_tweedie_identity(world, vp):
     a, s = alpha_sigma(vp, t)
     y0 = np.array([0.3, 0.3, -0.1, 1.2])
     mean, frame_cov = conditional_moments(world, y0)
+    mean = mean.ravel()
     sig_t = a * a * kron_cov(frame_cov, 4) + s * s * np.eye(32)
     xt = rng.standard_normal(32)
     score = -np.linalg.solve(sig_t, xt - a * mean)
