@@ -10,7 +10,9 @@ Among all N(mu_p, sigma_p^2 I), the KL-closest one to q_M has
 where avgVar is the per-coordinate variance averaged over the flattened
 dimension.  This module provides that optimum, method-of-moments
 estimation of E[X_0]/avgVar, the exact Gaussian KL it minimizes, and a
-brute-force grid verifier of the optimality claim.
+brute-force grid verifier of the optimality claim.  The KL and the
+verifier read q_M as a world.FrameGaussian, an (N, d) mean with an N x N
+frame factor; a dense Gaussian on R^D is its (D, 1) case.
 """
 
 from __future__ import annotations
@@ -57,21 +59,25 @@ class DataMoments:
     n_samples: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mean", np.asarray(self.mean, dtype=np.float64).ravel()
-        )
-        if self.avg_var < 0.0:
-            raise ValueError("avg_var must be nonnegative")
+        mean = np.asarray(self.mean, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
+        if not 0.0 <= self.avg_var < np.inf:
+            raise ValueError(
+                f"avg_var must be nonnegative and finite, got {self.avg_var!r}")
+        object.__setattr__(self, "mean", mean)
 
 
 def estimate_moments(samples) -> DataMoments:
-    """Method-of-moments plug-in from a stack or sequence of equal-shape videos."""
+    """Method-of-moments plug-in from a stack or sequence of equal-shape videos;
+    finite samples whose moments overflow are rejected by DataMoments."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim < 2 or arr.shape[0] < 2:
         raise ValueError("need at least 2 samples to estimate moments")
     flat = arr.reshape(arr.shape[0], -1)
-    mean = flat.mean(axis=0)
-    avg_var = float(flat.var(axis=0).mean())  # population variance, divisor n
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = flat.mean(axis=0)
+        avg_var = float(flat.var(axis=0).mean())  # population variance, divisor n
     return DataMoments(mean=mean, avg_var=avg_var, n_samples=arr.shape[0])
 
 
@@ -132,20 +138,22 @@ def verify_optimality(q: FrameGaussian, init: InitDistribution) -> dict:
     """Brute-force check that `init` minimizes the KL to q over a fixed grid.
 
     The 9 x 9 cells rescale the variance by kappa in geomspace(0.5, 2, 9) and
-    shift the mean by linspace(-1, 1, 9) along 1/sqrt(D); the cell
-    (kappa=1, shift=0) is the candidate optimum, and every other cell must
-    exceed its KL by more than 1e-9.  Also cross-checks the stationarity
-    formula sigma_p2 = (k tr(C) + ||mu_p - mean||^2) / D to 1e-10.
+    shift the mean by delta_scale sqrt(sigma_p2), delta_scale in
+    linspace(-1, 1, 9), along 1/sqrt(D), so the grid's KL changes do not
+    depend on the world's scale.  The cell (kappa=1, delta_scale=0) is the
+    candidate optimum, and every other cell must exceed its KL by more than
+    1e-9.  Also cross-checks the stationarity formula sigma_p2 = (k tr(C) +
+    ||mu_p - mean||^2) / D to 1e-10 relative to sigma_p2.
     """
     kl_opt = gaussian_kl(q, init)  # also checks the shapes
     d, k = q.mean.size, q.mean.shape[1]
     kappas = np.geomspace(0.5, 2.0, 9)  # symmetric in log, includes 1
     delta_scales = np.linspace(-1.0, 1.0, 9)
-    direction = np.ones(d) / np.sqrt(d)
+    direction = np.ones(d) * np.sqrt(init.sigma_p2 / d)  # length sqrt(sigma_p2)
 
-    diff = init.mu_p - np.ravel(q.mean)
+    diff = init.mu_p - q.mean.ravel()
     sigma_formula = (k * float(np.trace(q.cov)) + float(diff @ diff)) / d
-    sigma_gap = abs(init.sigma_p2 - sigma_formula)
+    sigma_gap = abs(init.sigma_p2 - sigma_formula) / init.sigma_p2
 
     grid = []
     worst_margin = np.inf

@@ -219,7 +219,10 @@ def _cmd_estimate_init(cfg, args, out):
         )
     if not np.isfinite(data).all():
         raise ConfigError(f"data file {args.data} holds a non-finite value")
-    moments = estimate_moments(data.reshape(-1, world.n_frames, world.frame_dim))
+    try:
+        moments = estimate_moments(data.reshape(-1, world.n_frames, world.frame_dim))
+    except ValueError as exc:
+        raise ConfigError(f"data file {args.data}: {exc}") from None
     init = optimal_init(moments, cfg.schedule, args.M)
     write_json(out, {"moments": to_payload(moments), "init": to_payload(init)})
 

@@ -4,7 +4,8 @@ A video is an (N, d) array of N frames in R^d.  Frame 1 is drawn from
 N(m0, s0^2 I) and each subsequent frame adds a deterministic drift plus
 N(0, s_w^2 I) innovation.  All coordinate dimensions are independent, so
 the full prior covariance is C (x) I_d with an N x N frame factor C,
-and every posterior computation reduces to N x N algebra.  The law given
+and every posterior computation reduces to N x N algebra.  Each law is a
+FrameGaussian, an (N, d) mean with its frame factor.  The law given
 frame 1 = y0 is that of the pinned world replace(world, m0=y0, s0=0.0).
 
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -183,6 +185,12 @@ def test_estimate_moments_population_statistics():
     assert m.n_samples == 50
     with pytest.raises(ValueError):
         estimate_moments(x[:1])
+    # squares of +-1e200 overflow: the fit is rejected without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="avg_var"):
+            estimate_moments(np.stack([np.full((3, 2), 1e200),
+                                       np.full((3, 2), -1e200)]))
 
 
 def test_estimated_moments_converge_to_exact(world):
@@ -218,6 +226,32 @@ def test_verify_optimality_rejects_perturbed_inits(world, vp):
     assert res["margin"] < 0.0
 
 
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("s_w", [1e-3, 1.0, 1e5, 1e12])
+def test_verify_optimality_holds_at_every_scale(request, schedule_name, s_w):
+    # the grid shifts the mean in units of sqrt(sigma_p2) and reads the
+    # sigma-formula gap relative to sigma_p2, so the optimum passes and an
+    # init off by 1% in variance or by 0.05 sqrt(sigma_p2) in mean fails at
+    # every scale; an absolute shift and gap failed the optimum from s_w = 1e5
+    schedule = request.getfixturevalue(schedule_name)
+    world = td.GaussianWorld(s_w=s_w)
+    moments = exact_moments(world)
+    unit = np.random.default_rng(7).standard_normal(world.flat_dim)
+    unit /= np.linalg.norm(unit)
+    for M in (1.0, 0.96, 0.92, 0.88, 0.84, 0.8):
+        q = marginal_moments_at(world, schedule, M)
+        opt = optimal_init(moments, schedule, M)
+        res = verify_optimality(q, opt)
+        assert res["passed"], (M, res["margin"], res["sigma_formula_gap"])
+        assert res["margin"] > 1e-9 and res["sigma_formula_gap"] <= 1e-10
+        step = 0.05 * np.sqrt(opt.sigma_p2) * unit
+        for off in (InitDistribution(opt.mu_p, 1.01 * opt.sigma_p2, M),
+                    InitDistribution(opt.mu_p, 0.99 * opt.sigma_p2, M),
+                    InitDistribution(opt.mu_p + step, opt.sigma_p2, M),
+                    InitDistribution(opt.mu_p - step, opt.sigma_p2, M)):
+            assert not verify_optimality(q, off)["passed"]
+
+
 def test_init_distribution_round_trip_and_validation():
     # the payload round trip of every dataclass is in test_codec.py
     with pytest.raises(ValueError):
@@ -226,6 +260,12 @@ def test_init_distribution_round_trip_and_validation():
         InitDistribution(mu_p=np.zeros(2), sigma_p2=1.0, M=1.2)
     with pytest.raises(ValueError):
         DataMoments(mean=np.zeros(2), avg_var=-1.0, n_samples=3)
+    # nan < 0 is False, so a nan avg_var used to be accepted
+    for mean, avg_var in ((np.array([0.0, np.inf]), 1.0),
+                          (np.array([np.nan, 0.0]), 1.0),
+                          (np.zeros(2), np.nan), (np.zeros(2), np.inf)):
+        with pytest.raises(ValueError):
+            DataMoments(mean=mean, avg_var=avg_var, n_samples=3)
 
 
 @pytest.mark.parametrize("sigma_p2", [np.inf, np.nan, -np.inf])

@@ -180,6 +180,19 @@ def test_prop1_check_cli(tmp_path):
     assert len(report["reports"]) == 2  # one per configured start time
 
 
+@pytest.mark.parametrize("s_w", [1e5, 1e6])
+def test_prop1_check_cli_passes_a_wide_world(tmp_path, s_w):
+    # the optimum of a world with variances up to 1e13 used to exit 4
+    cfgp = small_config(tmp_path)
+    payload = json.loads(pathlib.Path(cfgp).read_text())
+    payload["world"]["s_w"] = s_w
+    payload["diagnostics"]["m_grid"] = [1.0, 0.96, 0.92, 0.88, 0.84, 0.8]
+    pathlib.Path(cfgp).write_text(json.dumps(payload))
+    out = tmp_path / "prop1.json"
+    assert main(["prop1-check", "--config", cfgp, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+
+
 def test_train_and_sample_round_trip(tmp_path):
     cfgp = small_config(tmp_path)
     ck = tmp_path / "ck.json"
@@ -415,13 +428,23 @@ def test_estimate_init_without_data_rows_is_one_json_line(tmp_path, content):
         "type": "config", "message": f"data file {data} has no data rows"}}
 
 
-@pytest.mark.parametrize("command", ["sample", "train"])
+@pytest.mark.parametrize("command", ["sample", "train", "estimate-init"])
 def test_numerical_failure_is_one_json_line(tmp_path, command):
     # a real process, so a warning numpy prints on stderr is seen too: a
     # start mean of 1e308 overflows the sampler's state, and a step size
-    # of 1e300 the training loss, each of which the run reports itself
+    # of 1e300 the training loss, each of which the run reports itself;
+    # finite data rows of +-1e200 overflow their moments, which is an input
+    # error that names the data file
     cfgp = small_config(tmp_path)
-    if command == "sample":
+    code, kind = 3, "numerical"
+    if command == "estimate-init":
+        (tmp_path / "videos.csv").write_text("".join(
+            f"{row}\n" for row in ("header", ",".join(["1e200"] * 32),
+                                    ",".join(["-1e200"] * 32))))
+        args = ["estimate-init", "--data", "videos.csv", "--M", "0.9"]
+        code, kind = 2, "config"
+        message = "data file videos.csv: avg_var must be nonnegative and finite, got inf"
+    elif command == "sample":
         (tmp_path / "init.json").write_text(json.dumps(
             {"mu_p": [1e308] * 32, "sigma_p2": 1.0, "M": 1.0}))
         args = ["sample", "--n", "3", "--M", "1.0", "--init", "analytic:init.json"]
@@ -442,10 +465,10 @@ def test_numerical_failure_is_one_json_line(tmp_path, command):
          *args, "--config", cfgp, "--out", str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
-    assert proc.returncode == 3
+    assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert json.loads(lines[0]) == {"error": {"type": "numerical", "message": message}}
+    assert json.loads(lines[0]) == {"error": {"type": kind, "message": message}}
 
 
 @pytest.mark.parametrize("block, key, value", [

@@ -21,7 +21,12 @@ own --config.
 Output lines are ``<sha256>  <schedule>/<file>``, sorted, so running the
 script on two source trees and diffing the two outputs shows every file
 whose bytes differ.  A command that exits non-zero stops the script with
-its stderr and exit code 1.
+its stderr and exit code 1.  The commands of OUTCOMES instead declare the
+exit code they should give, and the exit code and stderr of each become
+one more entry, ``<schedule>/<out file>.exit``; another code stops the
+script, except in the other tree of ``--against``, where any code is
+recorded, so a changed error contract shows as that entry's ``differs``
+line.
 
     python3 tools/cli_digests.py --against OTHER_TREE
 
@@ -74,6 +79,14 @@ MOTION_TRAIN = {"motion_feature": True, "s_w_choices": [0.25, 1.0]}
 # to zero below t = 0.69, so about half its two-item steps corrupt nothing.
 ZERO_LEVEL_TRAIN, ZERO_LEVEL_TIMENOISE = {"batch_size": 2}, {"a": 100.0}
 
+# The wide world's config: its variances reach 1e11, where the optimality
+# grid must still tell the optimum apart at every default start time.
+WIDE_WORLD, WIDE_M_GRID = {"s_w": 1e5}, [1.0, 0.96, 0.92, 0.88, 0.84, 0.8]
+
+# Finite data rows for the default 8 x 4 world whose squares overflow.
+OVERFLOW_DATA = "".join(f"{row}\n" for row in (
+    "header", ",".join(["1e200"] * 32), ",".join(["-1e200"] * 32)))
+
 COMMANDS = [
     ["world-sample", "--n", "200", "--out", "videos.csv"],
     ["estimate-init", "--data", "videos.csv", "--M", "0.9", "--out", "init.json"],
@@ -103,47 +116,65 @@ COMMANDS = [
     ["train", "--mode", "constant", "--config", "config_zero.json",
      "--out", "ckpt_zero.json"],
 ]
-CONFIG_FILES = ("config.json", "config_mf.json", "config_zero.json")
+# (expected exit code, command): a failure reported as one config error
+# line, and a check that a large world passes.
+OUTCOMES = [
+    (2, ["estimate-init", "--data", "overflow.csv", "--M", "0.9",
+         "--out", "init_overflow.json"]),
+    (0, ["prop1-check", "--config", "config_wide.json", "--out", "prop1_wide.json"]),
+]
+CONFIG_FILES = ("config.json", "config_mf.json", "config_zero.json", "config_wide.json")
+INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
 
-def run_set(name, payload, env):
-    """Run COMMANDS under one config in a new directory; return
-    {"<name>/<file>": bytes} of every file left there except the configs
-    themselves, in file order."""
+def run_set(name, payload, env, strict):
+    """Run COMMANDS and OUTCOMES under one config in a new directory; return
+    {"<name>/<file>": bytes} of every file left there except the inputs,
+    and of the outcome entries, in file order.  strict stops the script on an
+    outcome's unexpected exit code too."""
     motion = dict(payload, train={**payload["train"], **MOTION_TRAIN})
     zero = dict(payload, train={**payload["train"], **ZERO_LEVEL_TRAIN},
                 timenoise={**payload.get("timenoise", {}), **ZERO_LEVEL_TIMENOISE})
+    wide = dict(payload, world=WIDE_WORLD,
+                diagnostics={**payload["diagnostics"], "m_grid": WIDE_M_GRID})
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
-        for file, content in zip(CONFIG_FILES, (payload, motion, zero)):
+        for file, content in zip(CONFIG_FILES, (payload, motion, zero, wide)):
             with open(os.path.join(tmp, file), "w") as fh:
                 json.dump(content, fh)
-        for argv in COMMANDS:
+        with open(os.path.join(tmp, "overflow.csv"), "w") as fh:
+            fh.write(OVERFLOW_DATA)
+        outcomes = {}
+        for code, argv in [*((None, argv) for argv in COMMANDS), *OUTCOMES]:
             if "--config" not in argv:
                 argv = [*argv, "--config", "config.json"]
             proc = subprocess.run(
                 [sys.executable, "-m", "toydiffusion", *argv],
                 cwd=tmp, env=env, capture_output=True, text=True,
             )
-            if proc.returncode != 0:
-                sys.stderr.write(
-                    f"{name}: {' '.join(argv)} exited {proc.returncode}\n{proc.stderr}")
+            if proc.returncode != (code or 0) and (strict or code is None):
+                sys.stderr.write(f"{name}: {' '.join(argv)} exited {proc.returncode},"
+                                 f" not {code or 0}\n{proc.stderr}")
                 raise SystemExit(1)
+            if code is not None:
+                out = argv[argv.index("--out") + 1]
+                outcomes[f"{name}/{out}.exit"] = (
+                    f"exit {proc.returncode}\n{proc.stderr}".encode())
         written = {}
         for file in sorted(os.listdir(tmp)):
-            if file in CONFIG_FILES:
+            if file in INPUT_FILES:
                 continue
             with open(os.path.join(tmp, file), "rb") as fh:
                 written[f"{name}/{file}"] = fh.read()
-        return written
+        return dict(sorted({**written, **outcomes}.items()))
 
 
-def run_tree(tree):
+def run_tree(tree, strict=True):
     """Every output of the set under each config, run on tree's src/."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     written = {}
     for name, payload in CONFIGS.items():
-        written.update(run_set(name, payload, env))
+        written.update(run_set(name, payload, env, strict))
     return written
 
 
@@ -174,7 +205,7 @@ def main():
         print(f"{hashlib.sha256(data).hexdigest()}  {key}")
     if args.against is None:
         return
-    theirs = run_tree(args.against)
+    theirs = run_tree(args.against, strict=False)
     differs = [key for key in [*ours, *(key for key in theirs if key not in ours)]
                if ours.get(key) != theirs.get(key)]
     for key in differs:
