@@ -114,6 +114,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.train.timenoise is not None:
             raise ConfigError("train.timenoise must be null; set the timenoise section")
 

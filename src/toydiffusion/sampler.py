@@ -12,25 +12,27 @@ which must be the sampler's.
 
 The exact and leaky denoisers are affine, so each of their steps is one
 cached (N, N + 2) matrix W = [M | c | beta], x_next = M x_cur + c y^T +
-beta drift^T, their step_map(t_cur, t_next).  sample_batch reads the K
-maps once and runs the chains in blocks of at most BLOCK_BYTES of video
-state each through all K steps, so a block stays in cache.  A block is an
-(N + 2, d B) state, chain index innermost: the block's rows of the draw,
-then the chains' conditions (m0 without one) and the drift, written once
-into both of two reused buffers, so a step is one matmul of W into the
-first N rows of the other.  A chain's column sees the same operations
-whatever the block size, so its bytes do not depend on the chain count.
-Finiteness is checked once per block, after its last step: the matmul
-mixes a non-finite entry into every entry of its column, so it stays
-non-finite.  A finite end state is written back over the block's rows,
-and the draw array is the output.  A block that ends non-finite is
-replayed from its rows with a check after every step, and
-SamplerDiverged is raised at the earliest first non-finite step over the
-blocks.  Any other denoiser runs ddim_step, which writes the update into
-predict_x0's fresh result by three in-place operations, r (x_cur +
-((alpha_next - r alpha_cur) / r) x0_hat) with r = sigma_next / sigma_cur
-> 0, and checks the whole batch after each step.  Both paths detect a
-non-finite state themselves, so numpy does not warn during a run.
+beta drift^T, their step_map(t_cur, t_next): the posterior mean's one
+precision-form solve composed with the step, so a K-step run makes K
+maps.  sample_batch reads them once and runs the chains in blocks of at
+most BLOCK_BYTES of video state each through all K steps, so a block
+stays in cache.  A block is an (N + 2, d B) state, chain index
+innermost: the block's rows of the draw, then the chains' conditions (m0
+without one) and the drift, written once into both of two reused
+buffers, so a step is one matmul of W into the first N rows of the
+other.  A chain's column sees the same operations whatever the block
+size, so its bytes do not depend on the chain count.  Finiteness is
+checked once per block, after its last step: the matmul mixes a
+non-finite entry into every entry of its column, so it stays non-finite.
+A finite end state is written back over the block's rows, and the draw
+array is the output.  A block that ends non-finite is replayed from its
+rows with a check after every step, and SamplerDiverged is raised at the
+earliest first non-finite step over the blocks.  Any other denoiser runs
+ddim_step, which writes the update into predict_x0's fresh result by
+three in-place operations, r (x_cur + ((alpha_next - r alpha_cur) / r)
+x0_hat) with r = sigma_next / sigma_cur > 0, and checks the whole batch
+after each step.  Both paths detect a non-finite state themselves, so
+numpy does not warn during a run.
 
 The initial state is drawn from the config's init, a Gaussian fitted to
 the time-M marginal, or else from standard_init, the conventional prior.

@@ -34,8 +34,8 @@ T_FINAL = 1.0
 
 #: Entries of every per-time cache: the scalar alpha_sigma pairs here and
 #: the exact family's affine maps in world, one cache each.  A K-step
-#: exact-family run keeps 2K - 1 maps (its step maps and the prediction
-#: maps of all steps but the last): 399 at K = 200, the longest grid in use.
+#: exact-family run keeps K maps, one per step, the last of them the
+#: prediction map: 200 at K = 200, the longest grid in use.
 TIME_CACHE_SIZE = 1024
 
 

@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError("steps must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be at least 1, got {self.hidden}")
         if not 0.0 < self.lr < math.inf:

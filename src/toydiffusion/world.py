@@ -10,14 +10,15 @@ frame 1 = y0 is that of the pinned world replace(world, m0=y0, s0=0.0).
 
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), which is the Bayes-optimal clean-video prediction under the
-forward kernel x_t = alpha_t x0 + sigma_t eps: mean + G (x_t - alpha_t
-mean) with the gain G(t) = solve(alpha^2 C + sigma^2 I, alpha C).  The
-mean is 1 y^T + i drift^T, with y the first-frame mean (the condition y0,
-or m0 without one) and i = (0, 1, ..., N-1) the frame indices, so the
-prediction is one affine map of x_t, y and the drift:
+forward kernel x_t = alpha_t x0 + sigma_t eps.  The prior mean is
+m = 1 y^T + i drift^T, with y the first-frame mean (the condition y0, or
+m0 without one) and i = (0, 1, ..., N-1) the frame indices, so the
+posterior mean in its precision form, S^{-1} (alpha C x_t + sigma^2 m)
+with S = alpha^2 C + sigma^2 I, is one solve and one affine map of x_t,
+y and the drift:
 
-    x0_hat = A(t) x_t + c(t) y^T + beta(t) drift^T,
-    A = (1 - l) G,  c = (1 - l) (I - alpha G) 1 + l 1,  beta = (1 - l) (I - alpha G) i,
+    x0_hat = W [x_t; y^T; drift^T],
+    W = (1 - l) solve(S, [alpha C | sigma^2 1 | sigma^2 i]) + l [0 | 1 | 0],
 
 where l(t) is the leaky denoiser's blend toward a static copy of y (0 for
 the exact denoiser), which turns conditioning over-reliance into a dial.
@@ -25,7 +26,8 @@ the exact denoiser), which turns conditioning over-reliance into a dial.
 The sampler applies the same map composed with each DDIM step.
 ExactDenoiser.step_map(t, t_to) returns either as one (N, N + 2) matrix
 W = [M | c | beta], x_to = M x_t + c y^T + beta drift^T, t_to = 0 being
-the prediction map.  One module-level least-recently-used cache of
+the prediction map; each comes from its own solve, so a K-step run makes
+K maps.  One module-level least-recently-used cache of
 schedule.TIME_CACHE_SIZE entries (at N = 8, 0.6 KiB each) keeps them for
 every exact denoiser, keyed by world, conditional, schedule, the leak
 value l(t), float(t) and t_to.  Worlds are keyed by identity and their
@@ -82,9 +84,11 @@ class GaussianWorld:
                 "frame covariance"
             )
         for name in ("m0", "drift"):
-            vec = np.broadcast_to(
-                np.asarray(getattr(self, name), dtype=np.float64), (self.frame_dim,)
-            ).copy()
+            vec = np.asarray(getattr(self, name), dtype=np.float64)
+            if vec.shape not in ((), (1,), (self.frame_dim,)):
+                raise ValueError(f"{name} must be a scalar or frame_dim = "
+                                 f"{self.frame_dim} entries, got shape {vec.shape}")
+            vec = np.broadcast_to(vec, (self.frame_dim,)).copy()
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} must be finite, got {vec.tolist()!r}")
             vec.flags.writeable = False
@@ -236,13 +240,13 @@ def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
 class ExactDenoiser:
     """Posterior-mean denoiser E[X_0 | X_t (, frame_1 = y0)].
 
-    With prior N(mean, C (x) I_d), the posterior mean per coordinate column
-    is mean + alpha C (alpha^2 C + sigma^2 I)^{-1} (xt - alpha mean), whose
-    commuting factors give the solve of the module docstring.  C is the
-    world's, or when conditional that of the world pinned at frame 1
-    (s0 = 0), with a zero first row and column that give frame 1 exactly
-    zero gain; alpha^2 C + sigma^2 I is nonsingular for every t > 0.
-    step_map is the one way to the family's cached affine maps.
+    With prior N(m, C (x) I_d), the posterior mean per coordinate column
+    is S^{-1} (alpha C xt + sigma^2 m), S = alpha^2 C + sigma^2 I, the one
+    solve of the module docstring.  C is the world's, or when conditional
+    that of the world pinned at frame 1 (s0 = 0), whose zero first row and
+    column make frame 1 exactly y; S is nonsingular for every t > 0.
+    step_map is the one way to the family's cached affine maps, one per
+    (t, t_to): K for a K-step run.
     """
 
     def __init__(self, world: GaussianWorld, schedule: NoiseSchedule, conditional=True):
@@ -285,32 +289,28 @@ def _affine_map(world, conditional, schedule, leak, t, t_to):
     """The read-only W = [M | c | beta] of one DDIM step x_to = M xt +
     c y^T + beta drift^T from t down to t_to, for the leak value l = leak(t).
 
-    t_to = 0 is the prediction x0_hat = A xt + c y^T + beta drift^T itself,
-    which predict_x0 reads: G = solve(alpha^2 C + sigma^2 I, alpha C) for
-    the world's C, pinned at frame 1 when conditional, gives A = (1 - l) G,
-    c = (1 - l) (I - alpha G) 1 + l and beta = (1 - l) (I - alpha G) i for
-    the frame indices i.  A step to t_to > 0, x_to = k x0_hat + r xt with
-    r = sigma_to / sigma_t and k = alpha_to - r alpha_t, composes that map
-    into k W + r [I | 0 | 0].  t_to = 0 never takes that form: VE has
+    t_to = 0 is the prediction x0_hat = W0 [xt; y^T; drift^T] itself,
+    which predict_x0 reads: W0 = solve(S, [alpha C | sigma^2 1 | sigma^2 i])
+    with S = alpha^2 C + sigma^2 I for the world's C, pinned at frame 1
+    when conditional, and i the frame indices, then blended into
+    (1 - l) W0 + l [0 | 1 | 0].  A step to t_to > 0, x_to = k x0_hat + r xt
+    with r = sigma_to / sigma_t and k = alpha_to - r alpha_t, is
+    k W0 + r [I | 0 | 0].  t_to = 0 never takes that form: VE has
     sigma(0) = sigma_min, not 0.
     """
     n = world.n_frames
-    eye = np.eye(n)
+    alpha, sigma = alpha_sigma(schedule, t)
+    cov = prior_frame_cov(replace(world, s0=0.0) if conditional else world)
+    basis = np.stack((np.ones(n), np.arange(n, dtype=np.float64)), axis=1)
+    w = np.linalg.solve(alpha**2 * cov + sigma**2 * np.eye(n),
+                        np.hstack((alpha * cov, sigma**2 * basis)))
+    w *= 1.0 - leak
+    w[:, n] += leak
     if t_to != 0.0:
-        a_from, s_from = alpha_sigma(schedule, t)
         a_to, s_to = alpha_sigma(schedule, t_to)
-        r = s_to / s_from
-        w = (a_to - r * a_from) * _affine_map(world, conditional, schedule, leak, t, 0.0)
-        w[:, :n] += r * eye
-    else:
-        alpha, sigma = alpha_sigma(schedule, t)
-        cov = prior_frame_cov(replace(world, s0=0.0) if conditional else world)
-        gain = np.linalg.solve(alpha**2 * cov + sigma**2 * eye, alpha * cov)
-        rest = eye - alpha * gain
-        w = np.hstack((gain, rest.sum(axis=1, keepdims=True),
-                       rest @ np.arange(n, dtype=np.float64)[:, None]))
-        w *= 1.0 - leak
-        w[:, n] += leak
+        r = s_to / sigma
+        w *= a_to - r * alpha
+        w[:, :n] += r * np.eye(n)
     w.flags.writeable = False
     return w
 

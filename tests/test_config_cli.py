@@ -631,6 +631,48 @@ def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["m0", "drift"])
+def test_wrong_length_world_vector_is_a_config_error(tmp_path, capsys, name):
+    # numpy's broadcast error used to be the message, naming neither field
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["world"][name] = [1.0, 2.0, 3.0]
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["world-sample", "--n", "2", "--config", cfgp,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert _one_config_error(capsys) == (
+        f"{name} must be a scalar or frame_dim = 4 entries, got shape (3,) in world")
+
+
+def test_negative_seed_is_rejected_at_construction():
+    # default_rng refuses a negative seed, so each failed at its first draw
+    # with numpy's "expected non-negative integer", naming no key
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -3$"):
+        td.TrainConfig(seed=-3)
+    with pytest.raises(ConfigError,
+                       match=r"^seed must be nonnegative, got -1 at the top level$"):
+        config_from_payload({"seed": -1})
+
+
+@pytest.mark.parametrize("values, argv, message", [
+    ({"seed": -1}, ["world-sample", "--n", "2"], "got -1 at the top level"),
+    ({"train": {"seed": -3}}, ["train", "--mode", "naive"], "got -3 in train"),
+    ({}, ["train", "--mode", "naive", "--seed", "-1"], "got -1"),
+], ids=["top-level", "train-section", "train-flag"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, values, argv, message):
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["seed"] = values.get("seed", 0)
+    payload["train"].update(values.get("train", {}))
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    out = tmp_path / "x.out"
+    assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
+    assert _one_config_error(capsys) == f"seed must be nonnegative, {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", [0.0, -1.0])
 def test_non_positive_motion_target_is_rejected(tmp_path, capsys, target):
     # a target is a motion score, which is positive; 0 divided the sweep's

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -522,6 +523,55 @@ def test_step_maps_match_ddim_step_probes(request, name, schedule_name):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _rational_step_map(den, t, t_to):
+    """The step map of den from t to t_to in exact rational arithmetic on
+    the float alpha, sigma, C and leak: a Gauss-Jordan solve of
+    S W0 = [alpha C | sigma^2 1 | sigma^2 i], S = alpha^2 C + sigma^2 I, the
+    blend (1 - l) W0 + l [0 | 1 | 0], then kappa W0 + r [I | 0 | 0] for
+    t_to > 0.  Rows of Fractions, (N, N + 2)."""
+    world = den.world
+    n = world.n_frames
+    cov = prior_frame_cov(replace(world, s0=0.0) if den.conditional else world)
+    c = [[Fraction(v) for v in row] for row in cov.tolist()]
+    alpha, sigma = map(Fraction, alpha_sigma(den.schedule, t))
+    rows = [[alpha**2 * c[i][j] + sigma**2 * (i == j) for j in range(n)]
+            + [alpha * v for v in c[i]] + [sigma**2, sigma**2 * i] for i in range(n)]
+    for k in range(n):  # S is positive definite: no pivot is zero
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    leak = Fraction(den.leak(t))
+    w = [[(1 - leak) * v + leak * (j == n) for j, v in enumerate(row[n:])]
+         for row in rows]
+    if t_to == 0.0:
+        return w
+    a_to, s_to = map(Fraction, alpha_sigma(den.schedule, t_to))
+    r = s_to / sigma
+    kappa = a_to - r * alpha
+    return [[kappa * v + r * (i == j) for j, v in enumerate(row)]
+            for i, row in enumerate(w)]
+
+
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
+def test_step_maps_match_exact_rational_arithmetic(request, name, schedule_name):
+    # the float maps against the same closed form solved without rounding;
+    # the I - alpha G form that the one solve replaced was off by up to
+    # 4.7e-14 here (unconditional VP, t = 0.01, the non-dyadic world)
+    schedule = request.getfixturevalue(schedule_name)
+    times = (1e-4, 1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0)
+    for world in (td.GaussianWorld(), td.GaussianWorld(s0=0.3, s_w=0.7)):
+        den = EXACT_FAMILY[name](world, schedule)
+        for t in times:
+            for t_to in (0.0, 0.9 * t):
+                want = _rational_step_map(den, t, t_to)
+                got = den.step_map(t, t_to)
+                err = max(abs(Fraction(g) - v) for g_row, w_row in zip(got.tolist(), want)
+                          for g, v in zip(g_row, w_row))
+                assert err <= 1e-14, (world, t, t_to, float(err))
+
+
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])
 @pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
 def test_step_map_to_zero_is_the_prediction_map(request, world, name, schedule_name):
@@ -543,10 +593,10 @@ def test_step_map_to_zero_is_the_prediction_map(request, world, name, schedule_n
 
 @pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
 @pytest.mark.parametrize("name", sorted(EXACT_FAMILY))
-def test_a_run_makes_one_map_per_step_and_prediction(world, vp, name, per_chain):
-    # a K-step run reads one step map per step and makes 2K - 1 maps: its
-    # K step maps and the prediction maps of all but the last step, whose
-    # step to 0 is the prediction map, so a later prediction there is a hit
+def test_a_run_makes_one_map_per_step(world, vp, name, per_chain):
+    # a K-step run reads one step map per step and makes K maps, each from
+    # its own solve; the last step's, to 0, is the prediction map, so a
+    # later prediction there is a hit
     den = EXACT_FAMILY[name](world, vp)
     calls, step_map = [], den.step_map
     den.step_map = lambda t, t_to=0.0: calls.append((t, t_to)) or step_map(t, t_to)
@@ -557,10 +607,10 @@ def test_a_run_makes_one_map_per_step_and_prediction(world, vp, name, per_chain)
     grid = time_grid(cfg.start_time, cfg.steps)
     assert calls == list(zip(grid[:-1], grid[1:]))
     info = world_module._affine_map.cache_info()
-    assert (info.misses, info.hits) == (2 * cfg.steps - 1, 0)
+    assert (info.misses, info.hits) == (cfg.steps, 0)
     den.predict_x0(np.zeros((8, 4)), y0[0] if per_chain else y0, grid[-2])
     info = world_module._affine_map.cache_info()
-    assert (info.misses, info.hits) == (2 * cfg.steps - 1, 1)
+    assert (info.misses, info.hits) == (cfg.steps, 1)
 
 
 @pytest.mark.parametrize("name, per_chain", [("exact", False), ("leaky", True)],

@@ -406,6 +406,18 @@ def test_overflowing_frame_means_are_rejected():
     GaussianWorld(m0=-1.7e308, drift=2.5e307)
 
 
+def test_wrong_length_mean_vectors_are_rejected():
+    # a 3-vector m0 in a 4-dimensional world failed inside numpy's
+    # broadcast with no field named
+    for name in ("m0", "drift"):
+        for value in ([1.0, 2.0, 3.0], np.zeros(5), np.zeros((1, 4))):
+            with pytest.raises(ValueError, match=rf"^{name} .*frame_dim = 4"):
+                GaussianWorld(**{name: value})
+        for value in (0.5, [0.5], [0.1, 0.2, 0.3, 0.4]):
+            vec = getattr(GaussianWorld(**{name: value}), name)
+            np.testing.assert_array_equal(vec, np.broadcast_to(value, (4,)))
+
+
 def test_sample_video_shape(world):
     v = sample_videos(world, 1, np.random.default_rng(9))
     assert v.shape == (1, 8, 4)

@@ -83,6 +83,9 @@ ZERO_LEVEL_TRAIN, ZERO_LEVEL_TIMENOISE = {"batch_size": 2}, {"a": 100.0}
 # grid must still tell the optimum apart at every default start time.
 WIDE_WORLD, WIDE_M_GRID = {"s_w": 1e5}, [1.0, 0.96, 0.92, 0.88, 0.84, 0.8]
 
+# A world whose m0 has three entries where frame_dim is 4.
+SHORT_M0_WORLD = {"m0": [1.0, 2.0, 3.0]}
+
 # Finite data rows for the default 8 x 4 world whose squares overflow.
 OVERFLOW_DATA = "".join(f"{row}\n" for row in (
     "header", ",".join(["1e200"] * 32), ",".join(["-1e200"] * 32)))
@@ -116,14 +119,18 @@ COMMANDS = [
     ["train", "--mode", "constant", "--config", "config_zero.json",
      "--out", "ckpt_zero.json"],
 ]
-# (expected exit code, command): a failure reported as one config error
-# line, and a check that a large world passes.
+# (expected exit code, command): failures reported as one config error
+# line each, and a check that a large world passes.
 OUTCOMES = [
     (2, ["estimate-init", "--data", "overflow.csv", "--M", "0.9",
          "--out", "init_overflow.json"]),
     (0, ["prop1-check", "--config", "config_wide.json", "--out", "prop1_wide.json"]),
+    (2, ["world-sample", "--n", "2", "--config", "config_short_m0.json",
+         "--out", "videos_short_m0.csv"]),
+    (2, ["train", "--mode", "naive", "--seed", "-1", "--out", "ckpt_negative_seed.json"]),
 ]
-CONFIG_FILES = ("config.json", "config_mf.json", "config_zero.json", "config_wide.json")
+CONFIG_FILES = ("config.json", "config_mf.json", "config_zero.json", "config_wide.json",
+                "config_short_m0.json")
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
 
@@ -137,8 +144,9 @@ def run_set(name, payload, env, strict):
                 timenoise={**payload.get("timenoise", {}), **ZERO_LEVEL_TIMENOISE})
     wide = dict(payload, world=WIDE_WORLD,
                 diagnostics={**payload["diagnostics"], "m_grid": WIDE_M_GRID})
+    short_m0 = dict(payload, world=SHORT_M0_WORLD)
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
-        for file, content in zip(CONFIG_FILES, (payload, motion, zero, wide)):
+        for file, content in zip(CONFIG_FILES, (payload, motion, zero, wide, short_m0)):
             with open(os.path.join(tmp, file), "w") as fh:
                 json.dump(content, fh)
         with open(os.path.join(tmp, "overflow.csv"), "w") as fh:
