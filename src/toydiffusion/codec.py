@@ -9,6 +9,7 @@ no NaN or infinity where a number goes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
@@ -31,8 +32,10 @@ def read_json(path, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+@functools.cache
 def _kinds(cls) -> dict:
-    """The members of each field's annotation, by field name."""
+    """The members of each field's annotation, by field name; computed once
+    per class, and the caller must not mutate the dict."""
     return {name: get_args(hint) or (hint,)
             for name, hint in get_type_hints(cls).items()}
 

@@ -5,7 +5,9 @@ The corruption level beta_s is drawn from a logit-normal distribution on
 late (noisy) times see strongly corrupted conditioning while early times see
 it nearly clean.  One corruption operator applies a level in one of two
 variants: additive (y_s = y0 + beta_s * eps) and interpolating
-(y_s = (1 - beta_s) y0 + beta_s * eps, which requires beta_m = 1).
+(y_s = (1 - beta_s) y0 + beta_s * eps, which requires beta_m = 1).  pdf and
+beta_from_noise import scipy.special themselves, so that import toydiffusion
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .schedule import _per_item
+from .schedule import _check_time, _per_item
 
 ADDITIVE = "additive"
 INTERPOLATION = "interpolation"
@@ -47,17 +48,16 @@ class TimeNoiseParams:
 
 def mu_of_t(params: TimeNoiseParams, t):
     """Center of the logit-normal at time t: 2 t**a - 1, from -1 up to 1."""
-    t = np.asarray(t, dtype=np.float64)
-    if (t < 0.0).any() or (t > 1.0).any():
-        raise ValueError("time must lie in [0, 1]")
-    out = 2.0 * t**params.a - 1.0
+    out = 2.0 * _check_time(t)**params.a - 1.0
     return float(out) if out.ndim == 0 else out
 
 
 def pdf(params: TimeNoiseParams, t, beta_s):
     """Density of beta_s at time t; defined on the open interval (0, beta_m)."""
+    from scipy.special import logit
+
     beta_s = np.asarray(beta_s, dtype=np.float64)
-    if np.any(beta_s <= 0.0) or np.any(beta_s >= params.beta_m):
+    if not ((beta_s > 0.0) & (beta_s < params.beta_m)).all():  # NaN fails both
         raise ValueError("beta_s must lie strictly inside (0, beta_m)")
     mu = mu_of_t(params, t)
     z = logit(beta_s / params.beta_m) - mu
@@ -81,6 +81,8 @@ def sample_beta(params: TimeNoiseParams, t, rng: np.random.Generator, size=None)
 
 def beta_from_noise(params: TimeNoiseParams, t, noise):
     """The level beta_m * sigmoid(mu(t) + noise) for standard normal noise."""
+    from scipy.special import expit
+
     return params.beta_m * expit(mu_of_t(params, t) + noise)
 
 

@@ -33,7 +33,8 @@ every exact denoiser, keyed by world, conditional, schedule, the leak
 value l(t), float(t) and t_to.  Worlds are keyed by identity and their
 m0 and drift are read-only, so no entry goes stale.  Denoisers on one
 world with the same leak share entries.  The cached matrices are
-read-only, and a prediction is always a new array.
+read-only, and a prediction is always a new array.  expected_motion_score
+imports scipy.special itself, so that import toydiffusion loads numpy alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .schedule import TIME_CACHE_SIZE, NoiseSchedule, alpha_sigma
 
@@ -207,6 +207,8 @@ def expected_motion_score(world: GaussianWorld) -> float:
     value has the folded-normal mean
     s_w sqrt(2/pi) exp(-mu^2 / 2 s_w^2) + mu (1 - 2 Phi(-mu / s_w)).
     """
+    from scipy.special import ndtr
+
     mu = world.drift
     s = world.s_w
     e_abs = s * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * s * s)) + mu * (

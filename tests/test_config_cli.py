@@ -765,6 +765,45 @@ def test_python_m_toydiffusion_is_the_cli(tmp_path):
         "type": "config", "message": "--n must be at least 1, got 0"}}
 
 
+_SCIPY_FREE = """
+import sys
+import numpy as np
+import toydiffusion as td
+from toydiffusion.cli import main
+world, vp = td.GaussianWorld(), td.NoiseSchedule.vp()
+rng = np.random.default_rng(0)
+y0 = np.zeros(world.frame_dim)
+for den in (td.ExactDenoiser(world, vp), td.LeakyDenoiser(world, vp, 0.8, 4.0)):
+    td.sample_batch(den, y0, td.SamplerConfig(steps=3), vp, 4, rng)
+td.leakage_curve(td.ExactDenoiser(world, vp), td.sample_videos(world, 4, rng),
+                 vp, (0.5,), seed=0)
+noise = td.TimeNoiseParams(beta_m=2.0, a=5.0)
+td.train(world, vp, td.TrainConfig(mode="naive", steps=2, batch_size=4, hidden=4))
+td.train(world, vp, td.TrainConfig(mode="constant", steps=2, batch_size=4, hidden=4,
+                                   timenoise=noise))
+assert main(["sample", "--denoiser", "exact", "--n", "2", "--steps", "3",
+             "--out", "samples.csv"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+td.train(world, vp, td.TrainConfig(mode="timenoise", steps=2, batch_size=4, hidden=4,
+                                   timenoise=noise))
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_is_loaded_only_by_the_functions_that_use_it(tmp_path):
+    # a fresh interpreter: sampling, leakage curves, naive and constant
+    # training and the sample command run on numpy alone; TimeNoise
+    # training loads scipy.special on its first draw of a level
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # fuzzed configs and flags for the cheap commands
 

@@ -59,6 +59,9 @@ def test_pdf_domain_is_open():
         pdf(p, 0.5, 0.0)
     with pytest.raises(ValueError):
         pdf(p, 0.5, 2.0)
+    for t, beta_s in ((0.5, np.nan), (np.nan, 1.0), (0.5, [1.0, np.nan])):
+        with pytest.raises(ValueError):
+            pdf(p, t, beta_s)
 
 
 def test_sample_beta_distribution():
@@ -146,5 +149,11 @@ def test_param_validation():
     with pytest.raises(ValueError):
         td.TimeNoiseParams(beta_m=1.0, a=1.0, variant="mystery")
     assert td.TimeNoiseParams(beta_m=1.0, a=1.0, variant=ADDITIVE).beta_m == 1.0
-    with pytest.raises(ValueError):
-        mu_of_t(td.TimeNoiseParams(beta_m=1.0, a=1.0), 1.5)
+    p = td.TimeNoiseParams(beta_m=1.0, a=1.0)
+    for t in (1.5, np.nan, [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            mu_of_t(p, t)
+        with pytest.raises(ValueError):
+            constant_beta(p, t)
+        with pytest.raises(ValueError):
+            sample_beta(p, t, np.random.default_rng(0))
