@@ -88,9 +88,7 @@ def beta_from_noise(params: TimeNoiseParams, t, noise):
 
 def constant_beta(params: TimeNoiseParams, t):
     """Deterministic baseline level beta_m * (mu(t) + 1) / 2."""
-    mu = mu_of_t(params, t)
-    out = params.beta_m * (mu + 1.0) / 2.0
-    return float(out) if np.ndim(out) == 0 else out
+    return params.beta_m * (mu_of_t(params, t) + 1.0) / 2.0
 
 
 def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):

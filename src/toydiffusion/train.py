@@ -17,9 +17,13 @@ train() builds its batches one block of BLOCK_STEPS steps at a time.  The
 draws of each step are made step after step, in the order and number
 that make_training_batch fixes from the config alone; the arithmetic on
 them (videos, conditions, times, corruption levels, noisy videos, model
-input rows) runs once per block over all its rows.  Forward, backward and
-Adam then run per step on that step's contiguous rows, at the batch
-shape, so a checkpoint has the bytes of building each batch on its own.
+input rows) runs once per block over all its rows, one path per stage:
+a row's s_w choice and condition frame are index 0 unless drawn, and a
+condition is corrupted exactly when its step draws condition noise.
+Forward, backward and Adam then run per step on that step's contiguous
+rows, at the batch shape, so a checkpoint has the bytes of building each
+batch on its own.  The model checks its inputs by shape: videos
+(..., n_frames, frame_dim) and conditions (..., frame_dim).
 """
 
 from __future__ import annotations
@@ -114,7 +118,8 @@ class TrainConfig:
         if not 0.0 <= self.p_std < math.inf:
             raise ValueError(f"p_std must be finite and >= 0, got {self.p_std!r}")
         if self.t_sampler not in (UNIFORM_T, EDM_LOGNORMAL):
-            raise ValueError(f"unknown time sampler {self.t_sampler!r}")
+            raise ValueError(
+                f"t_sampler must be 'uniform' or 'edm', got {self.t_sampler!r}")
         if not 0.0 < self.t_floor < 1.0:
             raise ValueError("t_floor must lie in (0, 1)")
         if self.mode in (TIMENOISE, CONSTANT_BETA) and self.timenoise is None:
@@ -173,15 +178,9 @@ class MLPDenoiser:
         self.hidden = int(hidden)
         self.motion_feature = bool(motion_feature)
         self.out_dim = self.n_frames * self.frame_dim
-        self.in_dim = self.out_dim + self.frame_dim + F_TIME + (
-            1 if self.motion_feature else 0
-        )
-        h = self.hidden
-        self.shapes = [
-            (self.in_dim, h), (h,),
-            (h, h), (h,),
-            (h, self.out_dim), (self.out_dim,),
-        ]
+        self.in_dim = self.out_dim + self.frame_dim + F_TIME + int(self.motion_feature)
+        h, o = self.hidden, self.out_dim
+        self.shapes = [(self.in_dim, h), (h,), (h, h), (h,), (h, o), (o,)]
         self._spans, start = [], 0
         for shape in self.shapes:
             stop = start + math.prod(shape)
@@ -205,20 +204,18 @@ class MLPDenoiser:
     def build_inputs(self, xt, y, t, motion=None):
         """Input rows [flattened xt, y, time features, motion], written
         block by block into one (B, in_dim) array, B = prod(xt.shape[:-2]);
-        y, t and motion are one per row or one for all."""
+        y, t and motion are one per row or one for all.  Checked by shape,
+        xt (..., n_frames, frame_dim) and y (..., frame_dim), not by width."""
         xt = np.asarray(xt, dtype=np.float64)
-        b = math.prod(xt.shape[:-2])
         y = np.asarray(y, dtype=np.float64)
+        n, d = self.n_frames, self.frame_dim
+        if xt.shape[-2:] != (n, d):
+            raise ValueError(f"video of shape {xt.shape} is not (..., {n}, {d})")
+        if y.shape[-1:] != (d,):
+            raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim={d})")
         if self.motion_feature and motion is None:
             raise ValueError("this model expects a motion-target feature")
-        width = (
-            math.prod(xt.shape[-2:]) + (y.shape[-1] if y.ndim else 0) + F_TIME
-            + (1 if self.motion_feature else 0)
-        )
-        if width != self.in_dim:
-            raise ValueError(
-                f"input width {width} does not match model width {self.in_dim}"
-            )
+        b = math.prod(xt.shape[:-2])
         x = np.empty((b, self.in_dim))
         o, c = self.out_dim, self.out_dim + self.frame_dim
         x[:, :o] = xt.reshape(b, -1)
@@ -373,14 +370,16 @@ def _training_rows(world, schedule, config: TrainConfig, rng, steps):
     The arithmetic on them (videos, conditions, times, corruption levels,
     noisy videos) then runs once over all rows, the same elementwise
     operations on longer arrays, so each step's rows equal its own batch.
+    One path per stage: pick and frame stay 0 where not drawn, and `clean`
+    decides both the condition-noise draw and the corruption.
     """
     b, n, d = config.batch_size, world.n_frames, world.frame_dim
     choices = np.asarray(config.s_w_choices or (), dtype=np.float64)
     clean = config.mode == NAIVE or (config.mode == CDM_FIXED and not config.cdm_beta)
-    pick = np.empty(steps * b, dtype=np.int64)
+    pick = np.zeros(steps * b, dtype=np.int64)
     z_first = np.empty((steps, b, d))
     z_inc = np.empty((steps, b, n - 1, d))
-    frame = np.empty(steps * b, dtype=np.int64)
+    frame = np.zeros(steps * b, dtype=np.int64)
     t_draws = np.empty(steps * b)
     z_level = np.empty((steps, b))
     z_cond = np.empty((steps, b, d))
@@ -403,27 +402,19 @@ def _training_rows(world, schedule, config: TrainConfig, rng, steps):
 
     rows = steps * b
     first = first_frames_from_noise(world, z_first.reshape(rows, d))
-    z_inc = z_inc.reshape(rows, n - 1, d)
-    if choices.size:
-        x0 = videos_from_noise(world, first, z_inc, choices[pick])
-        motion = _motion_scores(world, config.s_w_choices)[pick]
-    else:
-        x0 = videos_from_noise(world, first, z_inc)
-        motion = np.full(rows, _motion_scores(world, None)[0]) \
-            if config.motion_feature else None
-    if config.cond_frame == RANDOM_FRAME:
-        y = x0[np.arange(rows), frame, :]
-    else:
-        y = x0[:, 0, :]
-    # cdm's fixed level is additive; the level curves take their variant
-    # from the timenoise parameters
-    if config.mode == CDM_FIXED and not clean:
-        y = corrupt_with_noise(y, config.cdm_beta, z_cond.reshape(rows, d), ADDITIVE)
-    elif config.mode in (TIMENOISE, CONSTANT_BETA):
-        levels = (constant_beta(config.timenoise, t) if config.mode == CONSTANT_BETA
-                  else beta_from_noise(config.timenoise, t, z_level.reshape(-1)))
-        y = corrupt_with_noise(y, levels[:, None], z_cond.reshape(rows, d),
-                               config.timenoise.variant)
+    x0 = videos_from_noise(world, first, z_inc.reshape(rows, n - 1, d),
+                           choices[pick] if choices.size else None)
+    motion = _motion_scores(world, config.s_w_choices)[pick] \
+        if config.motion_feature else None
+    y = x0[np.arange(rows), frame]
+    if not clean:
+        if config.mode == CDM_FIXED:  # a fixed level, always additive
+            level, variant = config.cdm_beta, ADDITIVE
+        else:  # a level curve, in the variant of the timenoise parameters
+            level = (constant_beta(config.timenoise, t) if config.mode == CONSTANT_BETA
+                     else beta_from_noise(config.timenoise, t, z_level.reshape(-1)))
+            level, variant = level[:, None], config.timenoise.variant
+        y = corrupt_with_noise(y, level, z_cond.reshape(rows, d), variant)
     eps = eps.reshape(x0.shape)
     return Batch(xt=perturb_with_noise(schedule, x0, t, eps), y=y, t=t,
                  target=eps, motion=motion)
@@ -506,7 +497,7 @@ def train(world, schedule, config: TrainConfig, return_history=False):
     init_rng, heldout_rng, data_rng = root.spawn(3)
     params = model.init_params(init_rng)
     heldout = make_training_batch(world, schedule, config, heldout_rng)
-    initial_heldout = batch_loss(model, params, heldout)
+    initial_heldout = batch_loss(model, params, heldout) if return_history else None
 
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     m = np.zeros_like(params)
@@ -557,11 +548,8 @@ def train(world, schedule, config: TrainConfig, return_history=False):
         [list(s) for s in model.shapes], params, final_heldout,
     ))
     if return_history:
-        return checkpoint, {
-            "initial_heldout": initial_heldout,
-            "final_heldout": final_heldout,
-            "loss_history": history,
-        }
+        return checkpoint, {"initial_heldout": initial_heldout,
+                            "final_heldout": final_heldout, "loss_history": history}
     return checkpoint
 
 

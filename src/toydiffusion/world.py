@@ -273,10 +273,13 @@ class ExactDenoiser:
             raise ValueError("exact prediction requires t in (0, 1]")
         if self.conditional and y is None:
             raise ValueError("conditional denoiser needs a conditioning frame")
+        n, d = self.shape
+        if np.shape(xt)[-2:] != (n, d):
+            raise ValueError(f"video of shape {np.shape(xt)} is not (..., {n}, {d})")
         y = np.asarray(y if self.conditional else self.world.m0, dtype=np.float64)
-        if y.shape[-1:] != (self.world.frame_dim,):
-            raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim)")
-        w, n = self.step_map(t), self.world.n_frames
+        if y.shape[-1:] != (d,):
+            raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim={d})")
+        w = self.step_map(t)
         out = w[:, :n] @ xt
         out += w[:, n:n + 1] * y[..., None, :]
         out += w[:, n + 1:] * self.world.drift

@@ -341,6 +341,22 @@ def test_error_paths_exit_codes(tmp_path, capsys):
                  "--denoiser", "ckpt:" + str(tmp_path / "no_ck.json"),
                  "--out", str(tmp_path / "x.csv")]) == 2
 
+    # a config file that is not an object, an unknown --init, and data rows
+    # one column short of the world's N * d = 32
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "short.csv").write_text("h\n" + ",".join(["0.5"] * 31) + "\n")
+    for argv, message in [
+        (["world-sample", "--config", str(tmp_path / "list.json")],
+         "expected a JSON object at the top level, got list"),
+        (["sample", "--config", cfgp, "--n", "2", "--init", "bogus"],
+         "unknown init 'bogus'"),
+        (["estimate-init", "--config", cfgp, "--data", str(tmp_path / "short.csv"),
+          "--M", "0.9"], "data has 31 columns, world needs 32"),
+    ]:
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "x.out")]) == 2
+        assert _one_config_error(capsys) == message
+
     # --n below 1 is named, not surfaced as a numpy reshape error
     for argv in (["world-sample"], ["sample", "--steps", "2"]):
         capsys.readouterr()
@@ -614,7 +630,16 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
      "cdm_beta"),
     ("world", {}, ["diagnose", "leakage", "--denoiser", "leaky", "--p", "inf"],
      "p must be"),
-], ids=["world-drift-overflow", "cdm_beta-negative", "leaky-p-inf"])
+    ("diagnostics", {"t_grid": []}, ["diagnose", "leakage"],
+     "t_grid and m_grid must be nonempty"),
+    ("diagnostics", {"eval_videos": 0}, ["diagnose", "leakage"],
+     "eval_videos and n_chains must be at least 1"),
+    ("diagnostics", {"t_grid": [1.5]}, ["diagnose", "leakage"],
+     "t_grid entries must lie in (0, 1]"),
+    ("diagnostics", {"m_grid": [0.0]}, ["diagnose", "init-ablation"],
+     "m_grid entries must lie in (0, 1]"),
+], ids=["world-drift-overflow", "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
+        "eval_videos-zero", "t_grid-above-one", "m_grid-zero"])
 def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values, argv,
                                               name):
     # a drift whose frame offsets overflow wrote inf into the last frames,

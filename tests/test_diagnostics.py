@@ -70,6 +70,11 @@ def test_probe_rejects_a_denoiser_for_another_schedule(world, vp, ve):
     assert leakage_curve(OracleEps(), evs, ve, [0.5], seed=0).ratio.shape == (1,)
 
 
+def test_leakage_curve_rejects_an_empty_stack(vp):
+    with pytest.raises(ValueError, match="nonempty"):
+        leakage_curve(OracleEps(), np.zeros((0, 8, 4)), vp, [0.5], seed=0)
+
+
 def test_leakage_curve_is_seed_paired(world, vp):
     evs = td.sample_videos(world, 32, np.random.default_rng(3))
     den = ExactDenoiser(world, vp)

@@ -1,10 +1,12 @@
 import importlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import toydiffusion as td
+from toydiffusion.codec import ConfigError
 from toydiffusion.schedule import perturb
 from toydiffusion.timenoise import constant_beta, corrupt, sample_beta
 from toydiffusion.train import (
@@ -290,6 +292,16 @@ def test_checkpoint_round_trip(tmp_path, world, vp):
 
 def test_checkpoint_version_guard(tmp_path, world, vp):
     ckpt = train(world, vp, TrainConfig(mode=NAIVE, steps=2))
+    # layer shapes that disagree with the stored config, and a parameter
+    # list cut short, are each reported with the checkpoint's path
+    path = tmp_path / "ck.json"
+    for key, value, message in (
+        ("layer_shapes", [[1, 1], *ckpt["layer_shapes"][1:]], "layer shapes"),
+        ("parameters", ckpt["parameters"][:-1], "parameter count"),
+    ):
+        save_checkpoint(path, {**ckpt, key: value})
+        with pytest.raises(ConfigError, match=re.escape(f"checkpoint {path} {message}")):
+            load_checkpoint(path)
     ckpt["format_version"] = 999
     with pytest.raises(ValueError):
         load_checkpoint(ckpt)
@@ -346,9 +358,13 @@ def test_train_config_round_trip_and_validation():
     (lambda: td.TimeNoiseParams(beta_m=np.inf, a=5.0), "beta_m"),
     (lambda: td.TimeNoiseParams(beta_m=2.0, a=np.inf), "a"),
     (lambda: td.TimeNoiseParams(beta_m=np.nan, a=5.0), "beta_m"),
+    (lambda: TrainConfig(mode=NAIVE, steps=-1), "steps"),
+    (lambda: TrainConfig(mode=NAIVE, batch_size=0), "batch_size"),
+    (lambda: TrainConfig(mode=NAIVE, t_sampler="bogus"), "t_sampler"),
 ], ids=["cdm_beta-nan", "cdm_beta-inf", "cdm_beta-negative", "lr-inf", "lr-nan",
         "p_std-negative", "p_std-inf", "p_mean-nan", "hidden-zero", "s_w_choices-inf",
-        "beta_m-inf", "a-inf", "beta_m-nan"])
+        "beta_m-inf", "a-inf", "beta_m-nan", "steps-negative", "batch_size-zero",
+        "t_sampler-unknown"])
 def test_training_inputs_are_rejected_at_construction(build, field):
     # these trained into a non-finite loss (nan cdm_beta, infinite lr), ran
     # (a negative cdm_beta) or failed at the first draw (a negative p_std,
@@ -535,8 +551,9 @@ def test_train_builds_batches_one_block_at_a_time(world, vp, monkeypatch, steps)
         "_training_rows": [1] + blocks,
         "make_training_batch": 1,
         "batch_loss_and_gradient": 0,
-        # the held-out loss before and after training, and one per block
-        "build_inputs": [4] + [4 * s for s in blocks] + [4],
+        # one per block and the held-out loss after training; the one
+        # before training is evaluated only for return_history
+        "build_inputs": [4 * s for s in blocks] + [4],
         "_loss_and_gradient": [4] * steps,
     }
 

@@ -68,6 +68,8 @@ def test_conditional_sampling_matches_closed_form(world):
     emp /= world.frame_dim
     np.testing.assert_allclose(emp, cov, atol=0.03)
     np.testing.assert_array_equal(vids[:, 0, :], np.broadcast_to(y0, (200_000, 4)))
+    with pytest.raises(ValueError, match="single frame"):
+        conditional_moments(world, y0[:3])  # a (3,) frame in a 4-d world
 
 
 def test_marginal_moments_at(world, vp):
@@ -206,6 +208,17 @@ def test_exact_denoiser_validates_inputs(world, vp):
         den.predict_x0(np.zeros((8, 4)), np.zeros(4), 0.0)
     with pytest.raises(ValueError):
         den.predict_x0(np.zeros((8, 4)), None, 0.5)
+    # a transposed 4 x 8 video has the 32 entries of an 8 x 4 one: the
+    # trained denoiser read it at that width and returned a (3, 4, 8) array
+    model = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8)
+    trained = td.TrainedDenoiser(model, model.init_params(np.random.default_rng(0)), vp)
+    for den in (den, LeakyDenoiser(world, vp, 0.8, 4.0), trained):
+        with pytest.raises(ValueError, match=r"video of shape \(3, 4, 8\) is not "
+                                             r"\(\.\.\., 8, 4\)"):
+            den.predict_x0(np.zeros((3, 4, 8)), np.zeros(4), 0.5)
+        with pytest.raises(ValueError, match=r"condition of shape \(8,\) is not "
+                                             r"\(\.\.\., frame_dim=4\)"):
+            den.predict_x0(np.zeros((3, 8, 4)), np.zeros(8), 0.5)
 
 
 def test_eps_x0_round_trip(world, vp):
@@ -385,6 +398,7 @@ def test_world_validation():
         (dict(s0=np.nan), "s0"), (dict(s0=1e308), "s0"), (dict(s0=6.4e153), "s0"),
         (dict(s_w=np.inf), "s_w"), (dict(s_w=1e200), "s_w"),
         (dict(drift=np.inf), "drift"), (dict(m0=[0.0, np.nan, 0.0, 0.0]), "m0"),
+        (dict(frame_dim=0), "frame_dim"), (dict(s_w=0.0), "s_w"),
     ]:
         with pytest.raises(ValueError, match=name):
             GaussianWorld(**kwargs)

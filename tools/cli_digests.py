@@ -15,8 +15,10 @@ oracle, checkpoint, motion-feature checkpoint), motion sweeps (leaky,
 checkpoint) and the init ablation, each with its manifest and, for
 samples, its summary.  One more constant-mode
 checkpoint, at batch size 2 and a = 100, has steps whose corruption levels
-all round to zero.  A command runs with config.json unless it names its
-own --config.
+all round to zero; a cdm checkpoint at level 0 takes the clean path, with
+no condition draw and no corruption; and a naive checkpoint draws a random
+condition frame per row and EDM log-normal times.  A command runs with
+config.json unless it names its own --config.
 
 Output lines are ``<sha256>  <schedule>/<file>``, sorted, so running the
 script on two source trees and diffing the two outputs shows every file
@@ -79,6 +81,14 @@ MOTION_TRAIN = {"motion_feature": True, "s_w_choices": [0.25, 1.0]}
 # to zero below t = 0.69, so about half its two-item steps corrupt nothing.
 ZERO_LEVEL_TRAIN, ZERO_LEVEL_TIMENOISE = {"batch_size": 2}, {"a": 100.0}
 
+# The clean cdm checkpoint's config: at level 0 a cdm step draws no
+# condition noise, like a naive one.
+CLEAN_CDM_TRAIN = {"cdm_beta": 0.0}
+
+# The random-frame checkpoint's config: a condition frame drawn per row,
+# and times from the EDM log-normal sampler.
+RANDOM_FRAME_TRAIN = {"cond_frame": "random", "t_sampler": "edm"}
+
 # The wide world's config: its variances reach 1e11, where the optimality
 # grid must still tell the optimum apart at every default start time.
 WIDE_WORLD, WIDE_M_GRID = {"s_w": 1e5}, [1.0, 0.96, 0.92, 0.88, 0.84, 0.8]
@@ -118,6 +128,10 @@ COMMANDS = [
      "--out", "leakage_mf.csv"],
     ["train", "--mode", "constant", "--config", "config_zero.json",
      "--out", "ckpt_zero.json"],
+    ["train", "--mode", "cdm", "--config", "config_cdm0.json",
+     "--out", "ckpt_cdm0.json"],
+    ["train", "--mode", "naive", "--config", "config_random.json",
+     "--out", "ckpt_random.json"],
 ]
 # (expected exit code, command): failures reported as one config error
 # line each, and a check that a large world passes.
@@ -130,7 +144,7 @@ OUTCOMES = [
     (2, ["train", "--mode", "naive", "--seed", "-1", "--out", "ckpt_negative_seed.json"]),
 ]
 CONFIG_FILES = ("config.json", "config_mf.json", "config_zero.json", "config_wide.json",
-                "config_short_m0.json")
+                "config_short_m0.json", "config_cdm0.json", "config_random.json")
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
 
@@ -145,8 +159,11 @@ def run_set(name, payload, env, strict):
     wide = dict(payload, world=WIDE_WORLD,
                 diagnostics={**payload["diagnostics"], "m_grid": WIDE_M_GRID})
     short_m0 = dict(payload, world=SHORT_M0_WORLD)
+    clean_cdm = dict(payload, train={**payload["train"], **CLEAN_CDM_TRAIN})
+    random_frame = dict(payload, train={**payload["train"], **RANDOM_FRAME_TRAIN})
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
-        for file, content in zip(CONFIG_FILES, (payload, motion, zero, wide, short_m0)):
+        for file, content in zip(CONFIG_FILES, (payload, motion, zero, wide, short_m0,
+                                                clean_cdm, random_frame)):
             with open(os.path.join(tmp, file), "w") as fh:
                 json.dump(content, fh)
         with open(os.path.join(tmp, "overflow.csv"), "w") as fh:
