@@ -45,7 +45,7 @@ from .diagnostics import (
     OracleEps,
 )
 from .sampler import ANALYTIC, STANDARD, SamplerConfig, SamplerDiverged, sample_batch
-from .schedule import NoiseSchedule, VP
+from .schedule import NoiseSchedule
 from .timenoise import TimeNoiseParams
 from .train import (
     CDM_FIXED,
@@ -104,36 +104,28 @@ class DiagnosticsConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    world: GaussianWorld
-    schedule: NoiseSchedule
-    timenoise: TimeNoiseParams
-    train: TrainConfig
-    sampler: SamplerConfig
-    diagnostics: DiagnosticsConfig
+    world: GaussianWorld = GaussianWorld()
+    schedule: NoiseSchedule = NoiseSchedule()
+    timenoise: TimeNoiseParams = TimeNoiseParams()
+    train: TrainConfig = TrainConfig()
+    sampler: SamplerConfig = SamplerConfig()
+    diagnostics: DiagnosticsConfig = DiagnosticsConfig()
     seed: int = 0
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be a nonempty path")
         if self.train.timenoise is not None:
             raise ConfigError("train.timenoise must be null; set the timenoise section")
 
 
-# A config may leave out any section, and the schedule kind and the
-# timenoise levels, which have no dataclass default.
-_SECTION_DEFAULTS = {"world": {}, "schedule": {"kind": VP}, "train": {}, "sampler": {},
-                     "timenoise": {"beta_m": 2.0, "a": 5.0}, "diagnostics": {}}
-
-
-def config_from_payload(payload: dict) -> ExperimentConfig:
-    return from_payload(ExperimentConfig, payload, defaults=_SECTION_DEFAULTS)
-
-
 def load_config(path=None) -> ExperimentConfig:
     if path is None:
-        return config_from_payload({})
-    return config_from_payload(read_json(path, "config"))
+        return ExperimentConfig()
+    return from_payload(ExperimentConfig, read_json(path, "config"))
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
@@ -182,12 +174,12 @@ def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
 
 def _load_init(spec: str, m_start: float, cfg: ExperimentConfig):
     """Resolve an --init flag: standard | analytic | analytic:PATH."""
-    if spec == "standard":
+    if spec == STANDARD:
         return None
-    if spec == "analytic":
+    if spec == ANALYTIC:
         return optimal_init(exact_moments(cfg.world), cfg.schedule, m_start)
-    if spec.startswith("analytic:"):
-        path = spec[len("analytic:"):]
+    if spec.startswith(ANALYTIC + ":"):
+        path = spec[len(ANALYTIC) + 1:]
         payload = read_json(path, "init file")
         if isinstance(payload, dict):
             payload = payload.get("init", payload)
@@ -212,13 +204,15 @@ def _cmd_estimate_init(cfg, args, out):
     with warnings.catch_warnings():
         # an empty file is reported below as the one config error line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"data file {args.data}: {exc}") from None
     if data.shape[0] == 0:
         raise ConfigError(f"data file {args.data} has no data rows")
     if data.shape[1] != world.flat_dim:
-        raise ConfigError(
-            f"data has {data.shape[1]} columns, world needs {world.flat_dim}"
-        )
+        raise ConfigError(f"data file {args.data} has {data.shape[1]} columns, "
+                          f"world needs {world.flat_dim}")
     if not np.isfinite(data).all():
         raise ConfigError(f"data file {args.data} holds a non-finite value")
     try:

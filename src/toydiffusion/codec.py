@@ -2,9 +2,9 @@
 
 to_payload writes a dataclass as a JSON-ready dict, its fields in order;
 from_payload reads one back through the same field annotations, so the
-config, the checkpoint and the init file share one schema check: no
-unknown key, no missing required key, no value of the wrong JSON type and
-no NaN or infinity where a number goes.
+config, the checkpoint and the init file share one schema: a key left out
+takes its field's default, and no unknown key, missing required key, value
+of the wrong JSON type or NaN or infinity where a number goes passes.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ def to_payload(obj) -> dict:
     return out
 
 
-def from_payload(cls, payload, where: str = "", defaults=None):
-    """Build cls from a JSON object laid over defaults, with every key a
-    field, every field without a default present and every value of its
-    annotated type (ints take no float, numbers no bool or string).  A
-    nested dataclass field is read the same way, named where.field, over
-    defaults[field]; cls's own checks then run, and any error names where.
+def from_payload(cls, payload, where: str = ""):
+    """Build cls from a JSON object, with every key a field, every field
+    without a default present and every value of its annotated type (ints
+    take no float, numbers no bool or string); a key left out takes its
+    field's default.  A nested dataclass field is read the same way, named
+    where.field; cls's own checks then run, and any error names where.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"expected a JSON object{_in(where)}, "
@@ -90,8 +90,7 @@ def from_payload(cls, payload, where: str = "", defaults=None):
     unknown = sorted(set(payload) - set(known))
     if unknown:
         raise ConfigError(f"unknown keys{_in(where)}: {unknown}")
-    defaults, kinds = defaults or {}, _kinds(cls)
-    payload = {**defaults, **payload}
+    kinds, payload = _kinds(cls), dict(payload)
     missing = [n for n, f in known.items() if n not in payload and f.default is MISSING]
     if missing:
         raise ConfigError(f"missing keys{_in(where)}: {missing}")
@@ -102,7 +101,7 @@ def from_payload(cls, payload, where: str = "", defaults=None):
         if isinstance(value, dict):  # only a dataclass member takes one
             nested = next(k for k in kinds[name] if is_dataclass(k))
             inner = f"{where}.{name}" if where else name
-            payload[name] = from_payload(nested, value, inner, defaults.get(name))
+            payload[name] = from_payload(nested, value, inner)
     try:
         return cls(**payload)
     except ValueError as exc:

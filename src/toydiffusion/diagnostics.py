@@ -159,9 +159,8 @@ def conditional_moment_errors(samples, world, y0):
     return mean_err, cov_err
 
 
-def init_ablation(
-    world, schedule, m_grid, init_modes, denoiser, n: int, seed: int, steps: int = 50,
-):
+def init_ablation(world, schedule, m_grid, init_modes, denoiser, n: int, seed: int,
+                  steps: int = SamplerConfig.steps):
     """Start-time x init-mode table: KL to the true time-M marginal, mean
     output motion, and conditional-moment errors of the generated samples,
     conditioned on one frame y0 drawn from the seed.  Each row's chains

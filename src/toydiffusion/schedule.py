@@ -48,7 +48,7 @@ class NoiseSchedule:
     sigma_max.  Defaults are the community-standard constants.
     """
 
-    kind: str
+    kind: str = VP
     beta_min: float = 0.1
     beta_max: float = 20.0
     sigma_min: float = 0.002

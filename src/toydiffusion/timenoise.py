@@ -31,8 +31,8 @@ class TimeNoiseParams:
     mu(t) = 2 t**a - 1.  The spread of the underlying normal is fixed at 1.
     """
 
-    beta_m: float
-    a: float
+    beta_m: float = 2.0
+    a: float = 5.0
     variant: str = ADDITIVE
 
     def __post_init__(self) -> None:

@@ -172,7 +172,8 @@ class MLPDenoiser:
     single flat vector; `unpack` returns per-layer views into it.
     """
 
-    def __init__(self, n_frames, frame_dim, hidden=64, motion_feature=False):
+    def __init__(self, n_frames, frame_dim, hidden=TrainConfig.hidden,
+                 motion_feature=False):
         self.n_frames = int(n_frames)
         self.frame_dim = int(frame_dim)
         self.hidden = int(hidden)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import toydiffusion as td
-from toydiffusion.cli import DiagnosticsConfig, config_from_payload
+from toydiffusion.cli import DiagnosticsConfig, ExperimentConfig
 from toydiffusion.codec import ConfigError, from_payload, to_payload
 
 TN = td.TimeNoiseParams(beta_m=2.0, a=5.0)
@@ -39,10 +39,10 @@ CASES = {
     "DiagnosticsConfig": DiagnosticsConfig(eval_videos=3, t_grid=(0.5, 1.0),
                                            m_grid=(0.9,), n_chains=2,
                                            targets=(1.5,)),
-    "ExperimentConfig": config_from_payload(
-        {"train": {"mode": "cdm", "cdm_beta": 0.3, "s_w_choices": [0.5],
-                   "motion_feature": True},
-         "sampler": {"start_time": 0.9, "init": to_payload(INIT)}, "seed": 4}),
+    "ExperimentConfig": from_payload(ExperimentConfig, {
+        "train": {"mode": "cdm", "cdm_beta": 0.3, "s_w_choices": [0.5],
+                  "motion_feature": True},
+        "sampler": {"start_time": 0.9, "init": to_payload(INIT)}, "seed": 4}),
 }
 
 

@@ -16,13 +16,13 @@ import toydiffusion as td
 from toydiffusion.analytic_init import estimate_moments, optimal_init
 from toydiffusion.cli import (
     ConfigError,
+    ExperimentConfig,
     _build_denoiser,
-    config_from_payload,
     load_config,
     main,
     save_config,
 )
-from toydiffusion.codec import to_payload
+from toydiffusion.codec import from_payload, to_payload
 from toydiffusion.world import first_frames
 
 
@@ -45,12 +45,42 @@ def small_config(tmp_path):
 
 
 def test_default_config_round_trip():
-    cfg = load_config(None)
-    payload = to_payload(cfg)
-    again = to_payload(config_from_payload(payload))
-    assert again == payload
-    assert cfg.schedule.kind == "vp"
-    assert cfg.timenoise.beta_m == 2.0 and cfg.timenoise.a == 5.0
+    payload = to_payload(load_config(None))
+    assert to_payload(from_payload(ExperimentConfig, payload)) == payload
+    assert to_payload(from_payload(ExperimentConfig, {})) == payload
+    # the section defaults live on the dataclass fields; these are the
+    # values every manifest has recorded for an empty config
+    assert payload == {
+        "world": {"n_frames": 8, "frame_dim": 4, "m0": [0.0, 0.0, 0.0, 0.0],
+                  "s0": 1.0, "drift": [0.2, 0.2, 0.2, 0.2], "s_w": 0.5},
+        "schedule": {"kind": "vp", "beta_min": 0.1, "beta_max": 20.0,
+                     "sigma_min": 0.002, "sigma_max": 700.0},
+        "timenoise": {"beta_m": 2.0, "a": 5.0, "variant": "additive"},
+        "train": {"mode": "naive", "steps": 20000, "batch_size": 64, "lr": 0.001,
+                  "seed": 0, "hidden": 64, "t_sampler": "uniform", "p_mean": -1.2,
+                  "p_std": 1.2, "t_floor": 0.0001, "timenoise": None,
+                  "cdm_beta": None, "motion_feature": False, "s_w_choices": None,
+                  "cond_frame": "first"},
+        "sampler": {"start_time": 1.0, "steps": 50, "init": None,
+                    "inference_beta": None},
+        "diagnostics": {"eval_videos": 256,
+                        "t_grid": [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75,
+                                   0.85, 0.95],
+                        "m_grid": [1.0, 0.96, 0.92, 0.88, 0.84, 0.8],
+                        "n_chains": 2000, "targets": []},
+        "seed": 0, "output_dir": "out",
+    }
+
+
+def test_left_out_keys_take_the_field_defaults():
+    cfg = from_payload(ExperimentConfig, {"schedule": {"beta_max": 15.0}})
+    assert cfg.schedule.kind == "vp" and cfg.schedule.beta_max == 15.0
+    cfg = from_payload(ExperimentConfig, {"timenoise": {"a": 3.0}})
+    assert cfg.timenoise.beta_m == 2.0 and cfg.timenoise.a == 3.0
+    # the default beta_m = 2 does not fit the interpolating variant
+    with pytest.raises(ConfigError, match=r"^interpolation variant requires "
+                                          r"beta_m = 1 in timenoise$"):
+        from_payload(ExperimentConfig, {"timenoise": {"variant": "interpolation"}})
 
 
 def test_save_config_is_byte_deterministic(tmp_path):
@@ -73,19 +103,18 @@ def test_save_config_bytes_are_pinned(tmp_path):
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
-        config_from_payload({"worlds": {}})
+        from_payload(ExperimentConfig, {"worlds": {}})
     with pytest.raises(ConfigError):
-        config_from_payload({"world": {"frames": 3}})
+        from_payload(ExperimentConfig, {"world": {"frames": 3}})
     with pytest.raises(ConfigError):
-        config_from_payload({"schedule": []})
+        from_payload(ExperimentConfig, {"schedule": []})
     with pytest.raises(ConfigError):
-        config_from_payload({"schedule": {"kind": "cosine"}})
+        from_payload(ExperimentConfig, {"schedule": {"kind": "cosine"}})
     with pytest.raises(ConfigError):
-        config_from_payload({"train": {"mode": "sgd"}})
+        from_payload(ExperimentConfig, {"train": {"mode": "sgd"}})
     with pytest.raises(ConfigError):
-        config_from_payload(
-            {"train": {"timenoise": {"beta_m": 2, "a": 5, "bogus": 1}}}
-        )
+        from_payload(ExperimentConfig,
+                     {"train": {"timenoise": {"beta_m": 2, "a": 5, "bogus": 1}}})
     # values must have the JSON type of the dataclass field annotation:
     # each of these used to run (truncated, coerced) or fail inside numpy
     for section, key, value in [
@@ -98,14 +127,18 @@ def test_unknown_keys_rejected():
     ]:
         payload = {key: value} if section is None else {section: {key: value}}
         with pytest.raises(ConfigError, match=key):
-            config_from_payload(payload)
-    # nested sections must name every field that has no default
-    with pytest.raises(ConfigError, match=r"missing keys in train.timenoise: \['a'\]"):
-        config_from_payload({"train": {"timenoise": {"beta_m": 2.0}}})
+            from_payload(ExperimentConfig, payload)
+    # a partial train.timenoise takes the default a, and so reaches the
+    # rule that the section must be null; a nested section must still name
+    # every field that has no default
+    with pytest.raises(ConfigError, match=r"^train.timenoise must be null"):
+        from_payload(ExperimentConfig, {"train": {"timenoise": {"beta_m": 2.0}}})
     with pytest.raises(ConfigError, match=r"missing keys in sampler.init: \['M'\]"):
-        config_from_payload({"sampler": {"init": {"mu_p": [0.0], "sigma_p2": 1.0}}})
+        from_payload(ExperimentConfig,
+                     {"sampler": {"init": {"mu_p": [0.0], "sigma_p2": 1.0}}})
     # ints are accepted for float fields, and null where the field allows it
-    cfg = config_from_payload({"world": {"s0": 2}, "train": {"cdm_beta": None}})
+    cfg = from_payload(ExperimentConfig,
+                       {"world": {"s0": 2}, "train": {"cdm_beta": None}})
     assert cfg.world.s0 == 2 and cfg.train.cdm_beta is None
 
 
@@ -341,17 +374,27 @@ def test_error_paths_exit_codes(tmp_path, capsys):
                  "--denoiser", "ckpt:" + str(tmp_path / "no_ck.json"),
                  "--out", str(tmp_path / "x.csv")]) == 2
 
-    # a config file that is not an object, an unknown --init, and data rows
-    # one column short of the world's N * d = 32
+    # a config file that is not an object, an unknown --init, and data files
+    # with rows one column short of the world's N * d = 32, a non-numeric
+    # cell and rows of changing width, each named by the data file's path
     (tmp_path / "list.json").write_text("[]")
-    (tmp_path / "short.csv").write_text("h\n" + ",".join(["0.5"] * 31) + "\n")
+    data = {name: tmp_path / f"{name}.csv" for name in ("short", "text", "ragged")}
+    data["short"].write_text("h\n" + ",".join(["0.5"] * 31) + "\n")
+    data["text"].write_text("h\n" + ",".join(["0.5"] * 31 + ["a"]) + "\n")
+    data["ragged"].write_text("h\n1,2\n1,2,3\n")
     for argv, message in [
         (["world-sample", "--config", str(tmp_path / "list.json")],
          "expected a JSON object at the top level, got list"),
         (["sample", "--config", cfgp, "--n", "2", "--init", "bogus"],
          "unknown init 'bogus'"),
-        (["estimate-init", "--config", cfgp, "--data", str(tmp_path / "short.csv"),
-          "--M", "0.9"], "data has 31 columns, world needs 32"),
+        (["estimate-init", "--config", cfgp, "--data", str(data["short"]), "--M", "0.9"],
+         f"data file {data['short']} has 31 columns, world needs 32"),
+        (["estimate-init", "--config", cfgp, "--data", str(data["text"]), "--M", "0.9"],
+         f"data file {data['text']}: could not convert string 'a' to float64 "
+         "at row 0, column 32."),
+        (["estimate-init", "--config", cfgp, "--data", str(data["ragged"]), "--M", "0.9"],
+         f"data file {data['ragged']}: the number of columns changed from 2 to 3 "
+         "at row 2; use `usecols` to select a subset and avoid this error"),
     ]:
         capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "x.out")]) == 2
@@ -638,16 +681,18 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
      "t_grid entries must lie in (0, 1]"),
     ("diagnostics", {"m_grid": [0.0]}, ["diagnose", "init-ablation"],
      "m_grid entries must lie in (0, 1]"),
+    (None, {"output_dir": ""}, ["world-sample", "--n", "2"],
+     "output_dir must be a nonempty path at the top level"),
 ], ids=["world-drift-overflow", "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
-        "eval_videos-zero", "t_grid-above-one", "m_grid-zero"])
+        "eval_videos-zero", "t_grid-above-one", "m_grid-zero", "output_dir-empty"])
 def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values, argv,
                                               name):
     # a drift whose frame offsets overflow wrote inf into the last frames,
     # a negative cdm level trained, and p = inf made a leak of 0 below t = 1;
-    # all exited 0
+    # all exited 0, and an empty output_dir was used only without --out
     cfgp = small_config(tmp_path)
     payload = json.loads((tmp_path / "config.json").read_text())
-    payload[section].update(values)
+    (payload if section is None else payload[section]).update(values)
     (tmp_path / "config.json").write_text(json.dumps(payload))
     out = tmp_path / "x.out"
     capsys.readouterr()
@@ -677,7 +722,7 @@ def test_negative_seed_is_rejected_at_construction():
         td.TrainConfig(seed=-3)
     with pytest.raises(ConfigError,
                        match=r"^seed must be nonnegative, got -1 at the top level$"):
-        config_from_payload({"seed": -1})
+        from_payload(ExperimentConfig, {"seed": -1})
 
 
 @pytest.mark.parametrize("values, argv, message", [

@@ -302,6 +302,16 @@ def test_checkpoint_version_guard(tmp_path, world, vp):
         save_checkpoint(path, {**ckpt, key: value})
         with pytest.raises(ConfigError, match=re.escape(f"checkpoint {path} {message}")):
             load_checkpoint(path)
+    # a checkpoint's own keys and its stored world have no default
+    for message, edited in (
+        ("missing keys at the top level: ['parameters']",
+         {k: v for k, v in ckpt.items() if k != "parameters"}),
+        ("missing keys in config: ['world']",
+         {**ckpt, "config": {k: v for k, v in ckpt["config"].items() if k != "world"}}),
+    ):
+        save_checkpoint(path, edited)
+        with pytest.raises(ConfigError, match=re.escape(f"checkpoint {path}: {message}")):
+            load_checkpoint(path)
     ckpt["format_version"] = 999
     with pytest.raises(ValueError):
         load_checkpoint(ckpt)

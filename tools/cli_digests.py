@@ -17,8 +17,9 @@ samples, its summary.  One more constant-mode
 checkpoint, at batch size 2 and a = 100, has steps whose corruption levels
 all round to zero; a cdm checkpoint at level 0 takes the clean path, with
 no condition draw and no corruption; and a naive checkpoint draws a random
-condition frame per row and EDM log-normal times.  A command runs with
-config.json unless it names its own --config.
+condition frame per row and EDM log-normal times.  An empty config and
+one whose schedule section leaves out its kind run on the dataclass
+defaults.  A command runs with config.json unless it names its own --config.
 
 Output lines are ``<sha256>  <schedule>/<file>``, sorted, so running the
 script on two source trees and diffing the two outputs shows every file
@@ -73,28 +74,33 @@ CONFIGS = {
     },
 }
 
-# The motion-feature checkpoint's config: its world and schedule are the
-# base config's, so the other commands can load the checkpoint.
-MOTION_TRAIN = {"motion_feature": True, "s_w_choices": [0.25, 1.0]}
-
-# The zero-level checkpoint's config: with a = 100 a level beta_m t^a rounds
-# to zero below t = 0.69, so about half its two-item steps corrupt nothing.
-ZERO_LEVEL_TRAIN, ZERO_LEVEL_TIMENOISE = {"batch_size": 2}, {"a": 100.0}
-
-# The clean cdm checkpoint's config: at level 0 a cdm step draws no
-# condition noise, like a naive one.
-CLEAN_CDM_TRAIN = {"cdm_beta": 0.0}
-
-# The random-frame checkpoint's config: a condition frame drawn per row,
-# and times from the EDM log-normal sampler.
-RANDOM_FRAME_TRAIN = {"cond_frame": "random", "t_sampler": "edm"}
-
-# The wide world's config: its variances reach 1e11, where the optimality
-# grid must still tell the optimum apart at every default start time.
-WIDE_WORLD, WIDE_M_GRID = {"s_w": 1e5}, [1.0, 0.96, 0.92, 0.88, 0.84, 0.8]
-
-# A world whose m0 has three entries where frame_dim is 4.
-SHORT_M0_WORLD = {"m0": [1.0, 2.0, 3.0]}
+# The config files of a set, by name.  A dict is laid over the set's config
+# from CONFIGS, each section's keys over that config's own; JSON text is the
+# file as it stands, so its left-out sections and keys take their defaults.
+CONFIG_FILES = {
+    "config.json": {},
+    # the motion-feature checkpoint's: its world and schedule are the set's,
+    # so the other commands can load the checkpoint
+    "config_mf.json": {"train": {"motion_feature": True, "s_w_choices": [0.25, 1.0]}},
+    # the zero-level checkpoint's: with a = 100 a level beta_m t^a rounds to
+    # zero below t = 0.69, so about half its two-item steps corrupt nothing
+    "config_zero.json": {"train": {"batch_size": 2}, "timenoise": {"a": 100.0}},
+    # the clean cdm checkpoint's: at level 0 a cdm step draws no condition
+    # noise, like a naive one
+    "config_cdm0.json": {"train": {"cdm_beta": 0.0}},
+    # the random-frame checkpoint's: a condition frame drawn per row, and
+    # times from the EDM log-normal sampler
+    "config_random.json": {"train": {"cond_frame": "random", "t_sampler": "edm"}},
+    # a wide world: its variances reach 1e11, where the optimality grid must
+    # still tell the optimum apart at every default start time
+    "config_wide.json": {"world": {"s_w": 1e5},
+                         "diagnostics": {"m_grid": [1.0, 0.96, 0.92, 0.88, 0.84, 0.8]}},
+    # a world whose m0 has three entries where frame_dim is 4
+    "config_short_m0.json": {"world": {"m0": [1.0, 2.0, 3.0]}},
+    # every section left out, and a schedule section without its kind
+    "config_empty.json": "{}",
+    "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
+}
 
 # Finite data rows for the default 8 x 4 world whose squares overflow.
 OVERFLOW_DATA = "".join(f"{row}\n" for row in (
@@ -132,6 +138,10 @@ COMMANDS = [
      "--out", "ckpt_cdm0.json"],
     ["train", "--mode", "naive", "--config", "config_random.json",
      "--out", "ckpt_random.json"],
+    ["world-sample", "--n", "200", "--config", "config_empty.json",
+     "--out", "videos_empty.csv"],
+    ["prop1-check", "--config", "config_empty.json", "--out", "prop1_empty.json"],
+    ["prop1-check", "--config", "config_no_kind.json", "--out", "prop1_no_kind.json"],
 ]
 # (expected exit code, command): failures reported as one config error
 # line each, and a check that a large world passes.
@@ -143,8 +153,6 @@ OUTCOMES = [
          "--out", "videos_short_m0.csv"]),
     (2, ["train", "--mode", "naive", "--seed", "-1", "--out", "ckpt_negative_seed.json"]),
 ]
-CONFIG_FILES = ("config.json", "config_mf.json", "config_zero.json", "config_wide.json",
-                "config_short_m0.json", "config_cdm0.json", "config_random.json")
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
 
@@ -153,19 +161,14 @@ def run_set(name, payload, env, strict):
     {"<name>/<file>": bytes} of every file left there except the inputs,
     and of the outcome entries, in file order.  strict stops the script on an
     outcome's unexpected exit code too."""
-    motion = dict(payload, train={**payload["train"], **MOTION_TRAIN})
-    zero = dict(payload, train={**payload["train"], **ZERO_LEVEL_TRAIN},
-                timenoise={**payload.get("timenoise", {}), **ZERO_LEVEL_TIMENOISE})
-    wide = dict(payload, world=WIDE_WORLD,
-                diagnostics={**payload["diagnostics"], "m_grid": WIDE_M_GRID})
-    short_m0 = dict(payload, world=SHORT_M0_WORLD)
-    clean_cdm = dict(payload, train={**payload["train"], **CLEAN_CDM_TRAIN})
-    random_frame = dict(payload, train={**payload["train"], **RANDOM_FRAME_TRAIN})
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
-        for file, content in zip(CONFIG_FILES, (payload, motion, zero, wide, short_m0,
-                                                clean_cdm, random_frame)):
+        for file, content in CONFIG_FILES.items():
+            if isinstance(content, dict):
+                content = json.dumps({**payload, **{
+                    key: {**payload.get(key, {}), **section}
+                    for key, section in content.items()}})
             with open(os.path.join(tmp, file), "w") as fh:
-                json.dump(content, fh)
+                fh.write(content)
         with open(os.path.join(tmp, "overflow.csv"), "w") as fh:
             fh.write(OVERFLOW_DATA)
         outcomes = {}
