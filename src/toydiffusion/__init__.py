@@ -13,6 +13,7 @@ from .schedule import (
     alpha_sigma,
     perturb,
     sigma_to_t,
+    x0_from_eps,
 )
 from .timenoise import (
     TimeNoiseParams,
@@ -27,7 +28,6 @@ from .world import (
     FrameGaussian,
     GaussianWorld,
     LeakyDenoiser,
-    as_eps_prediction,
     conditional_moments,
     expected_motion_score,
     kron_cov,
@@ -35,7 +35,6 @@ from .world import (
     prior_frame_cov,
     prior_moments,
     sample_videos,
-    x0_from_eps,
 )
 from .analytic_init import (
     DataMoments,

@@ -24,14 +24,13 @@ import numpy as np
 
 from .analytic_init import exact_moments, gaussian_kl, optimal_init, standard_init
 from .sampler import ANALYTIC, STANDARD, SamplerConfig, check_schedule, sample_batch
-from .schedule import perturb
+from .schedule import perturb, x0_from_eps
 from .train import TrainedDenoiser
 from .world import (
     conditional_moments,
     expected_motion_score,
     first_frames,
     marginal_moments_at,
-    x0_from_eps,
 )
 
 

@@ -91,7 +91,8 @@ class SamplerConfig:
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.init is not None and self.init.M != self.start_time:
-            raise ValueError("init distribution was fitted at a different start time")
+            raise ValueError(f"init distribution was fitted at M = {self.init.M}, "
+                             f"not at start_time = {self.start_time}")
         beta = self.inference_beta
         if beta is not None and not 0.0 <= beta < np.inf:
             raise ValueError(f"inference_beta must be finite and >= 0, got {beta!r}")
@@ -109,7 +110,8 @@ def draw_initial(config: SamplerConfig, schedule: NoiseSchedule, shape, rng):
     flat_dim = int(np.prod(shape[-2:]))
     init = config.init or standard_init(schedule, config.start_time, flat_dim)
     if init.mu_p.size != flat_dim:
-        raise ValueError("init distribution dimension does not match video shape")
+        raise ValueError(f"init distribution has {init.mu_p.size} entries, "
+                         f"a video has {flat_dim}")
     z *= np.sqrt(init.sigma_p2)
     z += init.mu_p.reshape(shape[-2:])
     return z

@@ -8,7 +8,7 @@ Two schedule families on normalized time t in [0, 1]:
   sigma_min and sigma_max.
 
 The forward kernel corrupts clean data x0 into x_t = alpha_t x0 + sigma_t eps
-with standard normal eps.
+with standard normal eps, and x0_from_eps inverts it.
 
 alpha_sigma at a Python-float time (which includes np.float64) is cached:
 the pair is computed once per distinct (schedule, t) key, by the same
@@ -66,11 +66,11 @@ class NoiseSchedule:
             raise ValueError("ve schedule requires 0 < sigma_min < sigma_max")
 
     @classmethod
-    def vp(cls, beta_min: float = 0.1, beta_max: float = 20.0) -> "NoiseSchedule":
+    def vp(cls, beta_min: float = beta_min, beta_max: float = beta_max):
         return cls(kind=VP, beta_min=beta_min, beta_max=beta_max)
 
     @classmethod
-    def ve(cls, sigma_min: float = 0.002, sigma_max: float = 700.0) -> "NoiseSchedule":
+    def ve(cls, sigma_min: float = sigma_min, sigma_max: float = sigma_max):
         return cls(kind=VE, sigma_min=sigma_min, sigma_max=sigma_max)
 
 
@@ -150,6 +150,12 @@ def perturb_with_noise(schedule: NoiseSchedule, x0: np.ndarray, t, eps):
     xt = alpha * x0
     xt += sigma * eps
     return xt
+
+
+def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
+    """Invert the kernel at a scalar t: x0 = (xt - sigma eps) / alpha."""
+    alpha, sigma = alpha_sigma(schedule, t)
+    return (np.asarray(xt, dtype=np.float64) - sigma * eps_hat) / alpha
 
 
 def _per_item(coef, x: np.ndarray):

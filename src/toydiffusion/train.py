@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import ConfigError, from_payload, read_json, to_payload
-from .schedule import NoiseSchedule, perturb_with_noise, sigma_to_t
+from .schedule import NoiseSchedule, perturb_with_noise, sigma_to_t, x0_from_eps
 from .timenoise import (
     ADDITIVE,
     TimeNoiseParams,
@@ -49,7 +49,6 @@ from .world import (
     expected_motion_score,
     first_frames_from_noise,
     videos_from_noise,
-    x0_from_eps,
 )
 
 NAIVE = "naive"
@@ -292,7 +291,7 @@ class _Workspace:
 
 
 class TrainedDenoiser:
-    """Checkpoint wrapper with the common predict_x0/predict_eps interface.
+    """Checkpoint wrapper: the protocol's predict_x0 from the MLP's predict_eps.
 
     motion_value supplies the scalar motion-target feature for
     motion-conditioned models; ignored otherwise.

@@ -5,12 +5,13 @@ N(m0, s0^2 I) and each subsequent frame adds a deterministic drift plus
 N(0, s_w^2 I) innovation.  All coordinate dimensions are independent, so
 the full prior covariance is C (x) I_d with an N x N frame factor C,
 and every posterior computation reduces to N x N algebra.  Each law is a
-FrameGaussian, an (N, d) mean with its frame factor.  The law given
-frame 1 = y0 is that of the pinned world replace(world, m0=y0, s0=0.0).
+FrameGaussian, an (N, d) mean with its frame factor.  Given frame 1 = y0,
+laws and draws are the pinned world's, replace(world, m0=y0, s0=0.0).
 
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
-frame), which is the Bayes-optimal clean-video prediction under the
-forward kernel x_t = alpha_t x0 + sigma_t eps.  The prior mean is
+frame), the Bayes-optimal clean-video prediction under the forward
+kernel x_t = alpha_t x0 + sigma_t eps, which schedule holds with its
+inverse; predict_x0 is the one denoiser protocol.  The prior mean is
 m = 1 y^T + i drift^T, with y the first-frame mean (the condition y0, or
 m0 without one) and i = (0, 1, ..., N-1) the frame indices, so the
 posterior mean in its precision form, S^{-1} (alpha C x_t + sigma^2 m)
@@ -121,17 +122,14 @@ def first_frames_from_noise(world: GaussianWorld, z):
     return world.m0 + world.s0 * z
 
 
-def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator,
-                  first=None, s_w=None):
+def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator, s_w=None):
     """Draw n videos, shape (n, N, d).
 
-    first pins frame 1 to a given (d,) frame and draws nothing for it.
     s_w overrides the world's innovation scale, either as a scalar or as
     one value per video.  Draw order: first frames, then increments; the
     frames are those of videos_from_noise.
     """
-    if first is None:
-        first = first_frames(world, n, rng)
+    first = first_frames(world, n, rng)
     inc = rng.standard_normal((n, world.n_frames - 1, world.frame_dim))
     return videos_from_noise(world, first, inc, s_w)
 
@@ -218,24 +216,6 @@ def expected_motion_score(world: GaussianWorld) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Prediction-space conversions (shared by every denoiser and the sampler)
-
-
-def as_eps_prediction(x0_hat, xt, schedule: NoiseSchedule, t):
-    """Convert a clean-video prediction to noise space: (xt - alpha x0) / sigma."""
-    alpha, sigma = alpha_sigma(schedule, t)
-    if sigma == 0.0:
-        raise ValueError("eps-prediction undefined where sigma_t = 0")
-    return (np.asarray(xt, dtype=np.float64) - alpha * x0_hat) / sigma
-
-
-def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
-    """Convert a noise prediction to clean-video space: (xt - sigma eps) / alpha."""
-    alpha, sigma = alpha_sigma(schedule, t)
-    return (np.asarray(xt, dtype=np.float64) - sigma * eps_hat) / alpha
-
-
-# ---------------------------------------------------------------------------
 # Denoisers
 
 
@@ -284,9 +264,6 @@ class ExactDenoiser:
         out += w[:, n:n + 1] * y[..., None, :]
         out += w[:, n + 1:] * self.world.drift
         return out
-
-    def predict_eps(self, xt, y, t):
-        return as_eps_prediction(self.predict_x0(xt, y, t), xt, self.schedule, t)
 
 
 @functools.lru_cache(maxsize=TIME_CACHE_SIZE)

@@ -291,7 +291,9 @@ def _excess_eps_mse(den, exact, eval_videos, schedule, t, seed):
     y0 = eval_videos[:, 0, :]
     xt, eps = perturb(schedule, eval_videos, t, np.random.default_rng(seed))
     model_mse = float(np.mean((den.predict_eps(xt, y0, t) - eps) ** 2))
-    bayes_mse = float(np.mean((exact.predict_eps(xt, y0, t) - eps) ** 2))
+    alpha, sigma = alpha_sigma(schedule, t)
+    bayes_eps = (xt - alpha * exact.predict_x0(xt, y0, t)) / sigma
+    bayes_mse = float(np.mean((bayes_eps - eps) ** 2))
     return model_mse - bayes_mse
 
 

@@ -382,6 +382,12 @@ def test_error_paths_exit_codes(tmp_path, capsys):
     data["short"].write_text("h\n" + ",".join(["0.5"] * 31) + "\n")
     data["text"].write_text("h\n" + ",".join(["0.5"] * 31 + ["a"]) + "\n")
     data["ragged"].write_text("h\n1,2\n1,2,3\n")
+    # init files fitted at M = 0.9 for a video, and at the config's
+    # start_time 1.0 with one entry too few
+    init_m09, init_short = tmp_path / "init_m09.json", tmp_path / "init_short.json"
+    for path, size, m in ((init_m09, 32, 0.9), (init_short, 31, 1.0)):
+        init = td.InitDistribution(np.zeros(size), 1.0, m)
+        path.write_text(json.dumps(to_payload(init)))
     for argv, message in [
         (["world-sample", "--config", str(tmp_path / "list.json")],
          "expected a JSON object at the top level, got list"),
@@ -395,6 +401,15 @@ def test_error_paths_exit_codes(tmp_path, capsys):
         (["estimate-init", "--config", cfgp, "--data", str(data["ragged"]), "--M", "0.9"],
          f"data file {data['ragged']}: the number of columns changed from 2 to 3 "
          "at row 2; use `usecols` to select a subset and avoid this error"),
+        (["sample", "--config", cfgp, "--n", "2",
+          "--init", f"analytic:{init_m09}"],
+         "init distribution was fitted at M = 0.9, not at start_time = 1.0"),
+        (["sample", "--config", cfgp, "--n", "2", "--M", "0.8",
+          "--init", f"analytic:{init_m09}"],
+         "init distribution was fitted at M = 0.9, not at start_time = 0.8"),
+        (["sample", "--config", cfgp, "--n", "2",
+          "--init", f"analytic:{init_short}"],
+         "init distribution has 31 entries, a video has 32"),
     ]:
         capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "x.out")]) == 2
@@ -963,7 +978,8 @@ def test_sample_reads_sampler_init_from_the_config(tmp_path, capsys):
     assert init is None and standard != from_config
     capsys.readouterr()
     assert run(fitted, "--M", "0.8") == (2, None)
-    assert "different start time" in _one_config_error(capsys)
+    assert _one_config_error(capsys) == (
+        "init distribution was fitted at M = 0.9, not at start_time = 0.8")
 
 
 def test_output_dir_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,14 @@ from scipy.integrate import quad
 
 import toydiffusion as td
 from toydiffusion import schedule as schedule_module
-from toydiffusion.schedule import TIME_CACHE_SIZE, alpha_sigma, perturb, sigma_to_t
+from toydiffusion.schedule import (
+    TIME_CACHE_SIZE,
+    alpha_sigma,
+    perturb,
+    perturb_with_noise,
+    sigma_to_t,
+    x0_from_eps,
+)
 
 VP = td.NoiseSchedule.vp()
 VE = td.NoiseSchedule.ve()
@@ -102,6 +109,18 @@ def test_perturb_per_item_times():
         np.testing.assert_allclose(xt[i], a * x0[i] + s * eps[i], atol=1e-12)
 
 
+@pytest.mark.parametrize("schedule", [VP, VE], ids=["vp", "ve"])
+@pytest.mark.parametrize("t", [0.05, 0.7, 1.0])
+def test_x0_from_eps_inverts_perturb_with_noise(schedule, t):
+    # x0 = (xt - sigma eps) / alpha loses a few ulps of sigma eps, divided
+    # by alpha: at most about 1e-13, at VP t = 1 (alpha = 6.6e-3) and at
+    # VE t = 1 (sigma = 700), so 1e-9 leaves a wide margin
+    rng = np.random.default_rng(7)
+    x0, eps = rng.standard_normal((2, 5, 8, 4))
+    xt = perturb_with_noise(schedule, x0, t, eps)
+    np.testing.assert_allclose(x0_from_eps(eps, xt, schedule, t), x0, rtol=0, atol=1e-9)
+
+
 def test_perturb_preserves_unit_variance_vp():
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((200_000, 1, 1))
@@ -156,6 +175,11 @@ def test_alpha_sigma_cache_is_bounded():
     for t in np.linspace(0.0, 1.0, TIME_CACHE_SIZE + 10):
         alpha_sigma(VP, float(t))
     assert schedule_module._cached_alpha_sigma.cache_info().currsize == TIME_CACHE_SIZE
+
+
+def test_factories_default_to_the_field_defaults():
+    assert td.NoiseSchedule.vp() == td.NoiseSchedule()
+    assert td.NoiseSchedule.ve() == td.NoiseSchedule(kind="ve")
 
 
 def test_bad_schedule_params_rejected():

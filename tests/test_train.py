@@ -322,7 +322,7 @@ def test_trained_denoiser_spaces_agree(world, vp):
     params = model.init_params(np.random.default_rng(13))
     den = TrainedDenoiser(model, params, vp)
     xt = np.random.default_rng(14).standard_normal((8, 4))
-    from toydiffusion.world import x0_from_eps
+    from toydiffusion.schedule import x0_from_eps
 
     np.testing.assert_allclose(
         den.predict_x0(xt, np.zeros(4), 0.4),

@@ -13,7 +13,6 @@ from toydiffusion.world import (
     ExactDenoiser,
     GaussianWorld,
     LeakyDenoiser,
-    as_eps_prediction,
     conditional_moments,
     expected_motion_score,
     kron_cov,
@@ -21,7 +20,6 @@ from toydiffusion.world import (
     prior_frame_cov,
     prior_moments,
     sample_videos,
-    x0_from_eps,
 )
 
 # ---------------------------------------------------------------------------
@@ -59,7 +57,7 @@ def test_conditional_cov_is_schur_complement(world):
 def test_conditional_sampling_matches_closed_form(world):
     rng = np.random.default_rng(1)
     y0 = np.array([0.5, -1.0, 2.0, 0.0])
-    vids = sample_videos(world, 200_000, rng, first=y0)
+    vids = sample_videos(replace(world, m0=y0, s0=0.0), 200_000, rng)
     mean, cov = conditional_moments(world, y0)
     np.testing.assert_allclose(vids.mean(axis=0), mean, atol=0.02)
     emp = np.zeros_like(cov)
@@ -191,7 +189,7 @@ def test_exact_denoiser_is_mse_optimal(world, vp):
     rng = np.random.default_rng(6)
     t = 0.5
     y0 = np.zeros(4)
-    x0 = sample_videos(world, 20_000, rng, first=y0)
+    x0 = sample_videos(replace(world, m0=y0, s0=0.0), 20_000, rng)
     from toydiffusion.schedule import perturb
 
     xt, _ = perturb(vp, x0, t, rng)
@@ -219,16 +217,6 @@ def test_exact_denoiser_validates_inputs(world, vp):
         with pytest.raises(ValueError, match=r"condition of shape \(8,\) is not "
                                              r"\(\.\.\., frame_dim=4\)"):
             den.predict_x0(np.zeros((3, 8, 4)), np.zeros(8), 0.5)
-
-
-def test_eps_x0_round_trip(world, vp):
-    rng = np.random.default_rng(7)
-    xt = rng.standard_normal((8, 4))
-    x0_hat = rng.standard_normal((8, 4))
-    eps = as_eps_prediction(x0_hat, xt, vp, 0.7)
-    np.testing.assert_allclose(x0_from_eps(eps, xt, vp, 0.7), x0_hat, atol=1e-10)
-    with pytest.raises(ValueError):
-        as_eps_prediction(x0_hat, xt, vp, 0.0)  # sigma = 0, eps undefined
 
 
 def test_leaky_denoiser_blend(world, vp):

@@ -152,6 +152,9 @@ OUTCOMES = [
     (2, ["world-sample", "--n", "2", "--config", "config_short_m0.json",
          "--out", "videos_short_m0.csv"]),
     (2, ["train", "--mode", "naive", "--seed", "-1", "--out", "ckpt_negative_seed.json"]),
+    # init.json, from estimate-init, was fitted at M = 0.9
+    (2, ["sample", "--n", "2", "--M", "0.8", "--init", "analytic:init.json",
+         "--out", "sample_mismatch.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
