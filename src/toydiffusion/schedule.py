@@ -8,7 +8,8 @@ Two schedule families on normalized time t in [0, 1]:
   sigma_min and sigma_max.
 
 The forward kernel corrupts clean data x0 into x_t = alpha_t x0 + sigma_t eps
-with standard normal eps, and x0_from_eps inverts it.
+with standard normal eps, and x0_from_eps inverts it, both at one time t or
+one per leading item.  _per_item is the rule for such a per-item coefficient.
 
 alpha_sigma at a Python-float time (which includes np.float64) is cached:
 the pair is computed once per distinct (schedule, t) key, by the same
@@ -153,16 +154,18 @@ def perturb_with_noise(schedule: NoiseSchedule, x0: np.ndarray, t, eps):
 
 
 def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
-    """Invert the kernel at a scalar t: x0 = (xt - sigma eps) / alpha."""
+    """Invert the kernel: x0 = (xt - sigma_t eps) / alpha_t, t as in perturb."""
+    xt = np.asarray(xt, dtype=np.float64)
     alpha, sigma = alpha_sigma(schedule, t)
-    return (np.asarray(xt, dtype=np.float64) - sigma * eps_hat) / alpha
+    return (xt - _per_item(sigma, xt) * eps_hat) / _per_item(alpha, xt)
 
 
 def _per_item(coef, x: np.ndarray):
-    """Reshape a per-item coefficient vector to broadcast against x."""
+    """A scalar coefficient as is, or one per leading item of x shaped to broadcast."""
     coef = np.asarray(coef)
     if coef.ndim == 0:
         return coef
     if coef.shape[0] != x.shape[0]:
-        raise ValueError("per-item coefficient length does not match batch")
+        raise ValueError(f"per-item coefficient has {coef.shape[0]} entries "
+                         f"for a batch of {x.shape[0]}")
     return coef.reshape((-1,) + (1,) * (x.ndim - 1))

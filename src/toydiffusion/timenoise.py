@@ -3,11 +3,11 @@
 The corruption level beta_s is drawn from a logit-normal distribution on
 (0, beta_m) whose center mu(t) = 2 t**a - 1 moves with diffusion time, so
 late (noisy) times see strongly corrupted conditioning while early times see
-it nearly clean.  One corruption operator applies a level in one of two
-variants: additive (y_s = y0 + beta_s * eps) and interpolating
-(y_s = (1 - beta_s) y0 + beta_s * eps, which requires beta_m = 1).  pdf and
-beta_from_noise import scipy.special themselves, so that import toydiffusion
-loads numpy alone.
+it nearly clean.  One corruption operator applies one level, or one per row
+of y0 by schedule._per_item, in one of two variants: additive
+(y_s = y0 + beta_s * eps) and interpolating (y_s = (1 - beta_s) y0 +
+beta_s * eps, which requires beta_m = 1).  pdf and beta_from_noise import
+scipy.special themselves, so that import toydiffusion loads numpy alone.
 """
 
 from __future__ import annotations
@@ -100,13 +100,13 @@ def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
     wants no noise at all skips the call.
     """
     y0 = np.asarray(y0, dtype=np.float64)
-    eps = rng.standard_normal(y0.shape)
-    return corrupt_with_noise(y0, _per_item(beta_s, y0), eps, variant)
+    return corrupt_with_noise(y0, beta_s, rng.standard_normal(y0.shape), variant)
 
 
 def corrupt_with_noise(y0, beta_s, eps, variant: str):
     """corrupt's arithmetic for given standard normals eps shaped like y0;
-    beta_s is a scalar or a level per row shaped to broadcast against y0."""
+    beta_s is a scalar or one level per row of y0."""
+    beta_s = _per_item(beta_s, y0)
     if variant == INTERPOLATION:
         return (1.0 - beta_s) * y0 + beta_s * eps
     return y0 + beta_s * eps

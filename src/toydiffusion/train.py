@@ -28,10 +28,9 @@ batch on its own.  The model checks its inputs by shape: videos
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,18 +349,6 @@ def sample_training_times(schedule, config: TrainConfig, n, rng):
     return _times_from_draws(schedule, config, _time_draws(config, n, rng))
 
 
-@functools.lru_cache(maxsize=64)
-def _motion_scores(world, s_w_choices):
-    """Read-only expected motion score of the world at each innovation
-    scale in s_w_choices, or at its own one when that is None.  Keyed by
-    the world's identity, which fixes its read-only arrays, so a training
-    run computes the scores once."""
-    worlds = [replace(world, s_w=s) for s in s_w_choices] if s_w_choices else [world]
-    scores = np.array([expected_motion_score(w) for w in worlds])
-    scores.flags.writeable = False
-    return scores
-
-
 def _training_rows(world, schedule, config: TrainConfig, rng, steps):
     """The batches of `steps` consecutive training steps, stacked as one
     Batch of batch_size rows per step.
@@ -404,8 +391,8 @@ def _training_rows(world, schedule, config: TrainConfig, rng, steps):
     first = first_frames_from_noise(world, z_first.reshape(rows, d))
     x0 = videos_from_noise(world, first, z_inc.reshape(rows, n - 1, d),
                            choices[pick] if choices.size else None)
-    motion = _motion_scores(world, config.s_w_choices)[pick] \
-        if config.motion_feature else None
+    scales = choices if choices.size else [world.s_w]
+    motion = expected_motion_score(world, scales)[pick] if config.motion_feature else None
     y = x0[np.arange(rows), frame]
     if not clean:
         if config.mode == CDM_FIXED:  # a fixed level, always additive
@@ -413,7 +400,7 @@ def _training_rows(world, schedule, config: TrainConfig, rng, steps):
         else:  # a level curve, in the variant of the timenoise parameters
             level = (constant_beta(config.timenoise, t) if config.mode == CONSTANT_BETA
                      else beta_from_noise(config.timenoise, t, z_level.reshape(-1)))
-            level, variant = level[:, None], config.timenoise.variant
+            variant = config.timenoise.variant
         y = corrupt_with_noise(y, level, z_cond.reshape(rows, d), variant)
     eps = eps.reshape(x0.shape)
     return Batch(xt=perturb_with_noise(schedule, x0, t, eps), y=y, t=t,

@@ -7,6 +7,7 @@ the full prior covariance is C (x) I_d with an N x N frame factor C,
 and every posterior computation reduces to N x N algebra.  Each law is a
 FrameGaussian, an (N, d) mean with its frame factor.  Given frame 1 = y0,
 laws and draws are the pinned world's, replace(world, m0=y0, s0=0.0).
+sample_videos and expected_motion_score take an s_w override, one per video.
 
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), the Bayes-optimal clean-video prediction under the forward
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schedule import TIME_CACHE_SIZE, NoiseSchedule, alpha_sigma
+from .schedule import TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +142,7 @@ def videos_from_noise(world: GaussianWorld, first, inc, s_w=None):
     array.  s_w is as in sample_videos."""
     out = np.empty((inc.shape[0], world.n_frames, world.frame_dim))
     out[:, 0] = first
-    inc *= world.s_w if s_w is None else np.reshape(s_w, (-1, 1, 1))
+    inc *= world.s_w if s_w is None else _per_item(s_w, inc)
     inc += world.drift
     np.cumsum(inc, axis=1, out=inc)
     np.add(out[:, :1], inc, out=out[:, 1:])
@@ -198,8 +199,9 @@ def kron_cov(frame_cov, frame_dim: int):
     return np.kron(np.asarray(frame_cov, dtype=np.float64), np.eye(frame_dim))
 
 
-def expected_motion_score(world: GaussianWorld) -> float:
-    """Closed-form mean motion score of world samples.
+def expected_motion_score(world: GaussianWorld, s_w=None):
+    """Closed-form mean motion score of world samples: a float, or one per
+    video for an s_w with one value per video, as in sample_videos.
 
     Each frame-difference coordinate is N(drift_k, s_w^2); its absolute
     value has the folded-normal mean
@@ -208,11 +210,12 @@ def expected_motion_score(world: GaussianWorld) -> float:
     from scipy.special import ndtr
 
     mu = world.drift
-    s = world.s_w
+    s = np.asarray(world.s_w if s_w is None else s_w, dtype=np.float64)[..., None]
     e_abs = s * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * s * s)) + mu * (
         1.0 - 2.0 * ndtr(-mu / s)
     )
-    return float((world.n_frames - 1) * np.mean(e_abs))
+    score = (world.n_frames - 1) * np.mean(e_abs, axis=-1)
+    return float(score) if score.ndim == 0 else score
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +252,9 @@ class ExactDenoiser:
                            float(t), float(t_to))
 
     def predict_x0(self, xt, y, t):
+        if np.ndim(t) != 0:
+            raise ValueError(
+                f"exact prediction takes one time t, got shape {np.shape(t)}")
         if not 0.0 < t <= 1.0:
             raise ValueError("exact prediction requires t in (0, 1]")
         if self.conditional and y is None:

@@ -110,11 +110,13 @@ def test_perturb_per_item_times():
 
 
 @pytest.mark.parametrize("schedule", [VP, VE], ids=["vp", "ve"])
-@pytest.mark.parametrize("t", [0.05, 0.7, 1.0])
+@pytest.mark.parametrize("t", [0.05, 0.7, 1.0, np.array([0.05, 0.3, 0.7, 0.9, 1.0])],
+                         ids=["0.05", "0.7", "1.0", "per-item"])
 def test_x0_from_eps_inverts_perturb_with_noise(schedule, t):
     # x0 = (xt - sigma eps) / alpha loses a few ulps of sigma eps, divided
     # by alpha: at most about 1e-13, at VP t = 1 (alpha = 6.6e-3) and at
-    # VE t = 1 (sigma = 700), so 1e-9 leaves a wide margin
+    # VE t = 1 (sigma = 700), so 1e-9 leaves a wide margin; a per-item t
+    # inverts each video at its own time
     rng = np.random.default_rng(7)
     x0, eps = rng.standard_normal((2, 5, 8, 4))
     xt = perturb_with_noise(schedule, x0, t, eps)
@@ -130,8 +132,10 @@ def test_perturb_preserves_unit_variance_vp():
 
 def test_perturb_rejects_mismatched_t_vector():
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has 2 entries for a batch of 4"):
         perturb(VP, np.zeros((4, 2, 2)), np.array([0.1, 0.2]), rng)
+    with pytest.raises(ValueError, match="has 2 entries for a batch of 4"):
+        x0_from_eps(np.zeros((4, 2, 2)), np.zeros((4, 2, 2)), VP, np.array([0.1, 0.2]))
 
 
 def test_time_domain_checked():

@@ -219,19 +219,23 @@ def test_per_item_s_w_batch_replay(world, vp):
     np.testing.assert_array_equal(got.motion, [motion[s] for s in s_w])
 
 
-@pytest.mark.parametrize("choices", [(0.25, 1.0), None])
-def test_motion_scores_are_computed_once_per_world(vp, choices):
-    # every batch of one world reuses one read-only score array; a batch's
-    # motion feature is its own writable array
+def test_expected_motion_score_per_video_matches_world_override(vp):
+    # the builder's scores: one per video from a per-video s_w, each equal
+    # to the score of the world at that scale; a batch's motion feature
+    # is its own writable array
     world = td.GaussianWorld()
-    cfg = TrainConfig(batch_size=8, motion_feature=True, s_w_choices=choices)
-    rng = np.random.default_rng(3)
-    misses = train_module._motion_scores.cache_info().misses
-    batches = [make_training_batch(world, vp, cfg, rng) for _ in range(3)]
-    assert train_module._motion_scores.cache_info().misses == misses + 1
-    assert not train_module._motion_scores(world, cfg.s_w_choices).flags.writeable
-    batches[0].motion[:] = 0.0
-    assert np.all(batches[1].motion > 0.0)
+    for s_w in (0.25, [0.25], [0.25, 1.0, 0.5]):
+        want = [td.expected_motion_score(replace(world, s_w=s)) for s in np.ravel(s_w)]
+        got = td.expected_motion_score(world, s_w)
+        assert np.shape(got) == np.shape(s_w)
+        assert np.ravel(got).tolist() == want
+    assert isinstance(td.expected_motion_score(world, 0.25), float)
+    for choices in ((0.25, 1.0), None):
+        cfg = TrainConfig(batch_size=8, motion_feature=True, s_w_choices=choices)
+        rng = np.random.default_rng(3)
+        batches = [make_training_batch(world, vp, cfg, rng) for _ in range(2)]
+        batches[0].motion[:] = 0.0
+        assert np.all(batches[1].motion > 0.0)
 
 
 def test_motion_feature_plumbing(world, vp):
@@ -329,6 +333,19 @@ def test_trained_denoiser_spaces_agree(world, vp):
         x0_from_eps(den.predict_eps(xt, np.zeros(4), 0.4), xt, vp, 0.4),
         atol=1e-12,
     )
+
+
+def test_trained_denoiser_takes_per_item_times(world, vp):
+    # a time per video: each row is bit for bit that row of a call at its
+    # own time alone
+    model = MLPDenoiser(world.n_frames, world.frame_dim)
+    den = TrainedDenoiser(model, model.init_params(np.random.default_rng(13)), vp)
+    rng = np.random.default_rng(14)
+    xt, y = rng.standard_normal((5, 8, 4)), rng.standard_normal((5, 4))
+    t = np.array([0.05, 0.3, 0.7, 0.9, 1.0])
+    got = den.predict_x0(xt, y, t)
+    for i, ti in enumerate(t):
+        np.testing.assert_array_equal(got[i], den.predict_x0(xt, y, ti)[i])
 
 
 def test_train_config_round_trip_and_validation():

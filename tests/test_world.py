@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +207,11 @@ def test_exact_denoiser_validates_inputs(world, vp):
         den.predict_x0(np.zeros((8, 4)), np.zeros(4), 0.0)
     with pytest.raises(ValueError):
         den.predict_x0(np.zeros((8, 4)), None, 0.5)
+    # the exact family takes one time per call, a per-item t by name
+    for t in (np.array([0.1, 0.4, 0.7, 1.0]), np.array([0.5])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"exact prediction takes one time t, got shape {t.shape}")):
+            den.predict_x0(np.zeros((4, 8, 4)), np.zeros(4), t)
     # a transposed 4 x 8 video has the 32 entries of an 8 x 4 one: the
     # trained denoiser read it at that width and returned a (3, 4, 8) array
     model = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8)
@@ -430,3 +436,8 @@ def test_sample_video_shape(world):
         np.diff(v[0], axis=0), np.broadcast_to(world.drift, (7, 4)), atol=1e-12
     )
     assert not np.allclose(np.diff(v[1], axis=0), world.drift)
+    # one scale per video or one for all: a list of another length is
+    # rejected, not broadcast
+    for s_w in ([0.1, 0.2], [0.1]):
+        with pytest.raises(ValueError, match=f"has {len(s_w)} entries for a batch of 5"):
+            sample_videos(world, 5, np.random.default_rng(9), s_w=s_w)

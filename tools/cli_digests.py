@@ -7,13 +7,13 @@ VP config and once with a VE config, through ``python -m toydiffusion``
 on the ``src/`` tree beside this script, with one OpenBLAS thread and
 with PYTHONDONTWRITEBYTECODE=1, so no tree gains a ``__pycache__``.
 The set covers every output kind the CLI writes: videos, an init file, the
-optimality report, checkpoints of all four training modes and one trained
-with the motion feature and s_w_choices, samples (exact, exact over
-several sampler blocks, leaky from an analytic start, a checkpoint, the
-motion-feature checkpoint, an init file), leakage curves (exact, leaky,
-oracle, checkpoint, motion-feature checkpoint), motion sweeps (leaky,
-checkpoint) and the init ablation, each with its manifest and, for
-samples, its summary.  One more constant-mode
+optimality report, checkpoints of all four training modes and two trained
+with the motion feature (with s_w_choices, and at the world's own s_w),
+samples (exact, exact over several sampler blocks, leaky from an analytic
+start, a checkpoint, the motion-feature checkpoint, an init file), leakage
+curves (exact, leaky, oracle, checkpoint, motion-feature checkpoint),
+motion sweeps (leaky, checkpoint) and the init ablation, each with its
+manifest and, for samples, its summary.  One more constant-mode
 checkpoint, at batch size 2 and a = 100, has steps whose corruption levels
 all round to zero; a cdm checkpoint at level 0 takes the clean path, with
 no condition draw and no corruption; and a naive checkpoint draws a random
@@ -82,6 +82,9 @@ CONFIG_FILES = {
     # the motion-feature checkpoint's: its world and schedule are the set's,
     # so the other commands can load the checkpoint
     "config_mf.json": {"train": {"motion_feature": True, "s_w_choices": [0.25, 1.0]}},
+    # a motion-feature checkpoint without s_w_choices: every row's motion
+    # feature is the score at the world's own s_w
+    "config_mf_world.json": {"train": {"motion_feature": True}},
     # the zero-level checkpoint's: with a = 100 a level beta_m t^a rounds to
     # zero below t = 0.69, so about half its two-item steps corrupt nothing
     "config_zero.json": {"train": {"batch_size": 2}, "timenoise": {"a": 100.0}},
@@ -128,6 +131,8 @@ COMMANDS = [
       for name, spec in (("leaky", "leaky"), ("ckpt", "ckpt:ckpt_naive.json"))),
     ["diagnose", "init-ablation", "--out", "ablation.csv"],
     ["train", "--mode", "naive", "--config", "config_mf.json", "--out", "ckpt_mf.json"],
+    ["train", "--mode", "naive", "--config", "config_mf_world.json",
+     "--out", "ckpt_mf_world.json"],
     ["sample", "--n", "100", "--denoiser", "ckpt:ckpt_mf.json",
      "--out", "sample_mf.csv"],
     ["diagnose", "leakage", "--denoiser", "ckpt:ckpt_mf.json",
