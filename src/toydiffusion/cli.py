@@ -263,17 +263,15 @@ def _cmd_sample(cfg, args, out):
     y0 = first_frames(cfg.world, args.n, np.random.default_rng([cfg.seed, 0, 1]))
     rng = np.random.default_rng([cfg.seed, 0, 2])
     videos = sample_batch(denoiser, y0, run_cfg, cfg.schedule, args.n, rng)
+    try:  # computed before any file is written; an overflow is a numerical failure
+        with np.errstate(over="raise"):
+            ms = motion_scores(videos)
+            summary = {"n": args.n, "mean_motion": float(np.mean(ms)),
+                       "motion_std": float(np.std(ms)), "config": to_payload(run_cfg)}
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"motion summary of the samples: {exc}") from None
     write_csv(out, _video_rows(videos))
-    ms = motion_scores(videos)
-    write_json(
-        out + ".summary.json",
-        {
-            "n": args.n,
-            "mean_motion": float(np.mean(ms)),
-            "motion_std": float(np.std(ms)),
-            "config": to_payload(run_cfg),
-        },
-    )
+    write_json(out + ".summary.json", summary)
 
 
 def _cmd_diagnose_leakage(cfg, args, out):

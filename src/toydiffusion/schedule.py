@@ -141,16 +141,10 @@ def perturb(schedule: NoiseSchedule, x0: np.ndarray, t, rng: np.random.Generator
     """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = rng.standard_normal(x0.shape)
-    return perturb_with_noise(schedule, x0, t, eps), eps
-
-
-def perturb_with_noise(schedule: NoiseSchedule, x0: np.ndarray, t, eps):
-    """x_t = alpha_t x0 + sigma_t eps for given standard normals eps."""
     alpha, sigma = alpha_sigma(schedule, t)
-    alpha, sigma = _per_item(alpha, x0), _per_item(sigma, x0)
-    xt = alpha * x0
-    xt += sigma * eps
-    return xt
+    xt = _per_item(alpha, x0) * x0
+    xt += _per_item(sigma, x0) * eps
+    return xt, eps
 
 
 def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
@@ -161,11 +155,12 @@ def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
 
 
 def _per_item(coef, x: np.ndarray):
-    """A scalar coefficient as is, or one per leading item of x shaped to broadcast."""
+    """A scalar coefficient as is, or one per leading item of x (coef.shape
+    = x.shape[:coef.ndim]) shaped to broadcast."""
     coef = np.asarray(coef)
     if coef.ndim == 0:
         return coef
-    if coef.shape[0] != x.shape[0]:
-        raise ValueError(f"per-item coefficient has {coef.shape[0]} entries "
-                         f"for a batch of {x.shape[0]}")
-    return coef.reshape((-1,) + (1,) * (x.ndim - 1))
+    if coef.shape != x.shape[:coef.ndim]:
+        raise ValueError(f"per-item coefficient has {coef.size} entries "
+                         f"for a batch of {math.prod(x.shape[:coef.ndim])}")
+    return coef.reshape(coef.shape + (1,) * (x.ndim - coef.ndim))

@@ -6,7 +6,7 @@ late (noisy) times see strongly corrupted conditioning while early times see
 it nearly clean.  One corruption operator applies one level, or one per row
 of y0 by schedule._per_item, in one of two variants: additive
 (y_s = y0 + beta_s * eps) and interpolating (y_s = (1 - beta_s) y0 +
-beta_s * eps, which requires beta_m = 1).  pdf and beta_from_noise import
+beta_s * eps, which requires beta_m = 1).  pdf and sample_beta import
 scipy.special themselves, so that import toydiffusion loads numpy alone.
 """
 
@@ -72,18 +72,11 @@ def pdf(params: TimeNoiseParams, t, beta_s):
 
 def sample_beta(params: TimeNoiseParams, t, rng: np.random.Generator, size=None):
     """Draw beta_s = beta_m * sigmoid(z) with z ~ Normal(mu(t), 1)."""
-    noise = rng.standard_normal(size if size is not None else np.shape(t))
-    out = beta_from_noise(params, t, noise)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def beta_from_noise(params: TimeNoiseParams, t, noise):
-    """The level beta_m * sigmoid(mu(t) + noise) for standard normal noise."""
     from scipy.special import expit
 
-    return params.beta_m * expit(mu_of_t(params, t) + noise)
+    noise = rng.standard_normal(size if size is not None else np.shape(t))
+    out = params.beta_m * expit(mu_of_t(params, t) + noise)
+    return float(out) if out.ndim == 0 else out
 
 
 def constant_beta(params: TimeNoiseParams, t):
@@ -100,12 +93,7 @@ def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
     wants no noise at all skips the call.
     """
     y0 = np.asarray(y0, dtype=np.float64)
-    return corrupt_with_noise(y0, beta_s, rng.standard_normal(y0.shape), variant)
-
-
-def corrupt_with_noise(y0, beta_s, eps, variant: str):
-    """corrupt's arithmetic for given standard normals eps shaped like y0;
-    beta_s is a scalar or one level per row of y0."""
+    eps = rng.standard_normal(y0.shape)
     beta_s = _per_item(beta_s, y0)
     if variant == INTERPOLATION:
         return (1.0 - beta_s) * y0 + beta_s * eps

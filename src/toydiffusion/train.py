@@ -13,17 +13,18 @@ Four condition-corruption modes are supported during training:
   constant  - deterministic level beta_m (mu(t)+1)/2 tracking the
               logit-normal center without its randomness
 
-train() builds its batches one block of BLOCK_STEPS steps at a time.  The
-draws of each step are made step after step, in the order and number
-that make_training_batch fixes from the config alone; the arithmetic on
-them (videos, conditions, times, corruption levels, noisy videos, model
-input rows) runs once per block over all its rows, one path per stage:
-a row's s_w choice and condition frame are index 0 unless drawn, and a
-condition is corrupted exactly when its step draws condition noise.
-Forward, backward and Adam then run per step on that step's contiguous
-rows, at the batch shape, so a checkpoint has the bytes of building each
-batch on its own.  The model checks its inputs by shape: videos
-(..., n_frames, frame_dim) and conditions (..., frame_dim).
+Each of the eight stages of a training batch (s_w picks, first frames,
+increments, condition frames, times, levels, condition noise, forward
+noise) draws from its own generator, spawned once per run in train() and
+once per call in make_training_batch.  So every mode on one seed trains
+on the same videos, times and forward noise; only the levels and the
+condition noise, which naive and cdm at level 0 never draw, differ.
+train() builds its batches one block of BLOCK_STEPS steps at a time, each
+stage drawing all the block's rows in one call.  A generator's draws
+continue across calls, so a block's rows are its steps' batches built one
+by one, and a checkpoint does not depend on BLOCK_STEPS.  Forward,
+backward and Adam then run per step on that step's contiguous rows, at
+the batch shape.  The model checks its inputs by world._check_denoiser_inputs.
 """
 
 from __future__ import annotations
@@ -35,18 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import ConfigError, from_payload, read_json, to_payload
-from .schedule import NoiseSchedule, perturb_with_noise, sigma_to_t, x0_from_eps
-from .timenoise import (
-    ADDITIVE,
-    TimeNoiseParams,
-    beta_from_noise,
-    constant_beta,
-    corrupt_with_noise,
-)
+from .schedule import NoiseSchedule, perturb, sigma_to_t, x0_from_eps
+from .timenoise import TimeNoiseParams, constant_beta, corrupt, sample_beta
 from .world import (
     GaussianWorld,
+    _check_denoiser_inputs,
     expected_motion_score,
-    first_frames_from_noise,
+    first_frames,
     videos_from_noise,
 )
 
@@ -203,25 +199,20 @@ class MLPDenoiser:
     def build_inputs(self, xt, y, t, motion=None):
         """Input rows [flattened xt, y, time features, motion], written
         block by block into one (B, in_dim) array, B = prod(xt.shape[:-2]);
-        y, t and motion are one per row or one for all.  Checked by shape,
-        xt (..., n_frames, frame_dim) and y (..., frame_dim), not by width."""
-        xt = np.asarray(xt, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        n, d = self.n_frames, self.frame_dim
-        if xt.shape[-2:] != (n, d):
-            raise ValueError(f"video of shape {xt.shape} is not (..., {n}, {d})")
-        if y.shape[-1:] != (d,):
-            raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim={d})")
+        y, t and motion are one per video or one for all, checked by
+        _check_denoiser_inputs before any row is written."""
+        xt, y = _check_denoiser_inputs((self.n_frames, self.frame_dim), xt, y,
+                                       time=t, motion=motion)
         if self.motion_feature and motion is None:
             raise ValueError("this model expects a motion-target feature")
         b = math.prod(xt.shape[:-2])
         x = np.empty((b, self.in_dim))
         o, c = self.out_dim, self.out_dim + self.frame_dim
         x[:, :o] = xt.reshape(b, -1)
-        x[:, o:c] = y
-        time_features(t, x[:, c : c + F_TIME])
+        x[:, o:c] = y.reshape(-1, self.frame_dim)
+        time_features(np.ravel(t), x[:, c : c + F_TIME])
         if self.motion_feature:
-            x[:, -1] = motion
+            x[:, -1] = np.ravel(motion)
         return x
 
     def forward(self, params, xt, y, t, motion=None):
@@ -327,97 +318,52 @@ class Batch:
     motion: np.ndarray | None = None
 
 
-def _time_draws(config: TrainConfig, n, rng):
-    """One step's time draws: uniform times on (t_floor, 1), or EDM log
-    noise levels."""
-    if config.t_sampler == UNIFORM_T:
-        return rng.uniform(config.t_floor, 1.0, size=n)
-    return rng.normal(config.p_mean, config.p_std, size=n)
-
-
-def _times_from_draws(schedule, config: TrainConfig, draws):
-    """Training times from _time_draws: uniform times as drawn, log noise
-    levels mapped through the schedule inverse and clamped to [t_floor, 1]."""
-    if config.t_sampler == UNIFORM_T:
-        return draws
-    return np.clip(sigma_to_t(schedule, np.exp(draws)), config.t_floor, 1.0)
-
-
 def sample_training_times(schedule, config: TrainConfig, n, rng):
     """Draw training times; uniform on (t_floor, 1) or EDM log-normal noise levels
     mapped through the schedule inverse and clamped to [t_floor, 1]."""
-    return _times_from_draws(schedule, config, _time_draws(config, n, rng))
+    if config.t_sampler == UNIFORM_T:
+        return rng.uniform(config.t_floor, 1.0, size=n)
+    sigma = np.exp(rng.normal(config.p_mean, config.p_std, size=n))
+    return np.clip(sigma_to_t(schedule, sigma), config.t_floor, 1.0)
 
 
-def _training_rows(world, schedule, config: TrainConfig, rng, steps):
+def _training_rows(world, schedule, config: TrainConfig, streams, steps):
     """The batches of `steps` consecutive training steps, stacked as one
     Batch of batch_size rows per step.
 
-    Each step makes its draws from rng in the order of make_training_batch.
-    The arithmetic on them (videos, conditions, times, corruption levels,
-    noisy videos) then runs once over all rows, the same elementwise
-    operations on longer arrays, so each step's rows equal its own batch.
-    One path per stage: pick and frame stay 0 where not drawn, and `clean`
-    decides both the condition-noise draw and the corruption.
+    streams holds one generator per stage, in the order s_w picks, first
+    frames, increments, condition frames, times, levels, condition noise,
+    forward noise.  Each stage draws all rows in one call; a stage that
+    draws nothing (the levels and condition noise of naive and cdm at
+    level 0) leaves its generator as it is.  Picks and frames are index 0
+    when the config has no choice.
     """
-    b, n, d = config.batch_size, world.n_frames, world.frame_dim
-    choices = np.asarray(config.s_w_choices or (), dtype=np.float64)
-    clean = config.mode == NAIVE or (config.mode == CDM_FIXED and not config.cdm_beta)
-    pick = np.zeros(steps * b, dtype=np.int64)
-    z_first = np.empty((steps, b, d))
-    z_inc = np.empty((steps, b, n - 1, d))
-    frame = np.zeros(steps * b, dtype=np.int64)
-    t_draws = np.empty(steps * b)
-    z_level = np.empty((steps, b))
-    z_cond = np.empty((steps, b, d))
-    eps = np.empty((steps, b, n, d))
-    for k in range(steps):
-        rows = slice(k * b, (k + 1) * b)
-        if choices.size:  # set only with motion_feature
-            pick[rows] = rng.integers(0, choices.size, size=b)
-        rng.standard_normal(out=z_first[k])
-        rng.standard_normal(out=z_inc[k])
-        if config.cond_frame == RANDOM_FRAME:
-            frame[rows] = rng.integers(0, n, size=b)
-        t_draws[rows] = _time_draws(config, b, rng)
-        if config.mode == TIMENOISE:
-            rng.standard_normal(out=z_level[k])
-        if not clean:
-            rng.standard_normal(out=z_cond[k])
-        rng.standard_normal(out=eps[k])
-    t = _times_from_draws(schedule, config, t_draws)
-
-    rows = steps * b
-    first = first_frames_from_noise(world, z_first.reshape(rows, d))
-    x0 = videos_from_noise(world, first, z_inc.reshape(rows, n - 1, d),
-                           choices[pick] if choices.size else None)
-    scales = choices if choices.size else [world.s_w]
+    pick_rng, first_rng, inc_rng, frame_rng, t_rng, level_rng, cond_rng, eps_rng = streams
+    rows, n, d = steps * config.batch_size, world.n_frames, world.frame_dim
+    scales = np.asarray(config.s_w_choices or (world.s_w,))
+    pick = pick_rng.integers(scales.size, size=rows)
+    x0 = videos_from_noise(world, first_frames(world, rows, first_rng),
+                           inc_rng.standard_normal((rows, n - 1, d)), scales[pick])
     motion = expected_motion_score(world, scales)[pick] if config.motion_feature else None
+    frame = frame_rng.integers(n if config.cond_frame == RANDOM_FRAME else 1, size=rows)
     y = x0[np.arange(rows), frame]
-    if not clean:
-        if config.mode == CDM_FIXED:  # a fixed level, always additive
-            level, variant = config.cdm_beta, ADDITIVE
-        else:  # a level curve, in the variant of the timenoise parameters
-            level = (constant_beta(config.timenoise, t) if config.mode == CONSTANT_BETA
-                     else beta_from_noise(config.timenoise, t, z_level.reshape(-1)))
-            variant = config.timenoise.variant
-        y = corrupt_with_noise(y, level, z_cond.reshape(rows, d), variant)
-    eps = eps.reshape(x0.shape)
-    return Batch(xt=perturb_with_noise(schedule, x0, t, eps), y=y, t=t,
-                 target=eps, motion=motion)
+    t = sample_training_times(schedule, config, rows, t_rng)
+    if config.mode in (TIMENOISE, CONSTANT_BETA):  # a level curve, in its variant
+        level = (sample_beta(config.timenoise, t, level_rng) if config.mode == TIMENOISE
+                 else constant_beta(config.timenoise, t))
+        y = corrupt(y, level, cond_rng, config.timenoise.variant)
+    elif config.mode == CDM_FIXED and config.cdm_beta:  # a fixed level, always additive
+        y = corrupt(y, config.cdm_beta, cond_rng)
+    xt, eps = perturb(schedule, x0, t, eps_rng)
+    return Batch(xt=xt, y=y, t=t, target=eps, motion=motion)
 
 
 def make_training_batch(world, schedule, config, rng):
     """Draw one batch: the one-step case of the builder that train() calls
-    once per block of steps, whose per-step draw order this is and whose
-    arithmetic runs per block.  Draw order is fixed (s_w picks, first
-    frames, increments, frame choice, times, condition level and noise,
-    forward noise) so that modes which skip a stage leave the remaining
-    stream identical.  Which draws a step makes depends on the config
-    alone: naive runs and cdm runs at level 0 draw no condition noise, and
-    every other run draws batch_size x frame_dim condition normals on every
-    step, whatever its levels."""
-    return _training_rows(world, schedule, config, rng, 1)
+    once per block of steps, on eight streams spawned from rng, one per
+    stage.  Two modes on one rng draw the same videos, times and forward
+    noise; naive and cdm at level 0 also the same conditions."""
+    return _training_rows(world, schedule, config, rng.spawn(8), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +420,8 @@ def train(world, schedule, config: TrainConfig, return_history=False):
 
     Adam with bias correction, lr from config, betas (0.9, 0.999).  The
     root generator spawns three independent streams (parameter init,
-    held-out batch, training data) so runs are reproducible bit-for-bit.
+    held-out batch, training data) so runs are reproducible bit-for-bit;
+    the training data stream spawns the eight stage streams of the builder.
     """
     model = MLPDenoiser(
         world.n_frames, world.frame_dim, hidden=config.hidden,
@@ -493,13 +440,14 @@ def train(world, schedule, config: TrainConfig, return_history=False):
     v_hat = np.empty_like(params)
     b = config.batch_size
     work = _Workspace(model, params, b)
+    streams = data_rng.spawn(8)
     history = []
     step = 0
     # the loop reports a non-finite loss itself, so numpy does not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while step < config.steps:
             block = _training_rows(
-                world, schedule, config, data_rng, min(BLOCK_STEPS, config.steps - step)
+                world, schedule, config, streams, min(BLOCK_STEPS, config.steps - step)
             )
             x = model.build_inputs(block.xt, block.y, block.t, block.motion)
             targets = block.target.reshape(x.shape[0], -1)

@@ -12,7 +12,8 @@ sample_videos and expected_motion_score take an s_w override, one per video.
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), the Bayes-optimal clean-video prediction under the forward
 kernel x_t = alpha_t x0 + sigma_t eps, which schedule holds with its
-inverse; predict_x0 is the one denoiser protocol.  The prior mean is
+inverse; predict_x0 is the one denoiser protocol, and
+_check_denoiser_inputs the one input rule of both families.  The prior mean is
 m = 1 y^T + i drift^T, with y the first-frame mean (the condition y0, or
 m0 without one) and i = (0, 1, ..., N-1) the frame indices, so the
 posterior mean in its precision form, S^{-1} (alpha C x_t + sigma^2 m)
@@ -115,12 +116,7 @@ class GaussianWorld:
 
 def first_frames(world: GaussianWorld, n: int, rng: np.random.Generator):
     """Draw n first frames m0 + s0 z, shape (n, d)."""
-    return first_frames_from_noise(world, rng.standard_normal((n, world.frame_dim)))
-
-
-def first_frames_from_noise(world: GaussianWorld, z):
-    """First frames m0 + s0 z for standard normals z (..., d)."""
-    return world.m0 + world.s0 * z
+    return world.m0 + world.s0 * rng.standard_normal((n, world.frame_dim))
 
 
 def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator, s_w=None):
@@ -222,6 +218,28 @@ def expected_motion_score(world: GaussianWorld, s_w=None):
 # Denoisers
 
 
+def _check_denoiser_inputs(shape, xt, y, **per_video):
+    """The input rule of every denoiser family, for videos of shape
+    (N, d): xt is (..., N, d); the condition y is one frame (d,) or one
+    per video, xt.shape[:-2] + (d,); and each per_video value (a trained
+    model's time and motion) is one value or one per video.  Returns xt
+    and y as float arrays."""
+    xt = np.asarray(xt, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = shape
+    if xt.shape[-2:] != (n, d):
+        raise ValueError(f"video of shape {xt.shape} is not (..., {n}, {d})")
+    videos = xt.shape[:-2]
+    if y.shape not in ((d,), videos + (d,)):
+        raise ValueError(f"condition of shape {y.shape} is not one frame "
+                         f"(frame_dim={d},) or one per video {videos + (d,)}")
+    for name, value in per_video.items():
+        if np.ndim(value) != 0 and np.shape(value) != videos:
+            raise ValueError(f"{name} of shape {np.shape(value)} is not one value "
+                             f"or one per video {videos}")
+    return xt, y
+
+
 class ExactDenoiser:
     """Posterior-mean denoiser E[X_0 | X_t (, frame_1 = y0)].
 
@@ -259,12 +277,9 @@ class ExactDenoiser:
             raise ValueError("exact prediction requires t in (0, 1]")
         if self.conditional and y is None:
             raise ValueError("conditional denoiser needs a conditioning frame")
-        n, d = self.shape
-        if np.shape(xt)[-2:] != (n, d):
-            raise ValueError(f"video of shape {np.shape(xt)} is not (..., {n}, {d})")
-        y = np.asarray(y if self.conditional else self.world.m0, dtype=np.float64)
-        if y.shape[-1:] != (d,):
-            raise ValueError(f"condition of shape {y.shape} is not (..., frame_dim={d})")
+        n = self.shape[0]
+        xt, y = _check_denoiser_inputs(
+            self.shape, xt, y if self.conditional else self.world.m0)
         w = self.step_map(t)
         out = w[:, :n] @ xt
         out += w[:, n:n + 1] * y[..., None, :]

@@ -447,6 +447,20 @@ def test_error_paths_exit_codes(tmp_path, capsys):
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "config"
 
+    # samples whose motion summary overflows are a numerical failure, found
+    # before any file is written: no CSV, summary or manifest
+    payload["sampler"] = {"inference_beta": 1e308}
+    huge = tmp_path / "huge_beta.json"
+    huge.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["sample", "--config", str(huge), "--n", "3", "--steps", "2",
+                 "--out", str(tmp_path / "huge.csv")]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [{"error": {
+        "type": "numerical",
+        "message": "motion summary of the samples: overflow encountered in square"}}]
+    assert not list(tmp_path.glob("huge.csv*"))
+
 
 @pytest.mark.parametrize("kind, content, key", [
     ("init", {"mu_p": [0.0] * 32, "M": 0.9}, "sigma_p2"),

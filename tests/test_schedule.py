@@ -9,7 +9,6 @@ from toydiffusion.schedule import (
     TIME_CACHE_SIZE,
     alpha_sigma,
     perturb,
-    perturb_with_noise,
     sigma_to_t,
     x0_from_eps,
 )
@@ -112,14 +111,14 @@ def test_perturb_per_item_times():
 @pytest.mark.parametrize("schedule", [VP, VE], ids=["vp", "ve"])
 @pytest.mark.parametrize("t", [0.05, 0.7, 1.0, np.array([0.05, 0.3, 0.7, 0.9, 1.0])],
                          ids=["0.05", "0.7", "1.0", "per-item"])
-def test_x0_from_eps_inverts_perturb_with_noise(schedule, t):
+def test_x0_from_eps_inverts_perturb(schedule, t):
     # x0 = (xt - sigma eps) / alpha loses a few ulps of sigma eps, divided
     # by alpha: at most about 1e-13, at VP t = 1 (alpha = 6.6e-3) and at
     # VE t = 1 (sigma = 700), so 1e-9 leaves a wide margin; a per-item t
     # inverts each video at its own time
     rng = np.random.default_rng(7)
-    x0, eps = rng.standard_normal((2, 5, 8, 4))
-    xt = perturb_with_noise(schedule, x0, t, eps)
+    x0 = rng.standard_normal((5, 8, 4))
+    xt, eps = perturb(schedule, x0, t, rng)
     np.testing.assert_allclose(x0_from_eps(eps, xt, schedule, t), x0, rtol=0, atol=1e-9)
 
 

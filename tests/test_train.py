@@ -9,12 +9,14 @@ import toydiffusion as td
 from toydiffusion.codec import ConfigError
 from toydiffusion.schedule import perturb
 from toydiffusion.timenoise import constant_beta, corrupt, sample_beta
+from toydiffusion.world import first_frames
 from toydiffusion.train import (
     BLOCK_STEPS,
     CDM_FIXED,
     CONSTANT_BETA,
     EDM_LOGNORMAL,
     F_TIME,
+    MODES,
     NAIVE,
     TIMENOISE,
     Batch,
@@ -136,29 +138,55 @@ def test_edm_time_sampler_ve_median(ve):
     assert t.min() >= cfg.t_floor and t.max() <= 1.0
 
 
-def test_zero_corruption_matches_naive_stream(world, vp):
-    # a zero corruption level draws nothing, so the rest of the stream is
-    # the naive one
-    naive = TrainConfig(mode=NAIVE, batch_size=32)
-    noisy = TrainConfig(mode=CDM_FIXED, batch_size=32, cdm_beta=0.0)
-    a = make_training_batch(world, vp, naive, np.random.default_rng(8))
-    b = make_training_batch(world, vp, noisy, np.random.default_rng(8))
-    np.testing.assert_array_equal(a.xt, b.xt)
-    np.testing.assert_array_equal(a.y, b.y)
-    np.testing.assert_array_equal(a.t, b.t)
-    np.testing.assert_array_equal(a.target, b.target)
+STAGES = ("picks", "first", "increments", "frames", "times", "levels", "condition",
+          "noise")
+
+
+def _streams(rng):
+    """The stage streams a batch builder spawns from rng, by stage name."""
+    return dict(zip(STAGES, rng.spawn(len(STAGES))))
+
+
+def _videos(world, streams, b, s_w=None):
+    """b videos by hand from the first-frame and increment streams: frame 1
+    m0 + s0 z, later frames frame 1 + cumsum(drift + s_w z)."""
+    first = first_frames(world, b, streams["first"])[:, None]
+    z = streams["increments"].standard_normal((b, world.n_frames - 1, world.frame_dim))
+    s_w = world.s_w if s_w is None else np.asarray(s_w)[:, None, None]
+    return np.concatenate([first, first + np.cumsum(world.drift + s_w * z, axis=1)],
+                          axis=1)
+
+
+def test_modes_on_one_seed_share_videos_times_and_noise(world, vp):
+    # only the levels and the condition noise differ between modes, so every
+    # mode trains on the same videos, times and forward noise; a cdm run at
+    # level 0 corrupts nothing and has the naive conditions too
+    configs = {
+        "naive": TrainConfig(mode=NAIVE, batch_size=32),
+        "timenoise": TrainConfig(mode=TIMENOISE, batch_size=32, timenoise=TN),
+        "cdm": TrainConfig(mode=CDM_FIXED, batch_size=32, cdm_beta=0.7),
+        "constant": TrainConfig(mode=CONSTANT_BETA, batch_size=32, timenoise=TN),
+        "cdm0": TrainConfig(mode=CDM_FIXED, batch_size=32, cdm_beta=0.0),
+    }
+    batches = {name: make_training_batch(world, vp, cfg, np.random.default_rng(8))
+               for name, cfg in configs.items()}
+    naive = batches.pop("naive")
+    for name, batch in batches.items():
+        for field in ("xt", "t", "target"):
+            assert np.array_equal(getattr(batch, field), getattr(naive, field)), name
+        assert np.array_equal(batch.y, naive.y) == (name == "cdm0"), name
 
 
 def test_cdm_batch_replay(world, vp):
-    # replay the documented draw order by hand: videos, times, condition
-    # noise, forward noise
+    # replay the stages by hand, each from its own stream: videos, times,
+    # condition noise, forward noise
     cfg = TrainConfig(mode=CDM_FIXED, batch_size=16, cdm_beta=0.7)
     got = make_training_batch(world, vp, cfg, np.random.default_rng(9))
-    rng = np.random.default_rng(9)
-    x0 = td.sample_videos(world, 16, rng)
-    t = rng.uniform(cfg.t_floor, 1.0, 16)
-    eps_y = rng.standard_normal((16, 4))
-    xt, eps = perturb(vp, x0, t, rng)
+    streams = _streams(np.random.default_rng(9))
+    x0 = _videos(world, streams, 16)
+    t = streams["times"].uniform(cfg.t_floor, 1.0, 16)
+    eps_y = streams["condition"].standard_normal((16, 4))
+    xt, eps = perturb(vp, x0, t, streams["noise"])
     np.testing.assert_allclose(got.y, x0[:, 0, :] + 0.7 * eps_y, atol=1e-15)
     np.testing.assert_allclose(got.xt, xt, atol=1e-15)
     np.testing.assert_allclose(got.target, eps, atol=1e-15)
@@ -167,10 +195,10 @@ def test_cdm_batch_replay(world, vp):
 def test_constant_mode_tracks_center_curve(world, vp):
     cfg = TrainConfig(mode=CONSTANT_BETA, batch_size=16, timenoise=TN)
     got = make_training_batch(world, vp, cfg, np.random.default_rng(10))
-    rng = np.random.default_rng(10)
-    x0 = td.sample_videos(world, 16, rng)
-    t = rng.uniform(cfg.t_floor, 1.0, 16)
-    eps_y = rng.standard_normal((16, 4))
+    streams = _streams(np.random.default_rng(10))
+    x0 = _videos(world, streams, 16)
+    t = streams["times"].uniform(cfg.t_floor, 1.0, 16)
+    eps_y = streams["condition"].standard_normal((16, 4))
     level = constant_beta(TN, t)[:, None]
     np.testing.assert_allclose(got.y, x0[:, 0, :] + level * eps_y, atol=1e-15)
 
@@ -179,10 +207,10 @@ def test_constant_mode_uses_interpolation_variant(world, vp):
     tn = td.TimeNoiseParams(beta_m=1.0, a=5.0, variant="interpolation")
     cfg = TrainConfig(mode=CONSTANT_BETA, batch_size=16, timenoise=tn)
     got = make_training_batch(world, vp, cfg, np.random.default_rng(10))
-    rng = np.random.default_rng(10)
-    x0 = td.sample_videos(world, 16, rng)
-    t = rng.uniform(cfg.t_floor, 1.0, 16)
-    eps_y = rng.standard_normal((16, 4))
+    streams = _streams(np.random.default_rng(10))
+    x0 = _videos(world, streams, 16)
+    t = streams["times"].uniform(cfg.t_floor, 1.0, 16)
+    eps_y = streams["condition"].standard_normal((16, 4))
     level = constant_beta(tn, t)[:, None]
     np.testing.assert_allclose(
         got.y, (1.0 - level) * x0[:, 0, :] + level * eps_y, atol=1e-15
@@ -190,25 +218,22 @@ def test_constant_mode_uses_interpolation_variant(world, vp):
 
 
 def test_per_item_s_w_batch_replay(world, vp):
-    # replay the documented draw order by hand: scale pick, first frames,
-    # increments, frame choice, times, forward noise
+    # replay the stages by hand, each from its own stream: scale picks,
+    # first frames and increments, frame choice, times, forward noise
     cfg = TrainConfig(
         mode=NAIVE, batch_size=16, motion_feature=True, s_w_choices=(0.25, 1.0),
         cond_frame="random", t_sampler=EDM_LOGNORMAL,
     )
     got = make_training_batch(world, vp, cfg, np.random.default_rng(16))
-    rng = np.random.default_rng(16)
-    s_w = np.array([0.25, 1.0])[rng.integers(0, 2, size=16)]
-    first = world.m0 + world.s0 * rng.standard_normal((16, 1, 4))
-    z = rng.standard_normal((16, 7, 4))
-    inc = world.drift + s_w[:, None, None] * z
-    x0 = np.concatenate([first, first + np.cumsum(inc, axis=1)], axis=1)
-    idx = rng.integers(0, 8, size=16)
+    streams = _streams(np.random.default_rng(16))
+    s_w = np.array([0.25, 1.0])[streams["picks"].integers(0, 2, size=16)]
+    x0 = _videos(world, streams, 16, s_w)
+    idx = streams["frames"].integers(0, 8, size=16)
     t = np.clip(
-        td.sigma_to_t(vp, np.exp(rng.normal(cfg.p_mean, cfg.p_std, 16))),
+        td.sigma_to_t(vp, np.exp(streams["times"].normal(cfg.p_mean, cfg.p_std, 16))),
         cfg.t_floor, 1.0,
     )
-    xt, eps = perturb(vp, x0, t, rng)
+    xt, eps = perturb(vp, x0, t, streams["noise"])
     np.testing.assert_array_equal(got.y, x0[np.arange(16), idx, :])
     np.testing.assert_array_equal(got.t, t)
     np.testing.assert_array_equal(got.xt, xt)
@@ -420,12 +445,13 @@ def test_batch_container_fields(world, vp):
 def _reference_train(world, schedule, cfg):
     """The allocating loop the in-place one must reproduce bit for bit:
     layer views unpacked on every call, inputs and gradient concatenated,
-    Adam on fresh arrays.  Only the batch draws are shared with td.train."""
+    Adam on fresh arrays, and each step's batch replayed stage by stage."""
     model = MLPDenoiser(world.n_frames, world.frame_dim, hidden=cfg.hidden,
                         motion_feature=cfg.motion_feature)
     init_rng, heldout_rng, data_rng = np.random.default_rng(cfg.seed).spawn(3)
     params = model.init_params(init_rng)
-    heldout = make_training_batch(world, schedule, cfg, heldout_rng)
+    heldout = _replay_batch(world, schedule, cfg, _streams(heldout_rng))
+    streams = _streams(data_rng)
 
     def unpack(p):
         views, start = [], 0
@@ -459,7 +485,7 @@ def _reference_train(world, schedule, cfg):
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     for step in range(cfg.steps):
-        _, grad = loss_and_gradient(params, make_training_batch(world, schedule, cfg, data_rng))
+        _, grad = loss_and_gradient(params, _replay_batch(world, schedule, cfg, streams))
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1 ** (step + 1))
@@ -587,13 +613,13 @@ def test_train_builds_batches_one_block_at_a_time(world, vp, monkeypatch, steps)
 
 def _reference_step_loss(world, schedule, cfg, step):
     """The reference loop's training loss at `step`: its parameters after
-    `step` updates on the data stream's batch for that step."""
+    `step` updates on the replayed batch for that step."""
     params, _ = _reference_train(world, schedule, replace(cfg, steps=step))
     model = MLPDenoiser(world.n_frames, world.frame_dim, hidden=cfg.hidden,
                         motion_feature=cfg.motion_feature)
-    data_rng = np.random.default_rng(cfg.seed).spawn(3)[2]
+    streams = _streams(np.random.default_rng(cfg.seed).spawn(3)[2])
     for _ in range(step + 1):
-        batch = make_training_batch(world, schedule, cfg, data_rng)
+        batch = _replay_batch(world, schedule, cfg, streams)
     return batch_loss(model, params, batch)
 
 
@@ -623,7 +649,7 @@ def test_train_matches_reference_loop_at_any_step_count(world, request, schedule
 
 # Levels beta_m t^a round to zero for every item of a step whose times all
 # lie below about 0.69, so about half the steps of these runs corrupt
-# nothing; they still draw their condition noise, as every step does.
+# nothing; they still draw their condition noise, as every constant step does.
 ZERO_LEVEL_CASES = {
     "additive": dict(timenoise=td.TimeNoiseParams(beta_m=2.0, a=100.0), batch_size=2),
     "interpolation": dict(
@@ -639,10 +665,10 @@ def test_steps_without_condition_noise_match_reference_loop(world, request,
                                                             schedule_name, case):
     schedule = request.getfixturevalue(schedule_name)
     cfg = TrainConfig(mode=CONSTANT_BETA, steps=43, seed=3, **ZERO_LEVEL_CASES[case])
-    data_rng = np.random.default_rng(cfg.seed).spawn(3)[2]
+    streams = _streams(np.random.default_rng(cfg.seed).spawn(3)[2])
     zero = [
-        not constant_beta(cfg.timenoise, make_training_batch(world, schedule, cfg,
-                                                             data_rng).t).any()
+        not constant_beta(cfg.timenoise, _replay_batch(world, schedule, cfg,
+                                                       streams).t).any()
         for _ in range(cfg.steps)
     ]
     # both kinds of step, and a zero-level step inside the first block
@@ -653,34 +679,33 @@ def test_steps_without_condition_noise_match_reference_loop(world, request,
     assert ckpt["final_loss"] == final_loss
 
 
-def _replay_batch(world, schedule, cfg, rng):
-    """One batch drawn step by step through the per-step public functions,
-    in the documented draw order: s_w picks, videos, frame choice, times,
-    condition level and noise (none for naive and cdm level 0), forward
-    noise."""
-    b, motion = cfg.batch_size, None
+def _replay_batch(world, schedule, cfg, streams):
+    """One batch drawn stage by stage through the public draw functions,
+    each stage from its own stream of _streams: s_w picks, videos, frame
+    choice, times, condition level and noise (none for naive and cdm level
+    0), forward noise."""
+    b, motion, s_w = cfg.batch_size, None, None
     if cfg.s_w_choices:
-        s_w = np.asarray(cfg.s_w_choices)[rng.integers(0, len(cfg.s_w_choices), size=b)]
-        x0 = td.sample_videos(world, b, rng, s_w=s_w)
+        s_w = np.asarray(cfg.s_w_choices)[
+            streams["picks"].integers(0, len(cfg.s_w_choices), size=b)]
         motion = np.array([td.expected_motion_score(replace(world, s_w=s)) for s in s_w])
-    else:
-        x0 = td.sample_videos(world, b, rng)
-        if cfg.motion_feature:
-            motion = np.full(b, td.expected_motion_score(world))
+    elif cfg.motion_feature:
+        motion = np.full(b, td.expected_motion_score(world))
+    x0 = _videos(world, streams, b, s_w)
     if cfg.cond_frame == "random":
-        y0 = x0[np.arange(b), rng.integers(0, world.n_frames, size=b)]
+        y0 = x0[np.arange(b), streams["frames"].integers(0, world.n_frames, size=b)]
     else:
         y0 = x0[:, 0]
-    t = sample_training_times(schedule, cfg, b, rng)
+    t = sample_training_times(schedule, cfg, b, streams["times"])
     y = y0
     if cfg.mode == CDM_FIXED:
-        if cfg.cdm_beta:  # level 0 draws nothing, like naive
-            y = corrupt(y0, cfg.cdm_beta, rng)
+        if cfg.cdm_beta:  # level 0 corrupts nothing, like naive
+            y = corrupt(y0, cfg.cdm_beta, streams["condition"])
     elif cfg.mode != NAIVE:
         level = (constant_beta(cfg.timenoise, t) if cfg.mode == CONSTANT_BETA
-                 else sample_beta(cfg.timenoise, t, rng))
-        y = corrupt(y0, level, rng, cfg.timenoise.variant)
-    xt, eps = perturb(schedule, x0, t, rng)
+                 else sample_beta(cfg.timenoise, t, streams["levels"]))
+        y = corrupt(y0, level, streams["condition"], cfg.timenoise.variant)
+    xt, eps = perturb(schedule, x0, t, streams["noise"])
     return Batch(xt=xt, y=y, t=t, target=eps, motion=motion)
 
 
@@ -697,43 +722,69 @@ BATCH_CASES = [
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_batches_replay_the_per_step_draws(world, request, schedule_name, case):
     schedule = request.getfixturevalue(schedule_name)
+    # each call spawns its own stage streams from the rng and draws nothing
+    # from the rng itself
     cfg = TrainConfig(seed=3, **{"batch_size": 5, **case})
     got_rng, want_rng = np.random.default_rng(22), np.random.default_rng(22)
     for _ in range(20):
         got = make_training_batch(world, schedule, cfg, got_rng)
-        want = _replay_batch(world, schedule, cfg, want_rng)
+        want = _replay_batch(world, schedule, cfg, _streams(want_rng))
         for field in ("xt", "y", "t", "target", "motion"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.bit_generator.seed_seq.n_children_spawned == 20 * len(STAGES)
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_block_rows_are_consecutive_batches(world, vp, case):
-    # a block's rows are the batches of its steps, one after another, and
-    # it leaves the generator where those batches leave it; every block has
-    # all the steps it was asked for, zero-level steps included
+    # a block's rows are the batches of its steps replayed one after
+    # another on the same stage streams, and it leaves each stream where
+    # those batches leave it; every block has all the steps it was asked
+    # for, zero-level steps included
     cfg = TrainConfig(seed=3, **{"batch_size": 5, **case})
     b = cfg.batch_size
-    block_rng, step_rng = np.random.default_rng(21), np.random.default_rng(21)
+    block_streams = list(_streams(np.random.default_rng(21)).values())
+    step_streams = _streams(np.random.default_rng(21))
     for _ in range(4):
-        block = train_module._training_rows(world, vp, cfg, block_rng, BLOCK_STEPS)
+        block = train_module._training_rows(world, vp, cfg, block_streams, BLOCK_STEPS)
         assert block.t.shape[0] == BLOCK_STEPS * b
         for k in range(BLOCK_STEPS):
-            batch = make_training_batch(world, vp, cfg, step_rng)
+            batch = _replay_batch(world, vp, cfg, step_streams)
             rows = slice(k * b, (k + 1) * b)
             for field in ("xt", "y", "t", "target", "motion"):
                 want, got = getattr(batch, field), getattr(block, field)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert np.array_equal(got[rows], want), field
-        assert block_rng.bit_generator.state == step_rng.bit_generator.state
+        assert ([s.bit_generator.state for s in block_streams]
+                == [s.bit_generator.state for s in step_streams.values()])
+
+
+@pytest.mark.parametrize("batch_size", [3, 5])
+@pytest.mark.parametrize("case", [
+    dict(mode=NAIVE), dict(mode=TIMENOISE, timenoise=TN),
+    dict(mode=CDM_FIXED, cdm_beta=0.3), dict(mode=CONSTANT_BETA, timenoise=TN),
+], ids=MODES)
+def test_checkpoints_do_not_depend_on_the_block_size(world, vp, monkeypatch, case,
+                                                      batch_size):
+    # each stage draws a block's rows in one call, the integer picks and
+    # frames too, and a generator's draws continue across calls, so blocks
+    # of any length give the parameters of building each batch alone
+    cfg = TrainConfig(steps=11, seed=4, batch_size=batch_size, motion_feature=True,
+                      s_w_choices=(0.25, 0.5, 1.0), cond_frame="random",
+                      t_sampler=EDM_LOGNORMAL, **case)
+    params = []
+    for block_steps in (1, 3, 8):
+        monkeypatch.setattr(train_module, "BLOCK_STEPS", block_steps)
+        params.append(np.asarray(train(world, vp, cfg)["parameters"]))
+    assert all(np.array_equal(p, params[0]) for p in params[1:])
 
 
 @pytest.mark.parametrize("case", sorted(ZERO_LEVEL_CASES))
 def test_draws_do_not_depend_on_the_levels(world, vp, case):
-    # which draws a step makes is fixed by the config: a = 100 makes about
-    # half the steps' levels round to zero, a = 5 hardly any, and both draw
-    # alike, so the two streams stay in step
+    # the levels decide no draw: a = 100 makes about half the steps' levels
+    # round to zero, a = 5 hardly any, and both draw alike, so the two
+    # runs stay in step
     zero = TrainConfig(mode=CONSTANT_BETA, **ZERO_LEVEL_CASES[case])
     noisy = replace(zero, timenoise=replace(zero.timenoise, a=5.0))
     zero_rng, noisy_rng = np.random.default_rng(23), np.random.default_rng(23)
@@ -751,9 +802,9 @@ def test_draws_do_not_depend_on_the_levels(world, vp, case):
 def test_divergence_is_reported_at_the_reference_step(world, vp):
     # a cdm level near the largest double overflows the condition of any
     # item whose noise exceeds about 4 to infinity; its gradient is NaN, so
-    # the loss of the next step is.  With this seed that happens in the
-    # second block.
-    cfg = TrainConfig(mode=CDM_FIXED, cdm_beta=4.5e307, steps=40, seed=5)
+    # the loss of the next step is.  With this seed the first such noise is
+    # drawn at step 93, inside the twelfth block.
+    cfg = TrainConfig(mode=CDM_FIXED, cdm_beta=4.5e307, steps=100, seed=5)
     with pytest.raises(TrainingDiverged) as err:
         train(world, vp, cfg)
     first = next(step for step in range(cfg.steps)

@@ -216,13 +216,39 @@ def test_exact_denoiser_validates_inputs(world, vp):
     # trained denoiser read it at that width and returned a (3, 4, 8) array
     model = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8)
     trained = td.TrainedDenoiser(model, model.init_params(np.random.default_rng(0)), vp)
+    # one input rule for both families: a condition is one frame or one per
+    # video, never another shape that numpy would broadcast or fail on
     for den in (den, LeakyDenoiser(world, vp, 0.8, 4.0), trained):
         with pytest.raises(ValueError, match=r"video of shape \(3, 4, 8\) is not "
                                              r"\(\.\.\., 8, 4\)"):
             den.predict_x0(np.zeros((3, 4, 8)), np.zeros(4), 0.5)
-        with pytest.raises(ValueError, match=r"condition of shape \(8,\) is not "
-                                             r"\(\.\.\., frame_dim=4\)"):
-            den.predict_x0(np.zeros((3, 8, 4)), np.zeros(8), 0.5)
+        for xt, y, per_video in (((3, 8, 4), (8,), (3, 4)), ((5, 8, 4), (3, 4), (5, 4)),
+                                 ((8, 4), (5, 4), (4,)),
+                                 ((2, 5, 8, 4), (5, 4), (2, 5, 4))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"condition of shape {y} is not one frame (frame_dim=4,) "
+                    f"or one per video {per_video}")):
+                den.predict_x0(np.zeros(xt), np.zeros(y), 0.5)
+    # the trained family's time and motion are one value or one per video,
+    # checked before any input row is written
+    xt, y = np.zeros((5, 8, 4)), np.zeros((5, 4))
+    t = np.linspace(0.2, 1.0, 5)
+    with pytest.raises(ValueError, match=re.escape(
+            "time of shape (3,) is not one value or one per video (5,)")):
+        trained.predict_x0(xt, y, t[:3])
+    mf = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8, motion_feature=True)
+    mf_params = mf.init_params(np.random.default_rng(0))
+    with pytest.raises(ValueError, match=re.escape(
+            "motion of shape (3,) is not one value or one per video (5,)")):
+        td.TrainedDenoiser(mf, mf_params, vp, motion_value=[1.0, 2.0, 3.0]).predict_x0(
+            xt, y, 0.5)
+    # one per video over a (2, 5) grid of videos is each video's own
+    grid = np.random.default_rng(1).standard_normal((2, 5, 8, 4))
+    got = td.TrainedDenoiser(mf, mf_params, vp, motion_value=np.full((2, 5), 1.5)
+                             ).predict_x0(grid, np.zeros((2, 5, 4)), t * np.ones((2, 1)))
+    flat = td.TrainedDenoiser(mf, mf_params, vp, motion_value=1.5).predict_x0(
+        grid.reshape(10, 8, 4), np.zeros(4), np.tile(t, 2))
+    np.testing.assert_array_equal(got, flat.reshape(grid.shape))
 
 
 def test_leaky_denoiser_blend(world, vp):

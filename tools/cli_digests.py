@@ -100,6 +100,8 @@ CONFIG_FILES = {
                          "diagnostics": {"m_grid": [1.0, 0.96, 0.92, 0.88, 0.84, 0.8]}},
     # a world whose m0 has three entries where frame_dim is 4
     "config_short_m0.json": {"world": {"m0": [1.0, 2.0, 3.0]}},
+    # a condition noise level whose samples' motion summary overflows
+    "config_huge_beta.json": {"sampler": {"inference_beta": 1e308}},
     # every section left out, and a schedule section without its kind
     "config_empty.json": "{}",
     "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
@@ -148,8 +150,8 @@ COMMANDS = [
     ["prop1-check", "--config", "config_empty.json", "--out", "prop1_empty.json"],
     ["prop1-check", "--config", "config_no_kind.json", "--out", "prop1_no_kind.json"],
 ]
-# (expected exit code, command): failures reported as one config error
-# line each, and a check that a large world passes.
+# (expected exit code, command): failures reported as one config or
+# numerical error line each, and a check that a large world passes.
 OUTCOMES = [
     (2, ["estimate-init", "--data", "overflow.csv", "--M", "0.9",
          "--out", "init_overflow.json"]),
@@ -160,6 +162,8 @@ OUTCOMES = [
     # init.json, from estimate-init, was fitted at M = 0.9
     (2, ["sample", "--n", "2", "--M", "0.8", "--init", "analytic:init.json",
          "--out", "sample_mismatch.csv"]),
+    (3, ["sample", "--n", "3", "--steps", "2", "--config", "config_huge_beta.json",
+         "--out", "sample_huge_beta.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
