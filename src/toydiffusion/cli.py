@@ -1,7 +1,7 @@
 """Command-line entry point: every experiment as a subcommand.
 
-One JSON config document describes the world, schedules, corruption
-parameters, training, sampling, and diagnostics settings; subcommands
+One JSON config document describes the world, schedule, training (with
+its corruption levels), sampling, and diagnostics settings; subcommands
 override the few fields that vary per run (mode, start time, step count).
 The config, a checkpoint's stored config and an init file are all read by
 codec.from_payload, which rejects unknown keys and mistyped values and
@@ -46,12 +46,8 @@ from .diagnostics import (
 )
 from .sampler import ANALYTIC, STANDARD, SamplerConfig, SamplerDiverged, sample_batch
 from .schedule import NoiseSchedule
-from .timenoise import TimeNoiseParams
 from .train import (
-    CDM_FIXED,
-    CONSTANT_BETA,
     MODES,
-    TIMENOISE,
     TrainConfig,
     TrainedDenoiser,
     TrainingDiverged,
@@ -106,7 +102,6 @@ class DiagnosticsConfig:
 class ExperimentConfig:
     world: GaussianWorld = GaussianWorld()
     schedule: NoiseSchedule = NoiseSchedule()
-    timenoise: TimeNoiseParams = TimeNoiseParams()
     train: TrainConfig = TrainConfig()
     sampler: SamplerConfig = SamplerConfig()
     diagnostics: DiagnosticsConfig = DiagnosticsConfig()
@@ -118,8 +113,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.output_dir:
             raise ConfigError("output_dir must be a nonempty path")
-        if self.train.timenoise is not None:
-            raise ConfigError("train.timenoise must be null; set the timenoise section")
 
 
 def load_config(path=None) -> ExperimentConfig:
@@ -238,16 +231,10 @@ def _cmd_prop1_check(cfg, args, out):
 
 
 def _cmd_train(cfg, args, out):
-    mods = {"mode": args.mode}
-    if args.mode in (TIMENOISE, CONSTANT_BETA):
-        mods["timenoise"] = cfg.timenoise
-    if args.mode == CDM_FIXED and cfg.train.cdm_beta is None:
-        mods["cdm_beta"] = 0.1 * cfg.timenoise.beta_m
-    if args.steps is not None:
-        mods["steps"] = args.steps
-    if args.seed is not None:
-        mods["seed"] = args.seed
-    save_checkpoint(out, train(cfg.world, cfg.schedule, replace(cfg.train, **mods)))
+    run_cfg = replace(cfg.train, mode=args.mode,
+                      steps=cfg.train.steps if args.steps is None else args.steps,
+                      seed=cfg.train.seed if args.seed is None else args.seed)
+    save_checkpoint(out, train(cfg.world, cfg.schedule, run_cfg))
 
 
 def _cmd_sample(cfg, args, out):
@@ -413,10 +400,8 @@ def main(argv=None) -> int:
             os.makedirs(cfg.output_dir, exist_ok=True)
             out = os.path.join(cfg.output_dir, args.default_out.format(**flags))
         code = args.func(cfg, args, out) or 0
-        write_manifest(
-            out + ".manifest.json", experiment,
-            {"experiment_config": to_payload(cfg), "args": flags}, cfg.seed,
-        )
+        write_manifest(out + ".manifest.json", experiment,
+                       {"experiment_config": to_payload(cfg), "args": flags})
     except (TrainingDiverged, SamplerDiverged, np.linalg.LinAlgError,
             FloatingPointError, OverflowError) as exc:
         _emit_error("numerical", exc)

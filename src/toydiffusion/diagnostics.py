@@ -235,16 +235,15 @@ def config_digest(payload) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def write_manifest(path, experiment: str, config_payload, seed) -> None:
+def write_manifest(path, experiment: str, config_payload) -> None:
     """Manifest written beside every report: experiment name, the full
-    resolved config with its digest, the seed, and the package version.
-    No timestamps — manifests must be byte-identical across reruns."""
+    resolved config with its digest, and the package version.  No
+    timestamps — manifests must be byte-identical across reruns."""
     from . import __version__
 
     manifest = {
         "experiment": experiment,
         "config_digest": config_digest(config_payload),
-        "seed": seed,
         "version": f"toydiffusion-{__version__}",
         "config": config_payload,
     }

@@ -50,7 +50,7 @@ import numpy as np
 from .analytic_init import InitDistribution, standard_init
 from .schedule import NoiseSchedule, alpha_sigma
 from .timenoise import corrupt
-from .world import ExactDenoiser
+from .world import ExactDenoiser, _check_denoiser_inputs
 
 STANDARD = "standard"
 ANALYTIC = "analytic"
@@ -156,18 +156,13 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     check_schedule(denoiser, schedule)
-    y0 = np.asarray(y0, dtype=np.float64)
-    if y0.ndim == 2 and y0.shape[0] != n:
-        raise ValueError("per-chain conditions must match the chain count")
-    d = denoiser.shape[1]
-    if y0.shape not in ((d,), (n, d)):
-        raise ValueError(f"y0 must have shape ({d},) or ({n}, {d}), got {y0.shape}")
-    if not np.isfinite(y0).all():
-        raise ValueError("y0 must be finite")
     x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
-    y = y0
+    _, y = _check_denoiser_inputs(denoiser.shape, x, y0)
+    if not np.isfinite(y).all():
+        raise ValueError("y0 must be finite")
+    d = denoiser.shape[1]
     if config.inference_beta:
-        y = corrupt(np.broadcast_to(y0, (n, d)), config.inference_beta, rng)
+        y = corrupt(np.broadcast_to(y, (n, d)), config.inference_beta, rng)
     grid = time_grid(config.start_time, config.steps)
     if not isinstance(denoiser, ExactDenoiser):
         for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):

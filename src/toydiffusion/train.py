@@ -88,8 +88,8 @@ class TrainConfig:
     p_mean: float = -1.2
     p_std: float = 1.2
     t_floor: float = 1e-4
-    timenoise: TimeNoiseParams | None = None
-    cdm_beta: float | None = None
+    timenoise: TimeNoiseParams | None = TimeNoiseParams()
+    cdm_beta: float | None = 0.2
     motion_feature: bool = False
     s_w_choices: tuple | None = None
     cond_frame: str = FIRST_FRAME

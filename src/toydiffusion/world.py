@@ -7,7 +7,7 @@ the full prior covariance is C (x) I_d with an N x N frame factor C,
 and every posterior computation reduces to N x N algebra.  Each law is a
 FrameGaussian, an (N, d) mean with its frame factor.  Given frame 1 = y0,
 laws and draws are the pinned world's, replace(world, m0=y0, s0=0.0).
-sample_videos and expected_motion_score take an s_w override, one per video.
+videos_from_noise and expected_motion_score take one s_w or one per video.
 
 Exact denoisers return E[X_0 | X_t] (optionally conditioned on the first
 frame), the Bayes-optimal clean-video prediction under the forward
@@ -119,23 +119,20 @@ def first_frames(world: GaussianWorld, n: int, rng: np.random.Generator):
     return world.m0 + world.s0 * rng.standard_normal((n, world.frame_dim))
 
 
-def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator, s_w=None):
-    """Draw n videos, shape (n, N, d).
-
-    s_w overrides the world's innovation scale, either as a scalar or as
-    one value per video.  Draw order: first frames, then increments; the
-    frames are those of videos_from_noise.
-    """
+def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator):
+    """Draw n videos, shape (n, N, d): first frames, then increments, the
+    frames those of videos_from_noise."""
     first = first_frames(world, n, rng)
     inc = rng.standard_normal((n, world.n_frames - 1, world.frame_dim))
-    return videos_from_noise(world, first, inc, s_w)
+    return videos_from_noise(world, first, inc)
 
 
 def videos_from_noise(world: GaussianWorld, first, inc, s_w=None):
     """Videos (n, N, d) with frame 1 first and later frames first +
     cumsum(drift + s_w z), for the (n, N - 1, d) standard normals z in inc.
     The increments are written in place into inc, then into the one output
-    array.  s_w is as in sample_videos."""
+    array.  s_w overrides the world's innovation scale, either as a scalar
+    or as one value per video."""
     out = np.empty((inc.shape[0], world.n_frames, world.frame_dim))
     out[:, 0] = first
     inc *= world.s_w if s_w is None else _per_item(s_w, inc)
@@ -197,7 +194,7 @@ def kron_cov(frame_cov, frame_dim: int):
 
 def expected_motion_score(world: GaussianWorld, s_w=None):
     """Closed-form mean motion score of world samples: a float, or one per
-    video for an s_w with one value per video, as in sample_videos.
+    video for an s_w with one value per video, as in videos_from_noise.
 
     Each frame-difference coordinate is N(drift_k, s_w^2); its absolute
     value has the folded-normal mean

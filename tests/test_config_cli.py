@@ -55,11 +55,11 @@ def test_default_config_round_trip():
                   "s0": 1.0, "drift": [0.2, 0.2, 0.2, 0.2], "s_w": 0.5},
         "schedule": {"kind": "vp", "beta_min": 0.1, "beta_max": 20.0,
                      "sigma_min": 0.002, "sigma_max": 700.0},
-        "timenoise": {"beta_m": 2.0, "a": 5.0, "variant": "additive"},
         "train": {"mode": "naive", "steps": 20000, "batch_size": 64, "lr": 0.001,
                   "seed": 0, "hidden": 64, "t_sampler": "uniform", "p_mean": -1.2,
-                  "p_std": 1.2, "t_floor": 0.0001, "timenoise": None,
-                  "cdm_beta": None, "motion_feature": False, "s_w_choices": None,
+                  "p_std": 1.2, "t_floor": 0.0001,
+                  "timenoise": {"beta_m": 2.0, "a": 5.0, "variant": "additive"},
+                  "cdm_beta": 0.2, "motion_feature": False, "s_w_choices": None,
                   "cond_frame": "first"},
         "sampler": {"start_time": 1.0, "steps": 50, "init": None,
                     "inference_beta": None},
@@ -75,12 +75,14 @@ def test_default_config_round_trip():
 def test_left_out_keys_take_the_field_defaults():
     cfg = from_payload(ExperimentConfig, {"schedule": {"beta_max": 15.0}})
     assert cfg.schedule.kind == "vp" and cfg.schedule.beta_max == 15.0
-    cfg = from_payload(ExperimentConfig, {"timenoise": {"a": 3.0}})
-    assert cfg.timenoise.beta_m == 2.0 and cfg.timenoise.a == 3.0
+    cfg = from_payload(ExperimentConfig, {"train": {"timenoise": {"a": 3.0}}})
+    assert cfg.train.timenoise.beta_m == 2.0 and cfg.train.timenoise.a == 3.0
+    assert cfg.train.cdm_beta == 0.2
     # the default beta_m = 2 does not fit the interpolating variant
     with pytest.raises(ConfigError, match=r"^interpolation variant requires "
-                                          r"beta_m = 1 in timenoise$"):
-        from_payload(ExperimentConfig, {"timenoise": {"variant": "interpolation"}})
+                                          r"beta_m = 1 in train.timenoise$"):
+        from_payload(ExperimentConfig,
+                     {"train": {"timenoise": {"variant": "interpolation"}}})
 
 
 def test_save_config_is_byte_deterministic(tmp_path):
@@ -93,12 +95,12 @@ def test_save_config_is_byte_deterministic(tmp_path):
 
 
 def test_save_config_bytes_are_pinned(tmp_path):
-    # the defaults have been saved as these bytes by every release so far;
-    # a change of number format in the codec shows here
+    # the defaults are saved as these bytes; a change of number format in
+    # the codec, or of a default, shows here
     path = tmp_path / "defaults.json"
     save_config(path, load_config(None))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "fbe72ecbb3571606e019a05d141d179c198d1639e539ca27570b01a7ac5c5f4b")
+        "b007a32f11c97f66ea441f5fc61c342d9da6d8b64f18b1f4c0ac796a652cfa1c")
 
 
 def test_unknown_keys_rejected():
@@ -115,6 +117,10 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         from_payload(ExperimentConfig,
                      {"train": {"timenoise": {"beta_m": 2, "a": 5, "bogus": 1}}})
+    # the levels live under train; a top-level section is an unknown key
+    with pytest.raises(ConfigError, match=r"^unknown keys at the top level: "
+                                          r"\['timenoise'\]$"):
+        from_payload(ExperimentConfig, {"timenoise": {"a": 3.0}})
     # values must have the JSON type of the dataclass field annotation:
     # each of these used to run (truncated, coerced) or fail inside numpy
     for section, key, value in [
@@ -128,11 +134,7 @@ def test_unknown_keys_rejected():
         payload = {key: value} if section is None else {section: {key: value}}
         with pytest.raises(ConfigError, match=key):
             from_payload(ExperimentConfig, payload)
-    # a partial train.timenoise takes the default a, and so reaches the
-    # rule that the section must be null; a nested section must still name
-    # every field that has no default
-    with pytest.raises(ConfigError, match=r"^train.timenoise must be null"):
-        from_payload(ExperimentConfig, {"train": {"timenoise": {"beta_m": 2.0}}})
+    # a nested section must still name every field that has no default
     with pytest.raises(ConfigError, match=r"missing keys in sampler.init: \['M'\]"):
         from_payload(ExperimentConfig,
                      {"sampler": {"init": {"mu_p": [0.0], "sigma_p2": 1.0}}})
@@ -276,12 +278,15 @@ def test_motion_feature_checkpoint_samples_and_probes(tmp_path):
 
 def test_train_cdm_gets_default_level(tmp_path):
     cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["train"]["timenoise"]["beta_m"] = 1.0  # a level read off beta_m moves
+    (tmp_path / "config.json").write_text(json.dumps(payload))
     ck = tmp_path / "cdm.json"
     assert main(["train", "--config", cfgp, "--mode", "cdm", "--steps", "5",
                  "--out", str(ck)]) == 0
     payload = json.loads(ck.read_text())
-    # 0.1 * beta_m with the default timenoise section
-    assert payload["config"]["train"]["cdm_beta"] == pytest.approx(0.2)
+    # the field default, whatever the timenoise levels are
+    assert payload["config"]["train"]["cdm_beta"] == 0.2
 
 
 def test_sample_with_analytic_init(tmp_path):
@@ -661,17 +666,41 @@ def _one_config_error(capsys):
     return err["message"]
 
 
-def test_train_timenoise_in_config_is_rejected(tmp_path, capsys):
-    # the top-level timenoise section sets the training levels; a second
-    # copy under train was silently overwritten by it
-    payload = {"train": {"timenoise": {"beta_m": 1.0, "a": 3.0,
-                                       "variant": "interpolation"}}}
+def test_top_level_timenoise_section_is_rejected(tmp_path, capsys):
+    # the levels are train.timenoise; a top-level section is an unknown key,
+    # for every command
     cfgp = tmp_path / "config.json"
-    cfgp.write_text(json.dumps(payload))
-    assert main(["train", "--config", str(cfgp), "--mode", "timenoise",
-                 "--steps", "2", "--out", str(tmp_path / "ck.json")]) == 2
-    assert "train.timenoise" in _one_config_error(capsys)
-    assert not (tmp_path / "ck.json").exists()
+    cfgp.write_text(json.dumps({"timenoise": {"a": 3.0}}))
+    for argv in (["train", "--mode", "timenoise", "--steps", "2"],
+                 ["world-sample", "--n", "2"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfgp),
+                     "--out", str(tmp_path / "x.out")]) == 2
+        assert _one_config_error(capsys) == (
+            "unknown keys at the top level: ['timenoise']")
+        assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("mode", ["timenoise", "constant", "cdm"])
+def test_checkpoint_config_trains_the_checkpoint_again(tmp_path, mode):
+    # a checkpoint stores the levels it trained with in every mode, so its
+    # config (train section, world and schedule) is a config that trains
+    # the same checkpoint byte for byte
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    payload["train"].update(
+        timenoise={"beta_m": 1.0, "a": 3.0, "variant": "interpolation"}, cdm_beta=0.35)
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    first, again, second = (tmp_path / f for f in ("first.json", "again.json",
+                                                  "second.json"))
+    assert main(["train", "--config", cfgp, "--mode", mode, "--out", str(first)]) == 0
+    stored = json.loads(first.read_text())["config"]
+    assert stored["train"]["timenoise"]["a"] == 3.0
+    assert stored["train"]["cdm_beta"] == 0.35
+    again.write_text(json.dumps(stored))
+    assert main(["train", "--config", str(again), "--mode", mode,
+                 "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("section, key, value, argv", [
@@ -679,7 +708,7 @@ def test_train_timenoise_in_config_is_rejected(tmp_path, capsys):
     ("train", "lr", float("inf"), ["train", "--mode", "naive"]),
     ("train", "p_std", float("nan"), ["train", "--mode", "naive"]),
     ("train", "cdm_beta", float("inf"), ["train", "--mode", "cdm"]),
-    ("timenoise", "beta_m", float("inf"), ["train", "--mode", "timenoise"]),
+    ("train.timenoise", "beta_m", float("inf"), ["train", "--mode", "timenoise"]),
 ], ids=["inference_beta-nan", "lr-inf", "p_std-nan", "cdm_beta-inf", "beta_m-inf"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value,
                                              argv):
@@ -687,7 +716,10 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
     # takes one: the key is named and the run exits 2, not 3
     cfgp = small_config(tmp_path)
     payload = json.loads((tmp_path / "config.json").read_text())
-    payload[section][key] = value
+    where = payload
+    for name in section.split("."):
+        where = where[name]
+    where[key] = value
     payload["train"]["t_sampler"] = "edm"  # the sampler that reads p_std
     (tmp_path / "config.json").write_text(json.dumps(payload))
     capsys.readouterr()

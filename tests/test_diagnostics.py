@@ -223,14 +223,16 @@ def test_config_digest_canonicalization():
 def test_write_manifest_contents(tmp_path):
     path = tmp_path / "manifest.json"
     payload = {"seed": 3, "world": {"n_frames": 8}}
-    write_manifest(path, "leakage", payload, seed=3)
+    write_manifest(path, "leakage", payload)
     data = json.loads(path.read_text())
     assert data["experiment"] == "leakage"
-    assert data["seed"] == 3
+    # the seeds a command draws from are in its config and flags, not
+    # restated beside them
+    assert sorted(data) == ["config", "config_digest", "experiment", "version"]
     assert data["config"] == payload
     assert data["config_digest"] == config_digest(payload)
     assert data["version"] == f"toydiffusion-{td.__version__}"
     # byte-deterministic: rewriting produces identical bytes
     first = path.read_bytes()
-    write_manifest(path, "leakage", payload, seed=3)
+    write_manifest(path, "leakage", payload)
     assert path.read_bytes() == first

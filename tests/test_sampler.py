@@ -131,7 +131,9 @@ def test_sample_batch_shapes_and_condition_modes(world, vp):
         den, np.zeros((6, 4)), cfg, vp, 6, np.random.default_rng(5)
     )
     np.testing.assert_allclose(shared, per_chain, atol=1e-12)
-    with pytest.raises(ValueError, match="chain count"):
+    with pytest.raises(ValueError, match=r"^condition of shape \(5, 4\) is not one "
+                                         r"frame \(frame_dim=4,\) or one per video "
+                                         r"\(6, 4\)$"):
         sample_batch(den, np.zeros((5, 4)), cfg, vp, 6, rng)
 
 
@@ -142,7 +144,7 @@ def test_condition_of_the_wrong_width_is_rejected(world, vp, name, shape):
     den = (ExactDenoiser(world, vp) if name == "exact"
            else LeakyDenoiser(world, vp, 0.6, 1.5))
     y0 = np.full(shape, 2.0)
-    with pytest.raises(ValueError, match=r"\(4,\) or \(6, 4\)"):
+    with pytest.raises(ValueError, match=r"\(frame_dim=4,\) or one per video \(6, 4\)"):
         sample_batch(den, y0, SamplerConfig(1.0, 5), vp, 6, np.random.default_rng(0))
     with pytest.raises(ValueError, match="frame_dim"):
         den.predict_x0(np.zeros((6, 8, 4)), y0, 0.5)

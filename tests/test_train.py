@@ -319,6 +319,25 @@ def test_checkpoint_round_trip(tmp_path, world, vp):
     assert out.shape == (8, 4) and np.all(np.isfinite(out))
 
 
+def test_checkpoint_with_null_levels_loads(tmp_path, world, vp):
+    # checkpoints written before the levels had field defaults store null
+    # levels for the modes that read none; such a file still loads, and
+    # predicts as the same checkpoint with its levels stored
+    ckpt = train(world, vp, TrainConfig(mode=NAIVE, steps=40, seed=1))
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, {**ckpt, "config": {**ckpt["config"], "train": {
+        **ckpt["config"]["train"], "timenoise": None, "cdm_beta": None}}})
+    *_, cfg = load_checkpoint(path)
+    assert cfg.timenoise is None and cfg.cdm_beta is None
+    assert replace(cfg, timenoise=td.TimeNoiseParams(), cdm_beta=0.2) == (
+        load_checkpoint(ckpt)[-1])
+    rng = np.random.default_rng(2)
+    xt, y, t = rng.standard_normal((5, 8, 4)), rng.standard_normal((5, 4)), rng.random(5)
+    old, new = (TrainedDenoiser(*load_checkpoint(source)[:2], vp)
+                for source in (path, ckpt))
+    assert np.array_equal(old.predict_x0(xt, y, t), new.predict_x0(xt, y, t))
+
+
 def test_checkpoint_version_guard(tmp_path, world, vp):
     ckpt = train(world, vp, TrainConfig(mode=NAIVE, steps=2))
     # layer shapes that disagree with the stored config, and a parameter
@@ -377,10 +396,15 @@ def test_train_config_round_trip_and_validation():
     # the payload round trip of every dataclass is in test_codec.py
     with pytest.raises(ValueError):
         TrainConfig(mode="sgd")
-    with pytest.raises(ValueError):
-        TrainConfig(mode=TIMENOISE)  # missing timenoise params
-    with pytest.raises(ValueError):
-        TrainConfig(mode=CDM_FIXED)  # missing cdm_beta
+    # the levels default on the fields; a mode that reads one takes no null
+    assert TrainConfig(mode=TIMENOISE).timenoise == td.TimeNoiseParams()
+    assert TrainConfig(mode=CDM_FIXED).cdm_beta == 0.2
+    with pytest.raises(ValueError, match="requires timenoise parameters"):
+        TrainConfig(mode=TIMENOISE, timenoise=None)
+    with pytest.raises(ValueError, match="requires timenoise parameters"):
+        TrainConfig(mode=CONSTANT_BETA, timenoise=None)
+    with pytest.raises(ValueError, match="requires cdm_beta"):
+        TrainConfig(mode=CDM_FIXED, cdm_beta=None)
     with pytest.raises(ValueError):
         TrainConfig(mode=NAIVE, t_floor=0.0)
     with pytest.raises(ValueError):
@@ -442,10 +466,12 @@ def test_batch_container_fields(world, vp):
     assert batch.motion is None
 
 
-def _reference_train(world, schedule, cfg):
+def _reference_train(world, schedule, cfg, losses=None):
     """The allocating loop the in-place one must reproduce bit for bit:
     layer views unpacked on every call, inputs and gradient concatenated,
-    Adam on fresh arrays, and each step's batch replayed stage by stage."""
+    Adam on fresh arrays, and each step's batch replayed stage by stage.
+    Each step's training loss, batch_loss of the parameters before its
+    update on its batch, is appended to the list losses when one is given."""
     model = MLPDenoiser(world.n_frames, world.frame_dim, hidden=cfg.hidden,
                         motion_feature=cfg.motion_feature)
     init_rng, heldout_rng, data_rng = np.random.default_rng(cfg.seed).spawn(3)
@@ -485,7 +511,10 @@ def _reference_train(world, schedule, cfg):
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     for step in range(cfg.steps):
-        _, grad = loss_and_gradient(params, _replay_batch(world, schedule, cfg, streams))
+        batch = _replay_batch(world, schedule, cfg, streams)
+        if losses is not None:
+            losses.append(batch_loss(model, params, batch))
+        _, grad = loss_and_gradient(params, batch)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1 ** (step + 1))
@@ -611,18 +640,6 @@ def test_train_builds_batches_one_block_at_a_time(world, vp, monkeypatch, steps)
     }
 
 
-def _reference_step_loss(world, schedule, cfg, step):
-    """The reference loop's training loss at `step`: its parameters after
-    `step` updates on the replayed batch for that step."""
-    params, _ = _reference_train(world, schedule, replace(cfg, steps=step))
-    model = MLPDenoiser(world.n_frames, world.frame_dim, hidden=cfg.hidden,
-                        motion_feature=cfg.motion_feature)
-    streams = _streams(np.random.default_rng(cfg.seed).spawn(3)[2])
-    for _ in range(step + 1):
-        batch = _replay_batch(world, schedule, cfg, streams)
-    return batch_loss(model, params, batch)
-
-
 PARTIAL_BLOCK_STEPS = (0, 1, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 43)
 
 
@@ -636,15 +653,14 @@ def test_train_matches_reference_loop_at_any_step_count(world, request, schedule
     schedule = request.getfixturevalue(schedule_name)
     cfg = TrainConfig(steps=steps, seed=3, **REFERENCE_CASES[case])
     ckpt, history = train(world, schedule, cfg, return_history=True)
-    params, final_loss = _reference_train(world, schedule, cfg)
+    losses = []
+    params, final_loss = _reference_train(world, schedule, cfg, losses)
     assert np.array_equal(np.asarray(ckpt["parameters"]), params)
     assert ckpt["final_loss"] == history["final_heldout"] == final_loss
     assert history["initial_heldout"] == _reference_train(
         world, schedule, replace(cfg, steps=0))[1]
     logged = sorted({0, steps - 1}) if steps else []
-    assert history["loss_history"] == [
-        (step, _reference_step_loss(world, schedule, cfg, step)) for step in logged
-    ]
+    assert history["loss_history"] == [(step, losses[step]) for step in logged]
 
 
 # Levels beta_m t^a round to zero for every item of a step whose times all
@@ -807,7 +823,8 @@ def test_divergence_is_reported_at_the_reference_step(world, vp):
     cfg = TrainConfig(mode=CDM_FIXED, cdm_beta=4.5e307, steps=100, seed=5)
     with pytest.raises(TrainingDiverged) as err:
         train(world, vp, cfg)
-    first = next(step for step in range(cfg.steps)
-                 if not np.isfinite(_reference_step_loss(world, vp, cfg, step)))
+    losses = []
+    _reference_train(world, vp, cfg, losses)
+    first = next(step for step, loss in enumerate(losses) if not np.isfinite(loss))
     assert BLOCK_STEPS < first
     assert err.value.step == first

@@ -21,6 +21,7 @@ from toydiffusion.world import (
     prior_frame_cov,
     prior_moments,
     sample_videos,
+    videos_from_noise,
 )
 
 # ---------------------------------------------------------------------------
@@ -456,7 +457,8 @@ def test_sample_video_shape(world):
     v = sample_videos(world, 1, np.random.default_rng(9))
     assert v.shape == (1, 8, 4)
     # a per-video innovation scale: zero scale leaves pure drift
-    v = sample_videos(world, 2, np.random.default_rng(9), s_w=[0.0, 1.0])
+    inc = np.random.default_rng(9).standard_normal((2, 7, 4))
+    v = videos_from_noise(world, np.zeros((2, 4)), inc, s_w=[0.0, 1.0])
     assert v.shape == (2, 8, 4)
     np.testing.assert_allclose(
         np.diff(v[0], axis=0), np.broadcast_to(world.drift, (7, 4)), atol=1e-12
@@ -466,4 +468,4 @@ def test_sample_video_shape(world):
     # rejected, not broadcast
     for s_w in ([0.1, 0.2], [0.1]):
         with pytest.raises(ValueError, match=f"has {len(s_w)} entries for a batch of 5"):
-            sample_videos(world, 5, np.random.default_rng(9), s_w=s_w)
+            videos_from_noise(world, np.zeros((5, 4)), np.ones((5, 7, 4)), s_w=s_w)

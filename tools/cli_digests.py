@@ -17,7 +17,9 @@ manifest and, for samples, its summary.  One more constant-mode
 checkpoint, at batch size 2 and a = 100, has steps whose corruption levels
 all round to zero; a cdm checkpoint at level 0 takes the clean path, with
 no condition draw and no corruption; and a naive checkpoint draws a random
-condition frame per row and EDM log-normal times.  An empty config and
+condition frame per row and EDM log-normal times.  A cdm and a constant
+checkpoint take their levels from the config's train.timenoise (interpolating,
+beta_m = 1), where cdm keeps its own default level.  An empty config and
 one whose schedule section leaves out its kind run on the dataclass
 defaults.  A command runs with config.json unless it names its own --config.
 
@@ -38,7 +40,11 @@ digest lines of this tree, prints one line per file whose bytes differ
 between the two: the largest absolute and relative difference over the
 numbers in the file, or ``layout differs`` when the text around the
 numbers (or the set of files) differs.  It exits 1 after printing every
-``differs`` line, so its exit status is a byte-identity gate.
+``differs`` line, so its exit status is a byte-identity gate.  A command
+of COMMANDS that the other tree rejects stops the script too, so
+``--against`` spans only trees that accept the same config files; across a
+config schema change, run the script on each tree alone and compare the
+entries the two outputs share.
 """
 
 import argparse
@@ -87,7 +93,13 @@ CONFIG_FILES = {
     "config_mf_world.json": {"train": {"motion_feature": True}},
     # the zero-level checkpoint's: with a = 100 a level beta_m t^a rounds to
     # zero below t = 0.69, so about half its two-item steps corrupt nothing
-    "config_zero.json": {"train": {"batch_size": 2}, "timenoise": {"a": 100.0}},
+    "config_zero.json": {"train": {"batch_size": 2, "timenoise": {"a": 100.0}}},
+    # levels read from train: constant follows them, and cdm keeps its
+    # default level 0.2 whatever beta_m is
+    "config_levels.json": {"train": {"timenoise": {"beta_m": 1.0, "a": 3.0,
+                                                   "variant": "interpolation"}}},
+    # the levels belong under train; a top-level section is an unknown key
+    "config_timenoise_section.json": {"timenoise": {"a": 3.0}},
     # the clean cdm checkpoint's: at level 0 a cdm step draws no condition
     # noise, like a naive one
     "config_cdm0.json": {"train": {"cdm_beta": 0.0}},
@@ -145,6 +157,8 @@ COMMANDS = [
      "--out", "ckpt_cdm0.json"],
     ["train", "--mode", "naive", "--config", "config_random.json",
      "--out", "ckpt_random.json"],
+    *(["train", "--mode", mode, "--config", "config_levels.json",
+       "--out", f"ckpt_levels_{mode}.json"] for mode in ("cdm", "constant")),
     ["world-sample", "--n", "200", "--config", "config_empty.json",
      "--out", "videos_empty.csv"],
     ["prop1-check", "--config", "config_empty.json", "--out", "prop1_empty.json"],
@@ -164,6 +178,8 @@ OUTCOMES = [
          "--out", "sample_mismatch.csv"]),
     (3, ["sample", "--n", "3", "--steps", "2", "--config", "config_huge_beta.json",
          "--out", "sample_huge_beta.csv"]),
+    (2, ["world-sample", "--n", "2", "--config", "config_timenoise_section.json",
+         "--out", "videos_timenoise_section.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
