@@ -10,9 +10,10 @@ are CSV/JSON with a manifest written beside each one, and every command is
 byte-deterministic under a fixed seed on one machine, numpy/BLAS build and
 thread count.
 
-Exit codes: 0 success, 2 config or input error, 3 numerical failure,
-4 acceptance-check failure.  Any other exception is a bug: it propagates
-with its traceback and the interpreter exits 1.
+Exit codes: 0 success, 2 config or input error (a file that cannot be
+read or written among them), 3 numerical failure, 4 acceptance-check
+failure.  Any other exception is a bug: it propagates with its traceback
+and the interpreter exits 1.
 """
 
 from __future__ import annotations
@@ -26,13 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic_init import (
-    InitDistribution,
-    estimate_moments,
-    exact_moments,
-    optimal_init,
-    verify_optimality,
-)
+from .analytic_init import (InitDistribution, estimate_moments, optimal_init,
+                            verify_optimality)
 from .codec import ConfigError, from_payload, read_json, to_payload
 from .diagnostics import (
     init_ablation,
@@ -44,7 +40,8 @@ from .diagnostics import (
     write_manifest,
     OracleEps,
 )
-from .sampler import ANALYTIC, STANDARD, SamplerConfig, SamplerDiverged, sample_batch
+from .sampler import (ANALYTIC, STANDARD, SamplerConfig, SamplerDiverged, named_init,
+                      sample_batch)
 from .schedule import NoiseSchedule
 from .train import (
     MODES,
@@ -166,18 +163,17 @@ def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
 
 
 def _load_init(spec: str, m_start: float, cfg: ExperimentConfig):
-    """Resolve an --init flag: standard | analytic | analytic:PATH."""
+    """Resolve an --init flag: standard (None, the sampler's default),
+    analytic:PATH, or else a name of named_init."""
     if spec == STANDARD:
         return None
-    if spec == ANALYTIC:
-        return optimal_init(exact_moments(cfg.world), cfg.schedule, m_start)
     if spec.startswith(ANALYTIC + ":"):
         path = spec[len(ANALYTIC) + 1:]
         payload = read_json(path, "init file")
         if isinstance(payload, dict):
             payload = payload.get("init", payload)
         return from_payload(InitDistribution, payload, f"init file {path}")
-    raise ConfigError(f"unknown init {spec!r}")
+    return named_init(spec, cfg.world, cfg.schedule, m_start)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +213,9 @@ def _cmd_estimate_init(cfg, args, out):
 
 
 def _cmd_prop1_check(cfg, args, out):
-    moments = exact_moments(cfg.world)
-    reports = []
-    for m_start in cfg.diagnostics.m_grid:
-        init = optimal_init(moments, cfg.schedule, m_start)
-        reports.append(verify_optimality(
-            marginal_moments_at(cfg.world, cfg.schedule, m_start), init))
+    reports = [verify_optimality(marginal_moments_at(cfg.world, cfg.schedule, m),
+                                 named_init(ANALYTIC, cfg.world, cfg.schedule, m))
+               for m in cfg.diagnostics.m_grid]
     passed = all(rep["passed"] for rep in reports)
     write_json(out, {"passed": passed, "reports": reports})
     if not passed:
@@ -339,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
                   "train a denoiser checkpoint")
     tr.add_argument("--mode", required=True, choices=list(MODES))
     tr.add_argument("--steps", type=int)
-    tr.add_argument("--seed", type=int)
+    tr.add_argument("--seed", type=int,
+                    help="overrides train.seed, the seed train draws from "
+                         "(every other command draws from the top-level seed)")
 
     sa = _command(sub, "sample", _cmd_sample, "samples.csv",
                   "run reverse chains and save videos")
@@ -376,7 +371,7 @@ def _emit_error(kind: str, exc) -> None:
 
 def main(argv=None) -> int:
     """Parse, load the config, resolve --out, run the command, write the
-    manifest; map config and numerical failures to exit codes 2 and 3.
+    manifest; map config and file failures to exit code 2, numerical to 3.
     Any other exception is a bug and propagates.  A failed run removes
     each directory it created for output_dir while that is still empty."""
     args = build_parser().parse_args(argv)
@@ -406,8 +401,7 @@ def main(argv=None) -> int:
             FloatingPointError, OverflowError) as exc:
         _emit_error("numerical", exc)
         code = 3
-    except (ValueError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:
+    except (ValueError, OSError) as exc:
         _emit_error("config", exc)
         code = 2
     finally:

@@ -4,15 +4,15 @@ to_payload writes a dataclass as a JSON-ready dict, its fields in order;
 from_payload reads one back through the same field annotations, so the
 config, the checkpoint and the init file share one schema: a key left out
 takes its field's default, and no unknown key, missing required key, value
-of the wrong JSON type or NaN or infinity where a number goes passes.
+of the wrong JSON type or number that is not a finite double passes.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import reprlib
+import sys
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_type_hints
 
@@ -42,16 +42,16 @@ def _kinds(cls) -> dict:
 
 def _fits(value, kind) -> bool:
     """Whether a JSON value fits one member of a field annotation; a number
-    is an int or a finite float, never a bool."""
+    is an int or a float, never a bool, and always a finite double."""
     if is_dataclass(kind):
         return isinstance(value, dict)
     if kind in (tuple, np.ndarray):
         return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
     if isinstance(value, bool) or kind is bool:
         return kind is bool and isinstance(value, bool)
-    if kind is float and isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int if kind is float else kind)
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        return False  # NaN, an infinity, or an int too large for a double
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _in(where: str) -> str:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_init import exact_moments, gaussian_kl, optimal_init, standard_init
-from .sampler import ANALYTIC, STANDARD, SamplerConfig, check_schedule, sample_batch
+from .analytic_init import gaussian_kl
+from .sampler import SamplerConfig, check_schedule, named_init, sample_batch
 from .schedule import perturb, x0_from_eps
 from .train import TrainedDenoiser
 from .world import (
@@ -163,25 +163,19 @@ def init_ablation(world, schedule, m_grid, init_modes, denoiser, n: int, seed: i
     """Start-time x init-mode table: KL to the true time-M marginal, mean
     output motion, and conditional-moment errors of the generated samples,
     conditioned on one frame y0 drawn from the seed.  Each row's chains
-    start from the InitDistribution whose KL it reports.
+    start from named_init of its mode, the start whose KL it reports.
 
     The chain generator is re-created per start time, so init modes at the
     same M share their standard-normal draws (paired comparison).  Chains
     see y0 clean (no inference_beta): moment errors are against its law.
     """
     y0 = first_frames(world, 1, np.random.default_rng([seed, _ABLATION_TAG, 1, 0]))[0]
-    moments = exact_moments(world)
     rows = []
     for i, m_start in enumerate(m_grid):
         m_start = float(m_start)
         q = marginal_moments_at(world, schedule, m_start)
         for mode in init_modes:
-            if mode == STANDARD:
-                init_obj = standard_init(schedule, m_start, world.flat_dim)
-            elif mode == ANALYTIC:
-                init_obj = optimal_init(moments, schedule, m_start)
-            else:
-                raise ValueError(f"unknown init mode {mode!r}")
+            init_obj = named_init(mode, world, schedule, m_start)
             kl = gaussian_kl(q, init_obj)
             config = SamplerConfig(start_time=m_start, steps=steps, init=init_obj)
             rng = np.random.default_rng([seed, _ABLATION_TAG, 0, i])

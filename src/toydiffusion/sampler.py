@@ -1,10 +1,7 @@
 """Deterministic reverse-time (DDIM-style) sampling from an early start time.
 
 A run begins at start time M on a uniform (K+1)-point grid down to 0 and
-repeatedly applies
-
-    x_next = alpha_next x0_hat + (sigma_next / sigma_cur) (x_cur - alpha_cur x0_hat)
-
+takes the steps x_next = k x0_hat + r x_cur of schedule.ddim_coefficients,
 with x0_hat from a denoiser (the last step, to t = 0, returns x0_hat).  A
 denoiser has predict_x0(xt, y, t), which returns a new writable array its
 caller owns, shape, the (n_frames, frame_dim) of one video, and schedule,
@@ -29,16 +26,15 @@ array is the output.  A block that ends non-finite is replayed from its
 rows with a check after every step, and SamplerDiverged is raised at the
 earliest first non-finite step over the blocks.  Any other denoiser runs
 ddim_step, which writes the update into predict_x0's fresh result by
-three in-place operations, r (x_cur + ((alpha_next - r alpha_cur) / r)
-x0_hat) with r = sigma_next / sigma_cur > 0, and checks the whole batch
-after each step.  Both paths detect a non-finite state themselves, so
-numpy does not warn during a run.
+three in-place operations, r (x_cur + (k / r) x0_hat) with r > 0, and
+checks the whole batch after each step.  Both paths detect a non-finite
+state themselves, so numpy does not warn during a run.
 
 The initial state is drawn from the config's init, a Gaussian fitted to
-the time-M marginal, or else from standard_init, the conventional prior.
-Initial draws are formed by affine-mapping one shared standard-normal
-tensor, so runs that differ only in the init distribution are paired
-sample-by-sample under a shared seed.
+the time-M marginal, or else from standard_init, the conventional prior;
+named_init maps the names STANDARD and ANALYTIC to such starts.  Draws
+affine-map one shared standard-normal tensor, so runs that differ only in
+the init distribution are paired sample-by-sample under a shared seed.
 """
 
 from __future__ import annotations
@@ -47,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_init import InitDistribution, standard_init
-from .schedule import NoiseSchedule, alpha_sigma
+from .analytic_init import InitDistribution, exact_moments, optimal_init, standard_init
+from .schedule import NoiseSchedule, ddim_coefficients
 from .timenoise import corrupt
 from .world import ExactDenoiser, _check_denoiser_inputs
 
@@ -117,22 +113,27 @@ def draw_initial(config: SamplerConfig, schedule: NoiseSchedule, shape, rng):
     return z
 
 
+def named_init(name: str, world, schedule: NoiseSchedule, M: float):
+    """The start distribution at M that name selects: STANDARD is
+    standard_init, ANALYTIC the optimal_init of the world's exact moments."""
+    if name == STANDARD:
+        return standard_init(schedule, M, world.flat_dim)
+    if name == ANALYTIC:
+        return optimal_init(exact_moments(world), schedule, M)
+    raise ValueError(f"unknown init {name!r}")
+
+
 def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
     """One deterministic update from t_from down to t_to.
 
     The update overwrites predict_x0's fresh result and returns it, so the
     caller owns what it gets back; xt is never written.
     """
-    if not 0.0 <= t_to <= t_from <= 1.0:
-        raise ValueError("need 0 <= t_to <= t_from <= 1")
+    k, r = ddim_coefficients(schedule, t_from, t_to)
     x0_hat = denoiser.predict_x0(xt, y, t_from)
     if t_to == 0.0:
         return x0_hat
-    a_from, s_from = alpha_sigma(schedule, t_from)
-    a_to, s_to = alpha_sigma(schedule, t_to)
-    # a_to x0_hat + r (xt - a_from x0_hat), with r > 0 as t_to > 0
-    r = s_to / s_from
-    x0_hat *= (a_to - r * a_from) / r
+    x0_hat *= k / r  # k x0_hat + r xt, with r > 0 as t_to > 0
     x0_hat += xt
     x0_hat *= r
     return x0_hat

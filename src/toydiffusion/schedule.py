@@ -154,6 +154,20 @@ def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
     return (xt - _per_item(sigma, xt) * eps_hat) / _per_item(alpha, xt)
 
 
+def ddim_coefficients(schedule: NoiseSchedule, t_from, t_to):
+    """(k, r) of the DDIM step x_to = k x0_hat + r x_from down to t_to:
+    r = sigma_to / sigma_from, k = alpha_to - r alpha_from, and (1, 0), the
+    prediction itself, at t_to = 0 (VE has sigma(0) = sigma_min, not 0)."""
+    if not 0.0 <= t_to <= t_from <= T_FINAL:
+        raise ValueError("need 0 <= t_to <= t_from <= 1")
+    if t_to == 0.0:
+        return 1.0, 0.0
+    a_from, s_from = alpha_sigma(schedule, t_from)
+    a_to, s_to = alpha_sigma(schedule, t_to)
+    r = s_to / s_from
+    return a_to - r * a_from, r
+
+
 def _per_item(coef, x: np.ndarray):
     """A scalar coefficient as is, or one per leading item of x (coef.shape
     = x.shape[:coef.ndim]) shaped to broadcast."""

@@ -26,18 +26,18 @@ y and the drift:
 where l(t) is the leaky denoiser's blend toward a static copy of y (0 for
 the exact denoiser), which turns conditioning over-reliance into a dial.
 
-The sampler applies the same map composed with each DDIM step.
-ExactDenoiser.step_map(t, t_to) returns either as one (N, N + 2) matrix
-W = [M | c | beta], x_to = M x_t + c y^T + beta drift^T, t_to = 0 being
-the prediction map; each comes from its own solve, so a K-step run makes
-K maps.  One module-level least-recently-used cache of
-schedule.TIME_CACHE_SIZE entries (at N = 8, 0.6 KiB each) keeps them for
-every exact denoiser, keyed by world, conditional, schedule, the leak
-value l(t), float(t) and t_to.  Worlds are keyed by identity and their
-m0 and drift are read-only, so no entry goes stale.  Denoisers on one
-world with the same leak share entries.  The cached matrices are
-read-only, and a prediction is always a new array.  expected_motion_score
-imports scipy.special itself, so that import toydiffusion loads numpy alone.
+The sampler composes the same map with each DDIM step of
+schedule.ddim_coefficients: ExactDenoiser.step_map(t, t_to) returns either
+as one (N, N + 2) matrix W = [M | c | beta], x_to = M x_t + c y^T +
+beta drift^T, t_to = 0 being the prediction map; each comes from its own
+solve, so a K-step run makes K maps.  One module-level least-recently-used
+cache of schedule.TIME_CACHE_SIZE entries (at N = 8, 0.6 KiB each) keeps
+them for every exact denoiser, keyed by world, conditional, schedule, the
+leak value l(t), float(t) and t_to.  Worlds are keyed by identity and their
+m0 and drift are read-only, so no entry goes stale.  Denoisers on one world
+with the same leak share entries.  The cached matrices are read-only, and
+a prediction is always a new array.  expected_motion_score imports
+scipy.special itself, so that import toydiffusion loads numpy alone.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schedule import TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma
+from .schedule import (TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma,
+                       ddim_coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +263,10 @@ class ExactDenoiser:
     def step_map(self, t, t_to=0.0):
         """The read-only (N, N + 2) W = [M | c | beta] of the DDIM step
         x_to = M xt + c y^T + beta drift^T from t down to t_to; t_to = 0
-        is the prediction map [A | c | beta]."""
+        is the prediction map [A | c | beta].  t is checked before the leak
+        l(t), which overflows at large t; t_to in the map function."""
+        if not 0.0 < t <= 1.0:
+            raise ValueError("exact prediction requires t in (0, 1]")
         return _affine_map(self.world, self.conditional, self.schedule, self.leak(t),
                            float(t), float(t_to))
 
@@ -270,8 +274,6 @@ class ExactDenoiser:
         if np.ndim(t) != 0:
             raise ValueError(
                 f"exact prediction takes one time t, got shape {np.shape(t)}")
-        if not 0.0 < t <= 1.0:
-            raise ValueError("exact prediction requires t in (0, 1]")
         if self.conditional and y is None:
             raise ValueError("conditional denoiser needs a conditioning frame")
         n = self.shape[0]
@@ -293,11 +295,10 @@ def _affine_map(world, conditional, schedule, leak, t, t_to):
     which predict_x0 reads: W0 = solve(S, [alpha C | sigma^2 1 | sigma^2 i])
     with S = alpha^2 C + sigma^2 I for the world's C, pinned at frame 1
     when conditional, and i the frame indices, then blended into
-    (1 - l) W0 + l [0 | 1 | 0].  A step to t_to > 0, x_to = k x0_hat + r xt
-    with r = sigma_to / sigma_t and k = alpha_to - r alpha_t, is
-    k W0 + r [I | 0 | 0].  t_to = 0 never takes that form: VE has
-    sigma(0) = sigma_min, not 0.
+    (1 - l) W0 + l [0 | 1 | 0].  A step to t_to > 0 is k W0 + r [I | 0 | 0]
+    for (k, r) = ddim_coefficients(schedule, t, t_to).
     """
+    k, r = ddim_coefficients(schedule, t, t_to)
     n = world.n_frames
     alpha, sigma = alpha_sigma(schedule, t)
     cov = prior_frame_cov(replace(world, s0=0.0) if conditional else world)
@@ -307,9 +308,7 @@ def _affine_map(world, conditional, schedule, leak, t, t_to):
     w *= 1.0 - leak
     w[:, n] += leak
     if t_to != 0.0:
-        a_to, s_to = alpha_sigma(schedule, t_to)
-        r = s_to / sigma
-        w *= a_to - r * alpha
+        w *= k
         w[:, :n] += r * np.eye(n)
     w.flags.writeable = False
     return w

@@ -709,11 +709,15 @@ def test_checkpoint_config_trains_the_checkpoint_again(tmp_path, mode):
     ("train", "p_std", float("nan"), ["train", "--mode", "naive"]),
     ("train", "cdm_beta", float("inf"), ["train", "--mode", "cdm"]),
     ("train.timenoise", "beta_m", float("inf"), ["train", "--mode", "timenoise"]),
-], ids=["inference_beta-nan", "lr-inf", "p_std-nan", "cdm_beta-inf", "beta_m-inf"])
+    ("world", "s0", 10**400, ["train", "--mode", "naive"]),
+    ("world", "n_frames", 10**400, ["train", "--mode", "naive"]),
+], ids=["inference_beta-nan", "lr-inf", "p_std-nan", "cdm_beta-inf", "beta_m-inf",
+        "s0-huge-int", "n_frames-huge-int"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value,
                                              argv):
     # NaN and Infinity are JSON numbers to Python's reader, but no field
-    # takes one: the key is named and the run exits 2, not 3
+    # takes one: the key is named and the run exits 2, not 3; nor does any
+    # take an integer too large for a double, which exited 3 when converted
     cfgp = small_config(tmp_path)
     payload = json.loads((tmp_path / "config.json").read_text())
     where = payload
@@ -801,6 +805,41 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, values, argv, message
     out = tmp_path / "x.out"
     assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
     assert _one_config_error(capsys) == f"seed must be nonnegative, {message}"
+    assert not out.exists()
+
+
+def test_train_draws_from_train_seed_alone(tmp_path):
+    # train draws from train.seed (or --seed); the top-level seed, which
+    # every other command draws from, leaves the checkpoint's bytes alone
+    cfgp = small_config(tmp_path)
+    payload = json.loads((tmp_path / "config.json").read_text())
+    checkpoints = []
+    for top, train_seed in ((0, 0), (3, 0), (0, 3)):
+        payload["seed"], payload["train"]["seed"] = top, train_seed
+        (tmp_path / "config.json").write_text(json.dumps(payload))
+        ck = tmp_path / f"ck_{top}_{train_seed}.json"
+        assert main(["train", "--config", cfgp, "--mode", "naive", "--steps", "5",
+                     "--out", str(ck)]) == 0
+        checkpoints.append(ck.read_bytes())
+    assert checkpoints[1] == checkpoints[0]
+    assert checkpoints[2] != checkpoints[0]
+
+
+@pytest.mark.parametrize("module", ["codec", "diagnostics"])
+def test_unreadable_or_unwritable_file_is_a_config_error(tmp_path, capsys,
+                                                         monkeypatch, module):
+    # a PermissionError, on the config read (codec) or the CSV write
+    # (diagnostics), escaped main as a bug with a traceback
+    cfgp = small_config(tmp_path)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(f"toydiffusion.{module}.open", refuse, raising=False)
+    capsys.readouterr()
+    out = tmp_path / "videos.csv"
+    assert main(["world-sample", "--config", cfgp, "--n", "2", "--out", str(out)]) == 2
+    assert "Permission denied" in _one_config_error(capsys)
     assert not out.exists()
 
 

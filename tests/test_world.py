@@ -296,6 +296,26 @@ def test_exact_denoiser_handles_singular_conditional_cov(world, vp, t):
         np.testing.assert_allclose(got[i].ravel(), want, atol=1e-10)
 
 
+def test_step_map_rejects_the_times_prediction_and_ddim_step_reject(world, vp, ve):
+    # step_map(0.3, 0.5) returned an upward map, and step_map(0.0) a map on
+    # VE and numpy's "Singular matrix" on VP; an invalid time is not cached
+    world_module._affine_map.cache_clear()
+    for schedule in (vp, ve):
+        den = ExactDenoiser(world, schedule)
+        for t, t_to in ((0.3, 0.5), (0.5, -0.1), (0.5, math.nan)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "need 0 <= t_to <= t_from <= 1")):
+                den.step_map(t, t_to)
+            with pytest.raises(ValueError, match=re.escape(
+                    "need 0 <= t_to <= t_from <= 1")):
+                td.ddim_step(den, np.zeros((8, 4)), np.zeros(4), t, t_to, schedule)
+        for t in (0.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    "exact prediction requires t in (0, 1]")):
+                den.step_map(t)
+    assert world_module._affine_map.cache_info().currsize == 0
+
+
 def test_exact_denoiser_gain_cache(world, vp):
     # one affine map W = [A | c | beta] per distinct key, in one bounded
     # module cache, read-only

@@ -114,6 +114,8 @@ CONFIG_FILES = {
     "config_short_m0.json": {"world": {"m0": [1.0, 2.0, 3.0]}},
     # a condition noise level whose samples' motion summary overflows
     "config_huge_beta.json": {"sampler": {"inference_beta": 1e308}},
+    # a 400-digit integer, a JSON number that no double holds
+    "config_huge_int.json": {"train": {"lr": 10**399}},
     # every section left out, and a schedule section without its kind
     "config_empty.json": "{}",
     "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
@@ -180,6 +182,9 @@ OUTCOMES = [
          "--out", "sample_huge_beta.csv"]),
     (2, ["world-sample", "--n", "2", "--config", "config_timenoise_section.json",
          "--out", "videos_timenoise_section.csv"]),
+    # rejected when the config is read, so no CSV is written
+    (2, ["world-sample", "--n", "2", "--config", "config_huge_int.json",
+         "--out", "videos_huge_int.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
