@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .schedule import (
     NoiseSchedule,
-    T_FINAL,
     VE,
     VP,
     alpha_sigma,

@@ -42,15 +42,13 @@ def _kinds(cls) -> dict:
 
 def _fits(value, kind) -> bool:
     """Whether a JSON value fits one member of a field annotation; a number
-    is an int or a float, never a bool, and always a finite double."""
+    is an int or a float, never a bool (its finiteness is from_payload's)."""
     if is_dataclass(kind):
         return isinstance(value, dict)
     if kind in (tuple, np.ndarray):
         return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
     if isinstance(value, bool) or kind is bool:
         return kind is bool and isinstance(value, bool)
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        return False  # NaN, an infinity, or an int too large for a double
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -98,6 +96,11 @@ def from_payload(cls, payload, where: str = ""):
         if not any(_fits(value, k) for k in kinds[name]):
             raise ConfigError(f"{name}{_in(where)} must be {known[name].type}, "
                               f"got {reprlib.repr(value)}")
+        numbers = value if isinstance(value, (list, tuple)) else [value]
+        if not all(abs(v) <= sys.float_info.max for v in numbers  # NaN fails too
+                   if isinstance(v, (int, float))):
+            raise ConfigError(f"{name}{_in(where)} must be finite and within a "
+                              f"double's range, got {reprlib.repr(value)}")
         if isinstance(value, dict):  # only a dataclass member takes one
             nested = next(k for k in kinds[name] if is_dataclass(k))
             inner = f"{where}.{name}" if where else name

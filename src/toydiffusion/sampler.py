@@ -2,10 +2,9 @@
 
 A run begins at start time M on a uniform (K+1)-point grid down to 0 and
 takes the steps x_next = k x0_hat + r x_cur of schedule.ddim_coefficients,
-with x0_hat from a denoiser (the last step, to t = 0, returns x0_hat).  A
-denoiser has predict_x0(xt, y, t), which returns a new writable array its
-caller owns, shape, the (n_frames, frame_dim) of one video, and schedule,
-which must be the sampler's.
+with x0_hat from a denoiser.  A denoiser has predict_x0(xt, y, t), which
+returns a new writable array its caller owns, shape, the (n_frames,
+frame_dim) of one video, and schedule, which must be the sampler's.
 
 The exact and leaky denoisers are affine, so each of their steps is one
 cached (N, N + 2) matrix W = [M | c | beta], x_next = M x_cur + c y^T +
@@ -25,9 +24,9 @@ A finite end state is written back over the block's rows, and the draw
 array is the output.  A block that ends non-finite is replayed from its
 rows with a check after every step, and SamplerDiverged is raised at the
 earliest first non-finite step over the blocks.  Any other denoiser runs
-ddim_step, which writes the update into predict_x0's fresh result by
-three in-place operations, r (x_cur + (k / r) x0_hat) with r > 0, and
-checks the whole batch after each step.  Both paths detect a non-finite
+ddim_step, r (x_cur + (k / r) x0_hat) by three in-place operations on
+predict_x0's fresh result, or that result where ddim_coefficients' r = 0,
+and checks the batch after each step.  Both paths detect a non-finite
 state themselves, so numpy does not warn during a run.
 
 The initial state is drawn from the config's init, a Gaussian fitted to
@@ -131,9 +130,9 @@ def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
     """
     k, r = ddim_coefficients(schedule, t_from, t_to)
     x0_hat = denoiser.predict_x0(xt, y, t_from)
-    if t_to == 0.0:
+    if r == 0.0:  # the step lands on the prediction, by ddim_coefficients
         return x0_hat
-    x0_hat *= k / r  # k x0_hat + r xt, with r > 0 as t_to > 0
+    x0_hat *= k / r  # k x0_hat + r xt
     x0_hat += xt
     x0_hat *= r
     return x0_hat

@@ -30,9 +30,6 @@ import numpy as np
 VP = "vp"
 VE = "ve"
 
-#: Terminal time of the forward process; time is normalized.
-T_FINAL = 1.0
-
 #: Entries of every per-time cache: the scalar alpha_sigma pairs here and
 #: the exact family's affine maps in world, one cache each.  A K-step
 #: exact-family run keeps K maps, one per step, the last of them the
@@ -77,8 +74,8 @@ class NoiseSchedule:
 
 def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
-    if not ((t >= 0.0) & (t <= T_FINAL)).all():  # NaN fails both
-        raise ValueError(f"time must lie in [0, {T_FINAL}], got {t!r}")
+    if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails both
+        raise ValueError(f"time must lie in [0, 1], got {t!r}")
     return t
 
 
@@ -126,7 +123,7 @@ def sigma_to_t(schedule: NoiseSchedule, sigma):
         a = 0.25 * (schedule.beta_max - schedule.beta_min)
         b = 0.5 * schedule.beta_min
         t = (-b + np.sqrt(b * b + 4.0 * a * level)) / (2.0 * a)
-    t = np.clip(t, 0.0, T_FINAL)
+    t = np.clip(t, 0.0, 1.0)
     if t.ndim == 0:
         return float(t)
     return t
@@ -155,14 +152,16 @@ def x0_from_eps(eps_hat, xt, schedule: NoiseSchedule, t):
 
 
 def ddim_coefficients(schedule: NoiseSchedule, t_from, t_to):
-    """(k, r) of the DDIM step x_to = k x0_hat + r x_from down to t_to:
-    r = sigma_to / sigma_from, k = alpha_to - r alpha_from, and (1, 0), the
-    prediction itself, at t_to = 0 (VE has sigma(0) = sigma_min, not 0)."""
-    if not 0.0 <= t_to <= t_from <= T_FINAL:
+    """(k, r) of the DDIM step x_to = k x0_hat + r x_from from a t_from with noise:
+    r = sigma_to / sigma_from and k = alpha_to - r alpha_from, with r = 0, (1, 0),
+    exactly when the step is the prediction: at t_to = 0 or where sigma_to is 0."""
+    if not 0.0 <= t_to <= t_from <= 1.0:
         raise ValueError("need 0 <= t_to <= t_from <= 1")
-    if t_to == 0.0:
-        return 1.0, 0.0
     a_from, s_from = alpha_sigma(schedule, t_from)
+    if s_from == 0.0:
+        raise ValueError(f"no noise to remove at t_from = {t_from:g}: sigma rounds to 0")
+    if t_to == 0.0:  # VE's sigma(0) is sigma_min, not 0
+        return 1.0, 0.0
     a_to, s_to = alpha_sigma(schedule, t_to)
     r = s_to / s_from
     return a_to - r * a_from, r

@@ -245,7 +245,7 @@ class ExactDenoiser:
     is S^{-1} (alpha C xt + sigma^2 m), S = alpha^2 C + sigma^2 I, the one
     solve of the module docstring.  C is the world's, or when conditional
     that of the world pinned at frame 1 (s0 = 0), whose zero first row and
-    column make frame 1 exactly y; S is nonsingular for every t > 0.
+    column make frame 1 exactly y; S is nonsingular wherever sigma > 0.
     step_map is the one way to the family's cached affine maps, one per
     (t, t_to): K for a K-step run.
     """
@@ -264,7 +264,7 @@ class ExactDenoiser:
         """The read-only (N, N + 2) W = [M | c | beta] of the DDIM step
         x_to = M xt + c y^T + beta drift^T from t down to t_to; t_to = 0
         is the prediction map [A | c | beta].  t is checked before the leak
-        l(t), which overflows at large t; t_to in the map function."""
+        l(t), which overflows at large t; the step's times in ddim_coefficients."""
         if not 0.0 < t <= 1.0:
             raise ValueError("exact prediction requires t in (0, 1]")
         return _affine_map(self.world, self.conditional, self.schedule, self.leak(t),
@@ -295,8 +295,8 @@ def _affine_map(world, conditional, schedule, leak, t, t_to):
     which predict_x0 reads: W0 = solve(S, [alpha C | sigma^2 1 | sigma^2 i])
     with S = alpha^2 C + sigma^2 I for the world's C, pinned at frame 1
     when conditional, and i the frame indices, then blended into
-    (1 - l) W0 + l [0 | 1 | 0].  A step to t_to > 0 is k W0 + r [I | 0 | 0]
-    for (k, r) = ddim_coefficients(schedule, t, t_to).
+    (1 - l) W0 + l [0 | 1 | 0].  A step is k W0 + r [I | 0 | 0] for (k, r)
+    = ddim_coefficients(schedule, t, t_to), unless its r = 0 marks W0.
     """
     k, r = ddim_coefficients(schedule, t, t_to)
     n = world.n_frames
@@ -307,7 +307,7 @@ def _affine_map(world, conditional, schedule, leak, t, t_to):
                         np.hstack((alpha * cov, sigma**2 * basis)))
     w *= 1.0 - leak
     w[:, n] += leak
-    if t_to != 0.0:
+    if r != 0.0:
         w *= k
         w[:, :n] += r * np.eye(n)
     w.flags.writeable = False

@@ -81,3 +81,18 @@ def test_checkpoint_keys_in_written_order():
 def test_numbers_must_be_finite_and_not_bool(payload, key):
     with pytest.raises(ConfigError, match=f"^{key} at the top level must be"):
         from_payload(td.TrainConfig, payload)
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"steps": 10**400}, "steps"),
+    ({"lr": -10**400}, "lr"),
+    ({"lr": float("nan")}, "lr"),
+    ({"s_w_choices": [0.5, 10**400]}, "s_w_choices"),
+], ids=["int-huge", "float-huge", "float-nan", "list-huge"])
+def test_a_number_no_double_holds_is_named_by_that_rule(payload, key):
+    # the type test reported it, "steps ... must be int, got 1000...0",
+    # although the value is an int
+    with pytest.raises(ConfigError, match=f"^{key} at the top level must be finite and "
+                                          "within a double's range, got "):
+        from_payload(td.TrainConfig, payload)
+

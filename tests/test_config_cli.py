@@ -711,8 +711,10 @@ def test_checkpoint_config_trains_the_checkpoint_again(tmp_path, mode):
     ("train.timenoise", "beta_m", float("inf"), ["train", "--mode", "timenoise"]),
     ("world", "s0", 10**400, ["train", "--mode", "naive"]),
     ("world", "n_frames", 10**400, ["train", "--mode", "naive"]),
+    ("train", "steps", 10**400, ["train", "--mode", "naive"]),
+    ("diagnostics", "t_grid", [0.5, 10**400], ["train", "--mode", "naive"]),
 ], ids=["inference_beta-nan", "lr-inf", "p_std-nan", "cdm_beta-inf", "beta_m-inf",
-        "s0-huge-int", "n_frames-huge-int"])
+        "s0-huge-int", "n_frames-huge-int", "steps-huge-int", "t_grid-huge-int"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value,
                                              argv):
     # NaN and Infinity are JSON numbers to Python's reader, but no field
@@ -748,8 +750,18 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
      "m_grid entries must lie in (0, 1]"),
     (None, {"output_dir": ""}, ["world-sample", "--n", "2"],
      "output_dir must be a nonempty path at the top level"),
+    (None, {}, ["sample", "--n", "2", "--M", "1e-300", "--steps", "2"],
+     "no noise to remove at t_from = 1e-300"),
+    (None, {}, ["sample", "--n", "2", "--M", "1e-20", "--steps", "1"],
+     "no noise to remove at t_from = 1e-20"),
+    ("diagnostics", {"t_grid": [1e-20]}, ["diagnose", "leakage"],
+     "no noise to remove at t_from = 1e-20"),
+    ("diagnostics", {"m_grid": [1e-20]}, ["diagnose", "init-ablation"],
+     "no noise to remove at t_from = 1e-20"),
 ], ids=["world-drift-overflow", "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
-        "eval_videos-zero", "t_grid-above-one", "m_grid-zero", "output_dir-empty"])
+        "eval_videos-zero", "t_grid-above-one", "m_grid-zero", "output_dir-empty",
+        "sample-noiseless-M-two-steps", "sample-noiseless-M-one-step",
+        "t_grid-noiseless", "m_grid-noiseless"])
 def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values, argv,
                                               name):
     # a drift whose frame offsets overflow wrote inf into the last frames,

@@ -421,6 +421,27 @@ def denoisers(world, vp, ve):
     return out
 
 
+def test_ddim_step_to_a_noiseless_time_returns_the_prediction(denoisers, vp):
+    # x0_hat *= k / r divided by zero where VP's sigma rounds to 0
+    den = denoisers["trained", "vp"]
+    xt = np.random.default_rng(4).standard_normal((3, 8, 4))
+    y0 = np.random.default_rng(5).standard_normal(4)
+    got = ddim_step(den, xt, y0, 0.5, 1e-300, vp)
+    assert got.tobytes() == den.predict_x0(xt, y0, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("M, t_from", [(1e-300, "1e-300"), (1.5e-15, "7.5e-16")],
+                         ids=["start", "second-step"])
+@pytest.mark.parametrize("name", ["exact", "trained"])
+def test_a_step_from_a_time_without_noise_is_rejected(denoisers, vp, name, M, t_from):
+    # ZeroDivisionError or numpy's "Singular matrix" before; from M = 1.5e-15
+    # the first step lands on the prediction at 7.5e-16, where sigma rounds
+    # to 0, and the second would start there
+    with pytest.raises(ValueError, match=f"^no noise to remove at t_from = {t_from}:"):
+        sample_batch(denoisers[name, "vp"], np.zeros(4), SamplerConfig(M, 2), vp, 2,
+                     np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("beta", [None, 0.3])
 @pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])

@@ -8,6 +8,7 @@ from toydiffusion import schedule as schedule_module
 from toydiffusion.schedule import (
     TIME_CACHE_SIZE,
     alpha_sigma,
+    ddim_coefficients,
     perturb,
     sigma_to_t,
     x0_from_eps,
@@ -200,3 +201,15 @@ def test_non_finite_schedule_params_rejected(field, value):
     for kind in ("vp", "ve"):
         with pytest.raises(ValueError, match=field):
             td.NoiseSchedule(kind=kind, **{field: value})
+
+
+def test_ddim_step_to_a_noiseless_time_is_the_prediction():
+    # VP's sigma rounds to 0 below about 1e-15, where alpha is exactly 1.0,
+    # so r = sigma_to / sigma_from is 0 and the step lands on x0_hat
+    assert ddim_coefficients(VP, 0.5, 1e-300) == (1.0, 0.0)
+
+
+def test_ddim_step_from_a_noiseless_time_is_rejected():
+    # r = sigma_to / sigma_from raised ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^no noise to remove at t_from = 1e-300"):
+        ddim_coefficients(VP, 1e-300, 5e-301)

@@ -316,6 +316,17 @@ def test_step_map_rejects_the_times_prediction_and_ddim_step_reject(world, vp, v
     assert world_module._affine_map.cache_info().currsize == 0
 
 
+def test_step_map_from_a_noiseless_time_is_rejected_before_the_solve(world, vp):
+    # the exact map raised numpy's "Singular matrix" and the leaky step
+    # ZeroDivisionError; neither named the time
+    world_module._affine_map.cache_clear()
+    for den, times in ((ExactDenoiser(world, vp), (1e-20,)),
+                       (LeakyDenoiser(world, vp, 0.6, 1.5), (1e-20, 5e-21))):
+        with pytest.raises(ValueError, match=r"^no noise to remove at t_from = 1e-20"):
+            den.step_map(*times)
+    assert world_module._affine_map.cache_info().currsize == 0
+
+
 def test_exact_denoiser_gain_cache(world, vp):
     # one affine map W = [A | c | beta] per distinct key, in one bounded
     # module cache, read-only

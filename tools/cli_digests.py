@@ -116,6 +116,10 @@ CONFIG_FILES = {
     "config_huge_beta.json": {"sampler": {"inference_beta": 1e308}},
     # a 400-digit integer, a JSON number that no double holds
     "config_huge_int.json": {"train": {"lr": 10**399}},
+    # grid times at which the schedule has no noise: VP in both sets, as its
+    # sigma rounds to 0 there and VE's never falls below sigma_min
+    "config_noiseless.json": {"schedule": {"kind": "vp"},
+                              "diagnostics": {"t_grid": [1e-20], "m_grid": [1e-20]}},
     # every section left out, and a schedule section without its kind
     "config_empty.json": "{}",
     "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
@@ -185,6 +189,13 @@ OUTCOMES = [
     # rejected when the config is read, so no CSV is written
     (2, ["world-sample", "--n", "2", "--config", "config_huge_int.json",
          "--out", "videos_huge_int.csv"]),
+    # a step may only start where the schedule has noise
+    (2, ["sample", "--n", "2", "--M", "1e-300", "--steps", "2",
+         "--config", "config_noiseless.json", "--out", "sample_noiseless.csv"]),
+    (2, ["diagnose", "leakage", "--config", "config_noiseless.json",
+         "--out", "leakage_noiseless.csv"]),
+    (2, ["diagnose", "init-ablation", "--config", "config_noiseless.json",
+         "--out", "ablation_noiseless.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
