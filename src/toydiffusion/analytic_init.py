@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import NoiseSchedule, VP, alpha_sigma
+from .schedule import NoiseSchedule, VP, alpha_sigma, check_start
 from .world import FrameGaussian, GaussianWorld, prior_moments
 
 
@@ -41,8 +41,7 @@ class InitDistribution:
             raise ValueError(
                 f"sigma_p2 must be positive and finite, got {self.sigma_p2!r}"
             )
-        if not 0.0 < self.M <= 1.0:
-            raise ValueError("M must lie in (0, 1]")
+        check_start(self.M, "M")
         object.__setattr__(self, "mu_p", mu)
 
 
@@ -91,8 +90,7 @@ def exact_moments(world: GaussianWorld) -> DataMoments:
 
 def optimal_init(moments: DataMoments, schedule: NoiseSchedule, M: float):
     """KL-optimal isotropic Gaussian against the time-M marginal."""
-    if not 0.0 < M <= 1.0:
-        raise ValueError("M must lie in (0, 1]")
+    check_start(M, "M")
     alpha, sigma = alpha_sigma(schedule, M)
     return InitDistribution(
         mu_p=alpha * moments.mean,

@@ -5,6 +5,7 @@ from_payload reads one back through the same field annotations, so the
 config, the checkpoint and the init file share one schema: a key left out
 takes its field's default, and no unknown key, missing required key, value
 of the wrong JSON type or number that is not a finite double passes.
+write_json refuses to write such a number.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ def read_json(path, what: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_json(path, payload, indent=2, sort_keys=True) -> None:
+    """Write payload as JSON text, laid out by json.dumps's indent and
+    sort_keys, and a newline.  A NaN or an infinity, which from_payload
+    rejects, raises FloatingPointError naming path before the file is opened."""
+    try:
+        text = json.dumps(payload, allow_nan=False, indent=indent, sort_keys=sort_keys)
+    except ValueError:  # allow_nan's error, the only one JSON-typed data raises
+        raise FloatingPointError(f"{path} would hold a non-finite number") from None
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 @functools.cache

@@ -18,13 +18,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic_init import gaussian_kl
+from .codec import write_json
 from .sampler import SamplerConfig, check_schedule, named_init, sample_batch
-from .schedule import perturb, x0_from_eps
+from .schedule import check_start, perturb, x0_from_eps
 from .train import TrainedDenoiser
 from .world import (
     conditional_moments,
@@ -59,8 +61,7 @@ class OracleEps:
 def one_step_prediction(denoiser, x0, y0, schedule, t, rng):
     """Corrupt x0 to time t and return the denoiser's clean-video estimate;
     the oracle's is (x_t - sigma_t eps) / alpha_t from the drawn noise."""
-    if not 0.0 < t <= 1.0:
-        raise ValueError("one-step prediction requires t in (0, 1]")
+    check_start(t, "one-step prediction time t")
     oracle = isinstance(denoiser, OracleEps)
     if not oracle:
         check_schedule(denoiser, schedule)
@@ -208,20 +209,17 @@ def _fmt(value) -> str:
 
 def write_csv(path, rows) -> None:
     """Write dict rows under a header of the first row's keys, floats
-    repr-formatted (shortest round-trip); every row has those keys."""
+    repr-formatted (shortest round-trip); every row has those keys.  A NaN
+    or an infinity raises FloatingPointError before the file is opened."""
     fieldnames = list(rows[0])
+    if not all(math.isfinite(v) for row in rows for v in row.values()
+               if isinstance(v, (float, np.floating))):
+        raise FloatingPointError(f"{path} would hold a non-finite number")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
-
-
-def write_json(path, payload) -> None:
-    """Write indented, key-sorted JSON with a trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def config_digest(payload) -> str:

@@ -23,7 +23,8 @@ non-finite entry into every entry of its column, so it stays non-finite.
 A finite end state is written back over the block's rows, and the draw
 array is the output.  A block that ends non-finite is replayed from its
 rows with a check after every step, and SamplerDiverged is raised at the
-earliest first non-finite step over the blocks.  Any other denoiser runs
+earliest first non-finite step over the blocks.  Any other denoiser has
+its grid's starts checked for noise before its first prediction, and runs
 ddim_step, r (x_cur + (k / r) x0_hat) by three in-place operations on
 predict_x0's fresh result, or that result where ddim_coefficients' r = 0,
 and checks the batch after each step.  Both paths detect a non-finite
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_init import InitDistribution, exact_moments, optimal_init, standard_init
-from .schedule import NoiseSchedule, ddim_coefficients
+from .schedule import NoiseSchedule, check_start, ddim_coefficients
 from .timenoise import corrupt
 from .world import ExactDenoiser, _check_denoiser_inputs
 
@@ -81,8 +82,7 @@ class SamplerConfig:
     inference_beta: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.start_time <= 1.0:
-            raise ValueError("start_time must lie in (0, 1]")
+        check_start(self.start_time, "start_time")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.init is not None and self.init.M != self.start_time:
@@ -165,6 +165,11 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
         y = corrupt(np.broadcast_to(y, (n, d)), config.inference_beta, rng)
     grid = time_grid(config.start_time, config.steps)
     if not isinstance(denoiser, ExactDenoiser):
+        try:  # sigma rises with t, so the last start is the run's least noisy
+            ddim_coefficients(schedule, float(grid[-2]), 0.0)
+        except ValueError:  # name the first start without noise, as the exact path does
+            for t_from, t_to in zip(grid[:-1], grid[1:]):
+                ddim_coefficients(schedule, float(t_from), float(t_to))
         for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
             x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)
             if not np.all(np.isfinite(x)):

@@ -62,6 +62,8 @@ class NoiseSchedule:
             raise ValueError("vp schedule requires 0 < beta_min < beta_max")
         if self.kind == VE and not 0.0 < self.sigma_min < self.sigma_max:
             raise ValueError("ve schedule requires 0 < sigma_min < sigma_max")
+        if self.kind == VE and not math.isfinite(self.sigma_max * self.sigma_max):
+            raise ValueError(f"sigma_max's square must be finite, got {self.sigma_max!r}")
 
     @classmethod
     def vp(cls, beta_min: float = beta_min, beta_max: float = beta_max):
@@ -76,6 +78,14 @@ def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails both
         raise ValueError(f"time must lie in [0, 1], got {t!r}")
+    return t
+
+
+def check_start(t, name: str) -> float:
+    """float(t) for a time a run starts at or a denoiser is asked at, in (0, 1]."""
+    t = float(t)
+    if not 0.0 < t <= 1.0:  # NaN fails
+        raise ValueError(f"{name} must lie in (0, 1], got {t!r}")
     return t
 
 

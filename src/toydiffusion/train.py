@@ -29,13 +29,12 @@ the batch shape.  The model checks its inputs by world._check_denoiser_inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ConfigError, from_payload, read_json, to_payload
+from .codec import ConfigError, from_payload, read_json, to_payload, write_json
 from .schedule import NoiseSchedule, perturb, sigma_to_t, x0_from_eps
 from .timenoise import TimeNoiseParams, constant_beta, corrupt, sample_beta
 from .world import (
@@ -489,9 +488,7 @@ def train(world, schedule, config: TrainConfig, return_history=False):
 
 
 def save_checkpoint(path, checkpoint: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(checkpoint, fh)
-        fh.write("\n")
+    write_json(path, checkpoint, indent=None, sort_keys=False)
 
 
 def load_checkpoint(source):

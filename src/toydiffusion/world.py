@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .schedule import (TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma,
-                       ddim_coefficients)
+                       check_start, ddim_coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,10 +265,9 @@ class ExactDenoiser:
         x_to = M xt + c y^T + beta drift^T from t down to t_to; t_to = 0
         is the prediction map [A | c | beta].  t is checked before the leak
         l(t), which overflows at large t; the step's times in ddim_coefficients."""
-        if not 0.0 < t <= 1.0:
-            raise ValueError("exact prediction requires t in (0, 1]")
+        t = check_start(t, "exact prediction time t")
         return _affine_map(self.world, self.conditional, self.schedule, self.leak(t),
-                           float(t), float(t_to))
+                           t, float(t_to))
 
     def predict_x0(self, xt, y, t):
         if np.ndim(t) != 0:

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import toydiffusion as td
 from toydiffusion.cli import DiagnosticsConfig, ExperimentConfig
-from toydiffusion.codec import ConfigError, from_payload, to_payload
+from toydiffusion.codec import ConfigError, from_payload, to_payload, write_json
 
 TN = td.TimeNoiseParams(beta_m=2.0, a=5.0)
 INIT = td.InitDistribution(mu_p=np.array([1.0, 2.0]), sigma_p2=0.5, M=0.9)
@@ -96,3 +98,18 @@ def test_a_number_no_double_holds_is_named_by_that_rule(payload, key):
                                           "within a double's range, got "):
         from_payload(td.TrainConfig, payload)
 
+
+
+@pytest.mark.parametrize("write", [
+    write_json, td.save_checkpoint, lambda path, row: td.write_csv(path, [row])],
+    ids=["write_json", "save_checkpoint", "write_csv"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(-np.inf)])
+def test_a_non_finite_number_is_refused_before_the_file_is_opened(tmp_path, write,
+                                                                  value):
+    # each writer wrote NaN or Infinity, which from_payload and the CSV
+    # readers then refused, and the command exited 0
+    path = tmp_path / "out"
+    with pytest.raises(FloatingPointError,
+                       match=f"^{re.escape(str(path))} would hold a non-finite number$"):
+        write(path, {"a": 1.0, "b": value})
+    assert not path.exists()

@@ -463,7 +463,7 @@ def test_error_paths_exit_codes(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert [json.loads(line) for line in lines] == [{"error": {
         "type": "numerical",
-        "message": "motion summary of the samples: overflow encountered in square"}}]
+        "message": f"{tmp_path}/huge.csv.summary.json would hold a non-finite number"}}]
     assert not list(tmp_path.glob("huge.csv*"))
 
 
@@ -758,10 +758,18 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
      "no noise to remove at t_from = 1e-20"),
     ("diagnostics", {"m_grid": [1e-20]}, ["diagnose", "init-ablation"],
      "no noise to remove at t_from = 1e-20"),
+    *(("schedule", {"kind": "ve", "sigma_max": 1e200}, argv,
+       "sigma_max's square must be finite, got 1e+200 in schedule")
+      for argv in (["prop1-check"], ["sample", "--n", "2"], ["diagnose", "leakage"],
+                   ["diagnose", "init-ablation"], ["train", "--mode", "naive"],
+                   ["world-sample", "--n", "2"])),
 ], ids=["world-drift-overflow", "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
         "eval_videos-zero", "t_grid-above-one", "m_grid-zero", "output_dir-empty",
         "sample-noiseless-M-two-steps", "sample-noiseless-M-one-step",
-        "t_grid-noiseless", "m_grid-noiseless"])
+        "t_grid-noiseless", "m_grid-noiseless",
+        *(f"ve-sigma_max-overflow-{name}" for name in (
+            "prop1-check", "sample", "leakage", "init-ablation", "train",
+            "world-sample"))])
 def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values, argv,
                                               name):
     # a drift whose frame offsets overflow wrote inf into the last frames,
@@ -1111,3 +1119,31 @@ def test_every_sampling_denoiser_states_shape_and_schedule(tmp_path):
         den = _build_denoiser(args, cfg)
         assert den.shape == (cfg.world.n_frames, cfg.world.frame_dim)
         assert den.schedule == cfg.schedule
+
+
+@pytest.mark.parametrize("section, values, argv", [
+    ("train", {"lr": 1e200}, ["train", "--mode", "naive", "--steps", "1"]),
+    ("world", {"m0": 1e307}, ["diagnose", "leakage"]),
+    ("world", {"m0": 1e307}, ["diagnose", "init-ablation"]),
+    ("schedule", {"beta_max": 1e6}, ["diagnose", "leakage", "--denoiser", "oracle"]),
+], ids=["train-final_loss-inf", "leakage-m0-huge", "init-ablation-m0-huge",
+        "oracle-leakage-alpha-zero"])
+def test_a_non_finite_output_is_a_numerical_failure(tmp_path, section, values, argv):
+    # each wrote Infinity or NaN and exited 0 after a numpy RuntimeWarning,
+    # and a checkpoint with an infinite final_loss could not be read back;
+    # a real process, so a warning numpy prints on stderr is seen too
+    cfgp = small_config(tmp_path)
+    payload = json.loads(pathlib.Path(cfgp).read_text())
+    payload[section].update(values)
+    pathlib.Path(cfgp).write_text(json.dumps(payload))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toydiffusion", *argv, "--config", cfgp, "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [{"error": {
+        "type": "numerical", "message": "out would hold a non-finite number"}}]
+    assert not list(tmp_path.glob("out*"))

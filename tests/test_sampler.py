@@ -442,6 +442,28 @@ def test_a_step_from_a_time_without_noise_is_rejected(denoisers, vp, name, M, t_
                      np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("M, steps, t_from", [(1e-12, 2000, "5e-16"),
+                                              (1e-14, 50, "8e-16")])
+def test_a_trained_run_rejects_a_start_without_noise_before_predicting(
+        monkeypatch, denoisers, vp, M, steps, t_from):
+    # the trained path checked each start at its step, so 1999 and 46
+    # predictions ran before the error; it names the start the exact path does
+    den = denoisers["trained", "vp"]
+    calls = []
+    predict_x0 = den.predict_x0
+    monkeypatch.setattr(den, "predict_x0",
+                        lambda *args: calls.append(args) or predict_x0(*args))
+    errors = []
+    for name in ("trained", "exact"):
+        with pytest.raises(ValueError) as err:
+            sample_batch(denoisers[name, "vp"], np.zeros(4), SamplerConfig(M, steps),
+                         vp, 2, np.random.default_rng(0))
+        errors.append(str(err.value))
+    assert calls == []
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"no noise to remove at t_from = {t_from}:")
+
+
 @pytest.mark.parametrize("beta", [None, 0.3])
 @pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])

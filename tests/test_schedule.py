@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,9 +8,11 @@ from scipy.integrate import quad
 
 import toydiffusion as td
 from toydiffusion import schedule as schedule_module
+from toydiffusion.cli import DiagnosticsConfig
 from toydiffusion.schedule import (
     TIME_CACHE_SIZE,
     alpha_sigma,
+    check_start,
     ddim_coefficients,
     perturb,
     sigma_to_t,
@@ -213,3 +218,45 @@ def test_ddim_step_from_a_noiseless_time_is_rejected():
     # r = sigma_to / sigma_from raised ZeroDivisionError
     with pytest.raises(ValueError, match=r"^no noise to remove at t_from = 1e-300"):
         ddim_coefficients(VP, 1e-300, 5e-301)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1, 1.5, math.nan, -math.inf])
+def test_check_start_names_the_time_it_rejects(t):
+    with pytest.raises(ValueError, match=re.escape(f"M must lie in (0, 1], got {t!r}")):
+        check_start(t, "M")
+
+
+def test_check_start_returns_a_float():
+    for t in (1, np.float64(0.25), 5e-324):
+        got = check_start(t, "M")
+        assert type(got) is float and got == t
+
+
+@pytest.mark.parametrize("name, call", [
+    ("start_time", lambda world, t: td.SamplerConfig(t)),
+    ("M", lambda world, t: td.InitDistribution(np.zeros(32), 1.0, t)),
+    ("M", lambda world, t: td.optimal_init(td.exact_moments(world), VP, t)),
+    ("t_grid entries", lambda world, t: DiagnosticsConfig(t_grid=(0.5, t))),
+    ("m_grid entries", lambda world, t: DiagnosticsConfig(m_grid=(0.5, t))),
+    ("exact prediction time t",
+     lambda world, t: td.ExactDenoiser(world, VP).step_map(t)),
+    ("one-step prediction time t", lambda world, t: td.one_step_prediction(
+        td.OracleEps(), np.zeros((8, 4)), None, VP, t, np.random.default_rng(0))),
+], ids=["start_time", "init-M", "optimal_init-M", "t_grid", "m_grid", "step_map",
+        "one_step_prediction"])
+@pytest.mark.parametrize("t", [0.0, 1.5, math.nan])
+def test_each_start_or_probe_time_is_checked_by_one_rule(world, name, call, t):
+    # each site wrote its own message, and none named the value
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must lie in "
+                                         f"\\(0, 1\\], got {t!r}$"):
+        call(world, t)
+
+
+def test_a_ve_sigma_max_whose_square_overflows_is_rejected():
+    # Python's sigma**2 raised OverflowError, "(34, 'Numerical result out of
+    # range')", in four commands, and two others exited 0
+    with pytest.raises(ValueError,
+                       match=r"^sigma_max's square must be finite, got 1e\+200$"):
+        td.NoiseSchedule.ve(sigma_max=1e200)
+    assert td.NoiseSchedule.ve(sigma_max=1e154).sigma_max == 1e154  # square 1e308
+    td.NoiseSchedule(kind="vp", sigma_max=1e200)  # VP reads no sigma_max

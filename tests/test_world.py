@@ -311,7 +311,7 @@ def test_step_map_rejects_the_times_prediction_and_ddim_step_reject(world, vp, v
                 td.ddim_step(den, np.zeros((8, 4)), np.zeros(4), t, t_to, schedule)
         for t in (0.0, -0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match=re.escape(
-                    "exact prediction requires t in (0, 1]")):
+                    "exact prediction time t must lie in (0, 1], got")):
                 den.step_map(t)
     assert world_module._affine_map.cache_info().currsize == 0
 

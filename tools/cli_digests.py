@@ -120,6 +120,13 @@ CONFIG_FILES = {
     # sigma rounds to 0 there and VE's never falls below sigma_min
     "config_noiseless.json": {"schedule": {"kind": "vp"},
                               "diagnostics": {"t_grid": [1e-20], "m_grid": [1e-20]}},
+    # a VE schedule whose sigma_max squared overflows a double
+    "config_huge_sigma_max.json": {"schedule": {"kind": "ve", "sigma_max": 1e200}},
+    # a step size whose one step leaves an infinite held-out loss
+    "config_huge_lr.json": {"train": {"lr": 1e200}},
+    # a world whose frame increments round away next to m0, so the leakage
+    # ratios divide by a motion of zero
+    "config_huge_m0.json": {"world": {"m0": 1e307}},
     # every section left out, and a schedule section without its kind
     "config_empty.json": "{}",
     "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
@@ -196,6 +203,13 @@ OUTCOMES = [
          "--out", "leakage_noiseless.csv"]),
     (2, ["diagnose", "init-ablation", "--config", "config_noiseless.json",
          "--out", "ablation_noiseless.csv"]),
+    (2, ["prop1-check", "--config", "config_huge_sigma_max.json",
+         "--out", "prop1_huge_sigma_max.json"]),
+    # an output that would hold a NaN or an infinity is not written
+    (3, ["train", "--mode", "naive", "--steps", "1", "--config", "config_huge_lr.json",
+         "--out", "ckpt_huge_lr.json"]),
+    (3, ["diagnose", "leakage", "--config", "config_huge_m0.json",
+         "--out", "leakage_huge_m0.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
