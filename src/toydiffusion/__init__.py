@@ -70,14 +70,12 @@ from .diagnostics import (
     LeakageCurve,
     OracleEps,
     conditional_moment_errors,
-    config_digest,
     init_ablation,
     leakage_curve,
     motion_scores,
     motion_sweep,
     one_step_prediction,
-    write_csv,
-    write_manifest,
 )
-from .codec import ConfigError, from_payload, to_payload
+from .codec import (ConfigError, config_digest, from_payload, to_payload, write_csv,
+                    write_manifest)
 from .cli import ExperimentConfig, load_config

@@ -22,21 +22,19 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic_init import (InitDistribution, estimate_moments, optimal_init,
                             verify_optimality)
-from .codec import ConfigError, from_payload, read_json, to_payload, write_json
+from .codec import (ConfigError, from_payload, read_json, read_videos, to_payload,
+                    write_csv, write_json, write_manifest, write_videos)
 from .diagnostics import (
     init_ablation,
     leakage_curve,
     motion_scores,
     motion_sweep,
-    write_csv,
-    write_manifest,
     OracleEps,
 )
 from .sampler import (ANALYTIC, STANDARD, SamplerConfig, SamplerDiverged, named_init,
@@ -120,17 +118,9 @@ def save_config(path, cfg: ExperimentConfig) -> None:
 # Shared command plumbing
 
 
-def _video_rows(videos):
-    """One CSV row per flattened video, in columns x0, x1, ..."""
-    flat = np.asarray(videos).reshape(len(videos), -1)
-    names = [f"x{i}" for i in range(flat.shape[1])]
-    return [dict(zip(names, row)) for row in flat]
-
-
-def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
-    """Resolve a --denoiser flag: exact | leaky | oracle | ckpt:PATH.  The
-    oracle stub returns the probe's own noise, so it cannot drive a sampler.
-    A checkpoint trained with the motion feature is conditioned on the
+def _build_denoiser(args, cfg: ExperimentConfig):
+    """Resolve a --denoiser flag: exact | leaky | oracle | ckpt:PATH.  A
+    checkpoint trained with the motion feature is conditioned on the
     world's expected motion score, the value its training fed without
     s_w_choices."""
     spec = args.denoiser
@@ -139,8 +129,6 @@ def _build_denoiser(args, cfg: ExperimentConfig, sampler: bool = True):
     if spec == "leaky":
         return LeakyDenoiser(cfg.world, cfg.schedule, args.lam_max, args.p)
     if spec == "oracle":
-        if sampler:
-            raise ConfigError("the oracle stub cannot drive a sampler")
         return OracleEps()
     if spec.startswith("ckpt:"):
         model, params, *stored, _ = load_checkpoint(spec[len("ckpt:"):])
@@ -179,27 +167,13 @@ def _cmd_world_sample(cfg, args, out):
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng([cfg.seed, 0, 0])
-    write_csv(out, _video_rows(sample_videos(cfg.world, args.n, rng)))
+    write_videos(out, sample_videos(cfg.world, args.n, rng))
 
 
 def _cmd_estimate_init(cfg, args, out):
-    world = cfg.world
-    with warnings.catch_warnings():
-        # an empty file is reported below as the one config error line
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"data file {args.data}: {exc}") from None
-    if data.shape[0] == 0:
-        raise ConfigError(f"data file {args.data} has no data rows")
-    if data.shape[1] != world.flat_dim:
-        raise ConfigError(f"data file {args.data} has {data.shape[1]} columns, "
-                          f"world needs {world.flat_dim}")
-    if not np.isfinite(data).all():
-        raise ConfigError(f"data file {args.data} holds a non-finite value")
+    videos = read_videos(args.data, cfg.world.n_frames, cfg.world.frame_dim)
     try:
-        moments = estimate_moments(data.reshape(-1, world.n_frames, world.frame_dim))
+        moments = estimate_moments(videos)
     except ValueError as exc:
         raise ConfigError(f"data file {args.data}: {exc}") from None
     init = optimal_init(moments, cfg.schedule, args.M)
@@ -241,11 +215,11 @@ def _cmd_sample(cfg, args, out):
     write_json(out + ".summary.json", {
         "n": args.n, "mean_motion": float(np.mean(ms)), "motion_std": float(np.std(ms)),
         "config": to_payload(run_cfg)})
-    write_csv(out, _video_rows(videos))
+    write_videos(out, videos)
 
 
 def _cmd_diagnose_leakage(cfg, args, out):
-    denoiser = _build_denoiser(args, cfg, sampler=False)
+    denoiser = _build_denoiser(args, cfg)
     eval_videos = sample_videos(
         cfg.world, cfg.diagnostics.eval_videos,
         np.random.default_rng([cfg.seed, 0, 3]),

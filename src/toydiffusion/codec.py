@@ -1,19 +1,23 @@
-"""One JSON codec for every dataclass of the package.
+"""The lab's files: one JSON codec for every dataclass, and every reader and writer.
 
 to_payload writes a dataclass as a JSON-ready dict, its fields in order;
 from_payload reads one back through the same field annotations, so the
 config, the checkpoint and the init file share one schema: a key left out
 takes its field's default, and no unknown key, missing required key, value
 of the wrong JSON type or number that is not a finite double passes.
-write_json refuses to write such a number.
+write_json and write_csv refuse to write such a number.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import hashlib
 import json
+import math
 import reprlib
 import sys
+import warnings
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_type_hints
 
@@ -33,6 +37,9 @@ def read_json(path, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+_NON_FINITE = "{} would hold a non-finite number"  # the writers' one refusal
+
+
 def write_json(path, payload, indent=2, sort_keys=True) -> None:
     """Write payload as JSON text, laid out by json.dumps's indent and
     sort_keys, and a newline.  A NaN or an infinity, which from_payload
@@ -40,9 +47,78 @@ def write_json(path, payload, indent=2, sort_keys=True) -> None:
     try:
         text = json.dumps(payload, allow_nan=False, indent=indent, sort_keys=sort_keys)
     except ValueError:  # allow_nan's error, the only one JSON-typed data raises
-        raise FloatingPointError(f"{path} would hold a non-finite number") from None
+        raise FloatingPointError(_NON_FINITE.format(path)) from None
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _fmt(value) -> str:
+    # repr of a numpy float is "np.float64(...)" under numpy 2; repr of the
+    # builtin float is the shortest round-trip decimal
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, rows) -> None:
+    """Write dict rows under a header of the first row's keys, floats
+    repr-formatted (shortest round-trip); every row has those keys.  A NaN
+    or an infinity raises FloatingPointError before the file is opened."""
+    fieldnames = list(rows[0])
+    if not all(math.isfinite(v) for row in rows for v in row.values()
+               if isinstance(v, (float, np.floating))):
+        raise FloatingPointError(_NON_FINITE.format(path))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_fmt(row[name]) for name in fieldnames])
+
+
+def write_videos(path, videos) -> None:
+    """One CSV row per flattened video, in columns x0, x1, ..., as read_videos reads."""
+    flat = np.asarray(videos).reshape(len(videos), -1)
+    names = [f"x{i}" for i in range(flat.shape[1])]
+    write_csv(path, [dict(zip(names, row)) for row in flat])
+
+
+def read_videos(path, n_frames: int, frame_dim: int):
+    """The (B, n_frames, frame_dim) stack a video CSV holds; errors name the data file."""
+    with warnings.catch_warnings():
+        # an empty file is reported below as the one config error line
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"data file {path}: {exc}") from None
+    if data.shape[0] == 0:
+        raise ConfigError(f"data file {path} has no data rows")
+    if data.shape[1] != n_frames * frame_dim:
+        raise ConfigError(f"data file {path} has {data.shape[1]} columns, "
+                          f"world needs {n_frames * frame_dim}")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"data file {path} holds a non-finite value")
+    return data.reshape(-1, n_frames, frame_dim)
+
+
+def config_digest(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def write_manifest(path, experiment: str, config_payload) -> None:
+    """Manifest written beside every report: experiment name, the full
+    resolved config with its digest, and the package version.  No
+    timestamps — manifests must be byte-identical across reruns."""
+    from . import __version__
+
+    manifest = {
+        "experiment": experiment,
+        "config_digest": config_digest(config_payload),
+        "version": f"toydiffusion-{__version__}",
+        "config": config_payload,
+    }
+    write_json(path, manifest)
 
 
 @functools.cache

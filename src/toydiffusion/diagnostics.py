@@ -15,16 +15,12 @@ are paired draw-by-draw and reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic_init import gaussian_kl
-from .codec import write_json
+from .codec import to_payload
 from .sampler import SamplerConfig, check_schedule, named_init, sample_batch
 from .schedule import check_start, perturb, x0_from_eps
 from .train import TrainedDenoiser
@@ -103,6 +99,14 @@ def leakage_curve(denoiser, eval_videos, schedule, t_grid, seed: int):
     )
 
 
+def _check_world(denoiser, world) -> None:
+    """Reject a denoiser of another world than the run's (a trained one has none)."""
+    theirs = getattr(denoiser, "world", world)
+    if theirs is not world and to_payload(theirs) != to_payload(world):
+        raise ValueError(f"denoiser world {to_payload(theirs)} differs from the "
+                         f"run's world {to_payload(world)}")
+
+
 def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: int,
                  seed: int):
     """Generate per target and compare output motion to the expectation.
@@ -112,6 +116,7 @@ def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: i
     denoiser is compared with the world's closed-form mean motion score,
     and the target list only sets the number of repeats.
     """
+    _check_world(denoiser, world)
     conditioned = (isinstance(denoiser, TrainedDenoiser)
                    and denoiser.model.motion_feature)
     gt_ms = expected_motion_score(world)
@@ -170,6 +175,7 @@ def init_ablation(world, schedule, m_grid, init_modes, denoiser, n: int, seed: i
     same M share their standard-normal draws (paired comparison).  Chains
     see y0 clean (no inference_beta): moment errors are against its law.
     """
+    _check_world(denoiser, world)
     y0 = first_frames(world, 1, np.random.default_rng([seed, _ABLATION_TAG, 1, 0]))[0]
     rows = []
     for i, m_start in enumerate(m_grid):
@@ -193,50 +199,3 @@ def init_ablation(world, schedule, m_grid, init_modes, denoiser, n: int, seed: i
                 }
             )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Report emission (CSV rows + JSON manifest, both byte-deterministic)
-
-
-def _fmt(value) -> str:
-    # repr of a numpy float is "np.float64(...)" under numpy 2; repr of the
-    # builtin float is the shortest round-trip decimal
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, rows) -> None:
-    """Write dict rows under a header of the first row's keys, floats
-    repr-formatted (shortest round-trip); every row has those keys.  A NaN
-    or an infinity raises FloatingPointError before the file is opened."""
-    fieldnames = list(rows[0])
-    if not all(math.isfinite(v) for row in rows for v in row.values()
-               if isinstance(v, (float, np.floating))):
-        raise FloatingPointError(f"{path} would hold a non-finite number")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fieldnames])
-
-
-def config_digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def write_manifest(path, experiment: str, config_payload) -> None:
-    """Manifest written beside every report: experiment name, the full
-    resolved config with its digest, and the package version.  No
-    timestamps — manifests must be byte-identical across reruns."""
-    from . import __version__
-
-    manifest = {
-        "experiment": experiment,
-        "config_digest": config_digest(config_payload),
-        "version": f"toydiffusion-{__version__}",
-        "config": config_payload,
-    }
-    write_json(path, manifest)

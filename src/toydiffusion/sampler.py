@@ -153,6 +153,8 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
 
     y0 is one frame (d,) shared by all chains or one per chain, (n, d).
     """
+    if not hasattr(denoiser, "predict_x0"):
+        raise ValueError(f"{type(denoiser).__name__} cannot drive a sampler")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     check_schedule(denoiser, schedule)
@@ -165,11 +167,8 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
         y = corrupt(np.broadcast_to(y, (n, d)), config.inference_beta, rng)
     grid = time_grid(config.start_time, config.steps)
     if not isinstance(denoiser, ExactDenoiser):
-        try:  # sigma rises with t, so the last start is the run's least noisy
-            ddim_coefficients(schedule, float(grid[-2]), 0.0)
-        except ValueError:  # name the first start without noise, as the exact path does
-            for t_from, t_to in zip(grid[:-1], grid[1:]):
-                ddim_coefficients(schedule, float(t_from), float(t_to))
+        for t_from, t_to in zip(grid[:-1], grid[1:]):  # every start checked up front
+            ddim_coefficients(schedule, float(t_from), float(t_to))
         for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
             x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)
             if not np.all(np.isfinite(x)):

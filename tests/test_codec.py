@@ -8,7 +8,8 @@ import pytest
 
 import toydiffusion as td
 from toydiffusion.cli import DiagnosticsConfig, ExperimentConfig
-from toydiffusion.codec import ConfigError, from_payload, to_payload, write_json
+from toydiffusion.codec import (ConfigError, from_payload, read_videos, to_payload,
+                                write_json, write_videos)
 
 TN = td.TimeNoiseParams(beta_m=2.0, a=5.0)
 INIT = td.InitDistribution(mu_p=np.array([1.0, 2.0]), sigma_p2=0.5, M=0.9)
@@ -113,3 +114,17 @@ def test_a_non_finite_number_is_refused_before_the_file_is_opened(tmp_path, writ
                        match=f"^{re.escape(str(path))} would hold a non-finite number$"):
         write(path, {"a": 1.0, "b": value})
     assert not path.exists()
+
+
+def test_a_video_csv_reads_back_bit_for_bit(tmp_path):
+    # floats are written with repr, the shortest decimal that reads back
+    # to the same double, so the written stack is the one read
+    rng = np.random.default_rng(5)
+    videos = rng.standard_normal((3, 4, 2)) * np.logspace(-300, 300, 8).reshape(4, 2)
+    videos[0, 0, 0] = 0.1 + 0.2
+    path = tmp_path / "videos.csv"
+    write_videos(path, videos)
+    assert path.read_text().splitlines()[0] == ",".join(f"x{i}" for i in range(8))
+    back = read_videos(path, 4, 2)
+    assert back.dtype == np.float64
+    assert back.tobytes() == videos.tobytes()

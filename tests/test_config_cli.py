@@ -845,17 +845,19 @@ def test_train_draws_from_train_seed_alone(tmp_path):
     assert checkpoints[2] != checkpoints[0]
 
 
-@pytest.mark.parametrize("module", ["codec", "diagnostics"])
+@pytest.mark.parametrize("refused", ["read", "write"])
 def test_unreadable_or_unwritable_file_is_a_config_error(tmp_path, capsys,
-                                                         monkeypatch, module):
-    # a PermissionError, on the config read (codec) or the CSV write
-    # (diagnostics), escaped main as a bug with a traceback
+                                                         monkeypatch, refused):
+    # a PermissionError, on the config read or the CSV write (codec opens
+    # both), escaped main as a bug with a traceback
     cfgp = small_config(tmp_path)
 
-    def refuse(path, *args, **kwargs):
+    def refuse(path, mode="r", *args, **kwargs):
+        if refused == "write" and "w" not in mode:
+            return open(path, mode, *args, **kwargs)
         raise PermissionError(13, "Permission denied", str(path))
 
-    monkeypatch.setattr(f"toydiffusion.{module}.open", refuse, raising=False)
+    monkeypatch.setattr("toydiffusion.codec.open", refuse, raising=False)
     capsys.readouterr()
     out = tmp_path / "videos.csv"
     assert main(["world-sample", "--config", cfgp, "--n", "2", "--out", str(out)]) == 2

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 import toydiffusion as td
+from toydiffusion.codec import config_digest, write_csv, write_manifest
 from toydiffusion.diagnostics import (
     LeakageCurve,
     OracleEps,
     conditional_moment_errors,
-    config_digest,
     init_ablation,
     leakage_curve,
     motion_scores,
     motion_sweep,
     one_step_prediction,
-    write_csv,
-    write_manifest,
 )
 from toydiffusion.world import ExactDenoiser, LeakyDenoiser
 
@@ -198,6 +196,26 @@ def test_init_ablation_deterministic(world, vp):
     a = init_ablation(world, vp, [1.0], ["standard"], leaky, 32, seed=9)
     b = init_ablation(world, vp, [1.0], ["standard"], leaky, 32, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("run", [
+    lambda world, den, vp: motion_sweep(den, [1.0], world, vp,
+                                        td.SamplerConfig(steps=5), 20, seed=0),
+    lambda world, den, vp: init_ablation(world, vp, [1.0], ["standard"], den, 20,
+                                         seed=0, steps=5),
+], ids=["motion_sweep", "init_ablation"])
+@pytest.mark.parametrize("family", [
+    lambda world, vp: ExactDenoiser(world, vp),
+    lambda world, vp: LeakyDenoiser(world, vp, lam_max=0.5, p=2.0),
+], ids=["exact", "leaky"])
+def test_an_exact_family_denoiser_of_another_world_is_rejected(vp, run, family):
+    # the chains came from the denoiser's world and were scored against the
+    # run's, so an s_w = 2 denoiser was measured against the default law
+    with pytest.raises(ValueError, match="^denoiser world .* differs from the "
+                                         "run's world "):
+        run(td.GaussianWorld(), family(td.GaussianWorld(s_w=2.0), vp), vp)
+    # an equal world built twice is the same world
+    run(td.GaussianWorld(), family(td.GaussianWorld(), vp), vp)
 
 
 def test_write_csv_floats_round_trip(tmp_path):

@@ -464,6 +464,14 @@ def test_a_trained_run_rejects_a_start_without_noise_before_predicting(
     assert errors[0].startswith(f"no noise to remove at t_from = {t_from}:")
 
 
+def test_a_denoiser_without_predict_x0_cannot_drive_a_sampler(vp):
+    # the oracle stub has no predict_x0 and no schedule, and sample_batch
+    # raised AttributeError on its schedule; only the CLI turned it away
+    with pytest.raises(ValueError, match="^OracleEps cannot drive a sampler$"):
+        sample_batch(td.OracleEps(), np.zeros(4), SamplerConfig(), vp, 2,
+                     np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("beta", [None, 0.3])
 @pytest.mark.parametrize("per_chain", [False, True], ids=["shared", "per-chain"])
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])

@@ -210,6 +210,10 @@ OUTCOMES = [
          "--out", "ckpt_huge_lr.json"]),
     (3, ["diagnose", "leakage", "--config", "config_huge_m0.json",
          "--out", "leakage_huge_m0.csv"]),
+    # the oracle stub has no predict_x0, so it cannot drive a sampler
+    (2, ["sample", "--n", "2", "--denoiser", "oracle", "--out", "sample_oracle.csv"]),
+    (2, ["diagnose", "motion-sweep", "--denoiser", "oracle",
+         "--out", "sweep_oracle.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
