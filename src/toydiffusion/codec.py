@@ -83,7 +83,14 @@ def write_videos(path, videos) -> None:
 
 
 def read_videos(path, n_frames: int, frame_dim: int):
-    """The (B, n_frames, frame_dim) stack a video CSV holds; errors name the data file."""
+    """The (B, n_frames, frame_dim) stack a video CSV holds under the header
+    x0, x1, ... that write_videos writes; errors name the data file."""
+    with open(path) as fh:
+        header = fh.readline()
+    names = header.rstrip("\n").split(",")
+    if header and names != [f"x{i}" for i in range(len(names))]:
+        raise ConfigError(f"data file {path} does not start with the video header "
+                          f"x0,x1,...: its first line is {reprlib.repr(header)}")
     with warnings.catch_warnings():
         # an empty file is reported below as the one config error line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")

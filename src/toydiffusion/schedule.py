@@ -139,18 +139,22 @@ def sigma_to_t(schedule: NoiseSchedule, sigma):
     return t
 
 
-def perturb(schedule: NoiseSchedule, x0: np.ndarray, t, rng: np.random.Generator):
+def perturb(schedule: NoiseSchedule, x0: np.ndarray, t, rng: np.random.Generator,
+            out=None):
     """Corrupt clean data: x_t = alpha_t x0 + sigma_t eps.
 
     Returns (x_t, eps) so callers can form regression targets from the
     noise that was actually drawn.  t may be a scalar or a vector with one
-    entry per leading item of x0.
+    entry per leading item of x0.  out, when given, is three C-contiguous
+    arrays shaped like x0: x_t and eps are written into the first two and
+    sigma_t eps into the third; otherwise they are new arrays.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    eps = rng.standard_normal(x0.shape)
+    xt, eps, scaled = out if out is not None else (np.empty(x0.shape), None, None)
+    eps = rng.standard_normal(x0.shape, out=eps)
     alpha, sigma = alpha_sigma(schedule, t)
-    xt = _per_item(alpha, x0) * x0
-    xt += _per_item(sigma, x0) * eps
+    np.multiply(_per_item(alpha, x0), x0, out=xt)
+    xt += np.multiply(_per_item(sigma, x0), eps, out=scaled)
     return xt, eps
 
 

@@ -6,8 +6,9 @@ late (noisy) times see strongly corrupted conditioning while early times see
 it nearly clean.  One corruption operator applies one level, or one per row
 of y0 by schedule._per_item, in one of two variants: additive
 (y_s = y0 + beta_s * eps) and interpolating (y_s = (1 - beta_s) y0 +
-beta_s * eps, which requires beta_m = 1).  pdf and sample_beta import
-scipy.special themselves, so that import toydiffusion loads numpy alone.
+beta_s * eps, which requires beta_m = 1).  pdf and sample_beta take logit
+and expit from special, which match the compiled reference bit for bit, so
+TimeNoise training runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import _check_time, _per_item
+from .special import expit, logit
 
 ADDITIVE = "additive"
 INTERPOLATION = "interpolation"
@@ -54,8 +56,6 @@ def mu_of_t(params: TimeNoiseParams, t):
 
 def pdf(params: TimeNoiseParams, t, beta_s):
     """Density of beta_s at time t; defined on the open interval (0, beta_m)."""
-    from scipy.special import logit
-
     beta_s = np.asarray(beta_s, dtype=np.float64)
     if not ((beta_s > 0.0) & (beta_s < params.beta_m)).all():  # NaN fails both
         raise ValueError("beta_s must lie strictly inside (0, beta_m)")
@@ -72,8 +72,6 @@ def pdf(params: TimeNoiseParams, t, beta_s):
 
 def sample_beta(params: TimeNoiseParams, t, rng: np.random.Generator, size=None):
     """Draw beta_s = beta_m * sigmoid(z) with z ~ Normal(mu(t), 1)."""
-    from scipy.special import expit
-
     noise = rng.standard_normal(size if size is not None else np.shape(t))
     out = params.beta_m * expit(mu_of_t(params, t) + noise)
     return float(out) if out.ndim == 0 else out

@@ -24,7 +24,9 @@ stage drawing all the block's rows in one call.  A generator's draws
 continue across calls, so a block's rows are its steps' batches built one
 by one, and a checkpoint does not depend on BLOCK_STEPS.  Forward,
 backward and Adam then run per step on that step's contiguous rows, at
-the batch shape.  The model checks its inputs by world._check_denoiser_inputs.
+the batch shape, and every block is written into one set of arrays that
+a run allocates first.  The model checks its inputs by
+world._check_denoiser_inputs.
 """
 
 from __future__ import annotations
@@ -195,17 +197,18 @@ class MLPDenoiser:
             chunks.append(rng.uniform(-bound, bound, int(np.prod(b_shape))))
         return np.concatenate(chunks)
 
-    def build_inputs(self, xt, y, t, motion=None):
+    def build_inputs(self, xt, y, t, motion=None, out=None):
         """Input rows [flattened xt, y, time features, motion], written
-        block by block into one (B, in_dim) array, B = prod(xt.shape[:-2]);
-        y, t and motion are one per video or one for all, checked by
-        _check_denoiser_inputs before any row is written."""
+        block by block into one (B, in_dim) array, B = prod(xt.shape[:-2]):
+        out when given, else a new one.  y, t and motion are one per video
+        or one for all, checked by _check_denoiser_inputs before any row is
+        written."""
         xt, y = _check_denoiser_inputs((self.n_frames, self.frame_dim), xt, y,
                                        time=t, motion=motion)
         if self.motion_feature and motion is None:
             raise ValueError("this model expects a motion-target feature")
         b = math.prod(xt.shape[:-2])
-        x = np.empty((b, self.in_dim))
+        x = np.empty((b, self.in_dim)) if out is None else out
         o, c = self.out_dim, self.out_dim + self.frame_dim
         x[:, :o] = xt.reshape(b, -1)
         x[:, o:c] = y.reshape(-1, self.frame_dim)
@@ -217,7 +220,7 @@ class MLPDenoiser:
     def forward(self, params, xt, y, t, motion=None):
         """Predicted noise, shaped like xt."""
         x = self.build_inputs(xt, y, t, motion)
-        out = self._forward(_Workspace(self, params, x.shape[0]), x)
+        out = self._forward(_Workspace(self, params, x.shape[0], backward=False), x)
         return out.reshape(np.shape(xt))
 
     def _forward(self, work, x):
@@ -260,23 +263,24 @@ class MLPDenoiser:
 
 
 class _Workspace:
-    """Views of one parameter vector plus every array a forward and backward
-    pass over b items writes.
+    """Views of one parameter vector plus every array a forward pass over b
+    items writes, and with backward those of the backward pass too.
 
     train() builds one before its loop and updates the parameters in place,
     so the views stay valid and a step allocates no activation or gradient
     array; every other caller builds one per call, so the arrays it gets
-    back are its own.  A forward-only caller never writes the backward
-    buffers, so they cost it the allocation calls but no page touches.
+    back are its own.  A forward-only caller gets h1, h2 and out alone.
     """
 
-    def __init__(self, model, params, b):
+    def __init__(self, model, params, b, backward=True):
         h = model.hidden
         self.layers = model.unpack(params)
-        self.h1, self.h2, self.dz1, self.dz2 = (np.empty((b, h)) for _ in range(4))
+        self.h1, self.h2 = np.empty((b, h)), np.empty((b, h))
         self.out = np.empty((b, model.out_dim))
-        self.grad = np.empty(model.n_params)
-        self.grads = model.unpack(self.grad)
+        if backward:
+            self.dz1, self.dz2 = np.empty((b, h)), np.empty((b, h))
+            self.grad = np.empty(model.n_params)
+            self.grads = model.unpack(self.grad)
 
 
 class TrainedDenoiser:
@@ -326,7 +330,14 @@ def sample_training_times(schedule, config: TrainConfig, n, rng):
     return np.clip(sigma_to_t(schedule, sigma), config.t_floor, 1.0)
 
 
-def _training_rows(world, schedule, config: TrainConfig, streams, steps):
+def _block_arrays(world, rows):
+    """The arrays _training_rows writes up to `rows` rows into: increments,
+    clean videos, noisy videos, forward noise and scaled noise."""
+    n, d = world.n_frames, world.frame_dim
+    return np.empty((rows, n - 1, d)), *np.empty((4, rows, n, d))
+
+
+def _training_rows(world, schedule, config: TrainConfig, streams, steps, arrays=None):
     """The batches of `steps` consecutive training steps, stacked as one
     Batch of batch_size rows per step.
 
@@ -335,16 +346,20 @@ def _training_rows(world, schedule, config: TrainConfig, streams, steps):
     forward noise.  Each stage draws all rows in one call; a stage that
     draws nothing (the levels and condition noise of naive and cdm at
     level 0) leaves its generator as it is.  Picks and frames are index 0
-    when the config has no choice.
+    when the config has no choice.  The videos are written into the
+    leading rows of arrays, from _block_arrays, or of new ones; the
+    returned xt and target are views of them.
     """
     pick_rng, first_rng, inc_rng, frame_rng, t_rng, level_rng, cond_rng, eps_rng = streams
-    rows, n, d = steps * config.batch_size, world.n_frames, world.frame_dim
+    rows = steps * config.batch_size
+    inc, x0, xt, eps, scaled = (a[:rows] for a in arrays or _block_arrays(world, rows))
     scales = np.asarray(config.s_w_choices or (world.s_w,))
     pick = pick_rng.integers(scales.size, size=rows)
-    x0 = videos_from_noise(world, first_frames(world, rows, first_rng),
-                           inc_rng.standard_normal((rows, n - 1, d)), scales[pick])
+    videos_from_noise(world, first_frames(world, rows, first_rng),
+                      inc_rng.standard_normal(out=inc), scales[pick], out=x0)
     motion = expected_motion_score(world, scales)[pick] if config.motion_feature else None
-    frame = frame_rng.integers(n if config.cond_frame == RANDOM_FRAME else 1, size=rows)
+    frame = frame_rng.integers(
+        world.n_frames if config.cond_frame == RANDOM_FRAME else 1, size=rows)
     y = x0[np.arange(rows), frame]
     t = sample_training_times(schedule, config, rows, t_rng)
     if config.mode in (TIMENOISE, CONSTANT_BETA):  # a level curve, in its variant
@@ -353,7 +368,7 @@ def _training_rows(world, schedule, config: TrainConfig, streams, steps):
         y = corrupt(y, level, cond_rng, config.timenoise.variant)
     elif config.mode == CDM_FIXED and config.cdm_beta:  # a fixed level, always additive
         y = corrupt(y, config.cdm_beta, cond_rng)
-    xt, eps = perturb(schedule, x0, t, eps_rng)
+    perturb(schedule, x0, t, eps_rng, out=(xt, eps, scaled))
     return Batch(xt=xt, y=y, t=t, target=eps, motion=motion)
 
 
@@ -439,16 +454,18 @@ def train(world, schedule, config: TrainConfig, return_history=False):
     v_hat = np.empty_like(params)
     b = config.batch_size
     work = _Workspace(model, params, b)
+    arrays = _block_arrays(world, BLOCK_STEPS * b)
+    inputs = np.empty((BLOCK_STEPS * b, model.in_dim))
     streams = data_rng.spawn(8)
     history = []
     step = 0
     # the loop reports a non-finite loss itself, so numpy does not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while step < config.steps:
-            block = _training_rows(
-                world, schedule, config, streams, min(BLOCK_STEPS, config.steps - step)
-            )
-            x = model.build_inputs(block.xt, block.y, block.t, block.motion)
+            block = _training_rows(world, schedule, config, streams,
+                                   min(BLOCK_STEPS, config.steps - step), arrays)
+            x = model.build_inputs(block.xt, block.y, block.t, block.motion,
+                                   out=inputs[: block.t.size])
             targets = block.target.reshape(x.shape[0], -1)
             for row in range(0, x.shape[0], b):
                 loss, grad = _loss_and_gradient(model, work, x[row : row + b],
@@ -474,7 +491,6 @@ def train(world, schedule, config: TrainConfig, return_history=False):
                 if return_history and (step % 500 == 0 or step == config.steps - 1):
                     history.append((step, loss))
                 step += 1
-            del block, x, targets  # freed before the next block is drawn
 
     final_heldout = batch_loss(model, params, heldout)
     checkpoint = to_payload(_Checkpoint(

@@ -36,8 +36,8 @@ them for every exact denoiser, keyed by world, conditional, schedule, the
 leak value l(t), float(t) and t_to.  Worlds are keyed by identity and their
 m0 and drift are read-only, so no entry goes stale.  Denoisers on one world
 with the same leak share entries.  The cached matrices are read-only, and
-a prediction is always a new array.  expected_motion_score imports
-scipy.special itself, so that import toydiffusion loads numpy alone.
+a prediction is always a new array.  expected_motion_score takes its
+normal distribution function from special, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import numpy as np
 
 from .schedule import (TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma,
                        check_start, ddim_coefficients)
+from .special import ndtr
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +101,14 @@ class GaussianWorld:
         with np.errstate(over="ignore"):  # an overflow is reported by field below
             offsets = _frame_offsets(self)
             means = self.m0 + offsets
+            moves = means + (np.abs(self.drift) + s_w) != means
         if not np.isfinite(offsets).all():
             raise ValueError("drift overflows the frame offsets (i - 1) * drift")
         if not np.isfinite(means).all():
             raise ValueError("m0 and drift overflow the frame means m0 + (i - 1) * drift")
+        if not moves.all():
+            raise ValueError("the frame increments, of scale |drift| + s_w, round away next "
+                             "to the frame means m0 + (i - 1) * drift, so frames would not move")
 
     @property
     def flat_dim(self) -> int:
@@ -128,13 +133,14 @@ def sample_videos(world: GaussianWorld, n: int, rng: np.random.Generator):
     return videos_from_noise(world, first, inc)
 
 
-def videos_from_noise(world: GaussianWorld, first, inc, s_w=None):
+def videos_from_noise(world: GaussianWorld, first, inc, s_w=None, out=None):
     """Videos (n, N, d) with frame 1 first and later frames first +
     cumsum(drift + s_w z), for the (n, N - 1, d) standard normals z in inc.
-    The increments are written in place into inc, then into the one output
-    array.  s_w overrides the world's innovation scale, either as a scalar
-    or as one value per video."""
-    out = np.empty((inc.shape[0], world.n_frames, world.frame_dim))
+    The increments are written in place into inc, then into out, a new
+    array unless given.  s_w overrides the world's innovation scale, either
+    as a scalar or as one value per video."""
+    if out is None:
+        out = np.empty((inc.shape[0], world.n_frames, world.frame_dim))
     out[:, 0] = first
     inc *= world.s_w if s_w is None else _per_item(s_w, inc)
     inc += world.drift
@@ -201,8 +207,6 @@ def expected_motion_score(world: GaussianWorld, s_w=None):
     value has the folded-normal mean
     s_w sqrt(2/pi) exp(-mu^2 / 2 s_w^2) + mu (1 - 2 Phi(-mu / s_w)).
     """
-    from scipy.special import ndtr
-
     mu = world.drift
     s = np.asarray(world.s_w if s_w is None else s_w, dtype=np.float64)[..., None]
     e_abs = s * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * s * s)) + mu * (

@@ -128,3 +128,7 @@ def test_a_video_csv_reads_back_bit_for_bit(tmp_path):
     back = read_videos(path, 4, 2)
     assert back.dtype == np.float64
     assert back.tobytes() == videos.tobytes()
+    # without its header the file is refused, not read as one video fewer
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(ConfigError, match="does not start with the video header"):
+        read_videos(path, 4, 2)

@@ -40,6 +40,11 @@ def small_config(tmp_path):
     return str(path)
 
 
+def _header(columns):
+    """The header line write_videos writes over `columns` columns."""
+    return ",".join(f"x{i}" for i in range(columns)) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -384,9 +389,9 @@ def test_error_paths_exit_codes(tmp_path, capsys):
     # cell and rows of changing width, each named by the data file's path
     (tmp_path / "list.json").write_text("[]")
     data = {name: tmp_path / f"{name}.csv" for name in ("short", "text", "ragged")}
-    data["short"].write_text("h\n" + ",".join(["0.5"] * 31) + "\n")
-    data["text"].write_text("h\n" + ",".join(["0.5"] * 31 + ["a"]) + "\n")
-    data["ragged"].write_text("h\n1,2\n1,2,3\n")
+    data["short"].write_text(_header(31) + ",".join(["0.5"] * 31) + "\n")
+    data["text"].write_text(_header(32) + ",".join(["0.5"] * 31 + ["a"]) + "\n")
+    data["ragged"].write_text(_header(2) + "1,2\n1,2,3\n")
     # init files fitted at M = 0.9 for a video, and at the config's
     # start_time 1.0 with one entry too few
     init_m09, init_short = tmp_path / "init_m09.json", tmp_path / "init_short.json"
@@ -497,10 +502,20 @@ def test_input_file_that_is_not_json_is_named(tmp_path, capsys, flag):
     assert f"{path} is not valid JSON" in err["message"]
 
 
-@pytest.mark.parametrize("content", ["{bad\n", "f1,f2\n", ""],
-                         ids=["not-csv", "header-only", "empty"])
-def test_estimate_init_without_data_rows_is_one_json_line(tmp_path, content):
-    # a real process, so a warning numpy prints on stderr is seen too
+_NO_HEADER = "does not start with the video header x0,x1,...: its first line is "
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{bad\n", _NO_HEADER + "'{bad\\n'"),
+    # a video file without its header lost its first video to the header
+    (",".join(["0.5"] * 32) + "\n", _NO_HEADER + "'0.5,0.5,0.5,...0.5,0.5,0.5\\n'"),
+    (_header(2), "has no data rows"),
+    ("", "has no data rows"),
+], ids=["not-csv", "headerless", "header-only", "empty"])
+def test_estimate_init_without_data_rows_is_one_json_line(tmp_path, content, message):
+    # a real process, so a warning numpy prints on stderr is seen too; a
+    # first line that is not the x0,x1,... header write_videos writes is
+    # refused, not skipped
     data = tmp_path / "data.csv"
     data.write_text(content)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -518,7 +533,7 @@ def test_estimate_init_without_data_rows_is_one_json_line(tmp_path, content):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0]) == {"error": {
-        "type": "config", "message": f"data file {data} has no data rows"}}
+        "type": "config", "message": f"data file {data} {message}"}}
 
 
 @pytest.mark.parametrize("command", ["sample", "train", "estimate-init"])
@@ -532,7 +547,7 @@ def test_numerical_failure_is_one_json_line(tmp_path, command):
     code, kind = 3, "numerical"
     if command == "estimate-init":
         (tmp_path / "videos.csv").write_text("".join(
-            f"{row}\n" for row in ("header", ",".join(["1e200"] * 32),
+            f"{row}\n" for row in (_header(32).strip(), ",".join(["1e200"] * 32),
                                     ",".join(["-1e200"] * 32))))
         args = ["estimate-init", "--data", "videos.csv", "--M", "0.9"]
         code, kind = 2, "config"
@@ -736,6 +751,9 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
 
 @pytest.mark.parametrize("section, values, argv, name", [
     ("world", {"drift": [3e307, 0.0, 0.0, 0.0]}, ["world-sample", "--n", "2"], "drift"),
+    *(("world", {"m0": 1e307}, argv, "round away next to the frame means")
+      for argv in (["diagnose", "leakage"], ["diagnose", "init-ablation"],
+                   ["diagnose", "motion-sweep"], ["prop1-check"])),
     ("train", {"cdm_beta": -0.5}, ["train", "--mode", "cdm", "--steps", "2"],
      "cdm_beta"),
     ("world", {}, ["diagnose", "leakage", "--denoiser", "leaky", "--p", "inf"],
@@ -763,7 +781,10 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
       for argv in (["prop1-check"], ["sample", "--n", "2"], ["diagnose", "leakage"],
                    ["diagnose", "init-ablation"], ["train", "--mode", "naive"],
                    ["world-sample", "--n", "2"])),
-], ids=["world-drift-overflow", "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
+], ids=["world-drift-overflow",
+        *(f"world-m0-static-{name}" for name in (
+            "leakage", "init-ablation", "motion-sweep", "prop1-check")),
+        "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
         "eval_videos-zero", "t_grid-above-one", "m_grid-zero", "output_dir-empty",
         "sample-noiseless-M-two-steps", "sample-noiseless-M-one-step",
         "t_grid-noiseless", "m_grid-noiseless",
@@ -970,29 +991,33 @@ for den in (td.ExactDenoiser(world, vp), td.LeakyDenoiser(world, vp, 0.8, 4.0)):
 td.leakage_curve(td.ExactDenoiser(world, vp), td.sample_videos(world, 4, rng),
                  vp, (0.5,), seed=0)
 noise = td.TimeNoiseParams(beta_m=2.0, a=5.0)
-td.train(world, vp, td.TrainConfig(mode="naive", steps=2, batch_size=4, hidden=4))
-td.train(world, vp, td.TrainConfig(mode="constant", steps=2, batch_size=4, hidden=4,
-                                   timenoise=noise))
-assert main(["sample", "--denoiser", "exact", "--n", "2", "--steps", "3",
-             "--out", "samples.csv"]) == 0
+for mode in ("naive", "constant", "timenoise"):
+    td.train(world, vp, td.TrainConfig(mode=mode, steps=2, batch_size=4, hidden=4,
+                                       timenoise=noise))
+td.train(world, vp, td.TrainConfig(steps=2, batch_size=4, hidden=4, motion_feature=True,
+                                   s_w_choices=(0.25, 1.0)))
+td.expected_motion_score(world, [0.25, 1.0])
+td.pdf(noise, 0.5, [0.5, 1.0])
+for argv in (["sample", "--denoiser", "exact", "--n", "2", "--out", "samples.csv"],
+             ["train", "--mode", "timenoise", "--out", "ckpt.json"],
+             ["diagnose", "motion-sweep", "--out", "sweep.csv"]):
+    assert main([*argv, "--config", sys.argv[1]]) == 0, argv
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
-td.train(world, vp, td.TrainConfig(mode="timenoise", steps=2, batch_size=4, hidden=4,
-                                   timenoise=noise))
-assert "scipy.special" in sys.modules
 """
 
 
-def test_scipy_is_loaded_only_by_the_functions_that_use_it(tmp_path):
-    # a fresh interpreter: sampling, leakage curves, naive and constant
-    # training and the sample command run on numpy alone; TimeNoise
-    # training loads scipy.special on its first draw of a level
+def test_no_run_path_loads_scipy(tmp_path):
+    # a fresh interpreter: sampling, leakage curves, training in every
+    # level mode and with the motion feature, the motion score, the level
+    # density and the sample, train and motion-sweep commands run on numpy
+    # alone
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE], cwd=tmp_path,
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, small_config(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1125,11 +1150,8 @@ def test_every_sampling_denoiser_states_shape_and_schedule(tmp_path):
 
 @pytest.mark.parametrize("section, values, argv", [
     ("train", {"lr": 1e200}, ["train", "--mode", "naive", "--steps", "1"]),
-    ("world", {"m0": 1e307}, ["diagnose", "leakage"]),
-    ("world", {"m0": 1e307}, ["diagnose", "init-ablation"]),
     ("schedule", {"beta_max": 1e6}, ["diagnose", "leakage", "--denoiser", "oracle"]),
-], ids=["train-final_loss-inf", "leakage-m0-huge", "init-ablation-m0-huge",
-        "oracle-leakage-alpha-zero"])
+], ids=["train-final_loss-inf", "oracle-leakage-alpha-zero"])
 def test_a_non_finite_output_is_a_numerical_failure(tmp_path, section, values, argv):
     # each wrote Infinity or NaN and exited 0 after a numpy RuntimeWarning,
     # and a checkpoint with an infinite final_loss could not be read back;

@@ -599,9 +599,10 @@ def test_train_builds_batches_one_block_at_a_time(world, vp, monkeypatch, steps)
     originals = {name: getattr(train_module, name)
                  for name in calls if name != "build_inputs"}
 
-    def rows(*args):
-        calls["_training_rows"].append(args[-1])
-        return originals["_training_rows"](*args)
+    def rows(world, schedule, config, streams, steps, *arrays):
+        calls["_training_rows"].append(steps)
+        return originals["_training_rows"](world, schedule, config, streams, steps,
+                                           *arrays)
 
     def loss_and_gradient(model, work, x, target):
         calls["_loss_and_gradient"].append(x.shape[0])
@@ -615,9 +616,9 @@ def test_train_builds_batches_one_block_at_a_time(world, vp, monkeypatch, steps)
 
     build_inputs = MLPDenoiser.build_inputs
 
-    def inputs(self, xt, *args):
+    def inputs(self, xt, *args, **kwargs):
         calls["build_inputs"].append(xt.shape[0])
-        return build_inputs(self, xt, *args)
+        return build_inputs(self, xt, *args, **kwargs)
 
     monkeypatch.setattr(train_module, "_training_rows", rows)
     monkeypatch.setattr(train_module, "_loss_and_gradient", loss_and_gradient)
@@ -638,6 +639,35 @@ def test_train_builds_batches_one_block_at_a_time(world, vp, monkeypatch, steps)
         "build_inputs": [4 * s for s in blocks] + [4],
         "_loss_and_gradient": [4] * steps,
     }
+
+
+def test_blocks_of_one_run_share_their_arrays(world, vp, monkeypatch):
+    # train() allocates the block arrays and input rows once per run, so
+    # each block, the short last one too, is written over the one before;
+    # the held-out batch keeps arrays of its own
+    blocks, inputs = [], []
+    rows, build_inputs = train_module._training_rows, MLPDenoiser.build_inputs
+
+    def recorded_rows(*args):
+        blocks.append(rows(*args))
+        return blocks[-1]
+
+    def recorded_inputs(*args, **kwargs):
+        inputs.append(build_inputs(*args, **kwargs))
+        return inputs[-1]
+
+    monkeypatch.setattr(train_module, "_training_rows", recorded_rows)
+    monkeypatch.setattr(MLPDenoiser, "build_inputs", recorded_inputs)
+    td.train(world, vp, TrainConfig(mode=TIMENOISE, timenoise=TN, batch_size=4,
+                                    steps=2 * BLOCK_STEPS + 3))
+    heldout, *run = blocks
+    assert [block.t.size for block in run] == [4 * BLOCK_STEPS] * 2 + [4 * 3]
+    for block, after in zip(run, run[1:]):
+        assert np.shares_memory(block.xt, after.xt)
+        assert np.shares_memory(block.target, after.target)
+    x = inputs[:len(run)]
+    assert all(np.shares_memory(a, b) for a, b in zip(x, x[1:]))
+    assert not any(np.shares_memory(heldout.xt, block.xt) for block in run)
 
 
 PARTIAL_BLOCK_STEPS = (0, 1, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 43)

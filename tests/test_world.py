@@ -466,10 +466,25 @@ def test_overflowing_frame_means_are_rejected():
         GaussianWorld(n_frames=3, drift=-1e308)
     with pytest.raises(ValueError, match="m0 and drift overflow"):
         GaussianWorld(m0=[0.0, 1.7e308, 0.0, 0.0], drift=[0.0, 1e307, 0.0, 0.0])
-    # finite offsets and means are kept, however large
+    # finite offsets and means are kept, however large, while the frames
+    # move by the drift
     world = GaussianWorld(drift=[1.5e307, 0.0, 0.0, 0.0])
     assert np.isfinite(sample_videos(world, 2, np.random.default_rng(0))).all()
     GaussianWorld(m0=-1.7e308, drift=2.5e307)
+
+
+def test_a_world_whose_frames_would_not_move_is_rejected():
+    # next to an m0 of 1e307 the increments drift + s_w z rounded away, so
+    # every video was static, prop1-check failed its grid and motion-sweep
+    # reported an output motion of 1.8e305 against an input motion of 3
+    for kwargs in (dict(m0=1e307), dict(m0=[0.0, 0.0, -1e17, 0.0]),
+                   dict(m0=1e306, drift=[0.0, 1e300, 0.0, 0.0])):
+        with pytest.raises(ValueError, match=r"increments, of scale \|drift\| \+ s_w, "
+                                             "round away next to the frame means"):
+            GaussianWorld(**kwargs)
+    # at 1e15 the spacing of doubles is 1/8, so the frames still move
+    videos = sample_videos(GaussianWorld(m0=1e15), 2, np.random.default_rng(0))
+    assert (np.diff(videos, axis=1) != 0).any(axis=(1, 2)).all()
 
 
 def test_wrong_length_mean_vectors_are_rejected():

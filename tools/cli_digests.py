@@ -124,17 +124,19 @@ CONFIG_FILES = {
     "config_huge_sigma_max.json": {"schedule": {"kind": "ve", "sigma_max": 1e200}},
     # a step size whose one step leaves an infinite held-out loss
     "config_huge_lr.json": {"train": {"lr": 1e200}},
-    # a world whose frame increments round away next to m0, so the leakage
-    # ratios divide by a motion of zero
+    # a world whose frame increments round away next to m0, whose videos
+    # would not move
     "config_huge_m0.json": {"world": {"m0": 1e307}},
     # every section left out, and a schedule section without its kind
     "config_empty.json": "{}",
     "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
 }
 
-# Finite data rows for the default 8 x 4 world whose squares overflow.
+# Finite data rows for the default 8 x 4 world whose squares overflow,
+# under the header world-sample writes.
 OVERFLOW_DATA = "".join(f"{row}\n" for row in (
-    "header", ",".join(["1e200"] * 32), ",".join(["-1e200"] * 32)))
+    ",".join(f"x{i}" for i in range(32)), ",".join(["1e200"] * 32),
+    ",".join(["-1e200"] * 32)))
 
 COMMANDS = [
     ["world-sample", "--n", "200", "--out", "videos.csv"],
@@ -208,7 +210,8 @@ OUTCOMES = [
     # an output that would hold a NaN or an infinity is not written
     (3, ["train", "--mode", "naive", "--steps", "1", "--config", "config_huge_lr.json",
          "--out", "ckpt_huge_lr.json"]),
-    (3, ["diagnose", "leakage", "--config", "config_huge_m0.json",
+    # a world whose frames would not move is rejected with its config
+    (2, ["diagnose", "leakage", "--config", "config_huge_m0.json",
          "--out", "leakage_huge_m0.csv"]),
     # the oracle stub has no predict_x0, so it cannot drive a sampler
     (2, ["sample", "--n", "2", "--denoiser", "oracle", "--out", "sample_oracle.csv"]),
