@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import check_range
 from .schedule import NoiseSchedule, VP, alpha_sigma, check_start
 from .world import FrameGaussian, GaussianWorld, prior_moments
 
@@ -37,10 +38,7 @@ class InitDistribution:
         mu = np.asarray(self.mu_p, dtype=np.float64).ravel()
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu_p must be finite")
-        if not 0.0 < self.sigma_p2 < np.inf:
-            raise ValueError(
-                f"sigma_p2 must be positive and finite, got {self.sigma_p2!r}"
-            )
+        check_range(self.sigma_p2, "sigma_p2", 0.0, low_open=True)
         check_start(self.M, "M")
         object.__setattr__(self, "mu_p", mu)
 
@@ -61,9 +59,7 @@ class DataMoments:
         mean = np.asarray(self.mean, dtype=np.float64).ravel()
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean must be finite")
-        if not 0.0 <= self.avg_var < np.inf:
-            raise ValueError(
-                f"avg_var must be nonnegative and finite, got {self.avg_var!r}")
+        check_range(self.avg_var, "avg_var", 0.0)
         object.__setattr__(self, "mean", mean)
 
 

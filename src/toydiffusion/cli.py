@@ -28,8 +28,8 @@ import numpy as np
 
 from .analytic_init import (InitDistribution, estimate_moments, optimal_init,
                             verify_optimality)
-from .codec import (ConfigError, from_payload, read_json, read_videos, to_payload,
-                    write_csv, write_json, write_manifest, write_videos)
+from .codec import (ConfigError, check_range, from_payload, read_json, read_videos,
+                    to_payload, write_csv, write_json, write_manifest, write_videos)
 from .diagnostics import (
     init_ablation,
     leakage_curve,
@@ -75,16 +75,16 @@ class DiagnosticsConfig:
     targets: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.eval_videos < 1 or self.n_chains < 1:
-            raise ConfigError("eval_videos and n_chains must be at least 1")
+        for name in ("eval_videos", "n_chains"):
+            check_range(getattr(self, name), name, 1)
         if not self.t_grid or not self.m_grid:
             raise ConfigError("t_grid and m_grid must be nonempty")
         for grid in ("t_grid", "m_grid"):
             object.__setattr__(self, grid, tuple(
                 check_start(t, f"{grid} entries") for t in getattr(self, grid)))
-        if any(not x > 0.0 for x in self.targets):
-            raise ConfigError("targets must be positive motion scores")
-        object.__setattr__(self, "targets", tuple(float(x) for x in self.targets))
+        object.__setattr__(self, "targets", tuple(
+            check_range(float(x), "targets entries", 0.0, low_open=True)
+            for x in self.targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +98,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_range(self.seed, "seed", 0)
         if not self.output_dir:
             raise ConfigError("output_dir must be a nonempty path")
 
@@ -164,8 +163,7 @@ def _load_init(spec: str, m_start: float, cfg: ExperimentConfig):
 
 
 def _cmd_world_sample(cfg, args, out):
-    if args.n < 1:
-        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    check_range(args.n, "--n", 1)
     rng = np.random.default_rng([cfg.seed, 0, 0])
     write_videos(out, sample_videos(cfg.world, args.n, rng))
 
@@ -199,8 +197,7 @@ def _cmd_train(cfg, args, out):
 
 
 def _cmd_sample(cfg, args, out):
-    if args.n < 1:
-        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    check_range(args.n, "--n", 1)
     m_start = cfg.sampler.start_time if args.M is None else args.M
     steps = cfg.sampler.steps if args.steps is None else args.steps
     denoiser = _build_denoiser(args, cfg)

@@ -5,7 +5,8 @@ from_payload reads one back through the same field annotations, so the
 config, the checkpoint and the init file share one schema: a key left out
 takes its field's default, and no unknown key, missing required key, value
 of the wrong JSON type or number that is not a finite double passes.
-write_json and write_csv refuse to write such a number.
+write_json and write_csv refuse to write such a number; check_range is
+the one rule for a number's range, which the dataclasses' own checks call.
 """
 
 from __future__ import annotations
@@ -26,6 +27,20 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def check_range(value, name: str, low=-math.inf, high=math.inf,
+                low_open: bool = False, high_open: bool = False):
+    """value itself when it lies between low and high, each end closed unless
+    its flag opens it; an infinite end is always open, so the defaults admit
+    any finite number.  Otherwise ValueError "<name> must lie in <interval>,
+    got <value>", the ends written by format's g (NaN fails)."""
+    low_open, high_open = low_open or low == -math.inf, high_open or high == math.inf
+    if (low < value if low_open else low <= value) and \
+            (value < high if high_open else value <= high):
+        return value
+    interval = f"{'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}"
+    raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 def read_json(path, what: str):

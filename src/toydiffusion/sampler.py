@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_init import InitDistribution, exact_moments, optimal_init, standard_init
+from .codec import check_range
 from .schedule import NoiseSchedule, check_start, ddim_coefficients
 from .timenoise import corrupt
 from .world import ExactDenoiser, _check_denoiser_inputs
@@ -83,14 +84,12 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         check_start(self.start_time, "start_time")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+        check_range(self.steps, "steps", 1)
         if self.init is not None and self.init.M != self.start_time:
             raise ValueError(f"init distribution was fitted at M = {self.init.M}, "
                              f"not at start_time = {self.start_time}")
-        beta = self.inference_beta
-        if beta is not None and not 0.0 <= beta < np.inf:
-            raise ValueError(f"inference_beta must be finite and >= 0, got {beta!r}")
+        if self.inference_beta is not None:
+            check_range(self.inference_beta, "inference_beta", 0.0)
 
 
 def time_grid(start_time: float, steps: int):
@@ -114,7 +113,9 @@ def draw_initial(config: SamplerConfig, schedule: NoiseSchedule, shape, rng):
 
 def named_init(name: str, world, schedule: NoiseSchedule, M: float):
     """The start distribution at M that name selects: STANDARD is
-    standard_init, ANALYTIC the optimal_init of the world's exact moments."""
+    standard_init, ANALYTIC the optimal_init of the world's exact moments; an
+    M where no step may start, by ddim_coefficients, is rejected first."""
+    ddim_coefficients(schedule, check_start(M, "M"), 0.0)
     if name == STANDARD:
         return standard_init(schedule, M, world.flat_dim)
     if name == ANALYTIC:
@@ -155,8 +156,7 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     """
     if not hasattr(denoiser, "predict_x0"):
         raise ValueError(f"{type(denoiser).__name__} cannot drive a sampler")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_range(n, "n", 1)
     check_schedule(denoiser, schedule)
     x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
     _, y = _check_denoiser_inputs(denoiser.shape, x, y0)

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import check_range
+
 VP = "vp"
 VE = "ve"
 
@@ -56,8 +58,7 @@ class NoiseSchedule:
         if self.kind not in (VP, VE):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         for name in ("beta_min", "beta_max", "sigma_min", "sigma_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            check_range(getattr(self, name), name)
         if self.kind == VP and not 0.0 < self.beta_min < self.beta_max:
             raise ValueError("vp schedule requires 0 < beta_min < beta_max")
         if self.kind == VE and not 0.0 < self.sigma_min < self.sigma_max:
@@ -83,10 +84,7 @@ def _check_time(t) -> np.ndarray:
 
 def check_start(t, name: str) -> float:
     """float(t) for a time a run starts at or a denoiser is asked at, in (0, 1]."""
-    t = float(t)
-    if not 0.0 < t <= 1.0:  # NaN fails
-        raise ValueError(f"{name} must lie in (0, 1], got {t!r}")
-    return t
+    return check_range(float(t), name, 0.0, 1.0, low_open=True)
 
 
 def alpha_sigma(schedule: NoiseSchedule, t):

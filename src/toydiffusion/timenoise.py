@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import check_range
 from .schedule import _check_time, _per_item
 from .special import expit, logit
 
@@ -39,9 +40,7 @@ class TimeNoiseParams:
 
     def __post_init__(self) -> None:
         for name in ("beta_m", "a"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and positive, got {getattr(self, name)!r}")
+            check_range(getattr(self, name), name, 0.0, low_open=True)
         if self.variant not in (ADDITIVE, INTERPOLATION):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == INTERPOLATION and self.beta_m != 1.0:

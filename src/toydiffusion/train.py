@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ConfigError, from_payload, read_json, to_payload, write_json
+from .codec import (ConfigError, check_range, from_payload, read_json, to_payload,
+                    write_json)
 from .schedule import NoiseSchedule, perturb, sigma_to_t, x0_from_eps
 from .timenoise import TimeNoiseParams, constant_beta, corrupt, sample_beta
 from .world import (
@@ -98,42 +99,29 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
-        if not math.isfinite(self.p_mean):
-            raise ValueError(f"p_mean must be finite, got {self.p_mean!r}")
-        if not 0.0 <= self.p_std < math.inf:
-            raise ValueError(f"p_std must be finite and >= 0, got {self.p_std!r}")
+        for name, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("hidden", 1)):
+            check_range(getattr(self, name), name, low)
+        check_range(self.lr, "lr", 0.0, low_open=True)
+        check_range(self.p_mean, "p_mean")
+        check_range(self.p_std, "p_std", 0.0)
         if self.t_sampler not in (UNIFORM_T, EDM_LOGNORMAL):
             raise ValueError(
                 f"t_sampler must be 'uniform' or 'edm', got {self.t_sampler!r}")
-        if not 0.0 < self.t_floor < 1.0:
-            raise ValueError("t_floor must lie in (0, 1)")
+        check_range(self.t_floor, "t_floor", 0.0, 1.0, low_open=True, high_open=True)
         if self.mode in (TIMENOISE, CONSTANT_BETA) and self.timenoise is None:
             raise ValueError(f"mode {self.mode!r} requires timenoise parameters")
         if self.mode == CDM_FIXED and self.cdm_beta is None:
             raise ValueError("cdm mode requires cdm_beta")
-        if self.cdm_beta is not None and not 0.0 <= self.cdm_beta < math.inf:
-            raise ValueError(f"cdm_beta must be finite and >= 0, got {self.cdm_beta!r}")
+        if self.cdm_beta is not None:
+            check_range(self.cdm_beta, "cdm_beta", 0.0)
         if self.cond_frame not in (FIRST_FRAME, RANDOM_FRAME):
             raise ValueError(f"unknown cond_frame {self.cond_frame!r}")
         if self.s_w_choices is not None:  # empty means no choice
-            object.__setattr__(
-                self, "s_w_choices", tuple(float(s) for s in self.s_w_choices) or None
-            )
+            object.__setattr__(self, "s_w_choices", tuple(
+                check_range(float(s), "s_w_choices entries", 0.0, low_open=True)
+                for s in self.s_w_choices) or None)
         if self.s_w_choices and not self.motion_feature:
             raise ValueError("s_w_choices needs motion_feature, the only reader of it")
-        if self.s_w_choices and not all(0.0 < s < math.inf for s in self.s_w_choices):
-            raise ValueError(
-                f"s_w_choices must be finite and positive, got {self.s_w_choices}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codec import check_range
 from .schedule import (TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma,
                        check_start, ddim_coefficients)
 from .special import ndtr
@@ -71,17 +72,10 @@ class GaussianWorld:
     s_w: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_frames < 2:
-            raise ValueError(f"n_frames must be at least 2, got {self.n_frames}")
-        if self.frame_dim < 1:
-            raise ValueError("frame_dim must be at least 1")
-        for name in ("s0", "s_w"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.s0 < 0.0:
-            raise ValueError("s0 must be nonnegative")
-        if not self.s_w > 0.0:
-            raise ValueError("s_w must be positive")
+        check_range(self.n_frames, "n_frames", 2)
+        check_range(self.frame_dim, "frame_dim", 1)
+        check_range(self.s0, "s0", 0.0)
+        check_range(self.s_w, "s_w", 0.0, low_open=True)
         n, s0, s_w = self.n_frames, float(self.s0), float(self.s_w)
         if not math.isfinite(n * s0 * s0 + s_w * s_w * n * (n - 1) / 2):
             raise ValueError(
@@ -326,13 +320,9 @@ class LeakyDenoiser(ExactDenoiser):
     """
 
     def __init__(self, world, schedule, lam_max: float, p: float):
-        if not 0.0 <= lam_max <= 1.0:
-            raise ValueError("lam_max must lie in [0, 1]")
-        if not 0.0 < p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {p!r}")
         super().__init__(world, schedule, conditional=True)
-        self.lam_max = float(lam_max)
-        self.p = float(p)
+        self.lam_max = float(check_range(lam_max, "lam_max", 0.0, 1.0))
+        self.p = float(check_range(p, "p", 0.0, low_open=True))
 
     def leak(self, t) -> float:
         return self.lam_max * float(t) ** self.p

@@ -274,5 +274,6 @@ def test_init_distribution_round_trip_and_validation():
 def test_init_distribution_rejects_non_finite_variance(sigma_p2):
     # an infinite variance used to pass "not inf > 0" and start every chain
     # at inf, reported as SamplerDiverged at step 0
-    with pytest.raises(ValueError, match="sigma_p2 must be positive and finite"):
+    with pytest.raises(ValueError,
+                       match=rf"^sigma_p2 must lie in \(0, inf\), got {sigma_p2!r}$"):
         InitDistribution(mu_p=np.zeros(2), sigma_p2=sigma_p2, M=1.0)

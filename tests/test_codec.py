@@ -8,8 +8,8 @@ import pytest
 
 import toydiffusion as td
 from toydiffusion.cli import DiagnosticsConfig, ExperimentConfig
-from toydiffusion.codec import (ConfigError, from_payload, read_videos, to_payload,
-                                write_json, write_videos)
+from toydiffusion.codec import (ConfigError, check_range, from_payload, read_videos,
+                                to_payload, write_json, write_videos)
 
 TN = td.TimeNoiseParams(beta_m=2.0, a=5.0)
 INIT = td.InitDistribution(mu_p=np.array([1.0, 2.0]), sigma_p2=0.5, M=0.9)
@@ -99,6 +99,58 @@ def test_a_number_no_double_holds_is_named_by_that_rule(payload, key):
                                           "within a double's range, got "):
         from_payload(td.TrainConfig, payload)
 
+
+BIG = 10**400  # no double holds it, but it is finite
+
+
+@pytest.mark.parametrize("value, bounds, message", [
+    # closed finite ends take their end points
+    (0.0, dict(low=0.0, high=1.0), None),
+    (1.0, dict(low=0.0, high=1.0), None),
+    (-0.5, dict(low=0.0, high=1.0), "x must lie in [0, 1], got -0.5"),
+    (1.5, dict(low=0.0, high=1.0), "x must lie in [0, 1], got 1.5"),
+    # open finite ends do not
+    (0.5, dict(low=0.0, high=1.0, low_open=True, high_open=True), None),
+    (0.0, dict(low=0.0, high=1.0, low_open=True, high_open=True),
+     "x must lie in (0, 1), got 0.0"),
+    (1.0, dict(low=0.0, high=1.0, low_open=True, high_open=True),
+     "x must lie in (0, 1), got 1.0"),
+    (1.0, dict(low=0.0, high=1.0, low_open=True), None),
+    (1e-300, dict(low=0.0, high=1.0, low_open=True), None),
+    # the infinite defaults: any finite number, and no infinity or NaN
+    (-1e308, {}, None),
+    (math.inf, {}, "x must lie in (-inf, inf), got inf"),
+    (-math.inf, {}, "x must lie in (-inf, inf), got -inf"),
+    (math.nan, {}, "x must lie in (-inf, inf), got nan"),
+    (math.nan, dict(low=0.0, high=1.0), "x must lie in [0, 1], got nan"),
+    # an infinite end is open whatever its flag says
+    (math.inf, dict(low=0.0, high=math.inf, high_open=False),
+     "x must lie in [0, inf), got inf"),
+    (-math.inf, dict(high=0.0), "x must lie in (-inf, 0], got -inf"),
+    # ints, one of them no double holds, compare exactly
+    (3, dict(low=0), None),
+    (BIG, dict(low=0), None),
+    (-1, dict(low=0), "x must lie in [0, inf), got -1"),
+    (1, dict(low=2), "x must lie in [2, inf), got 1"),
+    (BIG, dict(high=1.0), f"x must lie in (-inf, 1], got {BIG!r}"),
+], ids=["closed-low", "closed-high", "below-closed", "above-closed", "open-inside",
+        "open-low", "open-high", "half-open-high", "half-open-tiny", "default-finite",
+        "default-inf", "default-minus-inf", "default-nan", "closed-nan",
+        "infinite-end-open", "infinite-low-open", "int", "big-int", "int-below",
+        "int-below-two", "big-int-above"])
+def test_check_range_is_one_rule_for_a_number_range(value, bounds, message):
+    if message is None:
+        assert check_range(value, "x", **bounds) is value
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_range(value, "x", **bounds)
+
+
+def test_an_infinite_motion_target_is_rejected():
+    # "not inf > 0.0" is False, so a target of inf used to pass
+    with pytest.raises(ValueError,
+                       match=r"^targets entries must lie in \(0, inf\), got inf$"):
+        DiagnosticsConfig(targets=(math.inf,))
 
 
 @pytest.mark.parametrize("write", [

@@ -431,7 +431,7 @@ def test_error_paths_exit_codes(tmp_path, capsys):
         assert main(argv + ["--config", cfgp, "--n", "0",
                             "--out", str(tmp_path / "x.csv")]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"]["message"] == "--n must be at least 1, got 0"
+        assert err["error"]["message"] == "--n must lie in [1, inf), got 0"
 
     # a float where the schema wants an int is a config error, not truncated
     payload = json.loads((tmp_path / "config.json").read_text())
@@ -551,7 +551,7 @@ def test_numerical_failure_is_one_json_line(tmp_path, command):
                                     ",".join(["-1e200"] * 32))))
         args = ["estimate-init", "--data", "videos.csv", "--M", "0.9"]
         code, kind = 2, "config"
-        message = "data file videos.csv: avg_var must be nonnegative and finite, got inf"
+        message = "data file videos.csv: avg_var must lie in [0, inf), got inf"
     elif command == "sample":
         (tmp_path / "init.json").write_text(json.dumps(
             {"mu_p": [1e308] * 32, "sigma_p2": 1.0, "M": 1.0}))
@@ -757,11 +757,11 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
     ("train", {"cdm_beta": -0.5}, ["train", "--mode", "cdm", "--steps", "2"],
      "cdm_beta"),
     ("world", {}, ["diagnose", "leakage", "--denoiser", "leaky", "--p", "inf"],
-     "p must be"),
+     "p must lie in (0, inf), got inf"),
     ("diagnostics", {"t_grid": []}, ["diagnose", "leakage"],
      "t_grid and m_grid must be nonempty"),
     ("diagnostics", {"eval_videos": 0}, ["diagnose", "leakage"],
-     "eval_videos and n_chains must be at least 1"),
+     "eval_videos must lie in [1, inf), got 0 in diagnostics"),
     ("diagnostics", {"t_grid": [1.5]}, ["diagnose", "leakage"],
      "t_grid entries must lie in (0, 1]"),
     ("diagnostics", {"m_grid": [0.0]}, ["diagnose", "init-ablation"],
@@ -776,6 +776,11 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
      "no noise to remove at t_from = 1e-20"),
     ("diagnostics", {"m_grid": [1e-20]}, ["diagnose", "init-ablation"],
      "no noise to remove at t_from = 1e-20"),
+    ("diagnostics", {"m_grid": [1e-20]}, ["prop1-check"],
+     "no noise to remove at t_from = 1e-20"),
+    *((None, {"world": {"s0": 0.0}, "diagnostics": {"m_grid": [1e-20]}}, argv,
+       "no noise to remove at t_from = 1e-20")
+      for argv in (["prop1-check"], ["diagnose", "init-ablation"])),
     *(("schedule", {"kind": "ve", "sigma_max": 1e200}, argv,
        "sigma_max's square must be finite, got 1e+200 in schedule")
       for argv in (["prop1-check"], ["sample", "--n", "2"], ["diagnose", "leakage"],
@@ -787,7 +792,8 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
         "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
         "eval_videos-zero", "t_grid-above-one", "m_grid-zero", "output_dir-empty",
         "sample-noiseless-M-two-steps", "sample-noiseless-M-one-step",
-        "t_grid-noiseless", "m_grid-noiseless",
+        "t_grid-noiseless", "m_grid-noiseless", "m_grid-noiseless-prop1-check",
+        *(f"m_grid-noiseless-s0-zero-{name}" for name in ("prop1-check", "init-ablation")),
         *(f"ve-sigma_max-overflow-{name}" for name in (
             "prop1-check", "sample", "leakage", "init-ablation", "train",
             "world-sample"))])
@@ -795,7 +801,9 @@ def test_out_of_range_input_is_a_config_error(tmp_path, capsys, section, values,
                                               name):
     # a drift whose frame offsets overflow wrote inf into the last frames,
     # a negative cdm level trained, and p = inf made a leak of 0 below t = 1;
-    # all exited 0, and an empty output_dir was used only without --out
+    # all exited 0, and an empty output_dir was used only without --out.  A
+    # noiseless start exited 0 in prop1-check, and 3 ("Matrix is not positive
+    # definite") in it and init-ablation when frame 1 has no spread
     cfgp = small_config(tmp_path)
     payload = json.loads((tmp_path / "config.json").read_text())
     (payload if section is None else payload[section]).update(values)
@@ -824,10 +832,10 @@ def test_wrong_length_world_vector_is_a_config_error(tmp_path, capsys, name):
 def test_negative_seed_is_rejected_at_construction():
     # default_rng refuses a negative seed, so each failed at its first draw
     # with numpy's "expected non-negative integer", naming no key
-    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -3$"):
+    with pytest.raises(ValueError, match=r"^seed must lie in \[0, inf\), got -3$"):
         td.TrainConfig(seed=-3)
     with pytest.raises(ConfigError,
-                       match=r"^seed must be nonnegative, got -1 at the top level$"):
+                       match=r"^seed must lie in \[0, inf\), got -1 at the top level$"):
         from_payload(ExperimentConfig, {"seed": -1})
 
 
@@ -845,7 +853,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, values, argv, message
     capsys.readouterr()
     out = tmp_path / "x.out"
     assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
-    assert _one_config_error(capsys) == f"seed must be nonnegative, {message}"
+    assert _one_config_error(capsys) == f"seed must lie in [0, inf), {message}"
     assert not out.exists()
 
 
@@ -975,7 +983,7 @@ def test_python_m_toydiffusion_is_the_cli(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0]) == {"error": {
-        "type": "config", "message": "--n must be at least 1, got 0"}}
+        "type": "config", "message": "--n must lie in [1, inf), got 0"}}
 
 
 _SCIPY_FREE = """

@@ -419,34 +419,42 @@ def test_train_config_round_trip_and_validation():
             TrainConfig(mode=NAIVE, **kwargs)
 
 
-@pytest.mark.parametrize("build, field", [
-    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=np.nan), "cdm_beta"),
-    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=np.inf), "cdm_beta"),
-    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=-0.5), "cdm_beta"),
-    (lambda: TrainConfig(mode=NAIVE, lr=np.inf), "lr"),
-    (lambda: TrainConfig(mode=NAIVE, lr=np.nan), "lr"),
-    (lambda: TrainConfig(mode=NAIVE, p_std=-1.0), "p_std"),
-    (lambda: TrainConfig(mode=NAIVE, p_std=np.inf), "p_std"),
-    (lambda: TrainConfig(mode=NAIVE, p_mean=np.nan), "p_mean"),
-    (lambda: TrainConfig(mode=NAIVE, hidden=0), "hidden"),
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=np.nan),
+     "cdm_beta must lie in [0, inf), got nan"),
+    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=np.inf),
+     "cdm_beta must lie in [0, inf), got inf"),
+    (lambda: TrainConfig(mode=CDM_FIXED, cdm_beta=-0.5),
+     "cdm_beta must lie in [0, inf), got -0.5"),
+    (lambda: TrainConfig(mode=NAIVE, lr=np.inf), "lr must lie in (0, inf), got inf"),
+    (lambda: TrainConfig(mode=NAIVE, lr=np.nan), "lr must lie in (0, inf), got nan"),
+    (lambda: TrainConfig(mode=NAIVE, p_std=-1.0), "p_std must lie in [0, inf), got -1.0"),
+    (lambda: TrainConfig(mode=NAIVE, p_std=np.inf), "p_std must lie in [0, inf), got inf"),
+    (lambda: TrainConfig(mode=NAIVE, p_mean=np.nan),
+     "p_mean must lie in (-inf, inf), got nan"),
+    (lambda: TrainConfig(mode=NAIVE, hidden=0), "hidden must lie in [1, inf), got 0"),
     (lambda: TrainConfig(mode=NAIVE, motion_feature=True, s_w_choices=(np.inf,)),
-     "s_w_choices"),
-    (lambda: td.TimeNoiseParams(beta_m=np.inf, a=5.0), "beta_m"),
-    (lambda: td.TimeNoiseParams(beta_m=2.0, a=np.inf), "a"),
-    (lambda: td.TimeNoiseParams(beta_m=np.nan, a=5.0), "beta_m"),
-    (lambda: TrainConfig(mode=NAIVE, steps=-1), "steps"),
-    (lambda: TrainConfig(mode=NAIVE, batch_size=0), "batch_size"),
-    (lambda: TrainConfig(mode=NAIVE, t_sampler="bogus"), "t_sampler"),
+     "s_w_choices entries must lie in (0, inf), got inf"),
+    (lambda: td.TimeNoiseParams(beta_m=np.inf, a=5.0),
+     "beta_m must lie in (0, inf), got inf"),
+    (lambda: td.TimeNoiseParams(beta_m=2.0, a=np.inf), "a must lie in (0, inf), got inf"),
+    (lambda: td.TimeNoiseParams(beta_m=np.nan, a=5.0),
+     "beta_m must lie in (0, inf), got nan"),
+    (lambda: TrainConfig(mode=NAIVE, steps=-1), "steps must lie in [0, inf), got -1"),
+    (lambda: TrainConfig(mode=NAIVE, batch_size=0),
+     "batch_size must lie in [1, inf), got 0"),
+    (lambda: TrainConfig(mode=NAIVE, t_sampler="bogus"),
+     "t_sampler must be 'uniform' or 'edm', got 'bogus'"),
 ], ids=["cdm_beta-nan", "cdm_beta-inf", "cdm_beta-negative", "lr-inf", "lr-nan",
         "p_std-negative", "p_std-inf", "p_mean-nan", "hidden-zero", "s_w_choices-inf",
         "beta_m-inf", "a-inf", "beta_m-nan", "steps-negative", "batch_size-zero",
         "t_sampler-unknown"])
-def test_training_inputs_are_rejected_at_construction(build, field):
+def test_training_inputs_are_rejected_at_construction(build, message):
     # these trained into a non-finite loss (nan cdm_beta, infinite lr), ran
     # (a negative cdm_beta) or failed at the first draw (a negative p_std,
-    # no hidden units); an input error names its field instead of
+    # no hidden units); an input error names its field and value instead of
     # surfacing as a numerical failure
-    with pytest.raises(ValueError, match=rf"^{field} must be"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -120,6 +120,10 @@ CONFIG_FILES = {
     # sigma rounds to 0 there and VE's never falls below sigma_min
     "config_noiseless.json": {"schedule": {"kind": "vp"},
                               "diagnostics": {"t_grid": [1e-20], "m_grid": [1e-20]}},
+    # the same noiseless start in a world whose frame 1 has no spread, where
+    # the time-M law is degenerate
+    "config_noiseless_pinned.json": {"schedule": {"kind": "vp"}, "world": {"s0": 0.0},
+                                     "diagnostics": {"m_grid": [1e-20]}},
     # a VE schedule whose sigma_max squared overflows a double
     "config_huge_sigma_max.json": {"schedule": {"kind": "ve", "sigma_max": 1e200}},
     # a step size whose one step leaves an infinite held-out loss
@@ -205,6 +209,13 @@ OUTCOMES = [
          "--out", "leakage_noiseless.csv"]),
     (2, ["diagnose", "init-ablation", "--config", "config_noiseless.json",
          "--out", "ablation_noiseless.csv"]),
+    # a named start is resolved only where a step may start
+    (2, ["prop1-check", "--config", "config_noiseless.json",
+         "--out", "prop1_noiseless.json"]),
+    (2, ["prop1-check", "--config", "config_noiseless_pinned.json",
+         "--out", "prop1_noiseless_pinned.json"]),
+    (2, ["diagnose", "init-ablation", "--config", "config_noiseless_pinned.json",
+         "--out", "ablation_noiseless_pinned.csv"]),
     (2, ["prop1-check", "--config", "config_huge_sigma_max.json",
          "--out", "prop1_huge_sigma_max.json"]),
     # an output that would hold a NaN or an infinity is not written
