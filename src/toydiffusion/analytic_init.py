@@ -35,9 +35,7 @@ class InitDistribution:
     M: float
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu_p, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("mu_p must be finite")
+        mu = check_range(np.asarray(self.mu_p, dtype=np.float64).ravel(), "mu_p")
         check_range(self.sigma_p2, "sigma_p2", 0.0, low_open=True)
         check_start(self.M, "M")
         object.__setattr__(self, "mu_p", mu)
@@ -56,9 +54,7 @@ class DataMoments:
     n_samples: int
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be finite")
+        mean = check_range(np.asarray(self.mean, dtype=np.float64).ravel(), "mean")
         check_range(self.avg_var, "avg_var", 0.0)
         object.__setattr__(self, "mean", mean)
 

@@ -28,8 +28,9 @@ import numpy as np
 
 from .analytic_init import (InitDistribution, estimate_moments, optimal_init,
                             verify_optimality)
-from .codec import (ConfigError, check_range, from_payload, read_json, read_videos,
-                    to_payload, write_csv, write_json, write_manifest, write_videos)
+from .codec import (ConfigError, check_range, check_same, from_payload, read_json,
+                    read_videos, to_payload, write_csv, write_json, write_manifest,
+                    write_videos)
 from .diagnostics import (
     init_ablation,
     leakage_curve,
@@ -133,11 +134,7 @@ def _build_denoiser(args, cfg: ExperimentConfig):
         model, params, *stored, _ = load_checkpoint(spec[len("ckpt:"):])
         for name, theirs, ours in zip(("world", "schedule"), stored,
                                       (cfg.world, cfg.schedule)):
-            if to_payload(theirs) != to_payload(ours):
-                raise ConfigError(
-                    f"checkpoint {name} {to_payload(theirs)} does not match "
-                    f"the config {name} {to_payload(ours)}"
-                )
+            check_same(name, theirs, ours, whose="checkpoint", where="the config")
         motion = expected_motion_score(cfg.world) if model.motion_feature else None
         return TrainedDenoiser(model, params, cfg.schedule, motion_value=motion)
     raise ConfigError(f"unknown denoiser {spec!r}")

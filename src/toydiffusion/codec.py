@@ -5,8 +5,9 @@ from_payload reads one back through the same field annotations, so the
 config, the checkpoint and the init file share one schema: a key left out
 takes its field's default, and no unknown key, missing required key, value
 of the wrong JSON type or number that is not a finite double passes.
-write_json and write_csv refuse to write such a number; check_range is
-the one rule for a number's range, which the dataclasses' own checks call.
+write_json and write_csv refuse to write such a number.  The package's
+input rules are here too: check_range for a number's (or array's) range,
+check_choice for a named choice, check_same for two parts that must agree.
 """
 
 from __future__ import annotations
@@ -33,14 +34,35 @@ def check_range(value, name: str, low=-math.inf, high=math.inf,
                 low_open: bool = False, high_open: bool = False):
     """value itself when it lies between low and high, each end closed unless
     its flag opens it; an infinite end is always open, so the defaults admit
-    any finite number.  Otherwise ValueError "<name> must lie in <interval>,
-    got <value>", the ends written by format's g (NaN fails)."""
+    any finite number.  An array value passes when every entry does.
+    Otherwise ValueError "<name> must lie in <interval>, got <value>", the
+    ends written by format's g (NaN fails)."""
     low_open, high_open = low_open or low == -math.inf, high_open or high == math.inf
-    if (low < value if low_open else low <= value) and \
-            (value < high if high_open else value <= high):
+    inside = (low < value if low_open else low <= value) & \
+        (value < high if high_open else value <= high)
+    # a bool for a number; numpy bools, every one of which must hold, for an array
+    if inside is True or inside is not False and inside.all():
         return value
     interval = f"{'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}"
     raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def check_choice(value, name: str, choices):
+    """value itself when it is one of choices; otherwise ValueError "<name>
+    must be one of <choices>, got <value>", each written by repr."""
+    if value in choices:
+        return value
+    raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, "
+                     f"got {value!r}")
+
+
+def check_same(name: str, theirs, ours, whose="denoiser", where="the run's") -> None:
+    """Return when theirs is ours, tested first so that no payload is built,
+    or when the two dataclasses' payloads are equal; otherwise ValueError
+    "<whose> <name> <payload> differs from <where> <name> <payload>"."""
+    if theirs is not ours and to_payload(theirs) != to_payload(ours):
+        raise ValueError(f"{whose} {name} {to_payload(theirs)} differs from "
+                         f"{where} {name} {to_payload(ours)}")
 
 
 def read_json(path, what: str):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_init import gaussian_kl
-from .codec import to_payload
-from .sampler import SamplerConfig, check_schedule, named_init, sample_batch
+from .codec import check_same
+from .sampler import SamplerConfig, named_init, sample_batch
 from .schedule import check_start, perturb, x0_from_eps
 from .train import TrainedDenoiser
 from .world import (
@@ -60,7 +60,7 @@ def one_step_prediction(denoiser, x0, y0, schedule, t, rng):
     check_start(t, "one-step prediction time t")
     oracle = isinstance(denoiser, OracleEps)
     if not oracle:
-        check_schedule(denoiser, schedule)
+        check_same("schedule", denoiser.schedule, schedule)
     xt, eps = perturb(schedule, x0, t, rng)
     if oracle:
         return x0_from_eps(eps, xt, schedule, t)
@@ -99,14 +99,6 @@ def leakage_curve(denoiser, eval_videos, schedule, t_grid, seed: int):
     )
 
 
-def _check_world(denoiser, world) -> None:
-    """Reject a denoiser of another world than the run's (a trained one has none)."""
-    theirs = getattr(denoiser, "world", world)
-    if theirs is not world and to_payload(theirs) != to_payload(world):
-        raise ValueError(f"denoiser world {to_payload(theirs)} differs from the "
-                         f"run's world {to_payload(world)}")
-
-
 def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: int,
                  seed: int):
     """Generate per target and compare output motion to the expectation.
@@ -116,7 +108,7 @@ def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: i
     denoiser is compared with the world's closed-form mean motion score,
     and the target list only sets the number of repeats.
     """
-    _check_world(denoiser, world)
+    check_same("world", getattr(denoiser, "world", world), world)  # none if trained
     conditioned = (isinstance(denoiser, TrainedDenoiser)
                    and denoiser.model.motion_feature)
     gt_ms = expected_motion_score(world)
@@ -175,7 +167,7 @@ def init_ablation(world, schedule, m_grid, init_modes, denoiser, n: int, seed: i
     same M share their standard-normal draws (paired comparison).  Chains
     see y0 clean (no inference_beta): moment errors are against its law.
     """
-    _check_world(denoiser, world)
+    check_same("world", getattr(denoiser, "world", world), world)  # none if trained
     y0 = first_frames(world, 1, np.random.default_rng([seed, _ABLATION_TAG, 1, 0]))[0]
     rows = []
     for i, m_start in enumerate(m_grid):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_init import InitDistribution, exact_moments, optimal_init, standard_init
-from .codec import check_range
+from .codec import check_choice, check_range, check_same
 from .schedule import NoiseSchedule, check_start, ddim_coefficients
 from .timenoise import corrupt
 from .world import ExactDenoiser, _check_denoiser_inputs
@@ -116,11 +116,9 @@ def named_init(name: str, world, schedule: NoiseSchedule, M: float):
     standard_init, ANALYTIC the optimal_init of the world's exact moments; an
     M where no step may start, by ddim_coefficients, is rejected first."""
     ddim_coefficients(schedule, check_start(M, "M"), 0.0)
-    if name == STANDARD:
+    if check_choice(name, "init", (STANDARD, ANALYTIC)) == STANDARD:
         return standard_init(schedule, M, world.flat_dim)
-    if name == ANALYTIC:
-        return optimal_init(exact_moments(world), schedule, M)
-    raise ValueError(f"unknown init {name!r}")
+    return optimal_init(exact_moments(world), schedule, M)
 
 
 def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
@@ -139,15 +137,6 @@ def ddim_step(denoiser, xt, y, t_from, t_to, schedule: NoiseSchedule):
     return x0_hat
 
 
-def check_schedule(denoiser, schedule: NoiseSchedule) -> None:
-    """Reject a denoiser built for another schedule than the caller's."""
-    if denoiser.schedule != schedule:
-        raise ValueError(
-            f"denoiser schedule {denoiser.schedule} differs from the run's "
-            f"schedule {schedule}"
-        )
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     """Run n reverse chains; returns generated videos of shape (n, N, d).
@@ -157,11 +146,9 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     if not hasattr(denoiser, "predict_x0"):
         raise ValueError(f"{type(denoiser).__name__} cannot drive a sampler")
     check_range(n, "n", 1)
-    check_schedule(denoiser, schedule)
+    check_same("schedule", denoiser.schedule, schedule)
     x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
-    _, y = _check_denoiser_inputs(denoiser.shape, x, y0)
-    if not np.isfinite(y).all():
-        raise ValueError("y0 must be finite")
+    y = check_range(_check_denoiser_inputs(denoiser.shape, x, y0)[1], "y0")
     d = denoiser.shape[1]
     if config.inference_beta:
         y = corrupt(np.broadcast_to(y, (n, d)), config.inference_beta, rng)

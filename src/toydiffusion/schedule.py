@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import check_range
+from .codec import check_choice, check_range
 
 VP = "vp"
 VE = "ve"
@@ -55,8 +55,7 @@ class NoiseSchedule:
     sigma_max: float = 700.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (VP, VE):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        check_choice(self.kind, "kind", (VP, VE))
         for name in ("beta_min", "beta_max", "sigma_min", "sigma_max"):
             check_range(getattr(self, name), name)
         if self.kind == VP and not 0.0 < self.beta_min < self.beta_max:
@@ -75,13 +74,6 @@ class NoiseSchedule:
         return cls(kind=VE, sigma_min=sigma_min, sigma_max=sigma_max)
 
 
-def _check_time(t) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails both
-        raise ValueError(f"time must lie in [0, 1], got {t!r}")
-    return t
-
-
 def check_start(t, name: str) -> float:
     """float(t) for a time a run starts at or a denoiser is asked at, in (0, 1]."""
     return check_range(float(t), name, 0.0, 1.0, low_open=True)
@@ -96,7 +88,7 @@ def alpha_sigma(schedule: NoiseSchedule, t):
 
 
 def _alpha_sigma(schedule: NoiseSchedule, t):
-    t = _check_time(t)
+    t = check_range(np.asarray(t, dtype=np.float64), "time", 0.0, 1.0)
     if schedule.kind == VP:
         log_alpha = -0.25 * t * t * (schedule.beta_max - schedule.beta_min) \
             - 0.5 * t * schedule.beta_min

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import check_range
-from .schedule import _check_time, _per_item
+from .codec import check_choice, check_range
+from .schedule import _per_item
 from .special import expit, logit
 
 ADDITIVE = "additive"
@@ -41,23 +41,22 @@ class TimeNoiseParams:
     def __post_init__(self) -> None:
         for name in ("beta_m", "a"):
             check_range(getattr(self, name), name, 0.0, low_open=True)
-        if self.variant not in (ADDITIVE, INTERPOLATION):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        check_choice(self.variant, "variant", (ADDITIVE, INTERPOLATION))
         if self.variant == INTERPOLATION and self.beta_m != 1.0:
             raise ValueError("interpolation variant requires beta_m = 1")
 
 
 def mu_of_t(params: TimeNoiseParams, t):
     """Center of the logit-normal at time t: 2 t**a - 1, from -1 up to 1."""
-    out = 2.0 * _check_time(t)**params.a - 1.0
+    t = check_range(np.asarray(t, dtype=np.float64), "time", 0.0, 1.0)
+    out = 2.0 * t**params.a - 1.0
     return float(out) if out.ndim == 0 else out
 
 
 def pdf(params: TimeNoiseParams, t, beta_s):
     """Density of beta_s at time t; defined on the open interval (0, beta_m)."""
-    beta_s = np.asarray(beta_s, dtype=np.float64)
-    if not ((beta_s > 0.0) & (beta_s < params.beta_m)).all():  # NaN fails both
-        raise ValueError("beta_s must lie strictly inside (0, beta_m)")
+    beta_s = check_range(np.asarray(beta_s, dtype=np.float64), "beta_s", 0.0,
+                         params.beta_m, low_open=True, high_open=True)
     mu = mu_of_t(params, t)
     z = logit(beta_s / params.beta_m) - mu
     out = (
@@ -89,6 +88,7 @@ def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
     one standard normal per entry of y0, whatever the level; a caller that
     wants no noise at all skips the call.
     """
+    check_choice(variant, "variant", (ADDITIVE, INTERPOLATION))
     y0 = np.asarray(y0, dtype=np.float64)
     eps = rng.standard_normal(y0.shape)
     beta_s = _per_item(beta_s, y0)

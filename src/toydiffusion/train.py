@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (ConfigError, check_range, from_payload, read_json, to_payload,
-                    write_json)
+from .codec import (ConfigError, check_choice, check_range, from_payload, read_json,
+                    to_payload, write_json)
 from .schedule import NoiseSchedule, perturb, sigma_to_t, x0_from_eps
 from .timenoise import TimeNoiseParams, constant_beta, corrupt, sample_beta
 from .world import (
@@ -97,16 +97,13 @@ class TrainConfig:
     cond_frame: str = FIRST_FRAME
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown training mode {self.mode!r}")
+        check_choice(self.mode, "mode", MODES)
         for name, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("hidden", 1)):
             check_range(getattr(self, name), name, low)
         check_range(self.lr, "lr", 0.0, low_open=True)
         check_range(self.p_mean, "p_mean")
         check_range(self.p_std, "p_std", 0.0)
-        if self.t_sampler not in (UNIFORM_T, EDM_LOGNORMAL):
-            raise ValueError(
-                f"t_sampler must be 'uniform' or 'edm', got {self.t_sampler!r}")
+        check_choice(self.t_sampler, "t_sampler", (UNIFORM_T, EDM_LOGNORMAL))
         check_range(self.t_floor, "t_floor", 0.0, 1.0, low_open=True, high_open=True)
         if self.mode in (TIMENOISE, CONSTANT_BETA) and self.timenoise is None:
             raise ValueError(f"mode {self.mode!r} requires timenoise parameters")
@@ -114,8 +111,7 @@ class TrainConfig:
             raise ValueError("cdm mode requires cdm_beta")
         if self.cdm_beta is not None:
             check_range(self.cdm_beta, "cdm_beta", 0.0)
-        if self.cond_frame not in (FIRST_FRAME, RANDOM_FRAME):
-            raise ValueError(f"unknown cond_frame {self.cond_frame!r}")
+        check_choice(self.cond_frame, "cond_frame", (FIRST_FRAME, RANDOM_FRAME))
         if self.s_w_choices is not None:  # empty means no choice
             object.__setattr__(self, "s_w_choices", tuple(
                 check_range(float(s), "s_w_choices entries", 0.0, low_open=True)

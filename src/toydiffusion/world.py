@@ -87,9 +87,7 @@ class GaussianWorld:
             if vec.shape not in ((), (1,), (self.frame_dim,)):
                 raise ValueError(f"{name} must be a scalar or frame_dim = "
                                  f"{self.frame_dim} entries, got shape {vec.shape}")
-            vec = np.broadcast_to(vec, (self.frame_dim,)).copy()
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{name} must be finite, got {vec.tolist()!r}")
+            vec = check_range(np.broadcast_to(vec, (self.frame_dim,)).copy(), name)
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
         with np.errstate(over="ignore"):  # an overflow is reported by field below
@@ -202,7 +200,8 @@ def expected_motion_score(world: GaussianWorld, s_w=None):
     s_w sqrt(2/pi) exp(-mu^2 / 2 s_w^2) + mu (1 - 2 Phi(-mu / s_w)).
     """
     mu = world.drift
-    s = np.asarray(world.s_w if s_w is None else s_w, dtype=np.float64)[..., None]
+    s = check_range(np.asarray(world.s_w if s_w is None else s_w, dtype=np.float64),
+                    "s_w", 0.0, low_open=True)[..., None]
     e_abs = s * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * s * s)) + mu * (
         1.0 - 2.0 * ndtr(-mu / s)
     )

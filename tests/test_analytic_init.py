@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -258,7 +259,8 @@ def test_init_distribution_round_trip_and_validation():
         InitDistribution(mu_p=np.zeros(2), sigma_p2=0.0, M=1.0)
     with pytest.raises(ValueError):
         InitDistribution(mu_p=np.zeros(2), sigma_p2=1.0, M=1.2)
-    with pytest.raises(ValueError, match="mu_p must be finite"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "mu_p must lie in (-inf, inf), got array([ 0., nan])") + "$"):
         InitDistribution(mu_p=np.array([0.0, np.nan]), sigma_p2=1.0, M=1.0)
     with pytest.raises(ValueError):
         DataMoments(mean=np.zeros(2), avg_var=-1.0, n_samples=3)

@@ -8,8 +8,9 @@ import pytest
 
 import toydiffusion as td
 from toydiffusion.cli import DiagnosticsConfig, ExperimentConfig
-from toydiffusion.codec import (ConfigError, check_range, from_payload, read_videos,
-                                to_payload, write_json, write_videos)
+from toydiffusion.codec import (ConfigError, check_choice, check_range, check_same,
+                                from_payload, read_videos, to_payload, write_json,
+                                write_videos)
 
 TN = td.TimeNoiseParams(beta_m=2.0, a=5.0)
 INIT = td.InitDistribution(mu_p=np.array([1.0, 2.0]), sigma_p2=0.5, M=0.9)
@@ -133,17 +134,64 @@ BIG = 10**400  # no double holds it, but it is finite
     (-1, dict(low=0), "x must lie in [0, inf), got -1"),
     (1, dict(low=2), "x must lie in [2, inf), got 1"),
     (BIG, dict(high=1.0), f"x must lie in (-inf, 1], got {BIG!r}"),
+    # an array passes when every entry does, and is named by its repr
+    (np.array([[0.0, 0.5], [1.0, 0.25]]), dict(low=0.0, high=1.0), None),
+    (np.array([0.5, math.nan]), dict(low=0.0, high=1.0),
+     "x must lie in [0, 1], got array([0.5, nan])"),
+    (np.array([0.5, 0.0]), dict(low=0.0, high=1.0, low_open=True),
+     "x must lie in (0, 1], got array([0.5, 0. ])"),
+    (np.array([2.0]), dict(low=0.0, high=1.0), "x must lie in [0, 1], got array([2.])"),
+    (np.asarray(0.5), dict(low=0.0, high=1.0), None),
+    (np.asarray(1.5), dict(low=0.0, high=1.0), "x must lie in [0, 1], got array(1.5)"),
 ], ids=["closed-low", "closed-high", "below-closed", "above-closed", "open-inside",
         "open-low", "open-high", "half-open-high", "half-open-tiny", "default-finite",
         "default-inf", "default-minus-inf", "default-nan", "closed-nan",
         "infinite-end-open", "infinite-low-open", "int", "big-int", "int-below",
-        "int-below-two", "big-int-above"])
+        "int-below-two", "big-int-above", "array-inside", "array-nan",
+        "array-open-end", "array-one-entry", "array-0d-inside", "array-0d-above"])
 def test_check_range_is_one_rule_for_a_number_range(value, bounds, message):
     if message is None:
         assert check_range(value, "x", **bounds) is value
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_range(value, "x", **bounds)
+
+
+@pytest.mark.parametrize("check, message", [
+    # a member comes back as the object passed, not the equal choice
+    (lambda value: check_choice(value, "kind", (td.VP, td.VE)), None),
+    (lambda value: check_choice(value.upper(), "kind", (td.VP, td.VE)),
+     "kind must be one of 'vp', 've', got 'VE'"),
+    (lambda value: from_payload(ExperimentConfig, {"schedule": {"kind": "VP"}}),
+     "kind must be one of 'vp', 've', got 'VP' in schedule"),
+], ids=["member", "not-a-member", "from-payload"])
+def test_check_choice_is_one_rule_for_a_named_choice(check, message):
+    value = "".join(["v", "e"])
+    if message is None:
+        assert check(value) is value
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(value)
+
+
+def test_check_same_is_one_rule_for_two_parts_that_must_agree():
+    # the same object passes without a payload, which a plain object has not
+    stub = object()
+    assert check_same("world", stub, stub) is None
+    # an equal world built twice is the same world
+    world = td.GaussianWorld(n_frames=2, frame_dim=1)
+    assert check_same("world", world, td.GaussianWorld(n_frames=2, frame_dim=1)) is None
+    other = td.GaussianWorld(n_frames=2, frame_dim=1, s_w=2.0)
+    payload = "{'n_frames': 2, 'frame_dim': 1, 'm0': [0.0], 's0': 1.0, 'drift': [0.2], "
+    for kwargs, message in [
+        ({}, f"denoiser world {payload}'s_w': 2.0}} differs from the run's world "
+             f"{payload}'s_w': 0.5}}"),
+        (dict(whose="checkpoint", where="the config"),
+         f"checkpoint world {payload}'s_w': 2.0}} differs from the config world "
+         f"{payload}'s_w': 0.5}}"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_same("world", other, world, **kwargs)
 
 
 def test_an_infinite_motion_target_is_rejected():

@@ -402,7 +402,7 @@ def test_error_paths_exit_codes(tmp_path, capsys):
         (["world-sample", "--config", str(tmp_path / "list.json")],
          "expected a JSON object at the top level, got list"),
         (["sample", "--config", cfgp, "--n", "2", "--init", "bogus"],
-         "unknown init 'bogus'"),
+         "init must be one of 'standard', 'analytic', got 'bogus'"),
         (["estimate-init", "--config", cfgp, "--data", str(data["short"]), "--M", "0.9"],
          f"data file {data['short']} has 31 columns, world needs 32"),
         (["estimate-init", "--config", cfgp, "--data", str(data["text"]), "--M", "0.9"],

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -274,7 +275,11 @@ def test_step_maps_keep_a_huge_condition_finite(request, world, name, schedule_n
 def test_denoiser_for_another_schedule_is_rejected(world, vp, ve):
     # a VP posterior mean stepped on the VE grid ran and gave 10x the motion
     den = ExactDenoiser(world, vp)
-    with pytest.raises(ValueError, match="kind='vp'.*kind='ve'"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "denoiser schedule {'kind': 'vp', 'beta_min': 0.1, 'beta_max': 20.0, "
+            "'sigma_min': 0.002, 'sigma_max': 700.0} differs from the run's schedule "
+            "{'kind': 've', 'beta_min': 0.1, 'beta_max': 20.0, 'sigma_min': 0.002, "
+            "'sigma_max': 700.0}") + "$"):
         sample_batch(den, np.zeros(4), SamplerConfig(1.0, 5), ve, 2,
                      np.random.default_rng(0))
 

@@ -114,6 +114,16 @@ def test_corrupt_interpolation_variant():
     np.testing.assert_allclose(y, 0.75 * y0 + 0.25 * eps, atol=1e-15)
 
 
+def test_corrupt_rejects_an_unknown_variant_before_its_draw():
+    # "interp" ran the additive variant, byte for byte
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^variant must be one of 'additive', "
+                                         "'interpolation', got 'interp'$"):
+        corrupt(np.zeros((3, 4)), 0.5, rng, "interp")
+    assert rng.bit_generator.state == state
+
+
 def test_zero_override_is_noise_free_and_draws_like_any_level():
     # a zero level returns y0's values exactly, in a new array, and draws
     # its noise like any other level, so the stream after it does not

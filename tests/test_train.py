@@ -444,7 +444,7 @@ def test_train_config_round_trip_and_validation():
     (lambda: TrainConfig(mode=NAIVE, batch_size=0),
      "batch_size must lie in [1, inf), got 0"),
     (lambda: TrainConfig(mode=NAIVE, t_sampler="bogus"),
-     "t_sampler must be 'uniform' or 'edm', got 'bogus'"),
+     "t_sampler must be one of 'uniform', 'edm', got 'bogus'"),
 ], ids=["cdm_beta-nan", "cdm_beta-inf", "cdm_beta-negative", "lr-inf", "lr-nan",
         "p_std-negative", "p_std-inf", "p_mean-nan", "hidden-zero", "s_w_choices-inf",
         "beta_m-inf", "a-inf", "beta_m-nan", "steps-negative", "batch_size-zero",

@@ -113,6 +113,17 @@ def test_expected_motion_score_vs_monte_carlo(world):
     assert float(ms.mean()) == pytest.approx(expected_motion_score(world), rel=5e-3)
 
 
+@pytest.mark.parametrize("s_w, message", [
+    (-0.5, "s_w must lie in (0, inf), got array(-0.5)"),
+    (0.0, "s_w must lie in (0, inf), got array(0.)"),
+    (np.array([0.5, -0.5]), "s_w must lie in (0, inf), got array([ 0.5, -0.5])"),
+], ids=["scalar", "zero", "per-video"])
+def test_expected_motion_score_needs_a_positive_s_w(world, s_w, message):
+    # a mean absolute difference came out negative, -3.013 at s_w = -0.5
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        expected_motion_score(world, s_w)
+
+
 def test_expected_motion_score_vector_drift():
     w = GaussianWorld(n_frames=5, frame_dim=2, drift=np.array([0.1, -0.3]), s_w=0.4)
     per_coord = []

@@ -131,6 +131,8 @@ CONFIG_FILES = {
     # a world whose frame increments round away next to m0, whose videos
     # would not move
     "config_huge_m0.json": {"world": {"m0": 1e307}},
+    # a schedule kind in the wrong case, which names no kind
+    "config_kind_case.json": {"schedule": {"kind": "VP"}},
     # every section left out, and a schedule section without its kind
     "config_empty.json": "{}",
     "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
@@ -228,6 +230,13 @@ OUTCOMES = [
     (2, ["sample", "--n", "2", "--denoiser", "oracle", "--out", "sample_oracle.csv"]),
     (2, ["diagnose", "motion-sweep", "--denoiser", "oracle",
          "--out", "sweep_oracle.csv"]),
+    # a name outside its choices, and a checkpoint of another world than the
+    # config's, are rejected naming both
+    (2, ["world-sample", "--n", "2", "--config", "config_kind_case.json",
+         "--out", "videos_kind_case.csv"]),
+    (2, ["sample", "--n", "2", "--init", "bogus", "--out", "sample_bogus_init.csv"]),
+    (2, ["sample", "--n", "2", "--denoiser", "ckpt:ckpt_naive.json",
+         "--config", "config_wide.json", "--out", "sample_ckpt_wide.csv"]),
 ]
 INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
 
