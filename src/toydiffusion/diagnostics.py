@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_init import gaussian_kl
-from .codec import check_same
+from .codec import check_range, check_same
 from .sampler import SamplerConfig, named_init, sample_batch
 from .schedule import check_start, perturb, x0_from_eps
 from .train import TrainedDenoiser
@@ -36,8 +36,7 @@ def motion_scores(videos):
     """Motion score per video: sum over adjacent frame pairs of the
     coordinate-mean absolute difference.  Accepts (N, d) or (B, N, d)."""
     videos = np.asarray(videos, dtype=np.float64)
-    if videos.shape[-2] < 2:
-        raise ValueError("motion score needs at least 2 frames")
+    check_range(videos.shape[-2], "motion score's frame count", 2)
     diffs = np.abs(np.diff(videos, axis=-2))
     return diffs.mean(axis=-1).sum(axis=-1)
 

@@ -24,7 +24,7 @@ A finite end state is written back over the block's rows, and the draw
 array is the output.  A block that ends non-finite is replayed from its
 rows with a check after every step, and SamplerDiverged is raised at the
 earliest first non-finite step over the blocks.  Any other denoiser has
-its grid's starts checked for noise before its first prediction, and runs
+its grid's starts checked for noise before the first draw, and runs
 ddim_step, r (x_cur + (k / r) x0_hat) by three in-place operations on
 predict_x0's fresh result, or that result where ddim_coefficients' r = 0,
 and checks the batch after each step.  Both paths detect a non-finite
@@ -100,12 +100,10 @@ def time_grid(start_time: float, steps: int):
 def draw_initial(config: SamplerConfig, schedule: NoiseSchedule, shape, rng):
     """Draw z sqrt(sigma_p2) + mu_p, z standard normal, from config.init or
     else standard_init."""
-    z = rng.standard_normal(shape)
     flat_dim = int(np.prod(shape[-2:]))
     init = config.init or standard_init(schedule, config.start_time, flat_dim)
-    if init.mu_p.size != flat_dim:
-        raise ValueError(f"init distribution has {init.mu_p.size} entries, "
-                         f"a video has {flat_dim}")
+    check_choice(init.mu_p.shape, "init mu_p's shape", ((flat_dim,),))
+    z = rng.standard_normal(shape)
     z *= np.sqrt(init.sigma_p2)
     z += init.mu_p.reshape(shape[-2:])
     return z
@@ -142,27 +140,32 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     """Run n reverse chains; returns generated videos of shape (n, N, d).
 
     y0 is one frame (d,) shared by all chains or one per chain, (n, d).
+    Every input and every step's start is checked before the first draw.
     """
     if not hasattr(denoiser, "predict_x0"):
         raise ValueError(f"{type(denoiser).__name__} cannot drive a sampler")
     check_range(n, "n", 1)
     check_same("schedule", denoiser.schedule, schedule)
-    x = draw_initial(config, schedule, (n, *denoiser.shape), rng)
-    y = check_range(_check_denoiser_inputs(denoiser.shape, x, y0)[1], "y0")
-    d = denoiser.shape[1]
+    shape, d = (n, *denoiser.shape), denoiser.shape[1]
+    stand_in = np.broadcast_to(0.0, shape)  # a batch of that shape, allocating nothing
+    y = check_range(_check_denoiser_inputs(denoiser.shape, stand_in, y0)[1], "y0")
+    grid = time_grid(config.start_time, config.steps)
+    steps = list(zip(grid[:-1], grid[1:]))
+    exact = isinstance(denoiser, ExactDenoiser)
+    if exact:
+        maps = [(float(t_to), denoiser.step_map(t_from, t_to)) for t_from, t_to in steps]
+    else:
+        for t_from, t_to in steps:
+            ddim_coefficients(schedule, float(t_from), float(t_to))
+    x = draw_initial(config, schedule, shape, rng)
     if config.inference_beta:
         y = corrupt(np.broadcast_to(y, (n, d)), config.inference_beta, rng)
-    grid = time_grid(config.start_time, config.steps)
-    if not isinstance(denoiser, ExactDenoiser):
-        for t_from, t_to in zip(grid[:-1], grid[1:]):  # every start checked up front
-            ddim_coefficients(schedule, float(t_from), float(t_to))
-        for step, (t_from, t_to) in enumerate(zip(grid[:-1], grid[1:])):
+    if not exact:
+        for step, (t_from, t_to) in enumerate(steps):
             x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)
             if not np.all(np.isfinite(x)):
                 raise SamplerDiverged(step, float(t_to))
         return x
-    maps = [(float(t_to), denoiser.step_map(t_from, t_to))
-            for t_from, t_to in zip(grid[:-1], grid[1:])]
     y = np.broadcast_to(y if denoiser.conditional else denoiser.world.m0, (n, d))
     n_frames = denoiser.shape[0]
     width = min(n, max(1, BLOCK_BYTES // (n_frames * d * 8)))

@@ -140,11 +140,12 @@ def perturb(schedule: NoiseSchedule, x0: np.ndarray, t, rng: np.random.Generator
     sigma_t eps into the third; otherwise they are new arrays.
     """
     x0 = np.asarray(x0, dtype=np.float64)
+    alpha, sigma = alpha_sigma(schedule, t)  # t and its shape checked before the draw
+    alpha, sigma = _per_item(alpha, x0), _per_item(sigma, x0)
     xt, eps, scaled = out if out is not None else (np.empty(x0.shape), None, None)
     eps = rng.standard_normal(x0.shape, out=eps)
-    alpha, sigma = alpha_sigma(schedule, t)
-    np.multiply(_per_item(alpha, x0), x0, out=xt)
-    xt += np.multiply(_per_item(sigma, x0), eps, out=scaled)
+    np.multiply(alpha, x0, out=xt)
+    xt += np.multiply(sigma, eps, out=scaled)
     return xt, eps
 
 
@@ -177,7 +178,5 @@ def _per_item(coef, x: np.ndarray):
     coef = np.asarray(coef)
     if coef.ndim == 0:
         return coef
-    if coef.shape != x.shape[:coef.ndim]:
-        raise ValueError(f"per-item coefficient has {coef.size} entries "
-                         f"for a batch of {math.prod(x.shape[:coef.ndim])}")
+    check_choice(coef.shape, "per-item coefficient's shape", (x.shape[:coef.ndim],))
     return coef.reshape(coef.shape + (1,) * (x.ndim - coef.ndim))

@@ -70,8 +70,9 @@ def pdf(params: TimeNoiseParams, t, beta_s):
 
 def sample_beta(params: TimeNoiseParams, t, rng: np.random.Generator, size=None):
     """Draw beta_s = beta_m * sigmoid(z) with z ~ Normal(mu(t), 1)."""
+    mu = mu_of_t(params, t)
     noise = rng.standard_normal(size if size is not None else np.shape(t))
-    out = params.beta_m * expit(mu_of_t(params, t) + noise)
+    out = params.beta_m * expit(mu + noise)
     return float(out) if out.ndim == 0 else out
 
 
@@ -90,8 +91,8 @@ def corrupt(y0, beta_s, rng: np.random.Generator, variant: str = ADDITIVE):
     """
     check_choice(variant, "variant", (ADDITIVE, INTERPOLATION))
     y0 = np.asarray(y0, dtype=np.float64)
-    eps = rng.standard_normal(y0.shape)
     beta_s = _per_item(beta_s, y0)
+    eps = rng.standard_normal(y0.shape)
     if variant == INTERPOLATION:
         return (1.0 - beta_s) * y0 + beta_s * eps
     return y0 + beta_s * eps

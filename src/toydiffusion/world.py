@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import check_range
+from .codec import check_choice, check_range
 from .schedule import (TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma,
                        check_start, ddim_coefficients)
 from .special import ndtr
@@ -82,11 +82,12 @@ class GaussianWorld:
                 f"s0 = {s0!r} and s_w = {s_w!r} overflow the trace of the prior "
                 "frame covariance"
             )
+        if s0 * s0 + s_w * s_w == s0 * s0:
+            raise ValueError(f"s_w = {s_w!r} rounds away next to s0 = {s0!r} in the prior "
+                             "frame covariance: s0^2 + s_w^2 == s0^2")
         for name in ("m0", "drift"):
             vec = np.asarray(getattr(self, name), dtype=np.float64)
-            if vec.shape not in ((), (1,), (self.frame_dim,)):
-                raise ValueError(f"{name} must be a scalar or frame_dim = "
-                                 f"{self.frame_dim} entries, got shape {vec.shape}")
+            check_choice(vec.shape, f"{name}'s shape", ((), (1,), (self.frame_dim,)))
             vec = check_range(np.broadcast_to(vec, (self.frame_dim,)).copy(), name)
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
@@ -173,8 +174,7 @@ def conditional_moments(world: GaussianWorld, y0) -> FrameGaussian:
     """The law given frame 1 = y0: the prior law of the pinned world,
     frame 1 fixed at y0 (s0 = 0)."""
     y0 = np.asarray(y0, dtype=np.float64)
-    if y0.shape != (world.frame_dim,):
-        raise ValueError("y0 must be a single frame of shape (frame_dim,)")
+    check_choice(y0.shape, "y0's shape", ((world.frame_dim,),))
     return prior_moments(replace(world, m0=y0, s0=0.0))
 
 
@@ -222,16 +222,11 @@ def _check_denoiser_inputs(shape, xt, y, **per_video):
     xt = np.asarray(xt, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = shape
-    if xt.shape[-2:] != (n, d):
-        raise ValueError(f"video of shape {xt.shape} is not (..., {n}, {d})")
     videos = xt.shape[:-2]
-    if y.shape not in ((d,), videos + (d,)):
-        raise ValueError(f"condition of shape {y.shape} is not one frame "
-                         f"(frame_dim={d},) or one per video {videos + (d,)}")
+    check_choice(xt.shape, "video batch's shape", (videos + (n, d),))
+    check_choice(y.shape, "condition's shape", ((d,), videos + (d,)))
     for name, value in per_video.items():
-        if np.ndim(value) != 0 and np.shape(value) != videos:
-            raise ValueError(f"{name} of shape {np.shape(value)} is not one value "
-                             f"or one per video {videos}")
+        check_choice(np.shape(value), f"{name}'s shape", ((), videos))
     return xt, y
 
 
@@ -267,9 +262,7 @@ class ExactDenoiser:
                            t, float(t_to))
 
     def predict_x0(self, xt, y, t):
-        if np.ndim(t) != 0:
-            raise ValueError(
-                f"exact prediction takes one time t, got shape {np.shape(t)}")
+        check_choice(np.shape(t), "exact prediction time t's shape", ((),))
         if self.conditional and y is None:
             raise ValueError("conditional denoiser needs a conditioning frame")
         n = self.shape[0]

@@ -174,6 +174,87 @@ def test_check_choice_is_one_rule_for_a_named_choice(check, message):
             check(value)
 
 
+def _trained(world, motion_value=None):
+    model = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8,
+                           motion_feature=motion_value is not None)
+    return td.TrainedDenoiser(model, model.init_params(np.random.default_rng(0)),
+                              td.NoiseSchedule.vp(), motion_value=motion_value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda world: td.GaussianWorld(m0=[1.0, 2.0, 3.0]),
+     "m0's shape must be one of (), (1,), (4,), got (3,)"),
+    (lambda world: td.GaussianWorld(drift=np.zeros((1, 4))),
+     "drift's shape must be one of (), (1,), (4,), got (1, 4)"),
+    (lambda world: td.conditional_moments(world, np.zeros(3)),
+     "y0's shape must be one of (4,), got (3,)"),
+    (lambda world: td.ExactDenoiser(world, td.NoiseSchedule.vp()).predict_x0(
+        np.zeros((5, 4, 8)), np.zeros(4), 0.5),
+     "video batch's shape must be one of (5, 8, 4), got (5, 4, 8)"),
+    (lambda world: td.ExactDenoiser(world, td.NoiseSchedule.vp()).predict_x0(
+        np.zeros((6, 8, 4)), np.zeros((5, 4)), 0.5),
+     "condition's shape must be one of (4,), (6, 4), got (5, 4)"),
+    (lambda world: _trained(world).predict_x0(np.zeros((6, 8, 4)), np.zeros(4),
+                                              np.full(5, 0.5)),
+     "time's shape must be one of (), (6,), got (5,)"),
+    (lambda world: _trained(world, motion_value=[1.0] * 5).predict_x0(
+        np.zeros((6, 8, 4)), np.zeros(4), 0.5),
+     "motion's shape must be one of (), (6,), got (5,)"),
+    (lambda world: td.ExactDenoiser(world, td.NoiseSchedule.vp()).predict_x0(
+        np.zeros((4, 8, 4)), np.zeros(4), np.full(4, 0.5)),
+     "exact prediction time t's shape must be one of (), got (4,)"),
+    (lambda world: td.draw_initial(
+        td.SamplerConfig(init=td.InitDistribution(np.zeros(31), 1.0, 1.0)),
+        td.NoiseSchedule.vp(), (2, 8, 4), np.random.default_rng(0)),
+     "init mu_p's shape must be one of (32,), got (31,)"),
+    (lambda world: td.x0_from_eps(np.zeros((5, 8, 4)), np.zeros((5, 8, 4)),
+                                  td.NoiseSchedule.vp(), np.full(2, 0.5)),
+     "per-item coefficient's shape must be one of (5,), got (2,)"),
+    (lambda world: td.motion_scores(np.zeros((3, 1, 4))),
+     "motion score's frame count must lie in [2, inf), got 1"),
+], ids=["m0", "drift", "conditional_moments-y0", "video-batch", "condition", "time",
+        "motion", "exact-time", "draw_initial-mu_p", "per-item", "motion_scores"])
+def test_each_shape_is_checked_by_check_choice(world, call, message):
+    # each site wrote its own message: "m0 must be a scalar or frame_dim = 4
+    # entries", "video of shape ... is not (..., 8, 4)", and so on
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(world)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda world, rng: td.perturb(td.NoiseSchedule.vp(), np.zeros((3, 8, 4)), 1.5, rng),
+     "time must lie in [0, 1], got array(1.5)"),
+    (lambda world, rng: td.perturb(td.NoiseSchedule.vp(), np.zeros((3, 8, 4)),
+                                   np.array([0.5, 0.5]), rng),
+     "per-item coefficient's shape must be one of (3,), got (2,)"),
+    (lambda world, rng: td.corrupt(np.zeros((3, 4)), np.array([0.1, 0.2]), rng),
+     "per-item coefficient's shape must be one of (3,), got (2,)"),
+    (lambda world, rng: td.sample_beta(td.TimeNoiseParams(), 1.5, rng),
+     "time must lie in [0, 1], got array(1.5)"),
+    (lambda world, rng: td.draw_initial(
+        td.SamplerConfig(init=td.InitDistribution(np.zeros(24), 1.0, 1.0)),
+        td.NoiseSchedule.vp(), (3, 8, 4), rng),
+     "init mu_p's shape must be one of (32,), got (24,)"),
+    (lambda world, rng: td.sample_batch(
+        td.ExactDenoiser(world, td.NoiseSchedule.vp()), np.zeros(3), td.SamplerConfig(),
+        td.NoiseSchedule.vp(), 6, rng),
+     "condition's shape must be one of (4,), (6, 4), got (3,)"),
+    (lambda world, rng: td.sample_batch(
+        td.ExactDenoiser(world, td.NoiseSchedule.vp()), np.array([0.0, np.nan, 0.0, 0.0]),
+        td.SamplerConfig(), td.NoiseSchedule.vp(), 6, rng),
+     "y0 must lie in (-inf, inf), got array([ 0., nan,  0.,  0.])"),
+], ids=["perturb-time", "perturb-per-item", "corrupt-per-item", "sample_beta-time",
+        "draw_initial-mu_p", "sample_batch-condition", "sample_batch-nan"])
+def test_a_rejected_call_leaves_the_generator_as_it_was(world, call, message):
+    # each call drew before its check, so a rejected call still advanced
+    # the caller's generator
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(world, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_check_same_is_one_rule_for_two_parts_that_must_agree():
     # the same object passes without a payload, which a plain object has not
     stub = object()

@@ -419,7 +419,7 @@ def test_error_paths_exit_codes(tmp_path, capsys):
          "init distribution was fitted at M = 0.9, not at start_time = 0.8"),
         (["sample", "--config", cfgp, "--n", "2",
           "--init", f"analytic:{init_short}"],
-         "init distribution has 31 entries, a video has 32"),
+         "init mu_p's shape must be one of (32,), got (31,)"),
     ]:
         capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "x.out")]) == 2
@@ -754,6 +754,10 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
     *(("world", {"m0": 1e307}, argv, "round away next to the frame means")
       for argv in (["diagnose", "leakage"], ["diagnose", "init-ablation"],
                    ["diagnose", "motion-sweep"], ["prop1-check"])),
+    *(("world", {"s0": 1e9}, argv, "s_w = 0.5 rounds away next to s0 = 1000000000.0 "
+       "in the prior frame covariance: s0^2 + s_w^2 == s0^2 in world")
+      for argv in (["diagnose", "leakage"], ["diagnose", "init-ablation"],
+                   ["diagnose", "motion-sweep"], ["prop1-check"], ["sample", "--n", "2"])),
     ("train", {"cdm_beta": -0.5}, ["train", "--mode", "cdm", "--steps", "2"],
      "cdm_beta"),
     ("world", {}, ["diagnose", "leakage", "--denoiser", "leaky", "--p", "inf"],
@@ -789,6 +793,8 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
 ], ids=["world-drift-overflow",
         *(f"world-m0-static-{name}" for name in (
             "leakage", "init-ablation", "motion-sweep", "prop1-check")),
+        *(f"world-s0-rank-one-{name}" for name in (
+            "leakage", "init-ablation", "motion-sweep", "prop1-check", "sample")),
         "cdm_beta-negative", "leaky-p-inf", "t_grid-empty",
         "eval_videos-zero", "t_grid-above-one", "m_grid-zero", "output_dir-empty",
         "sample-noiseless-M-two-steps", "sample-noiseless-M-one-step",
@@ -826,7 +832,7 @@ def test_wrong_length_world_vector_is_a_config_error(tmp_path, capsys, name):
     assert main(["world-sample", "--n", "2", "--config", cfgp,
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert _one_config_error(capsys) == (
-        f"{name} must be a scalar or frame_dim = 4 entries, got shape (3,) in world")
+        f"{name}'s shape must be one of (), (1,), (4,), got (3,) in world")
 
 
 def test_negative_seed_is_rejected_at_construction():

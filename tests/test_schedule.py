@@ -137,9 +137,10 @@ def test_perturb_preserves_unit_variance_vp():
 
 def test_perturb_rejects_mismatched_t_vector():
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="has 2 entries for a batch of 4"):
+    message = r"^per-item coefficient's shape must be one of \(4,\), got \(2,\)$"
+    with pytest.raises(ValueError, match=message):
         perturb(VP, np.zeros((4, 2, 2)), np.array([0.1, 0.2]), rng)
-    with pytest.raises(ValueError, match="has 2 entries for a batch of 4"):
+    with pytest.raises(ValueError, match=message):
         x0_from_eps(np.zeros((4, 2, 2)), np.zeros((4, 2, 2)), VP, np.array([0.1, 0.2]))
 
 

@@ -68,7 +68,8 @@ def test_conditional_sampling_matches_closed_form(world):
     emp /= world.frame_dim
     np.testing.assert_allclose(emp, cov, atol=0.03)
     np.testing.assert_array_equal(vids[:, 0, :], np.broadcast_to(y0, (200_000, 4)))
-    with pytest.raises(ValueError, match="single frame"):
+    with pytest.raises(ValueError,
+                       match=r"^y0's shape must be one of \(4,\), got \(3,\)$"):
         conditional_moments(world, y0[:3])  # a (3,) frame in a 4-d world
 
 
@@ -222,7 +223,7 @@ def test_exact_denoiser_validates_inputs(world, vp):
     # the exact family takes one time per call, a per-item t by name
     for t in (np.array([0.1, 0.4, 0.7, 1.0]), np.array([0.5])):
         with pytest.raises(ValueError, match=re.escape(
-                f"exact prediction takes one time t, got shape {t.shape}")):
+                f"exact prediction time t's shape must be one of (), got {t.shape}")):
             den.predict_x0(np.zeros((4, 8, 4)), np.zeros(4), t)
     # a transposed 4 x 8 video has the 32 entries of an 8 x 4 one: the
     # trained denoiser read it at that width and returned a (3, 4, 8) array
@@ -231,27 +232,26 @@ def test_exact_denoiser_validates_inputs(world, vp):
     # one input rule for both families: a condition is one frame or one per
     # video, never another shape that numpy would broadcast or fail on
     for den in (den, LeakyDenoiser(world, vp, 0.8, 4.0), trained):
-        with pytest.raises(ValueError, match=r"video of shape \(3, 4, 8\) is not "
-                                             r"\(\.\.\., 8, 4\)"):
+        with pytest.raises(ValueError, match=re.escape(
+                "video batch's shape must be one of (3, 8, 4), got (3, 4, 8)")):
             den.predict_x0(np.zeros((3, 4, 8)), np.zeros(4), 0.5)
         for xt, y, per_video in (((3, 8, 4), (8,), (3, 4)), ((5, 8, 4), (3, 4), (5, 4)),
                                  ((8, 4), (5, 4), (4,)),
                                  ((2, 5, 8, 4), (5, 4), (2, 5, 4))):
             with pytest.raises(ValueError, match=re.escape(
-                    f"condition of shape {y} is not one frame (frame_dim=4,) "
-                    f"or one per video {per_video}")):
+                    f"condition's shape must be one of (4,), {per_video}, got {y}")):
                 den.predict_x0(np.zeros(xt), np.zeros(y), 0.5)
     # the trained family's time and motion are one value or one per video,
     # checked before any input row is written
     xt, y = np.zeros((5, 8, 4)), np.zeros((5, 4))
     t = np.linspace(0.2, 1.0, 5)
     with pytest.raises(ValueError, match=re.escape(
-            "time of shape (3,) is not one value or one per video (5,)")):
+            "time's shape must be one of (), (5,), got (3,)")):
         trained.predict_x0(xt, y, t[:3])
     mf = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8, motion_feature=True)
     mf_params = mf.init_params(np.random.default_rng(0))
     with pytest.raises(ValueError, match=re.escape(
-            "motion of shape (3,) is not one value or one per video (5,)")):
+            "motion's shape must be one of (), (5,), got (3,)")):
         td.TrainedDenoiser(mf, mf_params, vp, motion_value=[1.0, 2.0, 3.0]).predict_x0(
             xt, y, 0.5)
     # one per video over a (2, 5) grid of videos is each video's own
@@ -465,7 +465,7 @@ def test_world_validation():
     ]:
         with pytest.raises(ValueError, match=name):
             GaussianWorld(**kwargs)
-    GaussianWorld(s0=1e150)
+    GaussianWorld(s0=1e150, s_w=1e143)
 
 
 def test_overflowing_frame_means_are_rejected():
@@ -498,12 +498,25 @@ def test_a_world_whose_frames_would_not_move_is_rejected():
     assert (np.diff(videos, axis=1) != 0).any(axis=(1, 2)).all()
 
 
+def test_a_world_whose_s_w_rounds_away_next_to_s0_is_rejected():
+    # at s0 = 1e9 the prior frame covariance had rank one, all its entries
+    # equal, and every command ran on it and exited 0
+    for kwargs, values in [(dict(s0=1e9), "s_w = 0.5 rounds away next to s0 = 1000000000.0"),
+                           (dict(s_w=1e-150), "s_w = 1e-150 rounds away next to s0 = 1.0")]:
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{values} in the prior frame covariance: s0^2 + s_w^2 == s0^2") + "$"):
+            GaussianWorld(**kwargs)
+    cov = prior_frame_cov(GaussianWorld(s0=1e9, s_w=1e2))
+    assert cov[1, 1] > cov[0, 0]
+
+
 def test_wrong_length_mean_vectors_are_rejected():
     # a 3-vector m0 in a 4-dimensional world failed inside numpy's
     # broadcast with no field named
     for name in ("m0", "drift"):
         for value in ([1.0, 2.0, 3.0], np.zeros(5), np.zeros((1, 4))):
-            with pytest.raises(ValueError, match=rf"^{name} .*frame_dim = 4"):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"{name}'s shape must be one of (), (1,), (4,), got {np.shape(value)}")):
                 GaussianWorld(**{name: value})
         for value in (0.5, [0.5], [0.1, 0.2, 0.3, 0.4]):
             vec = getattr(GaussianWorld(**{name: value}), name)
@@ -524,5 +537,6 @@ def test_sample_video_shape(world):
     # one scale per video or one for all: a list of another length is
     # rejected, not broadcast
     for s_w in ([0.1, 0.2], [0.1]):
-        with pytest.raises(ValueError, match=f"has {len(s_w)} entries for a batch of 5"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"per-item coefficient's shape must be one of (5,), got ({len(s_w)},)")):
             videos_from_noise(world, np.zeros((5, 4)), np.ones((5, 7, 4)), s_w=s_w)

@@ -131,6 +131,8 @@ CONFIG_FILES = {
     # a world whose frame increments round away next to m0, whose videos
     # would not move
     "config_huge_m0.json": {"world": {"m0": 1e307}},
+    # a world whose s_w^2 rounds away next to s0^2 in the prior frame covariance
+    "config_huge_s0.json": {"world": {"s0": 1e9}},
     # a schedule kind in the wrong case, which names no kind
     "config_kind_case.json": {"schedule": {"kind": "VP"}},
     # every section left out, and a schedule section without its kind
@@ -226,6 +228,9 @@ OUTCOMES = [
     # a world whose frames would not move is rejected with its config
     (2, ["diagnose", "leakage", "--config", "config_huge_m0.json",
          "--out", "leakage_huge_m0.csv"]),
+    # and one whose prior frame covariance would lose s_w
+    (2, ["diagnose", "leakage", "--config", "config_huge_s0.json",
+         "--out", "leakage_huge_s0.csv"]),
     # the oracle stub has no predict_x0, so it cannot drive a sampler
     (2, ["sample", "--n", "2", "--denoiser", "oracle", "--out", "sample_oracle.csv"]),
     (2, ["diagnose", "motion-sweep", "--denoiser", "oracle",
