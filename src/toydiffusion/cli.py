@@ -28,9 +28,9 @@ import numpy as np
 
 from .analytic_init import (InitDistribution, estimate_moments, optimal_init,
                             verify_optimality)
-from .codec import (ConfigError, check_range, check_same, from_payload, read_json,
-                    read_videos, to_payload, write_csv, write_json, write_manifest,
-                    write_videos)
+from .codec import (ConfigError, check_integer, check_range, check_same, from_payload,
+                    read_json, read_videos, to_payload, write_csv, write_json,
+                    write_manifest, write_videos)
 from .diagnostics import (
     init_ablation,
     leakage_curve,
@@ -77,7 +77,7 @@ class DiagnosticsConfig:
 
     def __post_init__(self) -> None:
         for name in ("eval_videos", "n_chains"):
-            check_range(getattr(self, name), name, 1)
+            check_range(check_integer(getattr(self, name), name), name, 1)
         if not self.t_grid or not self.m_grid:
             raise ConfigError("t_grid and m_grid must be nonempty")
         for grid in ("t_grid", "m_grid"):
@@ -99,7 +99,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        check_range(self.seed, "seed", 0)
+        check_range(check_integer(self.seed, "seed"), "seed", 0)
         if not self.output_dir:
             raise ConfigError("output_dir must be a nonempty path")
 

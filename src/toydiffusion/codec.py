@@ -6,8 +6,8 @@ config, the checkpoint and the init file share one schema: a key left out
 takes its field's default, and no unknown key, missing required key, value
 of the wrong JSON type or number that is not a finite double passes.
 write_json and write_csv refuse to write such a number.  The package's
-input rules are here too: check_range for a number's (or array's) range,
-check_choice for a named choice, check_same for two parts that must agree.
+input rules are here too: check_integer for a count, check_range for a
+range, check_choice for a named choice, check_same for parts that agree.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import reprlib
 import sys
 import warnings
@@ -47,13 +48,21 @@ def check_range(value, name: str, low=-math.inf, high=math.inf,
     raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
+def check_integer(value, name: str):
+    """value itself when it is an integer, numpy's included, but not a bool;
+    otherwise ValueError "<name> must be an integer, got <value>"."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_choice(value, name: str, choices):
     """value itself when it is one of choices; otherwise ValueError "<name>
-    must be one of <choices>, got <value>", each written by repr."""
+    must be one of <choices>, got <value>", by repr, each choice once."""
     if value in choices:
         return value
-    raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, "
-                     f"got {value!r}")
+    listed = ", ".join(map(repr, dict.fromkeys(choices)))
+    raise ValueError(f"{name} must be one of {listed}, got {value!r}")
 
 
 def check_same(name: str, theirs, ours, whose="denoiser", where="the run's") -> None:

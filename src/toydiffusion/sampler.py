@@ -21,14 +21,15 @@ size, so its bytes do not depend on the chain count.  Finiteness is
 checked once per block, after its last step: the matmul mixes a
 non-finite entry into every entry of its column, so it stays non-finite.
 A finite end state is written back over the block's rows, and the draw
-array is the output.  A block that ends non-finite is replayed from its
-rows with a check after every step, and SamplerDiverged is raised at the
-earliest first non-finite step over the blocks.  Any other denoiser has
-its grid's starts checked for noise before the first draw, and runs
-ddim_step, r (x_cur + (k / r) x0_hat) by three in-place operations on
-predict_x0's fresh result, or that result where ddim_coefficients' r = 0,
-and checks the batch after each step.  Both paths detect a non-finite
-state themselves, so numpy does not warn during a run.
+array is the output.  At the first block that ends non-finite, its chains
+and all later ones, whose rows still hold the draw, are replayed as one
+block with a check after every step; the blocks before it ended finite,
+so SamplerDiverged is raised at the run's earliest divergent step.  Any
+other denoiser runs ddim_step, r (x_cur + (k / r) x0_hat) by three
+in-place operations on predict_x0's fresh result, or that result where
+ddim_coefficients' r = 0, and checks the batch after each step.  Both
+paths detect a non-finite state themselves, so numpy does not warn
+during a run.
 
 The initial state is drawn from the config's init, a Gaussian fitted to
 the time-M marginal, or else from standard_init, the conventional prior;
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_init import InitDistribution, exact_moments, optimal_init, standard_init
-from .codec import check_choice, check_range, check_same
+from .codec import check_choice, check_integer, check_range, check_same
 from .schedule import NoiseSchedule, check_start, ddim_coefficients
 from .timenoise import corrupt
 from .world import ExactDenoiser, _check_denoiser_inputs
@@ -84,7 +85,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         check_start(self.start_time, "start_time")
-        check_range(self.steps, "steps", 1)
+        check_range(check_integer(self.steps, "steps"), "steps", 1)
         if self.init is not None and self.init.M != self.start_time:
             raise ValueError(f"init distribution was fitted at M = {self.init.M}, "
                              f"not at start_time = {self.start_time}")
@@ -144,50 +145,39 @@ def sample_batch(denoiser, y0, config: SamplerConfig, schedule, n: int, rng):
     """
     if not hasattr(denoiser, "predict_x0"):
         raise ValueError(f"{type(denoiser).__name__} cannot drive a sampler")
-    check_range(n, "n", 1)
+    check_range(check_integer(n, "n"), "n", 1)
     check_same("schedule", denoiser.schedule, schedule)
     shape, d = (n, *denoiser.shape), denoiser.shape[1]
     stand_in = np.broadcast_to(0.0, shape)  # a batch of that shape, allocating nothing
     y = check_range(_check_denoiser_inputs(denoiser.shape, stand_in, y0)[1], "y0")
-    grid = time_grid(config.start_time, config.steps)
+    grid = time_grid(config.start_time, config.steps).tolist()
     steps = list(zip(grid[:-1], grid[1:]))
     exact = isinstance(denoiser, ExactDenoiser)
-    if exact:
-        maps = [(float(t_to), denoiser.step_map(t_from, t_to)) for t_from, t_to in steps]
-    else:
-        for t_from, t_to in steps:
-            ddim_coefficients(schedule, float(t_from), float(t_to))
+    maps = [(t_to, denoiser.step_map(t_from, t_to) if exact
+             else ddim_coefficients(schedule, t_from, t_to)) for t_from, t_to in steps]
     x = draw_initial(config, schedule, shape, rng)
     if config.inference_beta:
         y = corrupt(np.broadcast_to(y, (n, d)), config.inference_beta, rng)
     if not exact:
         for step, (t_from, t_to) in enumerate(steps):
-            x = ddim_step(denoiser, x, y, float(t_from), float(t_to), schedule)
+            x = ddim_step(denoiser, x, y, t_from, t_to, schedule)
             if not np.all(np.isfinite(x)):
-                raise SamplerDiverged(step, float(t_to))
+                raise SamplerDiverged(step, t_to)
         return x
     y = np.broadcast_to(y if denoiser.conditional else denoiser.world.m0, (n, d))
-    n_frames = denoiser.shape[0]
+    n_frames, drift = denoiser.shape[0], denoiser.world.drift
     width = min(n, max(1, BLOCK_BYTES // (n_frames * d * 8)))
     bufs = np.empty((2, (n_frames + 2) * d * width))
-    diverged = []
     for j in range(0, n, width):
-        rows = x[j:j + width]
-        block = (maps, rows, y[j:j + width], denoiser.world.drift, bufs)
-        state = _run_block(*block, checked=False)
-        if not np.isfinite(state).all():
-            try:
-                state = _run_block(*block, checked=True)
-            except SamplerDiverged as err:
-                diverged.append(err)
-                continue
-        rows[...] = state.reshape(n_frames, d, -1).transpose(2, 0, 1)
-    if diverged:
-        raise min(diverged, key=lambda err: err.step)
+        state = _run_block(maps, x[j:j + width], y[j:j + width], drift, bufs)
+        if not np.isfinite(state).all():  # rows j on still hold the draw
+            _run_block(maps, x[j:], y[j:], drift,
+                       np.empty((2, (n_frames + 2) * d * (n - j))), checked=True)
+        x[j:j + width] = state.reshape(n_frames, d, -1).transpose(2, 0, 1)
     return x
 
 
-def _run_block(maps, rows, y, drift, bufs, checked):
+def _run_block(maps, rows, y, drift, bufs, checked=False):
     """Run the chains rows, (B, N, d), with conditions y, (B, d), through
     every step of maps in the two (N + 2, d B) states bufs holds, chain
     index innermost and y^T and the drift in the last two rows, and return

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (ConfigError, check_choice, check_range, from_payload, read_json,
-                    to_payload, write_json)
+from .codec import (ConfigError, check_choice, check_integer, check_range, from_payload,
+                    read_json, to_payload, write_json)
 from .schedule import NoiseSchedule, perturb, sigma_to_t, x0_from_eps
 from .timenoise import TimeNoiseParams, constant_beta, corrupt, sample_beta
 from .world import (
@@ -99,7 +99,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_choice(self.mode, "mode", MODES)
         for name, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("hidden", 1)):
-            check_range(getattr(self, name), name, low)
+            check_range(check_integer(getattr(self, name), name), name, low)
         check_range(self.lr, "lr", 0.0, low_open=True)
         check_range(self.p_mean, "p_mean")
         check_range(self.p_std, "p_std", 0.0)

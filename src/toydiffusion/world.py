@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import check_choice, check_range
+from .codec import check_choice, check_integer, check_range
 from .schedule import (TIME_CACHE_SIZE, NoiseSchedule, _per_item, alpha_sigma,
                        check_start, ddim_coefficients)
 from .special import ndtr
@@ -72,8 +72,8 @@ class GaussianWorld:
     s_w: float = 0.5
 
     def __post_init__(self) -> None:
-        check_range(self.n_frames, "n_frames", 2)
-        check_range(self.frame_dim, "frame_dim", 1)
+        check_range(check_integer(self.n_frames, "n_frames"), "n_frames", 2)
+        check_range(check_integer(self.frame_dim, "frame_dim"), "frame_dim", 1)
         check_range(self.s0, "s0", 0.0)
         check_range(self.s_w, "s_w", 0.0, low_open=True)
         n, s0, s_w = self.n_frames, float(self.s0), float(self.s_w)

@@ -174,6 +174,37 @@ def test_check_choice_is_one_rule_for_a_named_choice(check, message):
             check(value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda world: td.GaussianWorld(n_frames=8.5), "n_frames must be an integer, got 8.5"),
+    (lambda world: td.GaussianWorld(n_frames=8.0), "n_frames must be an integer, got 8.0"),
+    (lambda world: td.GaussianWorld(frame_dim=True), "frame_dim must be an integer, got True"),
+    (lambda world: td.TrainConfig(steps=3.0), "steps must be an integer, got 3.0"),
+    (lambda world: td.TrainConfig(batch_size=3.5), "batch_size must be an integer, got 3.5"),
+    (lambda world: td.TrainConfig(seed=1.0), "seed must be an integer, got 1.0"),
+    (lambda world: td.TrainConfig(hidden=8.0), "hidden must be an integer, got 8.0"),
+    (lambda world: td.SamplerConfig(steps=2.5), "steps must be an integer, got 2.5"),
+    (lambda world: DiagnosticsConfig(eval_videos=3.0), "eval_videos must be an integer, got 3.0"),
+    (lambda world: DiagnosticsConfig(n_chains=2.5), "n_chains must be an integer, got 2.5"),
+    (lambda world: ExperimentConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda world: td.sample_batch(
+        td.ExactDenoiser(world, td.NoiseSchedule.vp()), np.zeros(4), td.SamplerConfig(),
+        td.NoiseSchedule.vp(), 2.0, np.random.default_rng(0)),
+     "n must be an integer, got 2.0"),
+    # numpy integers are integers
+    (lambda world: td.GaussianWorld(n_frames=np.int64(5), frame_dim=np.int32(2)), None),
+], ids=["n_frames", "n_frames-whole", "frame_dim-bool", "train-steps", "batch_size",
+        "train-seed", "hidden", "sampler-steps", "eval_videos", "n_chains",
+        "experiment-seed", "sample_batch-n", "numpy-integers"])
+def test_each_count_is_checked_by_check_integer(world, call, message):
+    # a non-integer count passed its range check and failed later, inside a
+    # run, as "TypeError: 'float' object cannot be interpreted as an integer"
+    if message is None:
+        call(world)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(world)
+
+
 def _trained(world, motion_value=None):
     model = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8,
                            motion_feature=motion_value is not None)
@@ -212,8 +243,18 @@ def _trained(world, motion_value=None):
      "per-item coefficient's shape must be one of (5,), got (2,)"),
     (lambda world: td.motion_scores(np.zeros((3, 1, 4))),
      "motion score's frame count must lie in [2, inf), got 1"),
+    # two allowed shapes that coincide are named once
+    (lambda world: td.ExactDenoiser(world, td.NoiseSchedule.vp()).predict_x0(
+        np.zeros((8, 4)), np.zeros((5, 4)), 0.5),
+     "condition's shape must be one of (4,), got (5, 4)"),
+    (lambda world: _trained(world).predict_x0(np.zeros((8, 4)), np.zeros(4),
+                                              np.full(3, 0.5)),
+     "time's shape must be one of (), got (3,)"),
+    (lambda world: td.GaussianWorld(frame_dim=1, m0=[1.0, 2.0]),
+     "m0's shape must be one of (), (1,), got (2,)"),
 ], ids=["m0", "drift", "conditional_moments-y0", "video-batch", "condition", "time",
-        "motion", "exact-time", "draw_initial-mu_p", "per-item", "motion_scores"])
+        "motion", "exact-time", "draw_initial-mu_p", "per-item", "motion_scores",
+        "condition-one-video", "time-one-video", "m0-one-entry"])
 def test_each_shape_is_checked_by_check_choice(world, call, message):
     # each site wrote its own message: "m0 must be a scalar or frame_dim = 4
     # entries", "video of shape ... is not (..., 8, 4)", and so on

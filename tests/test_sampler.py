@@ -257,6 +257,33 @@ def test_divergence_over_blocks_is_reported_at_the_earliest_step(request, name,
     assert err.value.t == time_grid(cfg.start_time, cfg.steps)[first.min() + 1]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("schedule_name", ["vp", "ve"])
+@pytest.mark.parametrize("name", ["exact", "leaky"])
+def test_divergence_after_a_finite_block_is_reported_at_the_earliest_step(request, name,
+                                                                          schedule_name):
+    # the first block stays finite, so its rows already hold end states; a
+    # chain of the second diverges late and a chain of the third earlier,
+    # and the run reports the third's step
+    schedule = request.getfixturevalue(schedule_name)
+    world = td.GaussianWorld(drift=[1.5e307, 0.0, 0.0, 0.0])
+    den = EXACT_FAMILY[name](world, schedule)
+    n, late, early = 2 * BLOCK + 17, BLOCK + 5, 2 * BLOCK + 3
+    y0 = np.ones((n, 4))
+    y0[late], y0[early] = 1.3e308, 1.7e308
+    cfg = SamplerConfig(1.0, 50)
+    with pytest.raises(SamplerDiverged) as err:
+        sample_batch(den, y0, cfg, schedule, n, np.random.default_rng(28))
+    first = np.full(n, cfg.steps)
+    for step, t_to, x in _step_map_states(den, y0, cfg, schedule, n,
+                                          np.random.default_rng(28)):
+        first[(first == cfg.steps) & ~np.isfinite(x).all(axis=(1, 2))] = step
+    assert first[early] < first[late] < cfg.steps
+    assert (first[:BLOCK] == cfg.steps).all()
+    assert err.value.step == first[early] == first.min()
+    assert err.value.t == time_grid(cfg.start_time, cfg.steps)[first.min() + 1]
+
+
 @pytest.mark.parametrize("schedule_name", ["vp", "ve"])
 @pytest.mark.parametrize("name", ["exact", "leaky"])
 def test_step_maps_keep_a_huge_condition_finite(request, world, name, schedule_name):

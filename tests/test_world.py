@@ -235,11 +235,12 @@ def test_exact_denoiser_validates_inputs(world, vp):
         with pytest.raises(ValueError, match=re.escape(
                 "video batch's shape must be one of (3, 8, 4), got (3, 4, 8)")):
             den.predict_x0(np.zeros((3, 4, 8)), np.zeros(4), 0.5)
-        for xt, y, per_video in (((3, 8, 4), (8,), (3, 4)), ((5, 8, 4), (3, 4), (5, 4)),
-                                 ((8, 4), (5, 4), (4,)),
-                                 ((2, 5, 8, 4), (5, 4), (2, 5, 4))):
+        for xt, y, allowed in (((3, 8, 4), (8,), "(4,), (3, 4)"),
+                               ((5, 8, 4), (3, 4), "(4,), (5, 4)"),
+                               ((8, 4), (5, 4), "(4,)"),  # one video: one frame
+                               ((2, 5, 8, 4), (5, 4), "(4,), (2, 5, 4)")):
             with pytest.raises(ValueError, match=re.escape(
-                    f"condition's shape must be one of (4,), {per_video}, got {y}")):
+                    f"condition's shape must be one of {allowed}, got {y}")):
                 den.predict_x0(np.zeros(xt), np.zeros(y), 0.5)
     # the trained family's time and motion are one value or one per video,
     # checked before any input row is written

@@ -140,11 +140,16 @@ CONFIG_FILES = {
     "config_no_kind.json": '{"schedule": {"beta_max": 15.0}}',
 }
 
-# Finite data rows for the default 8 x 4 world whose squares overflow,
-# under the header world-sample writes.
-OVERFLOW_DATA = "".join(f"{row}\n" for row in (
-    ",".join(f"x{i}" for i in range(32)), ",".join(["1e200"] * 32),
-    ",".join(["-1e200"] * 32)))
+# The other input files of a set, written as they stand.
+DATA_FILES = {
+    # finite data rows for the default 8 x 4 world whose squares overflow,
+    # under the header world-sample writes
+    "overflow.csv": "".join(f"{row}\n" for row in (
+        ",".join(f"x{i}" for i in range(32)), ",".join(["1e200"] * 32),
+        ",".join(["-1e200"] * 32))),
+    # a start mean of 1e308, whose chains leave the finite range on VP
+    "huge_init.json": json.dumps({"mu_p": [1e308] * 32, "sigma_p2": 1.0, "M": 1.0}),
+}
 
 COMMANDS = [
     ["world-sample", "--n", "200", "--out", "videos.csv"],
@@ -201,6 +206,10 @@ OUTCOMES = [
          "--out", "sample_mismatch.csv"]),
     (3, ["sample", "--n", "3", "--steps", "2", "--config", "config_huge_beta.json",
          "--out", "sample_huge_beta.csv"]),
+    # every chain of three sampler blocks diverges (VP), or the samples'
+    # motion summary overflows (VE)
+    (3, ["sample", "--n", "2500", "--init", "analytic:huge_init.json",
+         "--out", "sample_diverged.csv"]),
     (2, ["world-sample", "--n", "2", "--config", "config_timenoise_section.json",
          "--out", "videos_timenoise_section.csv"]),
     # rejected when the config is read, so no CSV is written
@@ -243,7 +252,7 @@ OUTCOMES = [
     (2, ["sample", "--n", "2", "--denoiser", "ckpt:ckpt_naive.json",
          "--config", "config_wide.json", "--out", "sample_ckpt_wide.csv"]),
 ]
-INPUT_FILES = (*CONFIG_FILES, "overflow.csv")
+INPUT_FILES = (*CONFIG_FILES, *DATA_FILES)
 
 
 def run_set(name, payload, env, strict):
@@ -252,15 +261,13 @@ def run_set(name, payload, env, strict):
     and of the outcome entries, in file order.  strict stops the script on an
     outcome's unexpected exit code too."""
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as tmp:
-        for file, content in CONFIG_FILES.items():
+        for file, content in {**CONFIG_FILES, **DATA_FILES}.items():
             if isinstance(content, dict):
                 content = json.dumps({**payload, **{
                     key: {**payload.get(key, {}), **section}
                     for key, section in content.items()}})
             with open(os.path.join(tmp, file), "w") as fh:
                 fh.write(content)
-        with open(os.path.join(tmp, "overflow.csv"), "w") as fh:
-            fh.write(OVERFLOW_DATA)
         outcomes = {}
         for code, argv in [*((None, argv) for argv in COMMANDS), *OUTCOMES]:
             if "--config" not in argv:
