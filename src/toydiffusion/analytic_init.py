@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import check_range
-from .schedule import NoiseSchedule, VP, alpha_sigma, check_start
+from .schedule import NoiseSchedule, VP, alpha_sigma, check_start, ddim_coefficients
 from .world import FrameGaussian, GaussianWorld, prior_moments
 
 
@@ -81,8 +81,9 @@ def exact_moments(world: GaussianWorld) -> DataMoments:
 
 
 def optimal_init(moments: DataMoments, schedule: NoiseSchedule, M: float):
-    """KL-optimal isotropic Gaussian against the time-M marginal."""
-    check_start(M, "M")
+    """KL-optimal isotropic Gaussian against the time-M marginal, at an M
+    where a step may start, by ddim_coefficients."""
+    ddim_coefficients(schedule, check_start(M, "M"), 0.0)
     alpha, sigma = alpha_sigma(schedule, M)
     return InitDistribution(
         mu_p=alpha * moments.mean,

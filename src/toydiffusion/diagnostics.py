@@ -103,13 +103,17 @@ def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: i
     """Generate per target and compare output motion to the expectation.
 
     A checkpoint trained with the motion feature gets each target as its
-    scalar feature, and the target is itself the expectation.  Any other
-    denoiser is compared with the world's closed-form mean motion score,
-    and the target list only sets the number of repeats.
+    scalar feature, and the target is itself the expectation, so each must
+    be positive.  Any other denoiser is compared with the world's
+    closed-form mean motion score, and the target list only sets the number
+    of repeats.
     """
     check_same("world", getattr(denoiser, "world", world), world)  # none if trained
     conditioned = (isinstance(denoiser, TrainedDenoiser)
                    and denoiser.model.motion_feature)
+    if conditioned:
+        targets = [check_range(float(x), "targets entries", 0.0, low_open=True)
+                   for x in targets]
     gt_ms = expected_motion_score(world)
     rows = []
     for j, target in enumerate(targets):
@@ -119,11 +123,11 @@ def motion_sweep(denoiser, targets, world, schedule, config: SamplerConfig, n: i
         if conditioned:
             active = TrainedDenoiser(
                 denoiser.model, denoiser.params, denoiser.schedule,
-                motion_value=float(target),
+                motion_value=target,
             )
         out = sample_batch(active, y0, config, schedule, n, rng)
         out_ms = float(np.mean(motion_scores(out)))
-        expected = float(target) if conditioned else gt_ms
+        expected = target if conditioned else gt_ms
         rows.append(
             {
                 "input_ms": expected,

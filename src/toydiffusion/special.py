@@ -1,7 +1,7 @@
-"""expit, ndtr and logit with the bits of the common C implementations:
-ndtr is Cephes', with its erf and erfc, and every exp, log and log1p is
-libm's, taken per element through math, as numpy's SIMD exp differs from
-libm's in the last bit of some values."""
+"""expit and ndtr with the bits of the common C implementations: ndtr is
+Cephes', with its erf and erfc, and every exp is libm's, taken per element
+through math, as numpy's SIMD exp differs from libm's in the last bit of
+some values."""
 
 import math
 
@@ -63,14 +63,6 @@ def _ndtr(a):
     return 1.0 - y if x > 0 else y
 
 
-def _logit(x):
-    if 0.3 <= x <= 0.65:
-        s = 2.0 * (x - 0.5)
-        return math.log1p(s) - math.log1p(-s)
-    ratio = x / (1.0 - x) if x != 1.0 else math.inf
-    return math.log(ratio) if ratio > 0.0 else -math.inf if ratio == 0.0 else math.nan
-
-
 def expit(x):
     """The logistic sigmoid 1 / (1 + exp(-x)): 0 where exp(-x) overflows."""
     neg = np.negative(x, dtype=np.float64)
@@ -82,9 +74,3 @@ def expit(x):
 def ndtr(x):
     """The standard normal distribution function, elementwise."""
     return _each(_ndtr, x)
-
-
-def logit(x):
-    """log(x / (1 - x)); log1p(s) - log1p(-s) with s = 2 (x - 0.5) on
-    [0.3, 0.65], where the ratio loses precision."""
-    return _each(_logit, x)

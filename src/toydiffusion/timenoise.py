@@ -6,9 +6,9 @@ late (noisy) times see strongly corrupted conditioning while early times see
 it nearly clean.  One corruption operator applies one level, or one per row
 of y0 by schedule._per_item, in one of two variants: additive
 (y_s = y0 + beta_s * eps) and interpolating (y_s = (1 - beta_s) y0 +
-beta_s * eps, which requires beta_m = 1).  pdf and sample_beta take logit
-and expit from special, which match the compiled reference bit for bit, so
-TimeNoise training runs on numpy alone.
+beta_s * eps, which requires beta_m = 1).  sample_beta takes expit from
+special, which matches the compiled reference bit for bit, so TimeNoise
+training runs on numpy alone; pdf takes its log-odds from numpy's log.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .codec import check_choice, check_range
 from .schedule import _per_item
-from .special import expit, logit
+from .special import expit
 
 ADDITIVE = "additive"
 INTERPOLATION = "interpolation"
@@ -58,7 +58,7 @@ def pdf(params: TimeNoiseParams, t, beta_s):
     beta_s = check_range(np.asarray(beta_s, dtype=np.float64), "beta_s", 0.0,
                          params.beta_m, low_open=True, high_open=True)
     mu = mu_of_t(params, t)
-    z = logit(beta_s / params.beta_m) - mu
+    z = np.log(beta_s / (params.beta_m - beta_s)) - mu
     out = (
         params.beta_m
         / math.sqrt(2.0 * math.pi)

@@ -91,12 +91,9 @@ class GaussianWorld:
             vec = check_range(np.broadcast_to(vec, (self.frame_dim,)).copy(), name)
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
-        with np.errstate(over="ignore"):  # an overflow is reported by field below
-            offsets = _frame_offsets(self)
-            means = self.m0 + offsets
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            means = prior_moments(self).mean
             moves = means + (np.abs(self.drift) + s_w) != means
-        if not np.isfinite(offsets).all():
-            raise ValueError("drift overflows the frame offsets (i - 1) * drift")
         if not np.isfinite(means).all():
             raise ValueError("m0 and drift overflow the frame means m0 + (i - 1) * drift")
         if not moves.all():
@@ -115,6 +112,7 @@ class GaussianWorld:
 
 def first_frames(world: GaussianWorld, n: int, rng: np.random.Generator):
     """Draw n first frames m0 + s0 z, shape (n, d)."""
+    check_range(check_integer(n, "n"), "n", 0)
     return world.m0 + world.s0 * rng.standard_normal((n, world.frame_dim))
 
 
@@ -146,11 +144,6 @@ def videos_from_noise(world: GaussianWorld, first, inc, s_w=None, out=None):
 # Moments
 
 
-def _frame_offsets(world: GaussianWorld):
-    """Per-frame mean offsets from frame 1, (i-1) * drift, shape (N, d)."""
-    return np.arange(world.n_frames, dtype=np.float64)[:, None] * world.drift
-
-
 def prior_frame_cov(world: GaussianWorld):
     """Frame covariance factor C, C_ij = s0^2 + min(i-1, j-1) * s_w^2."""
     idx = np.arange(world.n_frames, dtype=np.float64)
@@ -167,7 +160,8 @@ class FrameGaussian(NamedTuple):
 
 def prior_moments(world: GaussianWorld) -> FrameGaussian:
     """The prior law of a video: frame means m0 + (i-1) drift, factor C."""
-    return FrameGaussian(world.m0 + _frame_offsets(world), prior_frame_cov(world))
+    idx = np.arange(world.n_frames, dtype=np.float64)[:, None]
+    return FrameGaussian(world.m0 + idx * world.drift, prior_frame_cov(world))
 
 
 def conditional_moments(world: GaussianWorld, y0) -> FrameGaussian:

@@ -156,6 +156,14 @@ def test_optimal_init_closed_form(world, vp):
         optimal_init(moments, vp, 0.0)
 
 
+def test_optimal_init_rejects_a_start_where_no_step_may_start(world, vp):
+    # VP's sigma rounds to 0 at M = 1e-20: the fit was returned, and every
+    # sampler run from it was rejected
+    with pytest.raises(ValueError, match="^no noise to remove at t_from = 1e-20: "
+                                         "sigma rounds to 0$"):
+        optimal_init(exact_moments(world), vp, 1e-20)
+
+
 def test_standard_init_by_schedule_kind(vp, ve):
     from toydiffusion.schedule import alpha_sigma
 

@@ -190,11 +190,13 @@ def test_check_choice_is_one_rule_for_a_named_choice(check, message):
         td.ExactDenoiser(world, td.NoiseSchedule.vp()), np.zeros(4), td.SamplerConfig(),
         td.NoiseSchedule.vp(), 2.0, np.random.default_rng(0)),
      "n must be an integer, got 2.0"),
+    (lambda world: td.sample_videos(world, 2.5, np.random.default_rng(0)),
+     "n must be an integer, got 2.5"),
     # numpy integers are integers
     (lambda world: td.GaussianWorld(n_frames=np.int64(5), frame_dim=np.int32(2)), None),
 ], ids=["n_frames", "n_frames-whole", "frame_dim-bool", "train-steps", "batch_size",
         "train-seed", "hidden", "sampler-steps", "eval_videos", "n_chains",
-        "experiment-seed", "sample_batch-n", "numpy-integers"])
+        "experiment-seed", "sample_batch-n", "sample_videos-n", "numpy-integers"])
 def test_each_count_is_checked_by_check_integer(world, call, message):
     # a non-integer count passed its range check and failed later, inside a
     # run, as "TypeError: 'float' object cannot be interpreted as an integer"
@@ -284,8 +286,11 @@ def test_each_shape_is_checked_by_check_choice(world, call, message):
         td.ExactDenoiser(world, td.NoiseSchedule.vp()), np.array([0.0, np.nan, 0.0, 0.0]),
         td.SamplerConfig(), td.NoiseSchedule.vp(), 6, rng),
      "y0 must lie in (-inf, inf), got array([ 0., nan,  0.,  0.])"),
+    (lambda world, rng: td.sample_videos(world, -1, rng),
+     "n must lie in [0, inf), got -1"),
 ], ids=["perturb-time", "perturb-per-item", "corrupt-per-item", "sample_beta-time",
-        "draw_initial-mu_p", "sample_batch-condition", "sample_batch-nan"])
+        "draw_initial-mu_p", "sample_batch-condition", "sample_batch-nan",
+        "sample_videos-n"])
 def test_a_rejected_call_leaves_the_generator_as_it_was(world, call, message):
     # each call drew before its check, so a rejected call still advanced
     # the caller's generator

@@ -211,6 +211,21 @@ def test_estimate_init_names_the_data_file_on_a_non_finite_value(tmp_path, capsy
     assert not out.exists()
 
 
+def test_estimate_init_rejects_a_start_where_no_step_may_start(tmp_path, capsys):
+    # the fit at M = 1e-20 exited 0, and sample exited 2 on the init it wrote
+    cfgp = small_config(tmp_path)
+    data = tmp_path / "videos.csv"
+    assert main(["world-sample", "--config", cfgp, "--n", "4",
+                 "--out", str(data)]) == 0
+    out = tmp_path / "init.json"
+    capsys.readouterr()
+    assert main(["estimate-init", "--config", cfgp, "--data", str(data),
+                 "--M", "1e-20", "--out", str(out)]) == 2
+    assert (_one_config_error(capsys)
+            == "no noise to remove at t_from = 1e-20: sigma rounds to 0")
+    assert not out.exists()
+
+
 def test_prop1_check_cli(tmp_path):
     cfgp = small_config(tmp_path)
     out = tmp_path / "prop1.json"

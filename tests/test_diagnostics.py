@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,19 @@ def test_motion_sweep_conditioned_with_trained_model(world, vp):
     assert [row["input_ms"] for row in rows] == [1.0, 3.0]
     for row in rows:
         assert np.isfinite(row["output_ms_mean"])
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, float("nan")])
+def test_motion_sweep_conditioned_rejects_a_target_that_is_not_positive(world, vp,
+                                                                       target):
+    # each target is the model's feature and the divisor of its error: 0 raised
+    # ZeroDivisionError after sampling, nan SamplerDiverged, and -1 ran
+    model = td.MLPDenoiser(world.n_frames, world.frame_dim, hidden=8, motion_feature=True)
+    den = td.TrainedDenoiser(model, model.init_params(np.random.default_rng(0)), vp)
+    message = f"targets entries must lie in (0, inf), got {target!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        motion_sweep(den, [1.0, target], world, vp, td.SamplerConfig(1.0, 2), n=2,
+                     seed=0)
 
 
 def test_init_ablation_table(world, vp):

@@ -8,7 +8,7 @@ import scipy.special
 
 from toydiffusion import special
 
-FUNCTIONS = ["expit", "ndtr", "logit"]
+FUNCTIONS = ["expit", "ndtr"]
 
 
 def _around(points):
@@ -25,17 +25,11 @@ EDGES = np.concatenate([
     # ndtr's scaled argument a / sqrt(2) at erf's and erfc's branch points
     # 1 / sqrt(2), 1 and 8, and where erfc underflows
     _around([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, 37.7, 38.0]),
-    # logit's rule changes at 0.3 and 0.65; 0 and 1 are its poles
-    _around([0.3, 0.65, 1.0, 1.0 - 2.0**-53]),
 ])
 
 
 def _points(name, rng):
     """Seeded points where each function does its work."""
-    if name == "logit":
-        return np.concatenate([rng.uniform(0.0, 1.0, 600_000),
-                               rng.uniform(0.25, 0.7, 300_000),
-                               10.0 ** rng.uniform(-320.0, 0.0, 100_000)])
     return np.concatenate([rng.standard_normal(500_000) * 3.0,
                            rng.uniform(-50.0, 50.0, 400_000),
                            rng.uniform(-800.0, 800.0, 100_000)])

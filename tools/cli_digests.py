@@ -225,6 +225,8 @@ OUTCOMES = [
     # a named start is resolved only where a step may start
     (2, ["prop1-check", "--config", "config_noiseless.json",
          "--out", "prop1_noiseless.json"]),
+    (2, ["estimate-init", "--data", "videos.csv", "--M", "1e-20",
+         "--config", "config_noiseless.json", "--out", "init_noiseless.json"]),
     (2, ["prop1-check", "--config", "config_noiseless_pinned.json",
          "--out", "prop1_noiseless_pinned.json"]),
     (2, ["diagnose", "init-ablation", "--config", "config_noiseless_pinned.json",
